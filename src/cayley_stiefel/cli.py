@@ -28,7 +28,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--k", type=int, default=2, help="frame size (default: 2)")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default: 0)")
     p.add_argument("--tol", type=float, default=kalg.DEFAULT_TOL,
-                   help="singularity tolerance (default: 1e-12)")
+                   help="relative singular-value tolerance (default: 1e-12)")
     p.add_argument("--out", default=None, help="write machine output to this path")
     p.add_argument("--reproducible", action="store_true",
                    help="suppress the timestamp field for byte-identical reruns")

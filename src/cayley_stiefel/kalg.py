@@ -1,10 +1,12 @@
 """Dense matrix arithmetic over R, C and the quaternions H.
 
 Scalars are stored as small vectors of real double-precision components
-(1 for R, 2 for C, 4 for H) and multiplication is driven by the
-structure-constant tensor of the ring.  This keeps every formula in the
-rest of the library written once, and keeps quaternion noncommutativity
-explicit: products never silently commute.
+(1 for R, 2 for C, 4 for H), so every formula in the rest of the library is
+written once.  Arithmetic runs on a zero-copy real or complex view of that
+storage: a quaternion w + xi + yj + zk is the complex pair z1 + z2 j with
+z1 = w + xi, z2 = y + zi, so a quaternion matrix M = Z1 + Z2 j multiplies
+through four complex products and inverts by LAPACK on its complex adjoint
+chi(M) = [[Z1, Z2], [-conj Z2, conj Z1]].  Products never silently commute.
 """
 
 from __future__ import annotations
@@ -43,25 +45,17 @@ class Field(enum.Enum):
 _NCOMP = {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}
 
 
-def _quaternion_structure() -> np.ndarray:
-    # basis order (1, i, j, k); S[a, b, c] is the e_c coefficient of e_a * e_b
-    S = np.zeros((4, 4, 4))
-    table = {
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-    }
-    for (a, b), (c, sign) in table.items():
-        S[a, b, c] = sign
-    return S
+def _array(m: "Mat") -> np.ndarray:
+    """Zero-copy view of m: real (R), complex (C) or complex pairs (Z1, Z2) (H)."""
+    if m.field is Field.REAL:
+        return m.data[..., 0]
+    z = m.data.view(np.complex128)
+    return z[..., 0] if m.field is Field.COMPLEX else z
 
 
-_STRUCTURE = {
-    Field.REAL: np.ones((1, 1, 1)),
-    Field.COMPLEX: _quaternion_structure()[:2, :2, :2].copy(),
-    Field.QUATERNION: _quaternion_structure(),
-}
+def _from_array(field: Field, a: np.ndarray) -> "Mat":
+    # a is a fresh C-contiguous result, so its complex entries view as float pairs
+    return Mat(field, a.view(np.float64).reshape(a.shape[0], a.shape[1], field.ncomp))
 
 
 class Mat:
@@ -138,9 +132,14 @@ class Mat:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        S = _STRUCTURE[self.field]
-        out = np.einsum("ila,ljb,abc->ijc", self.data, other.data, S)
-        return Mat(self.field, out)
+        a, b = _array(self), _array(other)
+        if self.field is Field.QUATERNION:
+            # (Z1 + Z2 j)(W1 + W2 j) = (Z1 W1 - Z2 conj W2) + (Z1 W2 + Z2 conj W1) j
+            a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+            out = np.stack([a1 @ b1 - a2 @ b2.conj(), a1 @ b2 + a2 @ b1.conj()], axis=-1)
+        else:
+            out = a @ b
+        return _from_array(self.field, out)
 
     def __repr__(self) -> str:
         return f"Mat({self.field.value}, {self.rows}x{self.cols})"
@@ -194,51 +193,47 @@ def vstack(*mats: Mat) -> Mat:
     return Mat(field, np.concatenate([m.data for m in mats], axis=0))
 
 
-def _scalar_inverse(s: np.ndarray) -> np.ndarray:
-    # q^{-1} = conj(q) / |q|^2, valid in all three rings
-    n2 = float(np.dot(s, s))
-    out = -s / n2
-    out[0] = s[0] / n2
-    return out
+def _invertible_operand(m: Mat, tol: float) -> np.ndarray:
+    """M as a real or complex array, chi(M) over H, checked to be invertible.
+
+    Raises Singular when sigma_min <= tol * sigma_max.  chi(M) has the
+    singular values of M, each twice, so the test means the same in all
+    three rings.
+    """
+    if m.rows != m.cols:
+        raise ValueError("inversion needs a square matrix")
+    a = _array(m)
+    if m.field is Field.QUATERNION:
+        z1, z2 = a[..., 0], a[..., 1]
+        a = np.block([[z1, z2], [-z2.conj(), z1.conj()]])
+    s = np.linalg.svd(a, compute_uv=False)
+    if s.size and s[-1] <= tol * s[0]:
+        raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
+                       f"{tol:.1e} times the largest {s[0]:.3e}")
+    return a
 
 
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
-    """Invert a square matrix by Gauss-Jordan elimination with partial pivoting.
+    """Inverse of a square matrix by LAPACK, through chi(M) over H.
 
-    Pivots are chosen by largest scalar norm and all row operations multiply
-    on the left, which makes the elimination valid over the noncommutative
-    quaternions.  Raises Singular when the best pivot norm falls below
-    tol times the largest entry norm of the input.
+    Raises Singular when sigma_min <= tol * sigma_max.
     """
-    if m.rows != m.cols:
-        raise ValueError("mat_inverse needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return m
-    S = _STRUCTURE[m.field]
-    aug = np.concatenate([m.data, identity(n, m.field).data], axis=1).copy()
-    scale = float(np.linalg.norm(m.data, axis=2).max())
-    if scale == 0.0:
-        raise Singular("zero matrix")
-    thresh = tol * scale
-    for col in range(n):
-        norms = np.linalg.norm(aug[col:, col, :], axis=1)
-        p = int(np.argmax(norms))
-        if norms[p] <= thresh:
-            raise Singular(f"pivot norm {norms[p]:.3e} below threshold {thresh:.3e} in column {col}")
-        if p:
-            aug[[col, col + p]] = aug[[col + p, col]]
-        pinv = _scalar_inverse(aug[col, col].copy())
-        aug[col] = np.einsum("a,jb,abc->jc", pinv, aug[col], S)
-        factors = aug[:, col].copy()
-        factors[col] = 0.0
-        aug -= np.einsum("ra,jb,abc->rjc", factors, aug[col], S)
-    return Mat(m.field, aug[:, n:])
+    a = _invertible_operand(m, tol)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise Singular(str(exc)) from exc
+    if m.field is Field.QUATERNION:
+        # chi(M)^{-1} = chi(M^{-1}), whose first block row is (Z1', Z2')
+        n = m.rows
+        inv = np.stack([inv[:n, :n], inv[:n, n:]], axis=-1)
+    return _from_array(m.field, inv)
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:
+    """Whether mat_inverse(m, tol) passes its Singular test; no inverse is formed."""
     try:
-        mat_inverse(m, tol)
+        _invertible_operand(m, tol)
     except Singular:
         return False
     return True

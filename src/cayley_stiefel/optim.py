@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 from . import group, kalg, stiefel
-from .kalg import Mat, Singular
+from .kalg import Mat
 from .stiefel import Lift, StiefelPoint, TangentCoords
 
 
@@ -92,7 +92,7 @@ def curve(x: StiefelPoint, A: Mat, t: float, tol: float = kalg.DEFAULT_TOL) -> S
     """Point alpha(t) = c(tA) x of the curvilinear search curve.
 
     c is the Cayley transform at the identity of the group; the derivative
-    at t = 0 is -2 A x.  Raises Singular when I + tA has no inverse.
+    at t = 0 is -2 A x.
     """
     Q = group.cayley_at_identity(t * A, tol)
     return StiefelPoint(Q @ x.m)
@@ -107,11 +107,15 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
                      p: SearchParams = SearchParams()) -> OptimTrace:
     """Curvilinear-search gradient descent with Armijo backtracking.
 
-    Each step moves along the Cayley curve generated by F x* - x F* with F
-    the Euclidean gradient; a trial step tau is accepted when
-    f(alpha(tau)) <= f(x) - armijo_c * tau * |alpha'(0)|^2.  Terminates when
-    the Riemannian gradient norm drops below grad_tol, the iteration budget
-    is exhausted, or the line search fails.
+    Each step moves along the Cayley curve generated by A = F x* - x F*
+    with F the Euclidean gradient.  f decreases along it at rate |A|_F^2
+    at t = 0, and a trial step tau is accepted when
+    f(alpha(tau)) <= f(x) - armijo_c * tau * |A|_F^2.  A rejected tau is
+    replaced by the minimiser of the quadratic through f(0), that slope and
+    f(tau), clamped to [0.1, backtrack_factor] * tau; halving alone can
+    settle on a step that flips the steepest component of x every
+    iteration.  Terminates when the Riemannian gradient norm drops below
+    grad_tol, the iteration budget is exhausted, or the line search fails.
     """
     x = x0
     fval = obj.f(x)
@@ -130,22 +134,19 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
             reason = "max_iters"
             break
         A = descent_skew(x, G)
-        slope_sq = kalg.frobenius_norm(-2.0 * (A @ x.m)) ** 2
+        rate = kalg.frobenius_norm(A) ** 2
         tau = p.initial_step
         accepted = None
         backtracks = 0
         while backtracks <= p.max_backtracks:
-            try:
-                cand = curve(x, A, tau)
-            except Singular:
-                tau *= p.backtrack_factor
-                backtracks += 1
-                continue
+            cand = curve(x, A, tau)
             fcand = obj.f(cand)
-            if fcand <= fval - p.armijo_c * tau * slope_sq:
+            if fcand <= fval - p.armijo_c * tau * rate:
                 accepted = (cand, fcand)
                 break
-            tau *= p.backtrack_factor
+            # the step was rejected, so the denominator exceeds (1 - armijo_c) tau rate
+            tau_q = rate * tau * tau / (2.0 * (fcand - fval + rate * tau))
+            tau = min(max(tau_q, 0.1 * tau), p.backtrack_factor * tau)
             backtracks += 1
         if accepted is None:
             reason = "linesearch_failed"

@@ -152,52 +152,26 @@ def rho(A: GroupElement, k: int) -> StiefelPoint:
     return StiefelPoint(A.m.block(0, A.n, A.n - k, A.n))
 
 
-def _mgs_project(v: np.ndarray, basis_cols: list[np.ndarray], S: np.ndarray) -> np.ndarray:
-    # v <- v - u <u, v> for each orthonormal column u, in order (modified GS)
-    for u in basis_cols:
-        coeff = np.einsum("ia,ib,abc->c", _conj(u), v, S)
-        v = v - np.einsum("ib,c,bcd->id", u, coeff, S)
-    return v
-
-
-def _conj(col: np.ndarray) -> np.ndarray:
-    out = col.copy()
-    out[:, 1:] *= -1.0
-    return out
-
-
 def complete_lift(x: StiefelPoint) -> Lift:
     """Complete a frame x to a group element A with last k columns equal to x.
 
-    Modified Gram-Schmidt is run on the standard basis vectors against the
-    columns of x and previously accepted survivors; each slot takes the
-    candidate with the largest residual norm (ties broken by lowest index),
-    which keeps the pivot bounded below by sqrt((n-k)/n) at every step.  At
-    the base frame [0; I_k] this yields A = I_n exactly.
+    Runs n - k projector steps from R = I - x x*: each step takes the column
+    of R with the largest norm (ties within 1e-12 go to the lowest index),
+    normalises it to u and subtracts u u* from R.  The chosen norm is at
+    least sqrt(r/n) for the rank r of R, since the squared column norms of
+    a projector sum to its rank.  At the base frame [0; I_k] this yields
+    A = I_n exactly.
     """
     n, k = x.n, x.k
-    S = kalg._STRUCTURE[x.field]
-    xcols = [x.m.data[:, j] for j in range(k)]
-    survivors: list[np.ndarray] = []
-    while len(survivors) < n - k:
-        best = None
-        best_norm = 0.0
-        for i in range(n):
-            e = np.zeros((n, x.field.ncomp))
-            e[i, 0] = 1.0
-            v = _mgs_project(e, xcols + survivors, S)
-            norm = float(np.linalg.norm(v))
-            if norm > best_norm + 1e-12:
-                best, best_norm = v, norm
-        if best is None or best_norm < 1e-8:
-            raise RuntimeError("frame completion lost rank; floating noise defeated Gram-Schmidt")
-        survivors.append(best / best_norm)
-    if survivors:
-        left = np.stack(survivors, axis=1)
-        data = np.concatenate([left, x.m.data], axis=1)
-    else:
-        data = x.m.data
-    A = GroupElement(Mat(x.field, data), check_tol=1e-10)
+    R = kalg.identity(n, x.field) - x.m @ x.m.H
+    cols = []
+    for _ in range(n - k):
+        norms = np.linalg.norm(R.data, axis=(0, 2))
+        p = int(np.flatnonzero(norms >= norms.max() - 1e-12)[0])
+        u = (1.0 / norms[p]) * R.block(0, n, p, p + 1)
+        R = R - u @ u.H
+        cols.append(u)
+    A = GroupElement(kalg.hstack(*cols, x.m), check_tol=1e-10)
     return Lift(x, A)
 
 
@@ -226,15 +200,6 @@ def gamma(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
     top = -2.0 * ((t.X @ b) @ right) + lift.beta.H
     bot = 2.0 * (b @ right) - lift.P.H
     return StiefelPoint(kalg.vstack(top, bot))
-
-
-def in_injectivity_domain(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> bool:
-    """Whether the tangent vector lies where the transform is injective.
-
-    The criterion is invertibility of beta X + P; it does not depend on the
-    choice of lift.
-    """
-    return kalg.is_invertible(t.lift.beta @ t.X + t.lift.P, tol)
 
 
 def in_cayley_open(x: StiefelPoint, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> bool:
@@ -295,8 +260,15 @@ def gamma_differential(t: TangentCoords, M: Mat, N: Mat,
 
 
 def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> bool:
-    """Whether the differential at t is injective: invertibility of beta X + P."""
+    """Whether the differential at t is injective: invertibility of beta X + P.
+
+    This is also where the transform itself is injective, and the criterion
+    does not depend on the choice of lift.
+    """
     return kalg.is_invertible(t.lift.beta @ t.X + t.lift.P, tol)
+
+
+in_injectivity_domain = differential_is_injective
 
 
 def kernel_witness(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> Mat | None:
@@ -411,21 +383,20 @@ def random_stiefel_point(n: int, k: int, field: Field, seed: int) -> StiefelPoin
     """Random orthonormal frame: Gram-Schmidt applied to a Gaussian matrix."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    S = kalg._STRUCTURE[field]
     for attempt in range(3):
         raw = kalg.random_gaussian(n, k, field, seed + 1_000_003 * attempt)
-        cols: list[np.ndarray] = []
-        ok = True
+        cols: list[Mat] = []
         for j in range(k):
-            v = _mgs_project(raw.data[:, j], cols, S)
-            norm = float(np.linalg.norm(v))
+            v = raw.block(0, n, j, j + 1)
+            for u in cols:
+                v = v - u @ (u.H @ v)
+            norm = kalg.frobenius_norm(v)
             if norm < 1e-8:
-                ok = False
                 break
-            cols.append(v / norm)
-        if ok:
-            data = np.stack(cols, axis=1) if cols else np.zeros((n, 0, field.ncomp))
-            return StiefelPoint(Mat(field, data), check_tol=1e-12)
+            cols.append((1.0 / norm) * v)
+        else:
+            m = kalg.hstack(*cols) if cols else kalg.zeros(n, 0, field)
+            return StiefelPoint(m, check_tol=1e-12)
     raise RankDeficient(f"could not draw a full-rank {n}x{k} frame")
 
 

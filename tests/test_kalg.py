@@ -141,6 +141,16 @@ class TestIsInvertible:
         m = Mat(Field.REAL, np.ones((2, 2, 1)))
         assert not kalg.is_invertible(m)
 
+    def test_unit_triangular_with_huge_condition(self, field):
+        # I - strictly-upper-ones: every elimination pivot is 1, cond ~ 1e16
+        n = 50
+        data = np.zeros((n, n, field.ncomp))
+        data[:, :, 0] = np.eye(n) - np.triu(np.ones((n, n)), 1)
+        m = Mat(field, data)
+        assert not kalg.is_invertible(m)
+        with pytest.raises(Singular):
+            kalg.mat_inverse(m)
+
 
 class TestFrobeniusNorm:
     def test_zero(self, field):

@@ -193,6 +193,30 @@ class TestGradientDescent:
             slope_sq = fro(-2.0 * (A @ prev.x.m)) ** 2
             assert rec.f <= prev.f - p.armijo_c * rec.step * slope_sq + 1e-12
 
+    def test_well_separated_spectrum_does_not_zigzag(self):
+        # halving from tau = 1 settles on steps that flip the components of
+        # x along the top eigenvectors and stalls for hundreds of iterations
+        eigs = np.concatenate([np.linspace(0.0, 1.0, 4), np.linspace(2.0, 4.0, 16)])
+        q, _ = np.linalg.qr(np.random.default_rng(100).standard_normal((20, 20)))
+        M = Mat(Field.REAL, (q @ np.diag(eigs) @ q.T)[:, :, None])
+        x0 = stiefel.random_stiefel_point(20, 4, Field.REAL, 200)
+        trace = gradient_descent(rayleigh_objective(kalg.hermitian_part(M)), x0,
+                                 SearchParams(max_iters=100))
+        assert trace.reason == "converged"
+        assert abs(trace.final.f - 2.0) <= 1e-8
+
+    @pytest.mark.parametrize("c", [0.5, 0.7, 0.9])
+    def test_rayleigh_converges_for_large_armijo_c(self, field, c):
+        # f decreases at rate |A|_F^2 along the curve; a slope twice that
+        # rejects every step once armijo_c >= 0.5
+        data = np.zeros((8, 8, field.ncomp))
+        data[range(8), range(8), 0] = np.arange(1.0, 9.0)
+        obj = rayleigh_objective(Mat(field, data))
+        x0 = stiefel.random_stiefel_point(8, 2, field, 52)
+        trace = gradient_descent(obj, x0, SearchParams(armijo_c=c))
+        assert trace.reason == "converged"
+        assert abs(trace.final.f - 3.0) <= 1e-8
+
     def test_iterates_stay_feasible(self, field):
         M = kalg.hermitian_part(kalg.random_gaussian(6, 6, field, 37))
         obj = rayleigh_objective(M)

@@ -3,8 +3,8 @@ verification and a worked demo, all seeded and JSON-emitting.
 
 Machine-readable output goes to stdout (or --out); stderr carries
 human-readable diagnostics only.  Exit codes: 0 success, 1 check/cover
-failure, 2 configuration error, 3 optimizer hit max_iters, 4 line search
-failed.
+failure, 2 configuration error (including an --out or --csv path that
+cannot be written), 3 optimizer hit max_iters, 4 line search failed.
 """
 
 from __future__ import annotations
@@ -195,8 +195,8 @@ def run_optimize(args) -> int:
     params = optim.SearchParams(initial_step=args.step, max_iters=args.max_iters,
                                 grad_tol=args.grad_tol)
     trace = optim.gradient_descent(obj, x0, params)
-    _emit(trace.to_jsonl(), args.out)
     if args.csv:
+        # written first, so an unwritable path leaves stdout empty
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["iter", "f", "gnorm", "step", "backtracks"])
@@ -204,6 +204,7 @@ def run_optimize(args) -> int:
             writer.writerow([r.iteration, r.f, r.gnorm, r.step, r.backtracks])
         with open(args.csv, "w") as fh:
             fh.write(buf.getvalue())
+    _emit(trace.to_jsonl(), args.out)
     print(f"{args.problem}: {trace.reason} after {trace.final.iteration} iterations, "
           f"f = {trace.final.f:.9g}", file=sys.stderr)
     return {"converged": 0, "max_iters": 3, "linesearch_failed": 4}[trace.reason]
@@ -290,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
                 "cover": run_cover, "demo": run_demo}
     try:
         return handlers[args.command](args)
-    except (ValueError, cover.DimensionError) as exc:
+    except (ValueError, cover.DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ class GroupElement:
             raise ValueError("group elements are square")
         n = self.m.rows
         resid = kalg.frobenius_norm(self.m @ self.m.H - kalg.identity(n, self.m.field))
-        if resid > self.check_tol:
+        if not resid <= self.check_tol:
             raise ValueError(f"A A* - I residual {resid:.3e} exceeds {self.check_tol:.1e}")
 
     @property
@@ -58,7 +58,7 @@ class GroupTangent:
 
     def __post_init__(self):
         resid = kalg.frobenius_norm(self.base.m.H @ self.W + self.W.H @ self.base.m)
-        if resid > self.check_tol:
+        if not resid <= self.check_tol:
             raise InvalidTangent(f"A*W + W*A residual {resid:.3e} exceeds {self.check_tol:.1e}")
 
 
@@ -82,7 +82,7 @@ class SkewBlockTangent:
         if self.X.field is not self.Y.field:
             raise ValueError("X and Y must share one base ring")
         resid = kalg.frobenius_norm(self.Y + self.Y.H)
-        if resid > self.check_tol:
+        if not resid <= self.check_tol:
             raise InvalidTangent(f"Y + Y* residual {resid:.3e} exceeds {self.check_tol:.1e}")
 
     @property
@@ -122,7 +122,7 @@ def b_matrix(X: Mat, Y: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
     """
     skew_resid = kalg.frobenius_norm(Y + Y.H)
     scale = max(1.0, kalg.frobenius_norm(Y))
-    if skew_resid > GROUP_CHECK_TOL * scale:
+    if not skew_resid <= GROUP_CHECK_TOL * scale:
         raise InvalidTangent(f"Y + Y* residual {skew_resid:.3e}")
     k = X.cols
     return kalg.mat_inverse(kalg.identity(k, X.field) + X.H @ X + Y, tol)
@@ -153,7 +153,7 @@ def project_skew_tangent(A: GroupElement, W: Mat, k: int,
     """
     resid = kalg.frobenius_norm(A.m.H @ W + W.H @ A.m)
     scale = max(1.0, kalg.frobenius_norm(W))
-    if resid > tol * scale:
+    if not resid <= tol * scale:
         raise InvalidTangent(f"A*W + W*A residual {resid:.3e}")
     n = A.n
     B = A.m.H @ W

@@ -7,11 +7,20 @@ storage: a quaternion w + xi + yj + zk is the complex pair z1 + z2 j with
 z1 = w + xi, z2 = y + zi, so a quaternion matrix M = Z1 + Z2 j multiplies
 through four complex products and inverts by LAPACK on its complex adjoint
 chi(M) = [[Z1, Z2], [-conj Z2, conj Z1]].  Products never silently commute.
+
+Validation happens at the boundaries.  The public constructor Mat(field,
+data) copies its input and rejects non-finite entries.  Results that kalg
+computes itself (products, sums, negation, scaling, blocks, conjugate
+transposes, stacks, inverses, zeros and identities) wrap their fresh
+array read-only, with no copy and no finiteness scan; overflow can then
+give inf or NaN entries, which the residual checks of the manifold and
+group types reject.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Iterable
 
 import numpy as np
@@ -55,7 +64,7 @@ def _array(m: "Mat") -> np.ndarray:
 
 def _from_array(field: Field, a: np.ndarray) -> "Mat":
     # a is a fresh C-contiguous result, so its complex entries view as float pairs
-    return Mat(field, a.view(np.float64).reshape(a.shape[0], a.shape[1], field.ncomp))
+    return Mat._trusted(field, a.view(np.float64).reshape(a.shape[0], a.shape[1], field.ncomp))
 
 
 class Mat:
@@ -80,6 +89,19 @@ class Mat:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def _trusted(cls, field: Field, data: np.ndarray) -> "Mat":
+        """Wrap a float64 (rows, cols, ncomp) array that kalg has just created.
+
+        For fresh results only, which no caller holds: the array is neither
+        copied nor checked for finiteness, and is made read-only in place.
+        """
+        data.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "data", data)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
@@ -102,7 +124,7 @@ class Mat:
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
         """Contiguous submatrix with rows [r0, r1) and columns [c0, c1)."""
-        return Mat(self.field, self.data[r0:r1, c0:c1])
+        return Mat._trusted(self.field, self.data[r0:r1, c0:c1].copy())
 
     def _check_same_field(self, other: "Mat"):
         if self.field is not other.field:
@@ -112,19 +134,22 @@ class Mat:
         self._check_same_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return Mat(self.field, self.data + other.data)
+        return Mat._trusted(self.field, self.data + other.data)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_same_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} - {other.shape}")
-        return Mat(self.field, self.data - other.data)
+        return Mat._trusted(self.field, self.data - other.data)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.field, -self.data)
+        return Mat._trusted(self.field, -self.data)
 
     def __mul__(self, scalar: float) -> "Mat":
-        return Mat(self.field, self.data * float(scalar))
+        scalar = float(scalar)
+        if not math.isfinite(scalar):
+            raise ValueError(f"scalar factor must be finite, got {scalar}")
+        return Mat._trusted(self.field, self.data * scalar)
 
     __rmul__ = __mul__
 
@@ -146,14 +171,13 @@ class Mat:
 
 
 def zeros(rows: int, cols: int, field: Field) -> Mat:
-    return Mat(field, np.zeros((rows, cols, field.ncomp)))
+    return Mat._trusted(field, np.zeros((rows, cols, field.ncomp)))
 
 
 def identity(n: int, field: Field) -> Mat:
     data = np.zeros((n, n, field.ncomp))
-    for i in range(n):
-        data[i, i, 0] = 1.0
-    return Mat(field, data)
+    data[range(n), range(n), 0] = 1.0
+    return Mat._trusted(field, data)
 
 
 def scalar(value: Iterable[float], field: Field) -> Mat:
@@ -164,7 +188,7 @@ def scalar(value: Iterable[float], field: Field) -> Mat:
 def conj_transpose(m: Mat) -> Mat:
     out = np.swapaxes(m.data, 0, 1).copy()
     out[:, :, 1:] *= -1.0
-    return Mat(m.field, out)
+    return Mat._trusted(m.field, out)
 
 
 def frobenius_norm(m: Mat) -> float:
@@ -185,12 +209,12 @@ def hermitian_part(m: Mat) -> Mat:
 
 def hstack(*mats: Mat) -> Mat:
     field = mats[0].field
-    return Mat(field, np.concatenate([m.data for m in mats], axis=1))
+    return Mat._trusted(field, np.concatenate([m.data for m in mats], axis=1))
 
 
 def vstack(*mats: Mat) -> Mat:
     field = mats[0].field
-    return Mat(field, np.concatenate([m.data for m in mats], axis=0))
+    return Mat._trusted(field, np.concatenate([m.data for m in mats], axis=0))
 
 
 def _invertible_operand(m: Mat, tol: float) -> np.ndarray:

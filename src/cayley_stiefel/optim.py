@@ -2,8 +2,12 @@
 
 The search curve is alpha(t) = c(tA) x with A = F x* - x F* built from the
 Euclidean gradient F; the curve stays on the manifold for every t, so no
-re-orthonormalization is ever performed.  An experimental variant evaluates
-the intrinsic Stiefel Cayley transform instead of the group curve.
+re-orthonormalization is ever performed.  A has rank at most 2k, so the
+curve is evaluated through the Sherman-Morrison-Woodbury formula with one
+2k x 2k inversion per point and O(n k^2) products; no n x n matrix is
+formed (Wen and Yin, "A feasible method for optimization with
+orthogonality constraints", Math. Prog. 2013).  An experimental variant
+evaluates the intrinsic Stiefel Cayley transform instead of the group curve.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
-from . import group, kalg, stiefel
-from .kalg import Mat
-from .stiefel import Lift, StiefelPoint, TangentCoords
+from . import kalg, stiefel
+from .kalg import Mat, Singular
+from .stiefel import Lift, NotOrthonormal, StiefelPoint, TangentCoords
 
 
 class NotHermitian(Exception):
@@ -88,14 +92,55 @@ def descent_skew(x: StiefelPoint, F: Mat) -> Mat:
     return F @ x.m.H - x.m @ F.H
 
 
-def curve(x: StiefelPoint, A: Mat, t: float, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
-    """Point alpha(t) = c(tA) x of the curvilinear search curve.
+@dataclass(frozen=True)
+class SearchGenerator:
+    """The search generator A = descent_skew(x, F), factored as U N U*.
+
+    With W = F - x(x*F), K = x*F - F*x and s = |W|_F (s = 1 when W = 0),
+    U = [W/s, x] and N = [[0, sI], [-sI, K]] give U N U* = F x* - x F*
+    exactly, for any x, orthonormal or not.  Dividing W by s keeps the
+    condition number of the curve's core I + t N U*U growing like t |A|
+    rather than t^2 |W|^2.  Holds the products every point of the curve
+    needs: U, N U*U, N U*x and the rate |A|_F^2 = -Re tr((N U*U)^2) at
+    which f decreases along the curve at t = 0.
+    """
+
+    x: StiefelPoint
+    U: Mat
+    NG: Mat
+    NUx: Mat
+    rate: float
+
+    @classmethod
+    def from_gradient(cls, x: StiefelPoint, F: Mat) -> "SearchGenerator":
+        if F.shape != x.m.shape:
+            raise ValueError("gradient shape must match the frame")
+        k, fld = x.k, x.field
+        xF = x.m.H @ F
+        W = F - x.m @ xF
+        K = xF - xF.H
+        s = kalg.frobenius_norm(W) or 1.0
+        U = kalg.hstack((1.0 / s) * W, x.m)
+        sI = s * kalg.identity(k, fld)
+        N = kalg.vstack(kalg.hstack(kalg.zeros(k, k, fld), sI), kalg.hstack(-sI, K))
+        NG = N @ (U.H @ U)
+        return cls(x, U, NG, N @ (U.H @ x.m), -real_trace(NG @ NG))
+
+
+def curve(g: SearchGenerator, t: float, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
+    """Point alpha(t) = c(tA) x of the curvilinear search curve, A = U N U*.
 
     c is the Cayley transform at the identity of the group; the derivative
-    at t = 0 is -2 A x.
+    at t = 0 is -2 A x.  By Woodbury,
+    alpha(t) = x - 2t U (I + t N U*U)^{-1} N U*x, so one point costs a 2k x 2k
+    inversion.  Raises Singular when that core fails the relative
+    singular-value test at tol, and NotOrthonormal when the point fails the
+    x*x = I check; both happen only once t |A| is large enough for rounding
+    to swamp the step.
     """
-    Q = group.cayley_at_identity(t * A, tol)
-    return StiefelPoint(Q @ x.m)
+    core = kalg.identity(g.NG.rows, g.NG.field) + t * g.NG
+    step = g.U @ (kalg.mat_inverse(core, tol) @ g.NUx)
+    return StiefelPoint(g.x.m - (2.0 * t) * step)
 
 
 def riemannian_gradient(x: StiefelPoint, egrad: Mat) -> Mat:
@@ -108,14 +153,18 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     """Curvilinear-search gradient descent with Armijo backtracking.
 
     Each step moves along the Cayley curve generated by A = F x* - x F*
-    with F the Euclidean gradient.  f decreases along it at rate |A|_F^2
-    at t = 0, and a trial step tau is accepted when
-    f(alpha(tau)) <= f(x) - armijo_c * tau * |A|_F^2.  A rejected tau is
-    replaced by the minimiser of the quadratic through f(0), that slope and
-    f(tau), clamped to [0.1, backtrack_factor] * tau; halving alone can
-    settle on a step that flips the steepest component of x every
-    iteration.  Terminates when the Riemannian gradient norm drops below
-    grad_tol, the iteration budget is exhausted, or the line search fails.
+    with F the Euclidean gradient; the factors of A (SearchGenerator) are
+    built once per iteration and every trial step is one call to curve.
+    f decreases along the curve at rate |A|_F^2 at t = 0, and a trial step
+    tau is accepted when f(alpha(tau)) <= f(x) - armijo_c * tau * |A|_F^2.
+    A rejected tau is replaced by the minimiser of the quadratic through
+    f(0), that slope and f(tau), clamped to [0.1, backtrack_factor] * tau;
+    halving alone can settle on a step that flips the steepest component
+    of x every iteration.  A trial whose core is Singular or whose point
+    fails the x*x = I check is a rejected step too: tau shrinks by
+    backtrack_factor, and the backtrack counts.  Terminates when the
+    Riemannian gradient norm drops below grad_tol, the iteration budget is
+    exhausted, or the line search fails.
     """
     x = x0
     fval = obj.f(x)
@@ -133,13 +182,18 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
         if it == p.max_iters:
             reason = "max_iters"
             break
-        A = descent_skew(x, G)
-        rate = kalg.frobenius_norm(A) ** 2
+        gen = SearchGenerator.from_gradient(x, G)
+        rate = gen.rate
         tau = p.initial_step
         accepted = None
         backtracks = 0
         while backtracks <= p.max_backtracks:
-            cand = curve(x, A, tau)
+            try:
+                cand = curve(gen, tau)
+            except (Singular, NotOrthonormal):
+                tau *= p.backtrack_factor
+                backtracks += 1
+                continue
             fcand = obj.f(cand)
             if fcand <= fval - p.armijo_c * tau * rate:
                 accepted = (cand, fcand)
@@ -183,7 +237,7 @@ def intrinsic_curve(lift: Lift, u: TangentCoords, t: float,
 def rayleigh_objective(M: Mat, tol: float = 1e-8) -> Objective:
     """Trace objective f(x) = Re tr(x* M x) for a Hermitian matrix M."""
     resid = kalg.frobenius_norm(M - M.H)
-    if resid > tol * max(1.0, kalg.frobenius_norm(M)):
+    if not resid <= tol * max(1.0, kalg.frobenius_norm(M)):
         raise NotHermitian(f"M - M* residual {resid:.3e}")
 
     def f(x: StiefelPoint) -> float:

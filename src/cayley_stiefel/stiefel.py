@@ -23,6 +23,10 @@ class OutsideCayleyOpen(Exception):
     """Raised when a target point falls outside the Cayley open subset."""
 
 
+class NotOrthonormal(ValueError):
+    """Raised when a frame fails the x*x = I residual check of StiefelPoint."""
+
+
 class RankDeficient(Exception):
     """Raised when random frame generation keeps hitting rank-deficient draws."""
 
@@ -39,8 +43,8 @@ class StiefelPoint:
         if k > n:
             raise ValueError(f"need k <= n, got n={n}, k={k}")
         resid = kalg.frobenius_norm(self.m.H @ self.m - kalg.identity(k, self.m.field))
-        if resid > self.check_tol:
-            raise ValueError(f"x*x - I residual {resid:.3e} exceeds {self.check_tol:.1e}")
+        if not resid <= self.check_tol:
+            raise NotOrthonormal(f"x*x - I residual {resid:.3e} exceeds {self.check_tol:.1e}")
 
     @property
     def n(self) -> int:
@@ -128,7 +132,7 @@ class TangentCoords:
         if self.X.shape != (n - k, k) or self.Y.shape != (k, k):
             raise ValueError("tangent block shapes do not match the lift")
         resid = kalg.frobenius_norm(self.Y + self.Y.H)
-        if resid > self.check_tol * max(1.0, kalg.frobenius_norm(self.Y)):
+        if not resid <= self.check_tol * max(1.0, kalg.frobenius_norm(self.Y)):
             raise InvalidTangent(f"Y + Y* residual {resid:.3e}")
 
     @property
@@ -179,7 +183,7 @@ def tangent_from_ambient(lift: Lift, v: Mat, tol: float = POINT_CHECK_TOL) -> Ta
     """Coordinates (X, Y) of an ambient tangent vector v at x, via A*v = [X; Y]."""
     x = lift.point.m
     resid = kalg.frobenius_norm(v.H @ x + x.H @ v)
-    if resid > tol * max(1.0, kalg.frobenius_norm(v)):
+    if not resid <= tol * max(1.0, kalg.frobenius_norm(v)):
         raise InvalidTangent(f"v*x + x*v residual {resid:.3e}")
     B = lift.A.m.H @ v
     n, k = lift.n, lift.k
@@ -245,7 +249,7 @@ def gamma_differential(t: TangentCoords, M: Mat, N: Mat,
     if M.shape != (n - k, k) or N.shape != (k, k):
         raise ValueError("direction block shapes do not match the lift")
     resid = kalg.frobenius_norm(N + N.H)
-    if resid > POINT_CHECK_TOL * max(1.0, kalg.frobenius_norm(N)):
+    if not resid <= POINT_CHECK_TOL * max(1.0, kalg.frobenius_norm(N)):
         raise InvalidTangent(f"N + N* residual {resid:.3e}")
     X = t.X
     b = group.b_matrix(X, t.Y, tol)

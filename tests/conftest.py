@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cayley_stiefel import kalg, stiefel
@@ -23,3 +24,12 @@ def random_lift_tangent(n, k, fld, seed, scale=1.0):
     X = scale * kalg.random_gaussian(n - k, k, fld, seed + 7919)
     Y = random_skew(k, fld, seed + 104729, scale)
     return lift, TangentCoords(lift, X, Y)
+
+
+def overflow_nan(rows, cols, fld):
+    """c - c for c = a @ b with finite 1e200 entries: NaN from kalg arithmetic alone."""
+    a = kalg.Mat(fld, np.full((rows, 3, fld.ncomp), 1e200))
+    b = kalg.Mat(fld, np.full((3, cols, fld.ncomp), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = a @ b
+        return c - c

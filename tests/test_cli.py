@@ -68,6 +68,25 @@ class TestOptimize:
         header = csv_path.read_text().splitlines()[0]
         assert header == "iter,f,gnorm,step,backtracks"
 
+    @pytest.mark.parametrize("field,step", [("quaternion", "1e6"), ("real", "1e8"),
+                                            ("complex", "1e8"), ("quaternion", "1e8")])
+    def test_large_initial_step_converges(self, capsys, field, step):
+        # trial points that lose x*x = I to rounding are rejected steps
+        code, out, _ = run(capsys, ["optimize", "--field", field, "--n", "12", "--k", "3",
+                                    "--seed", "1", "--step", step, "--reproducible"])
+        assert code == 0
+        assert json.loads(out.strip().split("\n")[-1]) == {"reason": "converged"}
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_path(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "o.jsonl"
+        code, out, err = run(capsys, ["optimize", "--n", "6", "--k", "2", "--seed", "3",
+                                      "--reproducible", flag, str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "o.jsonl" in err
+
     def test_procrustes(self, capsys):
         code, out, _ = run(capsys, ["optimize", "--problem", "procrustes",
                                     "--field", "complex", "--n", "6", "--k", "2",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_skew
+from conftest import overflow_nan, random_skew
 
 from cayley_stiefel import group, kalg
 from cayley_stiefel.group import (GroupElement, GroupTangent, InvalidTangent,
@@ -177,3 +177,16 @@ class TestTypes:
     def test_skew_block_tangent_rejects_nonskew(self, field):
         with pytest.raises(InvalidTangent):
             SkewBlockTangent(kalg.zeros(2, 2, field), kalg.identity(2, field))
+
+    def test_nan_fails_every_residual_check(self, field):
+        # products are not re-scanned for finiteness, so overflow reaches
+        # these checks as NaN, which compares false with any tolerance
+        nan = overflow_nan(3, 3, field)
+        assert np.isnan(nan.data).all()
+        A = random_group_element(3, field, 14)
+        with pytest.raises(ValueError):
+            GroupElement(nan)
+        with pytest.raises(InvalidTangent):
+            GroupTangent(A, nan)
+        with pytest.raises(InvalidTangent):
+            SkewBlockTangent(kalg.zeros(2, 3, field), nan)

@@ -221,6 +221,36 @@ class TestMatValidation:
             m.data[0, 0, 0] = 5.0
 
 
+class TestTrustedResults:
+    def test_public_constructor_copies_and_checks(self, field):
+        data = np.ones((2, 2, field.ncomp))
+        m = Mat(field, data)
+        data[0, 0, 0] = 5.0
+        assert m.data[0, 0, 0] == 1.0
+        data[0, 0, 0] = np.inf
+        with pytest.raises(ValueError):
+            Mat(field, data)
+
+    def test_results_are_read_only(self, field):
+        a = kalg.random_gaussian(3, 3, field, 1)
+        b = kalg.random_gaussian(3, 3, field, 2)
+        results = [a @ b, a + b, a - b, -a, 2.0 * a, a.block(0, 2, 1, 3), a.H,
+                   kalg.hstack(a, b), kalg.vstack(a, b), kalg.mat_inverse(a),
+                   kalg.zeros(2, 3, field), kalg.identity(3, field)]
+        for m in results:
+            assert m.data.dtype == np.float64 and m.data.shape[2] == field.ncomp
+            with pytest.raises(ValueError):
+                m.data[0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+    def test_scaling_rejects_nonfinite(self, field, s):
+        m = kalg.identity(2, field)
+        with pytest.raises(ValueError):
+            m * s
+        with pytest.raises(ValueError):
+            s * m
+
+
 class TestJson:
     def test_round_trip(self, field):
         m = kalg.random_gaussian(3, 2, field, 11)

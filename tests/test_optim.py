@@ -5,9 +5,9 @@ import pytest
 
 from conftest import random_skew
 
-from cayley_stiefel import kalg, optim, stiefel
+from cayley_stiefel import group, kalg, optim, stiefel
 from cayley_stiefel.kalg import Field, Mat
-from cayley_stiefel.optim import (NotHermitian, Objective, SearchParams,
+from cayley_stiefel.optim import (NotHermitian, Objective, SearchGenerator, SearchParams,
                                   curve, descent_skew, gradient_descent,
                                   intrinsic_curve, intrinsic_lift,
                                   procrustes_objective, rayleigh_objective,
@@ -17,6 +17,21 @@ from cayley_stiefel.stiefel import TangentCoords
 
 def fro(m):
     return kalg.frobenius_norm(m)
+
+
+def chi(m):
+    """Complex matrix of m, with quaternions in the adjoint [[Z1, Z2], [-conj Z2, conj Z1]].
+
+    Over H every eigenvalue of a Hermitian m appears twice.
+    """
+    d = m.data
+    if m.field is Field.REAL:
+        return d[:, :, 0]
+    z1 = d[:, :, 0] + 1j * d[:, :, 1]
+    if m.field is Field.COMPLEX:
+        return z1
+    z2 = d[:, :, 2] + 1j * d[:, :, 3]
+    return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
 
 
 def diag_real(values):
@@ -43,36 +58,43 @@ class TestDescentSkew:
         assert fro(A + A.H) <= 1e-13 * fro(A)
 
 
+def dense_curve(x, F, t):
+    """c(tA) x with A = descent_skew(x, F), through the n x n Cayley transform."""
+    return group.cayley_at_identity(t * descent_skew(x, F)) @ x.m
+
+
 class TestCurve:
     def test_starts_at_x(self, field):
         x = stiefel.random_stiefel_point(5, 2, field, 5)
-        A = descent_skew(x, kalg.random_gaussian(5, 2, field, 6))
-        assert fro(curve(x, A, 0.0).m - x.m) == 0.0
+        g = SearchGenerator.from_gradient(x, kalg.random_gaussian(5, 2, field, 6))
+        assert fro(curve(g, 0.0).m - x.m) == 0.0
 
     def test_derivative_at_zero(self, field):
         x = stiefel.random_stiefel_point(5, 2, field, 7)
-        A = descent_skew(x, kalg.random_gaussian(5, 2, field, 8))
+        F = kalg.random_gaussian(5, 2, field, 8)
+        A, g = descent_skew(x, F), SearchGenerator.from_gradient(x, F)
         expected = -2.0 * (A @ x.m)
         h = 1e-5
-        fd = (1.0 / (2 * h)) * (curve(x, A, h).m - curve(x, A, -h).m)
+        fd = (1.0 / (2 * h)) * (curve(g, h).m - curve(g, -h).m)
         assert fro(fd - expected) <= 1e-6 * (1 + fro(expected))
 
     def test_derivative_order_two(self, field):
         x = stiefel.random_stiefel_point(5, 2, field, 9)
-        A = descent_skew(x, kalg.random_gaussian(5, 2, field, 10))
+        F = kalg.random_gaussian(5, 2, field, 10)
+        A, g = descent_skew(x, F), SearchGenerator.from_gradient(x, F)
         expected = -2.0 * (A @ x.m)
 
         def err(h):
-            fd = (1.0 / (2 * h)) * (curve(x, A, h).m - curve(x, A, -h).m)
+            fd = (1.0 / (2 * h)) * (curve(g, h).m - curve(g, -h).m)
             return fro(fd - expected)
 
         assert 3.5 <= err(1e-3) / err(5e-4) <= 4.5
 
     def test_stays_on_manifold(self, field):
         x = stiefel.random_stiefel_point(5, 2, field, 11)
-        A = descent_skew(x, kalg.random_gaussian(5, 2, field, 12))
+        g = SearchGenerator.from_gradient(x, kalg.random_gaussian(5, 2, field, 12))
         for t in (0.1, 0.7, 2.5):
-            a = curve(x, A, t)
+            a = curve(g, t)
             assert fro(a.m.H @ a.m - kalg.identity(2, field)) <= 1e-11
 
     def test_feasibility_over_500_steps(self):
@@ -82,9 +104,41 @@ class TestCurve:
         M = kalg.hermitian_part(kalg.random_gaussian(8, 8, fld, 14))
         obj = rayleigh_objective(M)
         for _ in range(500):
-            A = descent_skew(x, obj.egrad(x))
-            x = curve(x, A, 0.01)
+            x = curve(SearchGenerator.from_gradient(x, obj.egrad(x)), 0.01)
         assert fro(x.m.H @ x.m - kalg.identity(3, fld)) <= 1e-8
+
+    @pytest.mark.parametrize("n,k,seed", [(6, 2, 60), (5, 3, 61)],
+                             ids=["generic", "rank_deficient_W"])
+    def test_matches_dense_cayley(self, field, n, k, seed):
+        # at n = 5, k = 3 the columns of W = F - x x*F span at most n - k = 2 dimensions
+        x = stiefel.random_stiefel_point(n, k, field, seed)
+        F = kalg.random_gaussian(n, k, field, seed + 100)
+        g = SearchGenerator.from_gradient(x, F)
+        normA = fro(descent_skew(x, F))
+        assert abs(g.rate - normA ** 2) <= 1e-12 * normA ** 2
+        for t in (0.0, 1e-3, 0.5, 3.0, 100.0):
+            err = fro(curve(g, t).m - dense_curve(x, F, t))
+            assert err <= 1e-12 * (1 + t * normA)
+
+    def test_gradient_normal_to_frame(self, field):
+        # F = x S makes W = 0, so A = x K x* with K = S - S*
+        x = stiefel.random_stiefel_point(5, 2, field, 62)
+        F = x.m @ kalg.random_gaussian(2, 2, field, 63)
+        g = SearchGenerator.from_gradient(x, F)
+        normA = fro(descent_skew(x, F))
+        for t in (0.0, 1e-3, 0.5, 3.0, 100.0):
+            err = fro(curve(g, t).m - dense_curve(x, F, t))
+            assert err <= 1e-12 * (1 + t * normA)
+
+    def test_exact_off_the_manifold(self, field):
+        # iterates drift from x*x = I by rounding; the Woodbury form stays
+        # exact there, while a k x k formula that assumes x*x = I is off by ~1e-9
+        x0 = stiefel.random_stiefel_point(6, 2, field, 64)
+        x = stiefel.StiefelPoint(Mat(field, (1.0 + 1e-9) * x0.m.data))
+        F = kalg.random_gaussian(6, 2, field, 65)
+        g = SearchGenerator.from_gradient(x, F)
+        for t in (0.5, 3.0):
+            assert fro(curve(g, t).m - dense_curve(x, F, t)) <= 1e-13
 
 
 class TestRayleighObjective:
@@ -181,17 +235,18 @@ class TestGradientDescent:
         assert trace.reason == "converged"
         assert abs(trace.final.f - oracle) <= 1e-5
 
-    def test_armijo_decrease_recorded(self):
+    @pytest.mark.parametrize("c", [1e-4, 0.1])
+    def test_armijo_decrease_recorded(self, c):
+        # f decreases along the curve at rate |A|_F^2 at t = 0
         fld = Field.COMPLEX
         M = kalg.hermitian_part(kalg.random_gaussian(8, 8, fld, 35))
         obj = rayleigh_objective(M)
         x0 = stiefel.random_stiefel_point(8, 2, fld, 36)
-        p = SearchParams(max_iters=200)
+        p = SearchParams(max_iters=200, armijo_c=c)
         trace = gradient_descent(obj, x0, p)
         for prev, rec in zip(trace.records, trace.records[1:]):
-            A = descent_skew(prev.x, obj.egrad(prev.x))
-            slope_sq = fro(-2.0 * (A @ prev.x.m)) ** 2
-            assert rec.f <= prev.f - p.armijo_c * rec.step * slope_sq + 1e-12
+            rate = fro(descent_skew(prev.x, obj.egrad(prev.x))) ** 2
+            assert rec.f <= prev.f - p.armijo_c * rec.step * rate + 1e-12
 
     def test_well_separated_spectrum_does_not_zigzag(self):
         # halving from tau = 1 settles on steps that flip the components of
@@ -216,6 +271,18 @@ class TestGradientDescent:
         trace = gradient_descent(obj, x0, SearchParams(armijo_c=c))
         assert trace.reason == "converged"
         assert abs(trace.final.f - 3.0) <= 1e-8
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
+    def test_rayleigh_converges_at_large_scale(self, field, scale):
+        # the first trials at tau = 1 lose the manifold to rounding or make
+        # the core singular; they are rejected steps, not errors
+        M = scale * kalg.hermitian_part(kalg.random_gaussian(12, 12, field, 7))
+        x0 = stiefel.random_stiefel_point(12, 3, field, 8)
+        trace = gradient_descent(rayleigh_objective(M), x0, SearchParams(grad_tol=1e-6 * scale))
+        assert trace.reason == "converged"
+        mult = 2 if field is Field.QUATERNION else 1
+        oracle = float(np.sort(np.linalg.eigvalsh(chi(M)))[:3 * mult].sum()) / mult
+        assert abs(trace.final.f - oracle) <= 1e-10 * scale
 
     def test_iterates_stay_feasible(self, field):
         M = kalg.hermitian_part(kalg.random_gaussian(6, 6, field, 37))

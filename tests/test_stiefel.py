@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_lift_tangent, random_skew
+from conftest import overflow_nan, random_lift_tangent, random_skew
 
 from cayley_stiefel import group, kalg, stiefel
 from cayley_stiefel.group import GroupElement, InvalidTangent
 from cayley_stiefel.kalg import Field, Mat, Singular
-from cayley_stiefel.stiefel import (Lift, OutsideCayleyOpen, StiefelPoint,
+from cayley_stiefel.stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, StiefelPoint,
                                     TangentCoords, differential_min_gain,
                                     kernel_witness)
 
@@ -344,6 +344,21 @@ class TestEquivariance:
             E = GroupElement(group.cayley_at_identity(
                 0.5 * random_skew(4, field, 900 + s)))
             assert stiefel.lift_change_equivariance_check(lift, E, t) <= 1e-10
+
+
+class TestPointValidation:
+    def test_rejects_nonorthonormal(self, field):
+        with pytest.raises(NotOrthonormal):
+            StiefelPoint(2.0 * base_point(4, 2, field).m)
+
+    def test_rejects_nan_from_overflow(self, field):
+        with pytest.raises(NotOrthonormal):
+            StiefelPoint(overflow_nan(4, 2, field))
+
+    def test_tangent_coords_reject_nan(self, field):
+        lift, _ = random_lift_tangent(5, 2, field, 45)
+        with pytest.raises(InvalidTangent):
+            TangentCoords(lift, kalg.zeros(3, 2, field), overflow_nan(2, 2, field))
 
 
 class TestRandomStiefelPoint:

@@ -9,8 +9,8 @@ from .stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, RankDeficient,
                       in_injectivity_domain, local_section, random_stiefel_point,
                       rho, tangent_from_ambient)
 from .optim import (NotHermitian, Objective, OptimTrace, SearchGenerator,
-                    SearchParams, curve, descent_skew, gradient_descent, intrinsic_curve,
-                    intrinsic_lift, procrustes_objective, rayleigh_objective)
+                    SearchParams, curve, descent_skew, gradient_descent,
+                    procrustes_objective, rayleigh_objective)
 from .cover import (DimensionError, ThetaLadder, cover_membership,
                     default_ladder, theta_frame, verify_cover)
 
@@ -24,9 +24,8 @@ __all__ = [
     "in_cayley_open", "in_injectivity_domain", "local_section",
     "random_stiefel_point", "rho", "tangent_from_ambient",
     "NotHermitian", "Objective", "OptimTrace", "SearchGenerator", "SearchParams",
-    "curve",
-    "descent_skew", "gradient_descent", "intrinsic_curve", "intrinsic_lift",
-    "procrustes_objective", "rayleigh_objective",
+    "curve", "descent_skew", "gradient_descent", "procrustes_objective",
+    "rayleigh_objective",
     "DimensionError", "ThetaLadder", "cover_membership", "default_ladder",
     "theta_frame", "verify_cover",
 ]

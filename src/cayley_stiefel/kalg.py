@@ -201,6 +201,11 @@ def skew_hermitian_part(m: Mat) -> Mat:
     return 0.5 * (m - m.H)
 
 
+def is_skew_hermitian(m: Mat, tol: float) -> bool:
+    """Whether |M + M*|_F <= tol * max(1, |M|_F); NaN entries fail."""
+    return frobenius_norm(m + m.H) <= tol * max(1.0, frobenius_norm(m))
+
+
 def hermitian_part(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError("hermitian_part needs a square matrix")

@@ -6,8 +6,7 @@ re-orthonormalization is ever performed.  A has rank at most 2k, so the
 curve is evaluated through the Sherman-Morrison-Woodbury formula with one
 2k x 2k inversion per point and O(n k^2) products; no n x n matrix is
 formed (Wen and Yin, "A feasible method for optimization with
-orthogonality constraints", Math. Prog. 2013).  An experimental variant
-evaluates the intrinsic Stiefel Cayley transform instead of the group curve.
+orthogonality constraints", Math. Prog. 2013).
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
-from . import kalg, stiefel
+from . import kalg
 from .kalg import Mat, Singular
-from .stiefel import Lift, NotOrthonormal, StiefelPoint, TangentCoords
+from .stiefel import NotOrthonormal, StiefelPoint
 
 
 class NotHermitian(Exception):
@@ -208,30 +207,6 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
         x, fval = accepted
         step_taken = tau
     return OptimTrace(tuple(records), reason)
-
-
-def intrinsic_lift(x: StiefelPoint) -> Lift:
-    """Lift A = D* with D a completion of x, so the intrinsic curve starts at x.
-
-    The Stiefel Cayley transform under this lift sends the zero tangent to
-    the last k columns of D, which are x itself.
-    """
-    D = stiefel.complete_lift(x)
-    A = D.A.inverse
-    return Lift(stiefel.rho(A, x.k), A)
-
-
-def intrinsic_curve(lift: Lift, u: TangentCoords, t: float,
-                    tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
-    """Experimental retraction: the Stiefel Cayley transform evaluated at t u.
-
-    The lift must come from intrinsic_lift so the curve passes through the
-    current iterate at t = 0; derivatives are validated numerically rather
-    than claimed by formula.
-    """
-    if u.lift is not lift:
-        raise ValueError("tangent coordinates must be expressed in the given lift")
-    return stiefel.gamma(u.scaled(t), tol)
 
 
 def rayleigh_objective(M: Mat, tol: float = 1e-8) -> Objective:

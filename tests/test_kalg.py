@@ -195,6 +195,16 @@ class TestSkewHermitianPart:
         s = kalg.skew_hermitian_part(m)
         assert kalg.frobenius_norm(s + s.H) == 0.0
 
+    def test_predicate_is_relative(self, field):
+        s = kalg.skew_hermitian_part(kalg.random_gaussian(4, 4, field, 10))
+        h = kalg.hermitian_part(kalg.random_gaussian(4, 4, field, 11))
+        h = (1.0 / kalg.frobenius_norm(h)) * h
+        for scale in (1e-3, 1.0, 1e6, 1e12):
+            m = scale * s
+            size = max(1.0, kalg.frobenius_norm(m))
+            assert kalg.is_skew_hermitian(m + (1e-10 * size) * h, 1e-8)
+            assert not kalg.is_skew_hermitian(m + (1e-6 * size) * h, 1e-8)
+
 
 class TestMatValidation:
     def test_rejects_nonfinite(self):

@@ -9,7 +9,6 @@ from cayley_stiefel import group, kalg, optim, stiefel
 from cayley_stiefel.kalg import Field, Mat
 from cayley_stiefel.optim import (NotHermitian, Objective, SearchGenerator, SearchParams,
                                   curve, descent_skew, gradient_descent,
-                                  intrinsic_curve, intrinsic_lift,
                                   procrustes_objective, rayleigh_objective,
                                   riemannian_gradient)
 from cayley_stiefel.stiefel import TangentCoords
@@ -297,36 +296,6 @@ class TestGradientDescent:
             SearchParams(armijo_c=2.0)
         with pytest.raises(ValueError):
             SearchParams(backtrack_factor=1.0)
-
-
-class TestIntrinsicCurve:
-    def test_passes_through_iterate(self, field):
-        x = stiefel.random_stiefel_point(5, 2, field, 39)
-        lift = intrinsic_lift(x)
-        u = TangentCoords(lift, kalg.random_gaussian(3, 2, field, 40),
-                          random_skew(2, field, 41))
-        assert fro(intrinsic_curve(lift, u, 0.0).m - x.m) == 0.0
-
-    def test_derivative_matches_differential(self, field):
-        x = stiefel.random_stiefel_point(5, 2, field, 42)
-        lift = intrinsic_lift(x)
-        u = TangentCoords(lift, kalg.random_gaussian(3, 2, field, 43),
-                          random_skew(2, field, 44))
-        zero = TangentCoords(lift, kalg.zeros(3, 2, field), kalg.zeros(2, 2, field))
-        expected = stiefel.gamma_differential(zero, u.X, u.Y)
-        h = 1e-5
-        fd = (1.0 / (2 * h)) * (intrinsic_curve(lift, u, h).m
-                                - intrinsic_curve(lift, u, -h).m)
-        assert fro(fd - expected) <= 1e-6 * (1 + fro(expected))
-
-    def test_stays_on_manifold(self, field):
-        x = stiefel.random_stiefel_point(5, 2, field, 45)
-        lift = intrinsic_lift(x)
-        u = TangentCoords(lift, kalg.random_gaussian(3, 2, field, 46),
-                          random_skew(2, field, 47))
-        for t in (0.3, 1.0):
-            a = intrinsic_curve(lift, u, t)
-            assert fro(a.m.H @ a.m - kalg.identity(2, field)) <= 1e-10
 
 
 class TestTraceSerialization:

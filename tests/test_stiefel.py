@@ -97,6 +97,18 @@ class TestTangentFromAmbient:
         with pytest.raises(InvalidTangent):
             stiefel.tangent_from_ambient(lift, lift.point.m)
 
+    def test_large_scale_passes_every_skew_check(self, field):
+        # rounding leaves |Y + Y*| near 1e-6 here, tiny next to |Y| ~ 1e9
+        lift, t = random_lift_tangent(6, 2, field, 47, scale=1e9)
+        got = stiefel.tangent_from_ambient(lift, t.ambient())
+        assert fro(got.Y + got.Y.H) > 1e-8
+        W = got.ambient_group()
+        group.GroupTangent(lift.A, W)
+        back = group.project_skew_tangent(lift.A, W, k=2)
+        assert fro(back.Y - got.Y) <= 1e-12 * fro(got.Y)
+        group.b_matrix(kalg.zeros(4, 2, field), got.Y)
+        stiefel.gamma_differential(zero_tangent(lift), kalg.zeros(4, 2, field), got.Y)
+
 
 class TestGamma:
     def test_zero_tangent_anchor(self, field):
@@ -306,6 +318,14 @@ class TestLocalSection:
         with pytest.raises(OutsideCayleyOpen):
             stiefel.local_section(lift, minus)
 
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_matches_dense_route(self, field, t):
+        lift, _ = random_lift_tangent(6, 2, field, 37)
+        y = stiefel.contraction(lift, stiefel.random_stiefel_point(6, 2, field, 38), t)
+        W = stiefel.gamma_inverse(lift, y).ambient_group()
+        dense = GroupElement(group.cayley_at(lift.A, W))
+        assert fro(stiefel.local_section(lift, y).m - dense.m) <= 1e-12
+
 
 class TestContraction:
     def test_endpoints_and_midpoint(self, field):
@@ -318,6 +338,14 @@ class TestContraction:
         assert fro(stiefel.contraction(lift, y, 1.0).m - y.m) <= 1e-9
         mid = stiefel.contraction(lift, y, 0.5)
         assert fro(mid.m.H @ mid.m - kalg.identity(2, field)) <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_matches_dense_route(self, field, t):
+        lift, _ = random_lift_tangent(6, 2, field, 34)
+        y = stiefel.random_stiefel_point(6, 2, field, 35)
+        W = stiefel.gamma_inverse(lift, y).ambient_group()
+        dense = stiefel.rho(GroupElement(group.cayley_at(lift.A, t * W)), 2)
+        assert fro(stiefel.contraction(lift, y, t).m - dense.m) <= 1e-12
 
     def test_rejects_parameter_outside_unit_interval(self, field):
         lift, _ = random_lift_tangent(4, 2, field, 36)

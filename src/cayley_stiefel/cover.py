@@ -1,10 +1,11 @@
 """Angle-indexed frames and empirical verification of the Cayley open cover.
 
 For n >= 2k the frames x_theta = [0; (sin theta) I; (cos theta) I] give
-k + 1 Cayley open subsets which cover the whole quaternionic Stiefel
-manifold; this module builds the frames and stress-tests the cover claim
-on random samples.  Over R and C the same verifier runs in an exploratory
-mode only.
+k + 1 Cayley open subsets which cover the whole Stiefel manifold over R, C
+and H: y escapes the i-th subset only when -cos theta_i is an eigenvalue of
+its bottom block pi (of the complex adjoint chi(pi) over H), and pi has at
+most k distinct real eigenvalues.  This module builds the frames and
+stress-tests the cover claim on random samples.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
                  tol: float = kalg.DEFAULT_TOL) -> dict:
     """Sample random frames and report how many escape every cover member.
 
-    Over the quaternions with k + 1 angles the expected uncovered count is
-    zero; over R and C the run is exploratory and the counts are reported
-    as data.  Uncovered witnesses are serialized in full.
+    With k + 1 angles the expected uncovered count is zero in every field.
+    Uncovered witnesses are serialized in full.
     """
     if n < 2 * k:
         raise DimensionError(f"need n >= 2k, got n={n}, k={k}")

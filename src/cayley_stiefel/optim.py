@@ -101,7 +101,8 @@ class SearchGenerator:
     condition number of the curve's core I + t N U*U growing like t |A|
     rather than t^2 |W|^2.  Holds the products every point of the curve
     needs: U, N U*U, N U*x and the rate |A|_F^2 = -Re tr((N U*U)^2) at
-    which f decreases along the curve at t = 0.
+    which f decreases along the curve at t = 0, and the Riemannian gradient
+    norm gnorm = |W + xK/2|_F, equal to |F - x herm(x*F)|_F for any x.
     """
 
     x: StiefelPoint
@@ -109,6 +110,7 @@ class SearchGenerator:
     NG: Mat
     NUx: Mat
     rate: float
+    gnorm: float
 
     @classmethod
     def from_gradient(cls, x: StiefelPoint, F: Mat) -> "SearchGenerator":
@@ -123,7 +125,8 @@ class SearchGenerator:
         sI = s * kalg.identity(k, fld)
         N = kalg.vstack(kalg.hstack(kalg.zeros(k, k, fld), sI), kalg.hstack(-sI, K))
         NG = N @ (U.H @ U)
-        return cls(x, U, NG, N @ (U.H @ x.m), -real_trace(NG @ NG))
+        gnorm = kalg.frobenius_norm(W + x.m @ (0.5 * K))
+        return cls(x, U, NG, N @ (U.H @ x.m), -real_trace(NG @ NG), gnorm)
 
 
 def curve(g: SearchGenerator, t: float, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
@@ -162,8 +165,8 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     of x every iteration.  A trial whose core is Singular or whose point
     fails the x*x = I check is a rejected step too: tau shrinks by
     backtrack_factor, and the backtrack counts.  Terminates when the
-    Riemannian gradient norm drops below grad_tol, the iteration budget is
-    exhausted, or the line search fails.
+    Riemannian gradient norm, read from the generator (gnorm), drops below
+    grad_tol, the iteration budget is exhausted, or the line search fails.
     """
     x = x0
     fval = obj.f(x)
@@ -172,16 +175,14 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     records = []
     reason = "max_iters"
     for it in range(p.max_iters + 1):
-        G = obj.egrad(x)
-        gnorm = kalg.frobenius_norm(riemannian_gradient(x, G))
-        records.append(IterationRecord(it, x, fval, gnorm, step_taken, backtracks))
-        if gnorm <= p.grad_tol:
+        gen = SearchGenerator.from_gradient(x, obj.egrad(x))
+        records.append(IterationRecord(it, x, fval, gen.gnorm, step_taken, backtracks))
+        if gen.gnorm <= p.grad_tol:
             reason = "converged"
             break
         if it == p.max_iters:
             reason = "max_iters"
             break
-        gen = SearchGenerator.from_gradient(x, G)
         rate = gen.rate
         tau = p.initial_step
         accepted = None

@@ -96,11 +96,6 @@ class Lift:
         return self.point.field
 
     @property
-    def alpha(self) -> Mat:
-        n, k = self.n, self.k
-        return self.A.m.block(0, n - k, 0, n - k)
-
-    @property
     def beta(self) -> Mat:
         n, k = self.n, self.k
         return self.A.m.block(n - k, n, 0, n - k)
@@ -219,10 +214,10 @@ def in_cayley_open(x: StiefelPoint, y: StiefelPoint, tol: float = kalg.DEFAULT_T
 def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> TangentCoords:
     """Tangent coordinates mapping to y under the Stiefel Cayley transform.
 
-    Uses X = -(tau - beta*)(pi + P*)^{-1}, then
-    b = (1/2)(pi + P*)[(beta X + P)*]^{-1}, and Y as the skew-Hermitian
-    part of b^{-1}.  Requires y in the Cayley open subset of the lift's
-    base point.
+    With C = pi + P*, X = -(tau - beta*) C^{-1}.  The core is
+    b = (1/2) C D^{-1} with D = (beta X + P)*, so Y, the skew-Hermitian part
+    of b^{-1} = 2 D C^{-1}, needs no inverse but C^{-1}.  Requires y in the
+    Cayley open subset of the lift's base point.
     """
     tau, pi = y.T, y.P
     try:
@@ -230,8 +225,8 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     except Singular as exc:
         raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
     X = -((tau - lift.beta.H) @ C_inv)
-    b = 0.5 * ((pi + lift.P.H) @ kalg.mat_inverse((lift.beta @ X + lift.P).H, tol))
-    Y = kalg.skew_hermitian_part(kalg.mat_inverse(b, tol))
+    D = (lift.beta @ X + lift.P).H
+    Y = kalg.skew_hermitian_part(2.0 * (D @ C_inv))
     return TangentCoords(lift, X, Y)
 
 
@@ -326,14 +321,18 @@ def differential_min_gain(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> fl
 def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> GroupElement:
     """Local section of the projection over the Cayley open subset at x.
 
-    With (X, Y) = gamma_inverse(lift, y) and Z = [[0, X], [-X*, Y]], the
-    group Cayley transform based at A sends the tangent A Z to c(Z) A*, so
-    the section is c(Z) A*, with c(Z) from the block formula, which inverts
-    one k x k matrix.  The last k columns of the result agree with y.
+    With (X, Y) = gamma_inverse(lift, y), the group Cayley transform based
+    at A sends the tangent A Z, Z = [[0, X], [-X*, Y]], to c(Z) A*.  As
+    c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I] with b = (I + X*X + Y)^{-1},
+    that is the rank-k update A* + [-2X bV*; 2(bV* - x*)] with V = A [X; I],
+    O(n^2 k) work.  The last k columns of the result agree with y.
     """
     coords = gamma_inverse(lift, y, tol)
-    c = group.cayley_identity_block(SkewBlockTangent(coords.X, coords.Y), tol)
-    return GroupElement(c.m @ lift.A.m.H)
+    X = coords.X
+    b = group.b_matrix(X, coords.Y, tol)
+    bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
+    update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
+    return GroupElement(lift.A.m.H + update)
 
 
 def contraction(lift: Lift, y: StiefelPoint, t: float,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cayley_stiefel import cover
 from cayley_stiefel.cli import main
 
 
@@ -100,6 +101,23 @@ class TestCover:
                                     "--k", "2", "--samples", "200", "--reproducible"])
         assert code == 0
         assert json.loads(out)["uncovered"] == 0
+
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    def test_cover_holds_in_every_field(self, capsys, fld):
+        code, out, _ = run(capsys, ["cover", "--field", fld, "--n", "4", "--k", "2",
+                                    "--samples", "200", "--reproducible"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["uncovered"] == 0
+        assert "exploratory" not in report
+
+    def test_uncovered_real_sample_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cover, "cover_membership", lambda y, ladder, tol: [])
+        code, out, err = run(capsys, ["cover", "--field", "real", "--n", "4", "--k", "2",
+                                      "--samples", "3", "--reproducible"])
+        assert code == 1
+        assert json.loads(out)["uncovered"] == 3
+        assert "cover FAILED" in err
 
     def test_dimension_guard(self, capsys):
         code, _, err = run(capsys, ["cover", "--n", "3", "--k", "2"])

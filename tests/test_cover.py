@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -64,6 +65,20 @@ class TestThetaFrame:
         assert stiefel.in_cayley_open(x, x)
 
 
+def eigen_bottom_frame(n, W, thetas):
+    """Frame [0; W diag(sin) W*; W diag(-cos) W*]: pi has eigenvalues -cos(theta)."""
+    k, fld = W.rows, W.field
+
+    def conj_diag(values):
+        data = np.zeros((k, k, fld.ncomp))
+        data[range(k), range(k), 0] = values
+        return W @ Mat(fld, data) @ W.H
+
+    sin = conj_diag([math.sin(t) for t in thetas])
+    pi = conj_diag([-math.cos(t) for t in thetas])
+    return StiefelPoint(kalg.vstack(kalg.zeros(n - 2 * k, k, fld), sin, pi))
+
+
 class TestCoverMembership:
     def test_frame_covers_itself(self):
         ladder = default_ladder(2)
@@ -76,6 +91,15 @@ class TestCoverMembership:
             y = negated_bottom_frame(4, 2, theta, field)
             members = cover_membership(y, ladder)
             assert members == [j for j in range(len(ladder)) if j != i]
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+    def test_k_eigenvalues_on_the_ladder_leave_one_member(self, field, n, k):
+        # pi has at most k distinct real eigenvalues, so k + 1 angles cover every field
+        ladder = default_ladder(k)
+        for S in itertools.combinations(range(k + 1), k):
+            W = stiefel.random_stiefel_point(k, k, field, 90 + sum(S)).m
+            y = eigen_bottom_frame(n, W, [ladder.angles[i] for i in S])
+            assert cover_membership(y, ladder) == sorted(set(range(k + 1)) - set(S))
 
     def test_random_quaternionic_nonempty(self):
         ladder = default_ladder(2)

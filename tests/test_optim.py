@@ -322,3 +322,11 @@ class TestRiemannianGradient:
         # egrad = 2x for the identity-matrix trace objective
         x = stiefel.random_stiefel_point(5, 2, field, 51)
         assert fro(riemannian_gradient(x, 2.0 * x.m)) <= 1e-13
+
+    @pytest.mark.parametrize("drift", [0.0, 1e-9])
+    def test_matches_search_generator_gnorm(self, field, drift):
+        # exact for a drifted x too, where sqrt(|W|^2 + |K|^2/4) is off by ~drift |F|^2
+        x = stiefel.StiefelPoint((1.0 + drift) * stiefel.random_stiefel_point(7, 3, field, 52).m)
+        F = kalg.random_gaussian(7, 3, field, 53)
+        gnorm = SearchGenerator.from_gradient(x, F).gnorm
+        assert abs(gnorm - fro(riemannian_gradient(x, F))) <= 1e-13 * (1 + fro(F))

@@ -214,6 +214,19 @@ class TestGammaInverse:
         with pytest.raises(OutsideCayleyOpen):
             stiefel.gamma_inverse(lift, minus)
 
+    @pytest.mark.parametrize("n,k", [(6, 2), (16, 4), (5, 5)])
+    @pytest.mark.parametrize("scale", [1e-2, 0.5, 3.0, 30.0])
+    def test_matches_three_inversion_formula(self, field, n, k, scale):
+        # Y = skew(b^{-1}) with b = (1/2) C D^{-1}, inverting D and b explicitly
+        lift, t = random_lift_tangent(n, k, field, 61, scale)
+        y = stiefel.gamma(t)
+        got = stiefel.gamma_inverse(lift, y)
+        C = y.P + lift.P.H
+        D = (lift.beta @ got.X + lift.P).H
+        b = 0.5 * (C @ kalg.mat_inverse(D))
+        Y_ref = kalg.skew_hermitian_part(kalg.mat_inverse(b))
+        assert fro(got.Y - Y_ref) <= 1e-10 * (1 + scale)
+
 
 class TestGammaDifferential:
     def test_zero_direction(self, field):
@@ -325,6 +338,49 @@ class TestLocalSection:
         W = stiefel.gamma_inverse(lift, y).ambient_group()
         dense = GroupElement(group.cayley_at(lift.A, W))
         assert fro(stiefel.local_section(lift, y).m - dense.m) <= 1e-12
+
+
+class TestCoreCounts:
+    """Each k x k core is inverted once and the section is checked once."""
+
+    @staticmethod
+    def count(monkeypatch, n=None):
+        counts = {"inverse": 0, "element": 0, "square_products": 0}
+        inverse, post_init, matmul = kalg.mat_inverse, GroupElement.__post_init__, Mat.__matmul__
+
+        def counted_inverse(*args, **kwargs):
+            counts["inverse"] += 1
+            return inverse(*args, **kwargs)
+
+        def counted_post_init(self):
+            counts["element"] += 1
+            post_init(self)
+
+        def counted_matmul(a, b):
+            counts["square_products"] += a.shape == b.shape == (n, n)
+            return matmul(a, b)
+
+        monkeypatch.setattr(kalg, "mat_inverse", counted_inverse)
+        monkeypatch.setattr(GroupElement, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
+        return counts
+
+    def test_gamma_inverse_inverts_once(self, field, monkeypatch):
+        lift, t = random_lift_tangent(7, 3, field, 71)
+        y = stiefel.gamma(t)
+        counts = self.count(monkeypatch)
+        stiefel.gamma_inverse(lift, y)
+        assert counts["inverse"] == 1
+
+    def test_local_section_inverts_twice_and_checks_once(self, field, monkeypatch):
+        lift, t = random_lift_tangent(7, 3, field, 72)
+        y = stiefel.gamma(t)
+        counts = self.count(monkeypatch, n=7)
+        stiefel.local_section(lift, y)
+        assert counts["inverse"] == 2
+        assert counts["element"] == 1
+        # the one n x n product is the A A* residual of that GroupElement check
+        assert counts["square_products"] == 1
 
 
 class TestContraction:

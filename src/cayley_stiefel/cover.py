@@ -6,11 +6,18 @@ and H: y escapes the i-th subset only when -cos theta_i is an eigenvalue of
 its bottom block pi (of the complex adjoint chi(pi) over H), and pi has at
 most k distinct real eigenvalues.  This module builds the frames and
 stress-tests the cover claim on random samples.
+
+The verifier works on stacks of samples: one Gram-Schmidt over the
+(S, n, k) Gaussian draws, then one stacked singular-value test per angle
+on the (S, k, k) bottom blocks.  Each sample still draws from its own seed,
+so the report equals a loop of random_stiefel_point and cover_membership,
+which are the S = 1 case of the same code.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +25,10 @@ import numpy as np
 from . import kalg, stiefel
 from .kalg import Field, Mat
 from .stiefel import StiefelPoint
+
+
+# samples evaluated as one stack by verify_cover: bounds its memory
+_CHUNK = 256
 
 
 class DimensionError(Exception):
@@ -60,6 +71,21 @@ def theta_frame(n: int, k: int, theta: float, field: Field) -> StiefelPoint:
     return StiefelPoint(Mat(field, data), check_tol=1e-14)
 
 
+def _memberships(field: Field, pi: np.ndarray, ladder: ThetaLadder,
+                 tol: float) -> np.ndarray:
+    """(S, len(ladder)) booleans: whether pi_s + (cos theta_i) I_k is invertible.
+
+    pi holds the components (S, k, k, ncomp) of S bottom blocks; each angle
+    costs one stacked singular-value test.
+    """
+    out = np.empty((pi.shape[0], len(ladder)), dtype=bool)
+    for i, theta in enumerate(ladder.angles):
+        shifted = pi.copy()
+        kalg._shift_diagonal(shifted, math.cos(theta))
+        out[:, i] = kalg._invertible_operand(field, shifted, tol)[1]
+    return out
+
+
 def cover_membership(y: StiefelPoint, ladder: ThetaLadder,
                      tol: float = kalg.DEFAULT_TOL) -> list[int]:
     """Indices i with y inside the Cayley open subset of the i-th angle frame.
@@ -67,13 +93,7 @@ def cover_membership(y: StiefelPoint, ladder: ThetaLadder,
     Membership only depends on the bottom block pi of y: the condition is
     invertibility of pi + (cos theta_i) I_k.
     """
-    pi_blk = y.P
-    I = kalg.identity(y.k, y.field)
-    out = []
-    for i, theta in enumerate(ladder.angles):
-        if kalg.is_invertible(pi_blk + math.cos(theta) * I, tol):
-            out.append(i)
-    return out
+    return np.flatnonzero(_memberships(y.field, y.P.data[None], ladder, tol)[0]).tolist()
 
 
 def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
@@ -81,28 +101,29 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
                  tol: float = kalg.DEFAULT_TOL) -> dict:
     """Sample random frames and report how many escape every cover member.
 
-    With k + 1 angles the expected uncovered count is zero in every field.
-    Uncovered witnesses are serialized in full.
+    Sample s is random_stiefel_point(n, k, field, seed + s), and its members
+    are those of cover_membership; both run on stacks of up to _CHUNK
+    samples.  With k + 1 angles the expected uncovered count is zero in
+    every field.  Uncovered witnesses are serialized in full.
     """
     if n < 2 * k:
         raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
-    histogram: dict[int, int] = {}
+    histogram: Counter[int] = Counter()
     witnesses = []
-    uncovered = 0
-    for s in range(samples):
-        y = stiefel.random_stiefel_point(n, k, field, seed + s)
-        members = cover_membership(y, ladder, tol)
-        histogram[len(members)] = histogram.get(len(members), 0) + 1
-        if not members:
-            uncovered += 1
-            witnesses.append(stiefel.point_to_json(y))
+    end = seed + samples
+    for start in range(seed, end, _CHUNK):
+        frames = stiefel._random_frames(n, k, field, range(start, min(start + _CHUNK, end)))
+        counts = _memberships(field, frames[:, n - k:], ladder, tol).sum(axis=1)
+        histogram.update(counts.tolist())
+        witnesses += [stiefel.point_to_json(StiefelPoint(Mat(field, frames[s])))
+                      for s in np.flatnonzero(counts == 0)]
     return {
         "n": n,
         "k": k,
         "field": field.value,
         "angles": list(ladder.angles),
         "samples": samples,
-        "uncovered": uncovered,
+        "uncovered": len(witnesses),
         "multiplicity_histogram": {str(m): c for m, c in sorted(histogram.items())},
         "witnesses": witnesses,
     }

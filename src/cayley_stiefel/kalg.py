@@ -8,6 +8,13 @@ z1 = w + xi, z2 = y + zi, so a quaternion matrix M = Z1 + Z2 j multiplies
 through four complex products and inverts by LAPACK on its complex adjoint
 chi(M) = [[Z1, Z2], [-conj Z2, conj Z1]].  Products never silently commute.
 
+The product, the conjugate transpose and the singularity test are written
+once, on stacks of component arrays of shape (S, rows, cols, ncomp), so S
+matrices cost one numpy or LAPACK call and not S of them.  The random
+frames of stiefel and the cover test use these private stacked forms;
+Mat products and conjugate transposes, mat_inverse and is_invertible are
+their case with no stack axis.
+
 Validation happens at the boundaries.  The public constructor Mat(field,
 data) copies its input and rejects non-finite entries.  Results that kalg
 computes itself (products, sums, negation, scaling, blocks, conjugate
@@ -54,17 +61,44 @@ class Field(enum.Enum):
 _NCOMP = {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}
 
 
-def _array(m: "Mat") -> np.ndarray:
-    """Zero-copy view of m: real (R), complex (C) or complex pairs (Z1, Z2) (H)."""
-    if m.field is Field.REAL:
-        return m.data[..., 0]
-    z = m.data.view(np.complex128)
-    return z[..., 0] if m.field is Field.COMPLEX else z
+def _view(field: Field, data: np.ndarray) -> np.ndarray:
+    """Zero-copy view of (..., rows, cols, ncomp) components as arrays of shape
+    (..., rows, cols): real (R), complex (C) or complex pairs (Z1, Z2) (H)."""
+    if field is Field.REAL:
+        return data[..., 0]
+    z = data.view(np.complex128)
+    return z[..., 0] if field is Field.COMPLEX else z
 
 
-def _from_array(field: Field, a: np.ndarray) -> "Mat":
-    # a is a fresh C-contiguous result, so its complex entries view as float pairs
-    return Mat._trusted(field, a.view(np.float64).reshape(a.shape[0], a.shape[1], field.ncomp))
+def _components(field: Field, a: np.ndarray) -> np.ndarray:
+    """Inverse of _view for a fresh C-contiguous result: (..., rows, cols, ncomp)."""
+    return (a if field is Field.QUATERNION else a[..., None]).view(np.float64)
+
+
+def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (..., rows, cols, ncomp) component stacks, broadcast over the
+    leading axes; Mat.__matmul__ is its case with no stack axis."""
+    a, b = _view(field, a), _view(field, b)
+    if field is Field.QUATERNION:
+        # (Z1 + Z2 j)(W1 + W2 j) = (Z1 W1 - Z2 conj W2) + (Z1 W2 + Z2 conj W1) j
+        a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+        return _components(field, np.stack([a1 @ b1 - a2 @ b2.conj(),
+                                            a1 @ b2 + a2 @ b1.conj()], axis=-1))
+    return _components(field, a @ b)
+
+
+def _shift_diagonal(data: np.ndarray, c: float) -> None:
+    """Add c I to every matrix of a C-contiguous (..., n, n, ncomp) stack, in place."""
+    n, nc = data.shape[-2], data.shape[-1]
+    # a strided view of the diagonal: fancy indexing costs several times more
+    data.reshape(*data.shape[:-3], n * n, nc)[..., ::n + 1, 0] += c
+
+
+def _conj_transpose(data: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a (..., rows, cols, ncomp) stack."""
+    out = np.swapaxes(data, -3, -2).copy()
+    out[..., 1:] *= -1.0
+    return out
 
 
 class Mat:
@@ -157,14 +191,7 @@ class Mat:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        a, b = _array(self), _array(other)
-        if self.field is Field.QUATERNION:
-            # (Z1 + Z2 j)(W1 + W2 j) = (Z1 W1 - Z2 conj W2) + (Z1 W2 + Z2 conj W1) j
-            a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-            out = np.stack([a1 @ b1 - a2 @ b2.conj(), a1 @ b2 + a2 @ b1.conj()], axis=-1)
-        else:
-            out = a @ b
-        return _from_array(self.field, out)
+        return Mat._trusted(self.field, _product(self.field, self.data, other.data))
 
     def __repr__(self) -> str:
         return f"Mat({self.field.value}, {self.rows}x{self.cols})"
@@ -186,9 +213,7 @@ def scalar(value: Iterable[float], field: Field) -> Mat:
 
 
 def conj_transpose(m: Mat) -> Mat:
-    out = np.swapaxes(m.data, 0, 1).copy()
-    out[:, :, 1:] *= -1.0
-    return Mat._trusted(m.field, out)
+    return Mat._trusted(m.field, _conj_transpose(m.data))
 
 
 def frobenius_norm(m: Mat) -> float:
@@ -222,24 +247,30 @@ def vstack(*mats: Mat) -> Mat:
     return Mat._trusted(field, np.concatenate([m.data for m in mats], axis=0))
 
 
-def _invertible_operand(m: Mat, tol: float) -> np.ndarray:
-    """M as a real or complex array, chi(M) over H, checked to be invertible.
+def _invertible_operand(field: Field, data: np.ndarray,
+                        tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Operands and the relative singularity test for a stack of square matrices.
 
-    Raises Singular when sigma_min <= tol * sigma_max.  chi(M) has the
-    singular values of M, each twice, so the test means the same in all
-    three rings.
+    data holds (S, n, n, ncomp) or (n, n, ncomp) components.  Returns
+    (a, invertible, s): each matrix as a real or complex array, chi(M) over
+    H; a boolean array over the stack, False where
+    sigma_min <= tol * sigma_max; and the singular values, from one stacked
+    SVD.  chi(M) has the singular values of M, each twice, so the test
+    means the same in all three rings.
     """
-    if m.rows != m.cols:
+    if data.shape[-3] != data.shape[-2]:
         raise ValueError("inversion needs a square matrix")
-    a = _array(m)
-    if m.field is Field.QUATERNION:
+    a = _view(field, data)
+    if field is Field.QUATERNION:
         z1, z2 = a[..., 0], a[..., 1]
-        a = np.block([[z1, z2], [-z2.conj(), z1.conj()]])
+        a = np.concatenate([np.concatenate([z1, z2], axis=-1),
+                            np.concatenate([-z2.conj(), z1.conj()], axis=-1)], axis=-2)
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size and s[-1] <= tol * s[0]:
-        raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
-                       f"{tol:.1e} times the largest {s[0]:.3e}")
-    return a
+    if s.shape[-1] == 0:
+        return a, np.ones(s.shape[:-1], dtype=bool), s
+    # numpy scalars for one matrix (0-d arrays cost microseconds), arrays over a stack
+    smin, smax = s.T[-1], s.T[0]
+    return a, ~(smin <= tol * smax), s
 
 
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
@@ -247,7 +278,10 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
 
     Raises Singular when sigma_min <= tol * sigma_max.
     """
-    a = _invertible_operand(m, tol)
+    a, invertible, s = _invertible_operand(m.field, m.data, tol)
+    if not invertible:
+        raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
+                       f"{tol:.1e} times the largest {s[0]:.3e}")
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
@@ -256,16 +290,12 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
         # chi(M)^{-1} = chi(M^{-1}), whose first block row is (Z1', Z2')
         n = m.rows
         inv = np.stack([inv[:n, :n], inv[:n, n:]], axis=-1)
-    return _from_array(m.field, inv)
+    return Mat._trusted(m.field, _components(m.field, inv))
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:
     """Whether mat_inverse(m, tol) passes its Singular test; no inverse is formed."""
-    try:
-        _invertible_operand(m, tol)
-    except Singular:
-        return False
-    return True
+    return bool(_invertible_operand(m.field, m.data, tol)[1])
 
 
 def random_gaussian(rows: int, cols: int, field: Field, seed: int) -> Mat:

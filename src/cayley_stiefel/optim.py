@@ -81,7 +81,7 @@ def real_trace(m: Mat) -> float:
     """Real part of the trace of a square matrix."""
     if m.rows != m.cols:
         raise ValueError("trace needs a square matrix")
-    return float(sum(m.data[i, i, 0] for i in range(m.rows)))
+    return float(m.data[:, :, 0].trace())
 
 
 def descent_skew(x: StiefelPoint, F: Mat) -> Mat:

@@ -9,6 +9,7 @@ contraction of a Cayley open subset onto a point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +32,19 @@ class RankDeficient(Exception):
     """Raised when random frame generation keeps hitting rank-deficient draws."""
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a stack, summed as np.linalg.norm sums one."""
+    flat = a.reshape(len(a), 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+
+
+def _frame_residuals(field: Field, data: np.ndarray) -> np.ndarray:
+    """|x*x - I|_F for each frame x of a (S, n, k, ncomp) component stack."""
+    gram = kalg._product(field, kalg._conj_transpose(data), data)
+    kalg._shift_diagonal(gram, -1.0)
+    return _norms(gram)
+
+
 @dataclass(frozen=True)
 class StiefelPoint:
     """An n x k matrix x with x*x = I_k: an orthonormal k-frame in K^n."""
@@ -42,7 +56,7 @@ class StiefelPoint:
         n, k = self.m.shape
         if k > n:
             raise ValueError(f"need k <= n, got n={n}, k={k}")
-        resid = kalg.frobenius_norm(self.m.H @ self.m - kalg.identity(k, self.m.field))
+        resid = _frame_residuals(self.m.field, self.m.data[None])[0]
         if not resid <= self.check_tol:
             raise NotOrthonormal(f"x*x - I residual {resid:.3e} exceeds {self.check_tol:.1e}")
 
@@ -174,11 +188,13 @@ def complete_lift(x: StiefelPoint) -> Lift:
 
 
 def tangent_from_ambient(lift: Lift, v: Mat, tol: float = POINT_CHECK_TOL) -> TangentCoords:
-    """Coordinates (X, Y) of an ambient tangent vector v at x, via A*v = [X; Y]."""
-    x = lift.point.m
-    resid = kalg.frobenius_norm(v.H @ x + x.H @ v)
-    if not resid <= tol * max(1.0, kalg.frobenius_norm(v)):
-        raise InvalidTangent(f"v*x + x*v residual {resid:.3e}")
+    """Coordinates (X, Y) of an ambient tangent vector v at x, via A*v = [X; Y].
+
+    v is tangent when Y = x*v is skew-Hermitian; TangentCoords tests that
+    with kalg.is_skew_hermitian(Y, tol), relative to |Y| and not to |v|.
+    So a mostly horizontal v (|X| >> |Y|) whose Y carries rounding of order
+    eps |v| is rejected.
+    """
     B = lift.A.m.H @ v
     n, k = lift.n, lift.k
     X = B.block(0, n - k, 0, k)
@@ -374,25 +390,54 @@ def lift_change_equivariance_check(lift: Lift, E: GroupElement, t: TangentCoords
     return kalg.frobenius_norm(lhs - rhs)
 
 
-def random_stiefel_point(n: int, k: int, field: Field, seed: int) -> StiefelPoint:
-    """Random orthonormal frame: Gram-Schmidt applied to a Gaussian matrix."""
+def _random_frames(n: int, k: int, field: Field, seeds: Sequence[int]) -> np.ndarray:
+    """Components (S, n, k, ncomp) of the frames random_stiefel_point draws from seeds.
+
+    Each frame is modified Gram-Schmidt applied to the Gaussian matrix that
+    kalg.random_gaussian(n, k, field, seed) draws; it runs on the whole
+    stack at once.  A draw with a column whose projected norm is below 1e-8
+    is redrawn from seed + 1_000_003 * attempt, at most three attempts in
+    all.  Every frame is checked for x*x = I within 1e-12.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    nc = field.ncomp
+    out = np.empty((len(seeds), n, k, nc))
+    todo = np.arange(len(seeds))
     for attempt in range(3):
-        raw = kalg.random_gaussian(n, k, field, seed + 1_000_003 * attempt)
-        cols: list[Mat] = []
+        if not todo.size:
+            break
+        raw = np.stack([np.random.default_rng(seeds[i] + 1_000_003 * attempt)
+                        .standard_normal((n, k, nc)) for i in todo])
+        cols: list[np.ndarray] = []
+        full_rank = np.ones(len(todo), dtype=bool)
         for j in range(k):
-            v = raw.block(0, n, j, j + 1)
+            # a contiguous copy: BLAS sums a strided column in another order,
+            # which would move the last bits of the frames
+            v = np.ascontiguousarray(raw[:, :, j:j + 1])
             for u in cols:
-                v = v - u @ (u.H @ v)
-            norm = kalg.frobenius_norm(v)
-            if norm < 1e-8:
-                break
-            cols.append((1.0 / norm) * v)
-        else:
-            m = kalg.hstack(*cols) if cols else kalg.zeros(n, 0, field)
-            return StiefelPoint(m, check_tol=1e-12)
-    raise RankDeficient(f"could not draw a full-rank {n}x{k} frame")
+                v = v - kalg._product(field, u, kalg._product(field, kalg._conj_transpose(u), v))
+            norm = _norms(v)
+            full_rank &= norm >= 1e-8
+            cols.append((1.0 / np.where(full_rank, norm, 1.0))[:, None, None, None] * v)
+        frames = np.concatenate(cols, axis=2) if cols else raw
+        out[todo[full_rank]] = frames[full_rank]
+        todo = todo[~full_rank]
+    if todo.size:
+        raise RankDeficient(f"could not draw a full-rank {n}x{k} frame")
+    resid = _frame_residuals(field, out)
+    if not np.all(resid <= 1e-12):
+        raise NotOrthonormal(f"x*x - I residual {resid.max():.3e} exceeds 1.0e-12")
+    return out
+
+
+def random_stiefel_point(n: int, k: int, field: Field, seed: int) -> StiefelPoint:
+    """Random orthonormal frame: Gram-Schmidt applied to a Gaussian matrix.
+
+    The S = 1 case of the stacked frame builder that cover.verify_cover uses.
+    """
+    return StiefelPoint(Mat._trusted(field, _random_frames(n, k, field, [seed])[0]),
+                        check_tol=1e-12)
 
 
 def point_to_json(x: StiefelPoint) -> dict:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cayley_stiefel import cover
@@ -112,7 +113,8 @@ class TestCover:
         assert "exploratory" not in report
 
     def test_uncovered_real_sample_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cover, "cover_membership", lambda y, ladder, tol: [])
+        monkeypatch.setattr(cover, "_memberships", lambda field, pi, ladder, tol:
+                            np.zeros((len(pi), len(ladder)), dtype=bool))
         code, out, err = run(capsys, ["cover", "--field", "real", "--n", "4", "--k", "2",
                                       "--samples", "3", "--reproducible"])
         assert code == 1

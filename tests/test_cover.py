@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -145,3 +146,102 @@ class TestVerifyCover:
         report = verify_cover(4, 2, default_ladder(2), 5, 0)
         assert set(report) == {"n", "k", "field", "angles", "samples",
                                "uncovered", "multiplicity_histogram", "witnesses"}
+
+
+def reference_report(n, k, ladder, samples, seed, fld, tol=kalg.DEFAULT_TOL):
+    """verify_cover's report, one sample at a time through the public API."""
+    histogram, witnesses = {}, []
+    for s in range(samples):
+        y = stiefel.random_stiefel_point(n, k, fld, seed + s)
+        members = cover_membership(y, ladder, tol)
+        histogram[len(members)] = histogram.get(len(members), 0) + 1
+        if not members:
+            witnesses.append(stiefel.point_to_json(y))
+    return {"n": n, "k": k, "field": fld.value, "angles": list(ladder.angles),
+            "samples": samples, "uncovered": len(witnesses),
+            "multiplicity_histogram": {str(m): c for m, c in sorted(histogram.items())},
+            "witnesses": witnesses}
+
+
+def rank_deficient_draws(monkeypatch, bad_seeds):
+    """Make default_rng(seed) draw a second column equal to the first for seed in bad_seeds."""
+    default_rng = np.random.default_rng
+
+    class Deficient:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, shape):
+            a = self.rng.standard_normal(shape)
+            a[:, 1] = a[:, 0]
+            return a
+
+    def patched(seed):
+        rng = default_rng(seed)
+        return Deficient(rng) if seed in bad_seeds else rng
+
+    monkeypatch.setattr(np.random, "default_rng", patched)
+
+
+class TestStackedVerifier:
+    """verify_cover evaluates stacks of samples; the report is the per-sample one."""
+
+    @pytest.mark.parametrize("tol", [kalg.DEFAULT_TOL, 0.5], ids=["default_tol", "witnesses"])
+    @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 3), (9, 4)])
+    def test_matches_per_sample_loop(self, field, n, k, tol):
+        # more samples than one stack; tol = 0.5 leaves samples uncovered for k >= 2
+        samples, ladder = cover._CHUNK + 3, default_ladder(k)
+        report = verify_cover(n, k, ladder, samples, 31, field, tol)
+        expected = reference_report(n, k, ladder, samples, 31, field, tol)
+        assert json.dumps(report) == json.dumps(expected)
+        if tol == 0.5 and k >= 2:
+            assert report["uncovered"] > 0
+
+    def test_rank_deficient_draw_is_redrawn(self, field, monkeypatch):
+        bad = 41 + 5
+        rank_deficient_draws(monkeypatch, {bad})
+        frames = stiefel._random_frames(4, 2, field, range(41, 51))
+        x = stiefel.random_stiefel_point(4, 2, field, bad)
+        assert np.array_equal(frames[bad - 41], x.m.data)
+        # the retry draws from seed + 1_000_003
+        retry = stiefel.random_stiefel_point(4, 2, field, bad + 1_000_003)
+        assert np.array_equal(x.m.data, retry.m.data)
+        ladder = default_ladder(2)
+        assert (verify_cover(4, 2, ladder, 10, 41, field, 0.5)
+                == reference_report(4, 2, ladder, 10, 41, field, 0.5))
+
+    def test_three_rank_deficient_draws_raise(self, field, monkeypatch):
+        rank_deficient_draws(monkeypatch, {7, 7 + 1_000_003, 7 + 2_000_006})
+        with pytest.raises(stiefel.RankDeficient):
+            stiefel.random_stiefel_point(4, 2, field, 7)
+        with pytest.raises(stiefel.RankDeficient):
+            verify_cover(4, 2, default_ladder(2), 5, 3, field)
+
+
+class TestSvdCounts:
+    """One stacked SVD per ladder angle: per stack of samples in verify_cover."""
+
+    @staticmethod
+    def count(monkeypatch):
+        calls = [0]
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(kalg.np.linalg, "svd", counted)
+        return calls
+
+    def test_verify_cover(self, field, monkeypatch):
+        ladder = default_ladder(2)
+        calls = self.count(monkeypatch)
+        verify_cover(4, 2, ladder, 2 * cover._CHUNK + 1, 5, field)
+        assert calls[0] == 3 * len(ladder)
+
+    def test_cover_membership(self, field, monkeypatch):
+        ladder = default_ladder(3)
+        y = stiefel.random_stiefel_point(6, 3, field, 5)
+        calls = self.count(monkeypatch)
+        cover_membership(y, ladder)
+        assert calls[0] == len(ladder)

@@ -97,6 +97,32 @@ class TestTangentFromAmbient:
         with pytest.raises(InvalidTangent):
             stiefel.tangent_from_ambient(lift, lift.point.m)
 
+    @staticmethod
+    def tangent_plus_hermitian(lift, seed, scale_X, scale_Y, scale_E):
+        """A [X; Y + E]: X, Y of norms scale_X, scale_Y with Y skew; E Hermitian of norm scale_E."""
+        fld, k = lift.field, lift.k
+        X = kalg.random_gaussian(lift.n - k, k, fld, seed)
+        Y = random_skew(k, fld, seed + 1)
+        E = kalg.hermitian_part(kalg.random_gaussian(k, k, fld, seed + 2))
+        Y = (scale_Y / fro(Y)) * Y + (scale_E / fro(E)) * E
+        return lift.A.m @ kalg.vstack((scale_X / fro(X)) * X, Y)
+
+    @pytest.mark.parametrize("scale_X,scale_Y,scale_E,tangent", [
+        (1e9, 1e9, 1e-6, True),   # rounding-sized next to |x*v|: accepted
+        (1e9, 1.0, 1e-6, False),  # rounding-sized next to |v| only: rejected
+        (1e9, 1e9, 1e3, False),   # clearly not tangent
+        (1.0, 1.0, 1e-3, False),
+    ])
+    def test_tangency_is_relative_to_x_star_v(self, field, scale_X, scale_Y, scale_E, tangent):
+        lift, _ = random_lift_tangent(6, 2, field, 48)
+        v = self.tangent_plus_hermitian(lift, 49, scale_X, scale_Y, scale_E)
+        if tangent:
+            got = stiefel.tangent_from_ambient(lift, v)
+            assert fro(lift.A.m @ kalg.vstack(got.X, got.Y) - v) <= 1e-12 * fro(v)
+        else:
+            with pytest.raises(InvalidTangent):
+                stiefel.tangent_from_ambient(lift, v)
+
     def test_large_scale_passes_every_skew_check(self, field):
         # rounding leaves |Y + Y*| near 1e-6 here, tiny next to |Y| ~ 1e9
         lift, t = random_lift_tangent(6, 2, field, 47, scale=1e9)

@@ -48,7 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--problem", default="rayleigh", choices=["rayleigh", "procrustes"],
                        help="builtin benchmark problem (default: rayleigh)")
     p_opt.add_argument("--max-iters", type=int, default=2000)
-    p_opt.add_argument("--step", type=float, default=1.0, help="initial line-search step")
+    p_opt.add_argument("--step", type=float, default=1.0,
+                       help="first trial step; later iterations start from the "
+                            "Barzilai-Borwein step")
     p_opt.add_argument("--grad-tol", type=float, default=1e-6)
     p_opt.add_argument("--csv", default=None, help="also write a flattened CSV trace here")
 

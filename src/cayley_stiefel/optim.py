@@ -7,13 +7,21 @@ curve is evaluated through the Sherman-Morrison-Woodbury formula with one
 2k x 2k inversion per point and O(n k^2) products; no n x n matrix is
 formed (Wen and Yin, "A feasible method for optimization with
 orthogonality constraints", Math. Prog. 2013).
+
+Every line search after the first starts from a Barzilai-Borwein step, as
+in Wen and Yin's Algorithm 2, and backtracks under the monotone Armijo
+test, so every accepted step decreases f (Barzilai and Borwein,
+"Two-point step size gradient methods", IMA J. Numer. Anal. 1988).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
+
+import numpy as np
 
 from . import kalg
 from .kalg import Mat, Singular
@@ -77,11 +85,13 @@ class OptimTrace:
         return "\n".join(lines) + "\n"
 
 
-def real_trace(m: Mat) -> float:
-    """Real part of the trace of a square matrix."""
-    if m.rows != m.cols:
-        raise ValueError("trace needs a square matrix")
-    return float(m.data[:, :, 0].trace())
+def _inner(a: Mat, b: Mat) -> float:
+    """Real inner product Re tr(a* b) of two matrices of one shape.
+
+    It is the dot product of the real component arrays in R, C and H, so
+    no matrix product is formed.
+    """
+    return float(np.vdot(a.data, b.data))
 
 
 def descent_skew(x: StiefelPoint, F: Mat) -> Mat:
@@ -122,11 +132,13 @@ class SearchGenerator:
         K = xF - xF.H
         s = kalg.frobenius_norm(W) or 1.0
         U = kalg.hstack((1.0 / s) * W, x.m)
-        sI = s * kalg.identity(k, fld)
-        N = kalg.vstack(kalg.hstack(kalg.zeros(k, k, fld), sI), kalg.hstack(-sI, K))
-        NG = N @ (U.H @ U)
+        # with G = U*U split into k-row blocks, N G = [s G_bot; K G_bot - s G_top];
+        # U*x is the last k columns of G, so N U*x is the last k columns of N G
+        G = (U.H @ U).data
+        bot = Mat._trusted(fld, G[k:])
+        NG = Mat._trusted(fld, np.concatenate([s * G[k:], (K @ bot).data - s * G[:k]]))
         gnorm = kalg.frobenius_norm(W + x.m @ (0.5 * K))
-        return cls(x, U, NG, N @ (U.H @ x.m), -real_trace(NG @ NG), gnorm)
+        return cls(x, U, NG, NG.block(0, 2 * k, k, 2 * k), -_inner(NG.H, NG), gnorm)
 
 
 def curve(g: SearchGenerator, t: float, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
@@ -140,8 +152,11 @@ def curve(g: SearchGenerator, t: float, tol: float = kalg.DEFAULT_TOL) -> Stiefe
     x*x = I check; both happen only once t |A| is large enough for rounding
     to swamp the step.
     """
-    core = kalg.identity(g.NG.rows, g.NG.field) + t * g.NG
-    step = g.U @ (kalg.mat_inverse(core, tol) @ g.NUx)
+    if not math.isfinite(t):
+        raise ValueError(f"curve parameter must be finite, got {t}")
+    core = g.NG.data * t
+    kalg._shift_diagonal(core, 1.0)
+    step = g.U @ (kalg.mat_inverse(Mat._trusted(g.NG.field, core), tol) @ g.NUx)
     return StiefelPoint(g.x.m - (2.0 * t) * step)
 
 
@@ -150,15 +165,38 @@ def riemannian_gradient(x: StiefelPoint, egrad: Mat) -> Mat:
     return egrad - x.m @ kalg.hermitian_part(x.m.H @ egrad)
 
 
+def _bb_step(S: Mat, D: Mat, odd: bool, fallback: float) -> float:
+    """Barzilai-Borwein start of a line search along the Cayley curve.
+
+    S = x_k - x_{k-1} and D = A_k x_k - A_{k-1} x_{k-1} are the differences
+    of the iterates and of the gradients A x.  The step is
+    |S|^2 / |<S, D>| on odd iterations and |<S, D>| / |D|^2 on even ones,
+    halved because the curve's derivative at t = 0 is -2 A x, and clamped
+    to [1e-20, 1e20].  Returns fallback when <S, D> = Re tr(S* D) is 0 or
+    not finite.
+    """
+    sd = abs(_inner(S, D))
+    num, den = (_inner(S, S), sd) if odd else (sd, _inner(D, D))
+    if not (0.0 < sd < math.inf and den > 0.0):
+        return fallback
+    return min(max(0.5 * num / den, 1e-20), 1e20)
+
+
 def gradient_descent(obj: Objective, x0: StiefelPoint,
                      p: SearchParams = SearchParams()) -> OptimTrace:
-    """Curvilinear-search gradient descent with Armijo backtracking.
+    """Curvilinear-search gradient descent with Barzilai-Borwein steps and
+    Armijo backtracking.
 
     Each step moves along the Cayley curve generated by A = F x* - x F*
     with F the Euclidean gradient; the factors of A (SearchGenerator) are
     built once per iteration and every trial step is one call to curve.
+    The first line search starts at initial_step; every later one starts
+    at the Barzilai-Borwein step from the last two iterates and their
+    gradients A x (_bb_step), and falls back to initial_step when
+    Re tr(S* D) is 0 or not finite.
     f decreases along the curve at rate |A|_F^2 at t = 0, and a trial step
-    tau is accepted when f(alpha(tau)) <= f(x) - armijo_c * tau * |A|_F^2.
+    tau is accepted when f(alpha(tau)) <= f(x) - armijo_c * tau * |A|_F^2,
+    so every accepted step decreases f.
     A rejected tau is replaced by the minimiser of the quadratic through
     f(0), that slope and f(tau), clamped to [0.1, backtrack_factor] * tau;
     halving alone can settle on a step that flips the steepest component
@@ -174,6 +212,7 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     backtracks = 0
     records = []
     reason = "max_iters"
+    prev = None  # the previous iterate's frame and its gradient A x
     for it in range(p.max_iters + 1):
         gen = SearchGenerator.from_gradient(x, obj.egrad(x))
         records.append(IterationRecord(it, x, fval, gen.gnorm, step_taken, backtracks))
@@ -184,7 +223,11 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
             reason = "max_iters"
             break
         rate = gen.rate
+        Ax = gen.U @ gen.NUx
         tau = p.initial_step
+        if prev is not None:
+            tau = _bb_step(x.m - prev[0], Ax - prev[1], it % 2 == 1, tau)
+        prev = (x.m, Ax)
         accepted = None
         backtracks = 0
         while backtracks <= p.max_backtracks:
@@ -216,11 +259,23 @@ def rayleigh_objective(M: Mat, tol: float = 1e-8) -> Objective:
     if not resid <= tol * max(1.0, kalg.frobenius_norm(M)):
         raise NotHermitian(f"M - M* residual {resid:.3e}")
 
+    # the last point seen and its M x: the search evaluates f at the point
+    # it accepts and egrad right after, so M x is formed once per point
+    last = (None, None)
+
+    def image(x: StiefelPoint) -> Mat:
+        nonlocal last
+        seen, Mx = last
+        if seen is not x:
+            Mx = M @ x.m
+            last = (x, Mx)
+        return Mx
+
     def f(x: StiefelPoint) -> float:
-        return real_trace(x.m.H @ (M @ x.m))
+        return _inner(x.m, image(x))
 
     def egrad(x: StiefelPoint) -> Mat:
-        return 2.0 * (M @ x.m)
+        return 2.0 * image(x)
 
     return Objective(f, egrad)
 

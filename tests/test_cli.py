@@ -79,6 +79,16 @@ class TestOptimize:
         assert code == 0
         assert json.loads(out.strip().split("\n")[-1]) == {"reason": "converged"}
 
+    @pytest.mark.parametrize("field", ["real", "quaternion"])
+    def test_reference_size_converges_within_70_iterations(self, capsys, field):
+        # starting every line search at --step took 116 (R) and 145 (H) iterations
+        code, out, _ = run(capsys, ["optimize", "--field", field, "--n", "20", "--k", "4",
+                                    "--seed", "42", "--reproducible"])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert json.loads(lines[-1]) == {"reason": "converged"}
+        assert json.loads(lines[-2])["iter"] <= 70
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_path(self, capsys, tmp_path, flag):
         path = tmp_path / "missing" / "o.jsonl"

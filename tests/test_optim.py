@@ -8,14 +8,20 @@ from conftest import random_skew
 from cayley_stiefel import group, kalg, optim, stiefel
 from cayley_stiefel.kalg import Field, Mat
 from cayley_stiefel.optim import (NotHermitian, Objective, SearchGenerator, SearchParams,
-                                  curve, descent_skew, gradient_descent,
+                                  _bb_step, curve, descent_skew, gradient_descent,
                                   procrustes_objective, rayleigh_objective,
                                   riemannian_gradient)
-from cayley_stiefel.stiefel import TangentCoords
+from cayley_stiefel.stiefel import StiefelPoint, TangentCoords
 
 
 def fro(m):
     return kalg.frobenius_norm(m)
+
+
+def real_trace(m):
+    """Re tr(m) from the diagonal, the reference for the component inner products."""
+    assert m.rows == m.cols
+    return float(m.data[:, :, 0].trace())
 
 
 def chi(m):
@@ -67,6 +73,13 @@ class TestCurve:
         x = stiefel.random_stiefel_point(5, 2, field, 5)
         g = SearchGenerator.from_gradient(x, kalg.random_gaussian(5, 2, field, 6))
         assert fro(curve(g, 0.0).m - x.m) == 0.0
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_parameter(self, t):
+        x = stiefel.random_stiefel_point(5, 2, Field.REAL, 5)
+        g = SearchGenerator.from_gradient(x, kalg.random_gaussian(5, 2, Field.REAL, 6))
+        with pytest.raises(ValueError):
+            curve(g, t)
 
     def test_derivative_at_zero(self, field):
         x = stiefel.random_stiefel_point(5, 2, field, 7)
@@ -140,7 +153,67 @@ class TestCurve:
             assert fro(curve(g, t).m - dense_curve(x, F, t)) <= 1e-13
 
 
+def dense_generator(x, F):
+    """U, and the dense N = [[0, sI], [-sI, K]] of the SearchGenerator docstring."""
+    k, fld = x.k, x.field
+    xF = x.m.H @ F
+    W = F - x.m @ xF
+    K = xF - xF.H
+    s = fro(W) or 1.0
+    U = kalg.hstack((1.0 / s) * W, x.m)
+    sI = s * kalg.identity(k, fld)
+    N = kalg.vstack(kalg.hstack(kalg.zeros(k, k, fld), sI), kalg.hstack(-sI, K))
+    return U, N
+
+
+class TestSearchGenerator:
+    @pytest.mark.parametrize("drift", [0.0, 1e-9])
+    def test_blocks_match_dense_N(self, field, drift):
+        x0 = stiefel.random_stiefel_point(7, 3, field, 66)
+        x = StiefelPoint((1.0 + drift) * x0.m)
+        F = kalg.random_gaussian(7, 3, field, 67)
+        g = SearchGenerator.from_gradient(x, F)
+        U, N = dense_generator(x, F)
+        bound = 1e-13 * (1 + fro(F) ** 2)
+        assert fro(g.NG - N @ (U.H @ U)) <= bound
+        assert fro(g.NUx - N @ (U.H @ x.m)) <= bound
+        assert abs(g.rate + real_trace(g.NG @ g.NG)) <= bound
+
+    def test_product_count(self, field, monkeypatch):
+        # x*F, x (x*F), U*U, K G_bot and x K/2; N is never formed
+        x = stiefel.random_stiefel_point(7, 3, field, 68)
+        F = kalg.random_gaussian(7, 3, field, 69)
+        products = []
+        matmul = Mat.__matmul__
+
+        def counted(a, b):
+            products.append(a.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(Mat, "__matmul__", counted)
+        SearchGenerator.from_gradient(x, F)
+        assert len(products) == 5
+
+
 class TestRayleighObjective:
+    def test_f_is_trace_of_x_star_M_x(self, field):
+        M = kalg.hermitian_part(kalg.random_gaussian(9, 9, field, 70))
+        x = stiefel.random_stiefel_point(9, 3, field, 71)
+        expected = real_trace(x.m.H @ (M @ x.m))
+        assert abs(rayleigh_objective(M).f(x) - expected) <= 1e-13 * fro(M)
+
+    def test_egrad_after_f_at_another_point(self, field):
+        # egrad reuses the M x of the last point f saw only when it is the same point
+        M = kalg.hermitian_part(kalg.random_gaussian(9, 9, field, 72))
+        obj = rayleigh_objective(M)
+        x = stiefel.random_stiefel_point(9, 3, field, 73)
+        y = stiefel.random_stiefel_point(9, 3, field, 74)
+        obj.f(x)
+        assert fro(obj.egrad(x) - 2.0 * (M @ x.m)) == 0.0
+        obj.f(y)
+        assert fro(obj.egrad(x) - 2.0 * (M @ x.m)) == 0.0
+        assert fro(obj.egrad(y) - 2.0 * (M @ y.m)) == 0.0
+
     def test_identity_matrix_gives_k(self, field):
         obj = rayleigh_objective(kalg.identity(5, field))
         x = stiefel.random_stiefel_point(5, 3, field, 15)
@@ -165,7 +238,7 @@ class TestRayleighObjective:
         xp = stiefel.StiefelPoint(Mat(field, x.m.data + h * v.data), check_tol=1e-4)
         xm = stiefel.StiefelPoint(Mat(field, x.m.data - h * v.data), check_tol=1e-4)
         df = (obj.f(xp) - obj.f(xm)) / (2 * h)
-        inner = optim.real_trace(obj.egrad(x).H @ v)
+        inner = real_trace(obj.egrad(x).H @ v)
         assert abs(df - inner) <= 1e-5 * (1 + abs(inner))
 
     def test_rejects_non_hermitian(self, field):
@@ -192,7 +265,7 @@ class TestProcrustesObjective:
         xp = stiefel.StiefelPoint(Mat(field, x.m.data + h * v.data), check_tol=1e-4)
         xm = stiefel.StiefelPoint(Mat(field, x.m.data - h * v.data), check_tol=1e-4)
         df = (obj.f(xp) - obj.f(xm)) / (2 * h)
-        inner = optim.real_trace(obj.egrad(x).H @ v)
+        inner = real_trace(obj.egrad(x).H @ v)
         assert abs(df - inner) <= 1e-5 * (1 + abs(inner))
 
     def test_descent_toward_exact_fit(self):
@@ -274,11 +347,14 @@ class TestGradientDescent:
     @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
     def test_rayleigh_converges_at_large_scale(self, field, scale):
         # the first trials at tau = 1 lose the manifold to rounding or make
-        # the core singular; they are rejected steps, not errors
+        # the core singular; they are rejected steps, not errors.  Later
+        # searches start from the Barzilai-Borwein step, which carries the
+        # scale: restarting at tau = 1 cost 4784 backtracks at real, 1e10
         M = scale * kalg.hermitian_part(kalg.random_gaussian(12, 12, field, 7))
         x0 = stiefel.random_stiefel_point(12, 3, field, 8)
         trace = gradient_descent(rayleigh_objective(M), x0, SearchParams(grad_tol=1e-6 * scale))
         assert trace.reason == "converged"
+        assert sum(r.backtracks for r in trace.records) <= 200
         mult = 2 if field is Field.QUATERNION else 1
         oracle = float(np.sort(np.linalg.eigvalsh(chi(M)))[:3 * mult].sum()) / mult
         assert abs(trace.final.f - oracle) <= 1e-10 * scale
@@ -296,6 +372,84 @@ class TestGradientDescent:
             SearchParams(armijo_c=2.0)
         with pytest.raises(ValueError):
             SearchParams(backtrack_factor=1.0)
+
+
+def prescribed_spectrum(eigs, field, seed):
+    """Q diag(eigs) Q* with Q a random unitary over the field."""
+    n = len(eigs)
+    Q = stiefel.random_stiefel_point(n, n, field, seed).m
+    data = np.zeros((n, n, field.ncomp))
+    data[range(n), range(n), 0] = eigs
+    return kalg.hermitian_part(Q @ Mat(field, data) @ Q.H)
+
+
+class TestStepRule:
+    @staticmethod
+    def trial_steps(monkeypatch):
+        steps = []
+        traced = optim.curve
+
+        def recorded(g, t, *args):
+            steps.append((g, t))
+            return traced(g, t, *args)
+
+        monkeypatch.setattr(optim, "curve", recorded)
+        return steps
+
+    def test_first_search_starts_at_initial_step(self, field, monkeypatch):
+        M = kalg.hermitian_part(kalg.random_gaussian(8, 8, field, 75))
+        x0 = stiefel.random_stiefel_point(8, 2, field, 76)
+        steps = self.trial_steps(monkeypatch)
+        gradient_descent(rayleigh_objective(M), x0, SearchParams(initial_step=0.37, max_iters=1))
+        assert steps[0][1] == 0.37
+
+    def test_later_searches_start_at_bb_step(self, field, monkeypatch):
+        M = kalg.hermitian_part(kalg.random_gaussian(8, 8, field, 77))
+        obj = rayleigh_objective(M)
+        x0 = stiefel.random_stiefel_point(8, 2, field, 78)
+        steps = self.trial_steps(monkeypatch)
+        trace = gradient_descent(obj, x0, SearchParams(initial_step=0.37, max_iters=4))
+        gens = [SearchGenerator.from_gradient(r.x, obj.egrad(r.x)) for r in trace.records]
+        firsts = {}
+        for g, t in steps:
+            firsts.setdefault(id(g.x), t)
+        for it in range(1, 4):
+            prev, rec = trace.records[it - 1], trace.records[it]
+            S = rec.x.m - prev.x.m
+            D = gens[it].U @ gens[it].NUx - gens[it - 1].U @ gens[it - 1].NUx
+            assert firsts[id(rec.x)] == _bb_step(S, D, it % 2 == 1, 0.37)
+
+    def test_bb_step_values(self, field):
+        S = kalg.random_gaussian(6, 2, field, 79)
+        D = kalg.random_gaussian(6, 2, field, 80)
+        sd = abs(real_trace(S.H @ D))
+        assert _bb_step(S, D, True, 1.0) == pytest.approx(0.5 * fro(S) ** 2 / sd, rel=1e-12)
+        assert _bb_step(S, D, False, 1.0) == pytest.approx(0.5 * sd / fro(D) ** 2, rel=1e-12)
+        assert _bb_step(1e-30 * S, D, False, 1.0) == 1e-20
+        assert _bb_step(S, 1e-30 * D, True, 1.0) == 1e20
+
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_falls_back_when_inner_product_vanishes(self, field, odd):
+        # <S, D> = Re tr(S* D) = 0: S and D have disjoint entries
+        S = np.zeros((6, 2, field.ncomp))
+        D = np.zeros((6, 2, field.ncomp))
+        S[0, 0, :] = 1.0
+        D[1, 1, :] = 2.0
+        assert _bb_step(Mat(field, S), Mat(field, D), odd, 0.37) == 0.37
+        # and when the difference is not finite
+        inf = Mat._trusted(field, np.full((6, 2, field.ncomp), np.inf))
+        assert _bb_step(inf, Mat(field, D + 1.0), odd, 0.37) == 0.37
+
+    def test_benchmark_spectrum_is_monotone(self, field):
+        # bottom k eigenvalues linspace(0, 0.1, k), gap 0.5, the rest up to 1.1
+        eigs = np.concatenate([np.linspace(0.0, 0.1, 4), np.linspace(0.6, 1.1, 16)])
+        M = prescribed_spectrum(eigs, field, 81)
+        x0 = stiefel.random_stiefel_point(20, 4, field, 82)
+        trace = gradient_descent(rayleigh_objective(M), x0)
+        assert trace.reason == "converged"
+        fs = [r.f for r in trace.records]
+        assert all(b <= a for a, b in zip(fs, fs[1:]))
+        assert abs(fs[-1] - 0.2) <= 1e-10
 
 
 class TestTraceSerialization:

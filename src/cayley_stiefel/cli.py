@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -82,6 +83,9 @@ def _validate_dims(args) -> str | None:
         return "n must be at least 1"
     if not 0 <= args.k <= args.n:
         return f"need 0 <= k <= n, got n={args.n}, k={args.k}"
+    if not 0.0 <= args.tol < math.inf:
+        # a NaN tolerance would pass every singularity test
+        return f"tol must be finite and nonnegative, got {args.tol}"
     return None
 
 

@@ -2,11 +2,17 @@
 
 Scalars are stored as small vectors of real double-precision components
 (1 for R, 2 for C, 4 for H), so every formula in the rest of the library is
-written once.  Arithmetic runs on a zero-copy real or complex view of that
-storage: a quaternion w + xi + yj + zk is the complex pair z1 + z2 j with
-z1 = w + xi, z2 = y + zi, so a quaternion matrix M = Z1 + Z2 j multiplies
-through four complex products and inverts by LAPACK on its complex adjoint
-chi(M) = [[Z1, Z2], [-conj Z2, conj Z1]].  Products never silently commute.
+written once.  Arithmetic over R and C runs on a zero-copy real or complex
+view of that storage.  A quaternion w + xi + yj + zk is the complex pair
+z1 + z2 j with z1 = w + xi, z2 = y + zi, and a quaternion matrix
+M = Z1 + Z2 j works through its complex adjoint
+chi(M) = [[Z1, Z2], [-conj Z2, conj Z1]] with rows and columns both
+interleaved, (i, 0), (i, 1), ... (_adjoint).  The stored rows of M, viewed as
+complex, are the (i, 0) rows of that adjoint, so M N is one complex product
+of those rows with the adjoint of N, and M inverts by LAPACK on its adjoint,
+whose inverse is the adjoint of M^{-1}.  The interleaving permutes chi's rows
+and columns alike, so the singular values are chi's.  Products never
+silently commute.
 
 The product, the conjugate transpose and the singularity test are written
 once, on stacks of component arrays of shape (S, rows, cols, ncomp), so S
@@ -62,29 +68,47 @@ _NCOMP = {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}
 
 
 def _view(field: Field, data: np.ndarray) -> np.ndarray:
-    """Zero-copy view of (..., rows, cols, ncomp) components as arrays of shape
-    (..., rows, cols): real (R), complex (C) or complex pairs (Z1, Z2) (H)."""
-    if field is Field.REAL:
-        return data[..., 0]
-    z = data.view(np.complex128)
-    return z[..., 0] if field is Field.COMPLEX else z
+    """Zero-copy real (R) or complex (C) view of (..., rows, cols, ncomp) components."""
+    return data[..., 0] if field is Field.REAL else data.view(np.complex128)[..., 0]
 
 
-def _components(field: Field, a: np.ndarray) -> np.ndarray:
-    """Inverse of _view for a fresh C-contiguous result: (..., rows, cols, ncomp)."""
-    return (a if field is Field.QUATERNION else a[..., None]).view(np.float64)
+def _components(a: np.ndarray) -> np.ndarray:
+    """Inverse of _view for a fresh C-contiguous real or complex result."""
+    return a[..., None].view(np.float64)
+
+
+# (w, x, y, z) -> (-y, z, w, -x): the components of (-conj Z2, conj Z1)
+_ADJOINT_ROW = np.array([[0.0, 0.0, 1.0, 0.0],
+                         [0.0, 0.0, 0.0, -1.0],
+                         [-1.0, 0.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0, 0.0]])
+
+
+def _adjoint(data: np.ndarray) -> np.ndarray:
+    """Interleaved complex adjoint of a (..., rows, cols, 4) quaternion stack.
+
+    The (..., 2 rows, 2 cols) complex array chi(M) = [[Z1, Z2], [-conj Z2,
+    conj Z1]] with rows and columns both reordered (i, 0), (i, 1), ...: row
+    (i, 0) holds (Z1, Z2) of row i interleaved, row (i, 1) holds
+    (-conj Z2, conj Z1).
+    """
+    *lead, rows, cols, _ = data.shape
+    out = np.empty((*lead, rows, 2, cols, 4))
+    out[..., 0, :, :] = data
+    np.matmul(data, _ADJOINT_ROW, out=out[..., 1, :, :])
+    return out.view(np.complex128).reshape(*lead, 2 * rows, 2 * cols)
 
 
 def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (..., rows, cols, ncomp) component stacks, broadcast over the
     leading axes; Mat.__matmul__ is its case with no stack axis."""
-    a, b = _view(field, a), _view(field, b)
     if field is Field.QUATERNION:
-        # (Z1 + Z2 j)(W1 + W2 j) = (Z1 W1 - Z2 conj W2) + (Z1 W2 + Z2 conj W1) j
-        a1, a2, b1, b2 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-        return _components(field, np.stack([a1 @ b1 - a2 @ b2.conj(),
-                                            a1 @ b2 + a2 @ b1.conj()], axis=-1))
-    return _components(field, a @ b)
+        # row i of a as complex, (Z1, Z2) interleaved, times the adjoint of b
+        # gives row i of (Z1 W1 - Z2 conj W2, Z1 W2 + Z2 conj W1) interleaved
+        z = a.view(np.complex128).reshape(*a.shape[:-2], 2 * a.shape[-2])
+        p = z @ _adjoint(b)
+        return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(np.float64)
+    return _components(_view(field, a) @ _view(field, b))
 
 
 def _shift_diagonal(data: np.ndarray, c: float) -> None:
@@ -252,19 +276,15 @@ def _invertible_operand(field: Field, data: np.ndarray,
     """Operands and the relative singularity test for a stack of square matrices.
 
     data holds (S, n, n, ncomp) or (n, n, ncomp) components.  Returns
-    (a, invertible, s): each matrix as a real or complex array, chi(M) over
-    H; a boolean array over the stack, False where
+    (a, invertible, s): each matrix as a real or complex array, its
+    interleaved adjoint over H; a boolean array over the stack, False where
     sigma_min <= tol * sigma_max; and the singular values, from one stacked
-    SVD.  chi(M) has the singular values of M, each twice, so the test
+    SVD.  The adjoint has the singular values of M, each twice, so the test
     means the same in all three rings.
     """
     if data.shape[-3] != data.shape[-2]:
         raise ValueError("inversion needs a square matrix")
-    a = _view(field, data)
-    if field is Field.QUATERNION:
-        z1, z2 = a[..., 0], a[..., 1]
-        a = np.concatenate([np.concatenate([z1, z2], axis=-1),
-                            np.concatenate([-z2.conj(), z1.conj()], axis=-1)], axis=-2)
+    a = _adjoint(data) if field is Field.QUATERNION else _view(field, data)
     s = np.linalg.svd(a, compute_uv=False)
     if s.shape[-1] == 0:
         return a, np.ones(s.shape[:-1], dtype=bool), s
@@ -274,7 +294,7 @@ def _invertible_operand(field: Field, data: np.ndarray,
 
 
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
-    """Inverse of a square matrix by LAPACK, through chi(M) over H.
+    """Inverse of a square matrix by LAPACK, through the adjoint over H.
 
     Raises Singular when sigma_min <= tol * sigma_max.
     """
@@ -287,10 +307,12 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     except np.linalg.LinAlgError as exc:
         raise Singular(str(exc)) from exc
     if m.field is Field.QUATERNION:
-        # chi(M)^{-1} = chi(M^{-1}), whose first block row is (Z1', Z2')
+        # the inverse of the adjoint is the adjoint of M^{-1}, whose (i, 0)
+        # rows hold (Z1', Z2') interleaved
         n = m.rows
-        inv = np.stack([inv[:n, :n], inv[:n, n:]], axis=-1)
-    return Mat._trusted(m.field, _components(m.field, inv))
+        return Mat._trusted(m.field, np.ascontiguousarray(
+            inv.reshape(n, 2, n, 2)[:, 0]).view(np.float64))
+    return Mat._trusted(m.field, _components(inv))
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:

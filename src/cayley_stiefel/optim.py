@@ -54,6 +54,12 @@ class SearchParams:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
+        if not 0.0 < self.initial_step < math.inf:
+            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if self.max_backtracks < 0:
+            raise ValueError(f"max_backtracks must be nonnegative, got {self.max_backtracks}")
 
 
 @dataclass(frozen=True)

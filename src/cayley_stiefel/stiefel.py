@@ -143,12 +143,24 @@ class TangentCoords:
         if not kalg.is_skew_hermitian(self.Y, self.check_tol):
             raise InvalidTangent(f"Y is not skew-Hermitian within {self.check_tol:.1e}")
 
+    @classmethod
+    def _trusted(cls, lift: Lift, X: Mat, Y: Mat,
+                 check_tol: float = POINT_CHECK_TOL) -> "TangentCoords":
+        """Coordinates built by this module with the lift's shapes and a Y that is
+        skew-Hermitian by construction: neither is checked again."""
+        t = object.__new__(cls)
+        for name, value in (("lift", lift), ("X", X), ("Y", Y), ("check_tol", check_tol)):
+            object.__setattr__(t, name, value)
+        return t
+
     @property
     def field(self) -> Field:
         return self.lift.field
 
     def scaled(self, t: float) -> "TangentCoords":
-        return TangentCoords(self.lift, t * self.X, t * self.Y, self.check_tol)
+        """The coordinates of t v.  t Y is skew-Hermitian when Y is, so it is not
+        checked again here; gamma checks the Y it is given."""
+        return TangentCoords._trusted(self.lift, t * self.X, t * self.Y, self.check_tol)
 
     def ambient(self) -> Mat:
         """The n x k tangent vector v = A [X; Y]."""
@@ -233,7 +245,9 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     With C = pi + P*, X = -(tau - beta*) C^{-1}.  The core is
     b = (1/2) C D^{-1} with D = (beta X + P)*, so Y, the skew-Hermitian part
     of b^{-1} = 2 D C^{-1}, needs no inverse but C^{-1}.  Requires y in the
-    Cayley open subset of the lift's base point.
+    Cayley open subset of the lift's base point.  kalg.skew_hermitian_part
+    makes Y exactly skew-Hermitian, so Y is not checked again, here or by
+    local_section.
     """
     tau, pi = y.T, y.P
     try:
@@ -243,7 +257,7 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     X = -((tau - lift.beta.H) @ C_inv)
     D = (lift.beta @ X + lift.P).H
     Y = kalg.skew_hermitian_part(2.0 * (D @ C_inv))
-    return TangentCoords(lift, X, Y)
+    return TangentCoords._trusted(lift, X, Y)
 
 
 def gamma_differential(t: TangentCoords, M: Mat, N: Mat,
@@ -345,7 +359,7 @@ def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     """
     coords = gamma_inverse(lift, y, tol)
     X = coords.X
-    b = group.b_matrix(X, coords.Y, tol)
+    b = group._b_core(X, coords.Y, tol)
     bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
     update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
     return GroupElement(lift.A.m.H + update)

@@ -61,6 +61,16 @@ class TestOptimize:
         assert code == 3
         assert json.loads(out.strip().split("\n")[-1]) == {"reason": "max_iters"}
 
+    @pytest.mark.parametrize("flags", [["--max-iters", "-3"], ["--step", "0"],
+                                       ["--step", "-1"], ["--step", "inf"],
+                                       ["--step", "nan"]])
+    def test_unusable_search_params(self, capsys, flags):
+        code, out, err = run(capsys, ["optimize", "--n", "6", "--k", "2",
+                                      "--reproducible", *flags])
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "Traceback" not in err
+
     def test_csv_companion(self, capsys, tmp_path):
         csv_path = tmp_path / "trace.csv"
         code, _, _ = run(capsys, ["optimize", "--field", "real", "--n", "8",
@@ -167,6 +177,27 @@ class TestDemo:
                                     "--k", "1", "--seed", "2"])
         assert code == 0
         assert "timestamp" in json.loads(out)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("command", ["check", "optimize", "cover", "demo"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-12"])
+    def test_rejects_unusable_tol(self, capsys, command, tol):
+        argv = [command, "--field", "quaternion", "--n", "4", "--k", "2",
+                f"--tol={tol}", "--reproducible"]
+        if command == "cover":
+            argv += ["--samples", "5"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and nonnegative" in err
+
+    def test_zero_tol_is_valid(self, capsys):
+        code, out, _ = run(capsys, ["cover", "--field", "quaternion", "--n", "4",
+                                    "--k", "2", "--samples", "5", "--tol", "0",
+                                    "--reproducible"])
+        assert code == 0
+        assert json.loads(out)["uncovered"] == 0
 
 
 class TestDeterminism:

@@ -69,6 +69,86 @@ class TestQuaternionRing:
         assert abs(lhs - rhs) <= 1e-9 * (1 + rhs)
 
 
+def chi(data):
+    """The complex adjoint [[Z1, Z2], [-conj Z2, conj Z1]] of M = Z1 + Z2 j."""
+    z1 = data[..., 0] + 1j * data[..., 1]
+    z2 = data[..., 2] + 1j * data[..., 3]
+    return np.block([[z1, z2], [-z2.conj(), z1.conj()]])
+
+
+def interleave(rows):
+    """The permutation matrix P with (P v)_(2i + h) = v_(h rows + i)."""
+    p = np.zeros((2 * rows, 2 * rows))
+    for i in range(rows):
+        for h in range(2):
+            p[2 * i + h, h * rows + i] = 1.0
+    return p
+
+
+PRODUCT_SHAPES = [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (1, 1, 1),
+                  (5, 3, 7), (7, 5, 1), (1, 6, 4), (4, 4, 4)]
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("r, c, m", PRODUCT_SHAPES)
+    def test_product_matches_adjoint_oracle(self, r, c, m):
+        rng = np.random.default_rng(r * 100 + c * 10 + m)
+        a = Mat(Q, rng.standard_normal((r, c, 4)))
+        b = Mat(Q, rng.standard_normal((c, m, 4)))
+        got = a @ b
+        assert got.shape == (r, m)
+        err = np.linalg.norm(chi(a.data) @ chi(b.data) - chi(got.data))
+        assert err <= 1e-14 * kalg.frobenius_norm(a) * kalg.frobenius_norm(b)
+
+    @pytest.mark.parametrize("r, c, m", [(3, 2, 4), (1, 5, 1), (4, 4, 4), (2, 0, 3)])
+    def test_stacked_and_broadcast_products_match_members(self, field, r, c, m):
+        rng = np.random.default_rng(40 + r + c + m)
+        S, nc = 5, field.ncomp
+        a = rng.standard_normal((S, r, c, nc))
+        b = rng.standard_normal((S, c, m, nc))
+        b0 = b[0]
+        stacked = kalg._product(field, a, b)
+        broadcast = kalg._product(field, a, b0)
+        assert stacked.shape == broadcast.shape == (S, r, m, nc)
+        for s in range(S):
+            A, B = Mat(field, a[s]), Mat(field, b[s])
+            bound = 1e-14 * kalg.frobenius_norm(A) * kalg.frobenius_norm(B)
+            assert np.linalg.norm(stacked[s] - (A @ B).data) <= bound
+            bound = 1e-14 * kalg.frobenius_norm(A) * np.linalg.norm(b0)
+            assert np.linalg.norm(broadcast[s] - (A @ Mat(field, b0)).data) <= bound
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (5, 3), (6, 6), (0, 2)])
+    def test_adjoint_is_interleaved_chi(self, rows, cols):
+        data = np.random.default_rng(rows + 7 * cols).standard_normal((rows, cols, 4))
+        got = kalg._adjoint(data)
+        expected = interleave(rows) @ chi(data) @ interleave(cols).T
+        assert got.shape == (2 * rows, 2 * cols)
+        assert np.array_equal(got, expected)
+        if rows and cols:
+            s_got = np.linalg.svd(got, compute_uv=False)
+            s_chi = np.linalg.svd(chi(data), compute_uv=False)
+            assert np.allclose(s_got, s_chi, rtol=0, atol=1e-13 * s_chi[0])
+
+    def test_stacked_adjoint_matches_members(self):
+        data = np.random.default_rng(3).standard_normal((4, 3, 2, 4))
+        got = kalg._adjoint(data)
+        for s in range(4):
+            assert np.array_equal(got[s], kalg._adjoint(data[s]))
+
+    def test_no_stack_or_concatenate(self, monkeypatch):
+        a = kalg.random_gaussian(4, 4, Q, 1)
+        b = kalg.random_gaussian(4, 3, Q, 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the quaternion product and inverse build no block arrays")
+
+        monkeypatch.setattr(np, "stack", forbidden)
+        monkeypatch.setattr(np, "concatenate", forbidden)
+        a @ b
+        kalg.mat_inverse(a)
+        kalg.is_invertible(a)
+
+
 class TestConjTranspose:
     def test_identity(self, field):
         I3 = kalg.identity(3, field)
@@ -251,6 +331,17 @@ class TestTrustedResults:
             assert m.data.dtype == np.float64 and m.data.shape[2] == field.ncomp
             with pytest.raises(ValueError):
                 m.data[0, 0, 0] = 5.0
+
+    def test_results_are_fresh_and_contiguous(self, field):
+        a = kalg.random_gaussian(4, 4, field, 5)
+        b = kalg.random_gaussian(4, 2, field, 6)
+        for m in (a @ b, kalg.mat_inverse(a)):
+            assert m.data.flags.c_contiguous
+            assert not np.shares_memory(m.data, a.data)
+            assert not np.shares_memory(m.data, b.data)
+        stack = np.random.default_rng(7).standard_normal((3, 4, 4, field.ncomp))
+        out = kalg._product(field, stack, stack)
+        assert out.flags.c_contiguous and not np.shares_memory(out, stack)
 
     @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
     def test_scaling_rejects_nonfinite(self, field, s):

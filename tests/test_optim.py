@@ -373,6 +373,18 @@ class TestGradientDescent:
         with pytest.raises(ValueError):
             SearchParams(backtrack_factor=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iters": -1}, {"max_iters": -3}, {"max_backtracks": -1},
+        {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": np.inf},
+        {"initial_step": np.nan}])
+    def test_params_reject_unusable_values(self, kwargs):
+        with pytest.raises(ValueError):
+            SearchParams(**kwargs)
+
+    def test_params_accept_boundary_values(self):
+        p = SearchParams(max_iters=0, max_backtracks=0, initial_step=1e-300)
+        assert (p.max_iters, p.max_backtracks, p.initial_step) == (0, 0, 1e-300)
+
 
 def prescribed_spectrum(eigs, field, seed):
     """Q diag(eigs) Q* with Q a random unitary over the field."""

@@ -409,6 +409,58 @@ class TestCoreCounts:
         assert counts["square_products"] == 1
 
 
+class TestSkewCheckCounts:
+    """Y is checked skew-Hermitian once per gamma, and not again on the Y that
+    gamma_inverse makes skew by construction."""
+
+    @staticmethod
+    def count(monkeypatch):
+        counts = {"skew": 0}
+        is_skew = kalg.is_skew_hermitian
+
+        def counted(*args, **kwargs):
+            counts["skew"] += 1
+            return is_skew(*args, **kwargs)
+
+        monkeypatch.setattr(kalg, "is_skew_hermitian", counted)
+        return counts
+
+    @pytest.mark.parametrize("name, expected", [
+        ("gamma", 1), ("gamma_inverse", 0), ("local_section", 0), ("contraction", 1)])
+    def test_checks_per_transform(self, field, monkeypatch, name, expected):
+        lift, t = random_lift_tangent(16, 4, field, 73, scale=0.5)
+        y = stiefel.gamma(t)
+        calls = {"gamma": lambda: stiefel.gamma(t),
+                 "gamma_inverse": lambda: stiefel.gamma_inverse(lift, y),
+                 "local_section": lambda: stiefel.local_section(lift, y),
+                 "contraction": lambda: stiefel.contraction(lift, y, 0.5)}
+        counts = self.count(monkeypatch)
+        calls[name]()
+        assert counts["skew"] == expected
+
+    def test_unchecked_results_are_exactly_skew(self, field):
+        lift, t = random_lift_tangent(7, 3, field, 74)
+        got = stiefel.gamma_inverse(lift, stiefel.gamma(t))
+        for coords in (got, got.scaled(0.3), got.scaled(7.0)):
+            assert kalg.frobenius_norm(coords.Y + coords.Y.H) == 0.0
+            assert coords.X.shape == (4, 3) and coords.Y.shape == (3, 3)
+
+    def test_public_paths_keep_checking(self, field, monkeypatch):
+        lift, t = random_lift_tangent(7, 3, field, 75)
+        counts = self.count(monkeypatch)
+        TangentCoords(lift, t.X, t.Y)
+        group.SkewBlockTangent(t.X, t.Y)
+        group.b_matrix(t.X, t.Y)
+        assert counts["skew"] == 3
+        not_skew = kalg.identity(3, field)
+        with pytest.raises(InvalidTangent):
+            TangentCoords(lift, t.X, not_skew)
+        with pytest.raises(InvalidTangent):
+            group.SkewBlockTangent(t.X, not_skew)
+        with pytest.raises(InvalidTangent):
+            group.b_matrix(t.X, not_skew)
+
+
 class TestContraction:
     def test_endpoints_and_midpoint(self, field):
         lift, _ = random_lift_tangent(6, 2, field, 34)

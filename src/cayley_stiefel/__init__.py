@@ -1,7 +1,7 @@
 """Cayley transforms on real, complex and quaternionic Stiefel manifolds."""
 
 from .kalg import Field, Mat, Singular
-from .group import (GroupElement, GroupTangent, InvalidTangent, SkewBlockTangent,
+from .group import (GroupElement, InvalidTangent, SkewBlockTangent,
                     b_matrix, cayley_at, cayley_at_identity, cayley_identity_block)
 from .stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, RankDeficient,
                       StiefelPoint, TangentCoords, complete_lift, contraction, gamma,
@@ -16,7 +16,7 @@ from .cover import (DimensionError, ThetaLadder, cover_membership,
 
 __all__ = [
     "Field", "Mat", "Singular",
-    "GroupElement", "GroupTangent", "InvalidTangent", "SkewBlockTangent",
+    "GroupElement", "InvalidTangent", "SkewBlockTangent",
     "b_matrix", "cayley_at", "cayley_at_identity", "cayley_identity_block",
     "Lift", "NotOrthonormal", "OutsideCayleyOpen", "RankDeficient", "StiefelPoint",
     "TangentCoords",

@@ -78,15 +78,15 @@ def _finish(payload: dict, args) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _validate_dims(args) -> str | None:
+def _validate_dims(args):
+    """Raise ValueError for sizes or a tolerance no subcommand can use."""
     if args.n < 1:
-        return "n must be at least 1"
+        raise ValueError("n must be at least 1")
     if not 0 <= args.k <= args.n:
-        return f"need 0 <= k <= n, got n={args.n}, k={args.k}"
+        raise ValueError(f"need 0 <= k <= n, got n={args.n}, k={args.k}")
     if not 0.0 <= args.tol < math.inf:
         # a NaN tolerance would pass every singularity test
-        return f"tol must be finite and nonnegative, got {args.tol}"
-    return None
+        raise ValueError(f"tol must be finite and nonnegative, got {args.tol}")
 
 
 def _random_lift_and_tangent(n, k, field, seed, scale=1.0):
@@ -98,10 +98,7 @@ def _random_lift_and_tangent(n, k, field, seed, scale=1.0):
 
 
 def run_check(args) -> int:
-    err = _validate_dims(args)
-    if err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    _validate_dims(args)
     field = Field.parse(args.field)
     n, k, seed, tol = args.n, args.k, args.seed, args.tol
     props: list[dict] = []
@@ -184,10 +181,7 @@ def run_check(args) -> int:
 
 
 def run_optimize(args) -> int:
-    err = _validate_dims(args)
-    if err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    _validate_dims(args)
     field = Field.parse(args.field)
     n, k, seed = args.n, args.k, args.seed
     x0 = stiefel.random_stiefel_point(n, k, field, seed)
@@ -217,14 +211,9 @@ def run_optimize(args) -> int:
 
 
 def run_cover(args) -> int:
-    err = _validate_dims(args)
-    if err is None and args.n < 2 * args.k:
-        err = f"cover construction needs n >= 2k, got n={args.n}, k={args.k}"
-    if err is None and args.samples < 0:
-        err = "samples must be nonnegative"
-    if err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    _validate_dims(args)
+    if args.samples < 0:
+        raise ValueError("samples must be nonnegative")
     field = Field.parse(args.field)
     ladder = cover.default_ladder(args.k)
     report = cover.verify_cover(args.n, args.k, ladder, args.samples, args.seed,
@@ -237,10 +226,7 @@ def run_cover(args) -> int:
 
 
 def run_demo(args) -> int:
-    err = _validate_dims(args)
-    if err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    _validate_dims(args)
     field = Field.parse(args.field)
     n, k, seed, tol = args.n, args.k, args.seed, args.tol
     lift, t = _random_lift_and_tangent(n, k, field, seed, scale=0.7)

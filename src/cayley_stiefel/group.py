@@ -3,6 +3,10 @@
 Covers the transform at the identity, the transform based at an arbitrary
 group element, and the specialized block formula on tangent vectors of the
 form [[0, X], [-X*, Y]], which only needs a k x k inversion.
+
+SkewBlockTangent checks that Y is skew-Hermitian when it is built, at
+GROUP_CHECK_TOL; cayley_identity_block trusts it.  b_matrix is the one
+public entry that takes a bare Y, so it checks Y itself.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import kalg
-from .kalg import Mat, Singular
+from .kalg import Mat
 
 GROUP_CHECK_TOL = 1e-8
 
@@ -49,29 +53,16 @@ class GroupElement:
 
 
 @dataclass(frozen=True)
-class GroupTangent:
-    """A tangent vector W at base A, i.e. A*W + W*A = 0."""
-
-    base: GroupElement
-    W: Mat
-    check_tol: float = dc_field(default=GROUP_CHECK_TOL, repr=False)
-
-    def __post_init__(self):
-        if not kalg.is_skew_hermitian(self.base.m.H @ self.W, self.check_tol):
-            raise InvalidTangent(f"A*W is not skew-Hermitian within {self.check_tol:.1e}")
-
-
-@dataclass(frozen=True)
 class SkewBlockTangent:
     """Tangent data (X, Y) encoding the matrix [[0, X], [-X*, Y]] at the identity.
 
     X is (n-k) x k and Y is k x k skew-Hermitian; these are the vectors
-    orthogonal to the embedded subgroup G(n-k).
+    orthogonal to the embedded subgroup G(n-k).  Y is checked skew-Hermitian
+    within GROUP_CHECK_TOL here, and nowhere downstream.
     """
 
     X: Mat
     Y: Mat
-    check_tol: float = dc_field(default=GROUP_CHECK_TOL, repr=False)
 
     def __post_init__(self):
         if self.Y.rows != self.Y.cols:
@@ -80,8 +71,8 @@ class SkewBlockTangent:
             raise ValueError("X and Y column counts must agree")
         if self.X.field is not self.Y.field:
             raise ValueError("X and Y must share one base ring")
-        if not kalg.is_skew_hermitian(self.Y, self.check_tol):
-            raise InvalidTangent(f"Y is not skew-Hermitian within {self.check_tol:.1e}")
+        if not kalg.is_skew_hermitian(self.Y, GROUP_CHECK_TOL):
+            raise InvalidTangent(f"Y is not skew-Hermitian within {GROUP_CHECK_TOL:.1e}")
 
     @property
     def field(self) -> kalg.Field:
@@ -116,7 +107,9 @@ def cayley_at(A: GroupElement, X: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
 def b_matrix(X: Mat, Y: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
     """(I_k + X*X + Y)^{-1}, the k x k core of the block Cayley formula.
 
-    Invertibility is guaranteed for skew-Hermitian Y; Y is validated here.
+    Invertibility is guaranteed for skew-Hermitian Y.  Y is a bare matrix
+    here, so it is checked within GROUP_CHECK_TOL; callers that hold a
+    checked tangent use _b_core.
     """
     if not kalg.is_skew_hermitian(Y, GROUP_CHECK_TOL):
         raise InvalidTangent(f"Y is not skew-Hermitian within {GROUP_CHECK_TOL:.1e}")
@@ -124,7 +117,8 @@ def b_matrix(X: Mat, Y: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
 
 
 def _b_core(X: Mat, Y: Mat, tol: float) -> Mat:
-    """b_matrix with no check on Y, for a Y that is skew-Hermitian by construction."""
+    """b_matrix with no check on Y, for the Y of a checked tangent or one that is
+    skew-Hermitian by construction."""
     return kalg.mat_inverse(kalg.identity(X.cols, X.field) + X.H @ X + Y, tol)
 
 
@@ -136,25 +130,8 @@ def cayley_identity_block(t: SkewBlockTangent, tol: float = kalg.DEFAULT_TOL) ->
     """
     X, Y = t.X, t.Y
     nk, k = X.rows, X.cols
-    b = b_matrix(X, Y, tol)
+    b = _b_core(X, Y, tol)
     Xb = X @ b
     top = kalg.hstack(kalg.identity(nk, t.field) - 2.0 * (Xb @ X.H), -2.0 * Xb)
     bot = kalg.hstack(2.0 * (b @ X.H), 2.0 * b - kalg.identity(k, t.field))
     return GroupElement(kalg.vstack(top, bot))
-
-
-def project_skew_tangent(A: GroupElement, W: Mat, k: int,
-                         tol: float = GROUP_CHECK_TOL) -> SkewBlockTangent:
-    """Drop a tangent vector at A onto its (X, Y) block coordinates.
-
-    Writes A*W as [[Z, X], [-X*, Y]] and discards the vertical block Z;
-    exact when W already lies in the orthogonal complement of the embedded
-    G(n-k) directions (Z = 0).
-    """
-    B = A.m.H @ W
-    if not kalg.is_skew_hermitian(B, tol):
-        raise InvalidTangent(f"A*W is not skew-Hermitian within {tol:.1e}")
-    n = A.n
-    X = B.block(0, n - k, n - k, n)
-    Y = kalg.skew_hermitian_part(B.block(n - k, n, n - k, n))
-    return SkewBlockTangent(X, Y)

@@ -115,10 +115,6 @@ class Lift:
         return self.A.m.block(n - k, n, 0, n - k)
 
     @property
-    def T(self) -> Mat:
-        return self.point.T
-
-    @property
     def P(self) -> Mat:
         return self.point.P
 
@@ -128,28 +124,28 @@ class TangentCoords:
     """Coordinates (X, Y) of the tangent vector v = A [X; Y] at x.
 
     X is (n-k) x k, Y is k x k skew-Hermitian; the lift is carried along
-    because the Stiefel Cayley transform genuinely depends on it.
+    because the Stiefel Cayley transform genuinely depends on it.  Y is
+    checked skew-Hermitian within POINT_CHECK_TOL here, once; the transforms
+    that take a TangentCoords trust it.
     """
 
     lift: Lift
     X: Mat
     Y: Mat
-    check_tol: float = dc_field(default=POINT_CHECK_TOL, repr=False)
 
     def __post_init__(self):
         n, k = self.lift.n, self.lift.k
         if self.X.shape != (n - k, k) or self.Y.shape != (k, k):
             raise ValueError("tangent block shapes do not match the lift")
-        if not kalg.is_skew_hermitian(self.Y, self.check_tol):
-            raise InvalidTangent(f"Y is not skew-Hermitian within {self.check_tol:.1e}")
+        if not kalg.is_skew_hermitian(self.Y, POINT_CHECK_TOL):
+            raise InvalidTangent(f"Y is not skew-Hermitian within {POINT_CHECK_TOL:.1e}")
 
     @classmethod
-    def _trusted(cls, lift: Lift, X: Mat, Y: Mat,
-                 check_tol: float = POINT_CHECK_TOL) -> "TangentCoords":
+    def _trusted(cls, lift: Lift, X: Mat, Y: Mat) -> "TangentCoords":
         """Coordinates built by this module with the lift's shapes and a Y that is
         skew-Hermitian by construction: neither is checked again."""
         t = object.__new__(cls)
-        for name, value in (("lift", lift), ("X", X), ("Y", Y), ("check_tol", check_tol)):
+        for name, value in (("lift", lift), ("X", X), ("Y", Y)):
             object.__setattr__(t, name, value)
         return t
 
@@ -159,8 +155,8 @@ class TangentCoords:
 
     def scaled(self, t: float) -> "TangentCoords":
         """The coordinates of t v.  t Y is skew-Hermitian when Y is, so it is not
-        checked again here; gamma checks the Y it is given."""
-        return TangentCoords._trusted(self.lift, t * self.X, t * self.Y, self.check_tol)
+        checked again."""
+        return TangentCoords._trusted(self.lift, t * self.X, t * self.Y)
 
     def ambient(self) -> Mat:
         """The n x k tangent vector v = A [X; Y]."""
@@ -168,7 +164,7 @@ class TangentCoords:
 
     def ambient_group(self) -> Mat:
         """The n x n tangent vector A [[0, X], [-X*, Y]] at A in the group."""
-        return self.lift.A.m @ SkewBlockTangent(self.X, self.Y, self.check_tol).embed()
+        return self.lift.A.m @ SkewBlockTangent(self.X, self.Y).embed()
 
 
 def rho(A: GroupElement, k: int) -> StiefelPoint:
@@ -199,29 +195,30 @@ def complete_lift(x: StiefelPoint) -> Lift:
     return Lift(x, A)
 
 
-def tangent_from_ambient(lift: Lift, v: Mat, tol: float = POINT_CHECK_TOL) -> TangentCoords:
+def tangent_from_ambient(lift: Lift, v: Mat) -> TangentCoords:
     """Coordinates (X, Y) of an ambient tangent vector v at x, via A*v = [X; Y].
 
-    v is tangent when Y = x*v is skew-Hermitian; TangentCoords tests that
-    with kalg.is_skew_hermitian(Y, tol), relative to |Y| and not to |v|.
-    So a mostly horizontal v (|X| >> |Y|) whose Y carries rounding of order
-    eps |v| is rejected.
+    v is tangent when Y = x*v is skew-Hermitian; the TangentCoords
+    constructor tests that within POINT_CHECK_TOL, relative to |Y| and not
+    to |v|.  So a mostly horizontal v (|X| >> |Y|) whose Y carries rounding
+    of order eps |v| is rejected.
     """
     B = lift.A.m.H @ v
     n, k = lift.n, lift.k
     X = B.block(0, n - k, 0, k)
     Y = B.block(n - k, n, 0, k)
-    return TangentCoords(lift, X, Y, check_tol=tol)
+    return TangentCoords(lift, X, Y)
 
 
 def gamma(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
     """The Stiefel Cayley transform of the tangent vector with coordinates t.
 
     Evaluates 2 [-Xb; b] (beta X + P)* + [beta*; -P*] with
-    b = (I + X*X + Y)^{-1}; only a k x k inversion is needed.
+    b = (I + X*X + Y)^{-1}; only a k x k inversion is needed.  Y was checked
+    when t was built and is not checked again.
     """
     lift = t.lift
-    b = group.b_matrix(t.X, t.Y, tol)
+    b = group._b_core(t.X, t.Y, tol)
     right = (lift.beta @ t.X + lift.P).H
     top = -2.0 * ((t.X @ b) @ right) + lift.beta.H
     bot = 2.0 * (b @ right) - lift.P.H
@@ -266,7 +263,8 @@ def gamma_differential(t: TangentCoords, M: Mat, N: Mat,
 
     With xi = X*M + M*X + N the result is the stacked pair
     (-2MbX* + 2Xb xi bX* - 2XbM*) beta* + (-2Mb + 2Xb xi b) P* on top of
-    (-2b xi bX* + 2bM*) beta* - 2b xi b P*.
+    (-2b xi bX* + 2bM*) beta* - 2b xi b P*.  The direction N is checked
+    skew-Hermitian; t.Y was checked when t was built.
     """
     lift = t.lift
     n, k = lift.n, lift.k
@@ -275,7 +273,7 @@ def gamma_differential(t: TangentCoords, M: Mat, N: Mat,
     if not kalg.is_skew_hermitian(N, POINT_CHECK_TOL):
         raise InvalidTangent(f"N is not skew-Hermitian within {POINT_CHECK_TOL:.1e}")
     X = t.X
-    b = group.b_matrix(X, t.Y, tol)
+    b = group._b_core(X, t.Y, tol)
     xi = X.H @ M + M.H @ X + N
     bXh = b @ X.H
     xib = xi @ b
@@ -309,7 +307,7 @@ def kernel_witness(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> Mat | Non
     """
     lift = t.lift
     k = lift.k
-    b = group.b_matrix(t.X, t.Y, tol)
+    b = group._b_core(t.X, t.Y, tol)
     K = b @ (lift.beta @ t.X + lift.P).H
     basis = kalg.skew_hermitian_basis(k, t.field)
     if not basis:

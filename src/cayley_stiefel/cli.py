@@ -2,9 +2,9 @@
 verification and a worked demo, all seeded and JSON-emitting.
 
 Machine-readable output goes to stdout (or --out); stderr carries
-human-readable diagnostics only.  Exit codes: 0 success, 1 check/cover
-failure, 2 configuration error (including an --out or --csv path that
-cannot be written), 3 optimizer hit max_iters, 4 line search failed.
+human-readable diagnostics only.  Exit codes: 0 success, 1 check/cover failure,
+2 configuration error (an unwritable --out or --csv path, or a --tol under which
+a needed inverse tests singular), 3 optimizer hit max_iters, 4 line search failed.
 """
 
 from __future__ import annotations
@@ -22,17 +22,25 @@ from .kalg import Field
 from .stiefel import TangentCoords
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, tol: bool = True):
     p.add_argument("--field", default="real", choices=["real", "complex", "quaternion"],
                    help="base ring (default: real)")
     p.add_argument("--n", type=int, default=6, help="ambient dimension (default: 6)")
     p.add_argument("--k", type=int, default=2, help="frame size (default: 2)")
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default: 0)")
-    p.add_argument("--tol", type=float, default=kalg.DEFAULT_TOL,
-                   help="relative singular-value tolerance (default: 1e-12)")
+    if tol:
+        p.add_argument("--tol", type=_tolerance, default=kalg.DEFAULT_TOL,
+                       help="singular when sigma_min <= tol * sigma_max (default: 1e-12)")
     p.add_argument("--out", default=None, help="write machine output to this path")
     p.add_argument("--reproducible", action="store_true",
                    help="suppress the timestamp field for byte-identical reruns")
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:  # a NaN tolerance would pass every singularity test
+        raise argparse.ArgumentTypeError(f"tol must be finite and nonnegative, got {tol}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_check)
 
     p_opt = sub.add_parser("optimize", help="run curvilinear-search gradient descent")
-    _add_common(p_opt)
+    _add_common(p_opt, tol=False)
     p_opt.add_argument("--problem", default="rayleigh", choices=["rayleigh", "procrustes"],
                        help="builtin benchmark problem (default: rayleigh)")
     p_opt.add_argument("--max-iters", type=int, default=2000)
@@ -79,14 +87,11 @@ def _finish(payload: dict, args) -> str:
 
 
 def _validate_dims(args):
-    """Raise ValueError for sizes or a tolerance no subcommand can use."""
+    """Raise ValueError for sizes no subcommand can use."""
     if args.n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= args.k <= args.n:
         raise ValueError(f"need 0 <= k <= n, got n={args.n}, k={args.k}")
-    if not 0.0 <= args.tol < math.inf:
-        # a NaN tolerance would pass every singularity test
-        raise ValueError(f"tol must be finite and nonnegative, got {args.tol}")
 
 
 def _random_lift_and_tangent(n, k, field, seed, scale=1.0):
@@ -134,7 +139,7 @@ def run_check(args) -> int:
         Y = kalg.skew_hermitian_part(kalg.random_gaussian(k, k, field, seed + 500 + s))
         t = group.SkewBlockTangent(X, Y)
         r_block = max(r_block, kalg.frobenius_norm(
-            group.cayley_identity_block(t, tol).m - group.cayley_at_identity(t.embed(), tol)))
+            group.cayley_identity_block(t).m - group.cayley_at_identity(t.embed(), tol)))
         A = group.GroupElement(group.cayley_at_identity(M, tol))
         W = A.m @ (0.3 * kalg.skew_hermitian_part(
             kalg.random_gaussian(n, n, field, seed + 600 + s)))
@@ -160,9 +165,9 @@ def run_check(args) -> int:
         lift, t = _random_lift_and_tangent(n, k, field, seed + 900 + 17 * s)
         via_group = stiefel.rho(group.GroupElement(
             group.cayley_at(lift.A, t.ambient_group(), tol)), k)
-        r_square = max(r_square, kalg.frobenius_norm(stiefel.gamma(t, tol).m - via_group.m))
+        r_square = max(r_square, kalg.frobenius_norm(stiefel.gamma(t).m - via_group.m))
         if stiefel.in_injectivity_domain(t, tol):
-            y = stiefel.gamma(t, tol)
+            y = stiefel.gamma(t)
             back = stiefel.gamma_inverse(lift, y, tol)
             r_round = max(r_round, kalg.frobenius_norm(back.X - t.X)
                           + kalg.frobenius_norm(back.Y - t.Y))
@@ -212,12 +217,8 @@ def run_optimize(args) -> int:
 
 def run_cover(args) -> int:
     _validate_dims(args)
-    if args.samples < 0:
-        raise ValueError("samples must be nonnegative")
-    field = Field.parse(args.field)
-    ladder = cover.default_ladder(args.k)
-    report = cover.verify_cover(args.n, args.k, ladder, args.samples, args.seed,
-                                field, args.tol)
+    report = cover.verify_cover(args.n, args.k, cover.default_ladder(args.k), args.samples,
+                                args.seed, Field.parse(args.field), args.tol)
     _emit(_finish(report, args), args.out)
     if report["uncovered"] > 0:
         print(f"cover FAILED: {report['uncovered']} uncovered samples", file=sys.stderr)
@@ -232,13 +233,13 @@ def run_demo(args) -> int:
     lift, t = _random_lift_and_tangent(n, k, field, seed, scale=0.7)
 
     gamma0 = stiefel.gamma(TangentCoords(lift, kalg.zeros(n - k, k, field),
-                                         kalg.zeros(k, k, field)), tol)
+                                         kalg.zeros(k, k, field)))
     anchor = kalg.vstack(lift.beta.H, lift.P.H)
     r_anchor = kalg.frobenius_norm(gamma0.m - anchor)
 
-    y = stiefel.gamma(t, tol)
+    y = stiefel.gamma(t)
     back = stiefel.gamma_inverse(lift, y, tol)
-    r_round = kalg.frobenius_norm(stiefel.gamma(back, tol).m - y.m)
+    r_round = kalg.frobenius_norm(stiefel.gamma(back).m - y.m)
 
     s = stiefel.local_section(lift, y, tol)
     r_section = kalg.frobenius_norm(stiefel.rho(s, k).m - y.m)
@@ -281,7 +282,8 @@ def main(argv: list[str] | None = None) -> int:
                 "cover": run_cover, "demo": run_demo}
     try:
         return handlers[args.command](args)
-    except (ValueError, cover.DimensionError, OSError) as exc:
+    except (ValueError, OSError, cover.DimensionError, kalg.Singular,
+            stiefel.OutsideCayleyOpen) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -106,6 +106,8 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
     samples.  With k + 1 angles the expected uncovered count is zero in
     every field.  Uncovered witnesses are serialized in full.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     if n < 2 * k:
         raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
     histogram: Counter[int] = Counter()

@@ -5,7 +5,7 @@ group element, and the specialized block formula on tangent vectors of the
 form [[0, X], [-X*, Y]], which only needs a k x k inversion.
 
 SkewBlockTangent checks that Y is skew-Hermitian when it is built, at
-GROUP_CHECK_TOL; cayley_identity_block trusts it.  b_matrix is the one
+kalg.CHECK_TOL; cayley_identity_block trusts it.  b_matrix is the one
 public entry that takes a bare Y, so it checks Y itself.
 """
 
@@ -15,8 +15,6 @@ from dataclasses import dataclass, field as dc_field
 
 from . import kalg
 from .kalg import Mat
-
-GROUP_CHECK_TOL = 1e-8
 
 
 class InvalidTangent(Exception):
@@ -28,7 +26,7 @@ class GroupElement:
     """An n x n matrix A with A A* = I, i.e. a member of O(n)/U(n)/Sp(n)."""
 
     m: Mat
-    check_tol: float = dc_field(default=GROUP_CHECK_TOL, repr=False)
+    check_tol: float = dc_field(default=kalg.CHECK_TOL, repr=False)
 
     def __post_init__(self):
         if self.m.rows != self.m.cols:
@@ -58,7 +56,7 @@ class SkewBlockTangent:
 
     X is (n-k) x k and Y is k x k skew-Hermitian; these are the vectors
     orthogonal to the embedded subgroup G(n-k).  Y is checked skew-Hermitian
-    within GROUP_CHECK_TOL here, and nowhere downstream.
+    within kalg.CHECK_TOL here, and nowhere downstream.
     """
 
     X: Mat
@@ -71,8 +69,8 @@ class SkewBlockTangent:
             raise ValueError("X and Y column counts must agree")
         if self.X.field is not self.Y.field:
             raise ValueError("X and Y must share one base ring")
-        if not kalg.is_skew_hermitian(self.Y, GROUP_CHECK_TOL):
-            raise InvalidTangent(f"Y is not skew-Hermitian within {GROUP_CHECK_TOL:.1e}")
+        if not kalg.is_skew_hermitian(self.Y, kalg.CHECK_TOL):
+            raise InvalidTangent(f"Y is not skew-Hermitian within {kalg.CHECK_TOL:.1e}")
 
     @property
     def field(self) -> kalg.Field:
@@ -104,25 +102,25 @@ def cayley_at(A: GroupElement, X: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
     return (I - A.m.H @ X) @ kalg.mat_inverse(A.m + X, tol)
 
 
-def b_matrix(X: Mat, Y: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
+def b_matrix(X: Mat, Y: Mat) -> Mat:
     """(I_k + X*X + Y)^{-1}, the k x k core of the block Cayley formula.
 
-    Invertibility is guaranteed for skew-Hermitian Y.  Y is a bare matrix
-    here, so it is checked within GROUP_CHECK_TOL; callers that hold a
-    checked tangent use _b_core.
+    Y is a bare matrix here, so it is checked within kalg.CHECK_TOL;
+    callers that hold a checked tangent use _b_core.
     """
-    if not kalg.is_skew_hermitian(Y, GROUP_CHECK_TOL):
-        raise InvalidTangent(f"Y is not skew-Hermitian within {GROUP_CHECK_TOL:.1e}")
-    return _b_core(X, Y, tol)
+    if not kalg.is_skew_hermitian(Y, kalg.CHECK_TOL):
+        raise InvalidTangent(f"Y is not skew-Hermitian within {kalg.CHECK_TOL:.1e}")
+    return _b_core(X, Y)
 
 
-def _b_core(X: Mat, Y: Mat, tol: float) -> Mat:
+def _b_core(X: Mat, Y: Mat) -> Mat:
     """b_matrix with no check on Y, for the Y of a checked tangent or one that is
-    skew-Hermitian by construction."""
-    return kalg.mat_inverse(kalg.identity(X.cols, X.field) + X.H @ X + Y, tol)
+    skew-Hermitian by construction.  Re v*(I + X*X + Y)v = 1 + |Xv|^2 for unit v,
+    so every singular value of the core is at least 1 and it takes no tol."""
+    return kalg.mat_inverse(kalg.identity(X.cols, X.field) + X.H @ X + Y)
 
 
-def cayley_identity_block(t: SkewBlockTangent, tol: float = kalg.DEFAULT_TOL) -> GroupElement:
+def cayley_identity_block(t: SkewBlockTangent) -> GroupElement:
     """Block form of the Cayley transform at the identity on [[0, X], [-X*, Y]].
 
     Returns [[I - 2XbX*, -2Xb], [2bX*, -I + 2b]] with b = (I + X*X + Y)^{-1};
@@ -130,7 +128,7 @@ def cayley_identity_block(t: SkewBlockTangent, tol: float = kalg.DEFAULT_TOL) ->
     """
     X, Y = t.X, t.Y
     nk, k = X.rows, X.cols
-    b = _b_core(X, Y, tol)
+    b = _b_core(X, Y)
     Xb = X @ b
     top = kalg.hstack(kalg.identity(nk, t.field) - 2.0 * (Xb @ X.H), -2.0 * Xb)
     bot = kalg.hstack(2.0 * (b @ X.H), 2.0 * b - kalg.identity(k, t.field))

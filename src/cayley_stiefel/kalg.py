@@ -39,6 +39,7 @@ from typing import Iterable
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+CHECK_TOL = 1e-8  # residual checks of input frames, group elements, tangents, Hermitian M
 
 
 class Singular(Exception):

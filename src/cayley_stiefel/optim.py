@@ -147,22 +147,22 @@ class SearchGenerator:
         return cls(x, U, NG, NG.block(0, 2 * k, k, 2 * k), -_inner(NG.H, NG), gnorm)
 
 
-def curve(g: SearchGenerator, t: float, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
+def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     """Point alpha(t) = c(tA) x of the curvilinear search curve, A = U N U*.
 
     c is the Cayley transform at the identity of the group; the derivative
     at t = 0 is -2 A x.  By Woodbury,
     alpha(t) = x - 2t U (I + t N U*U)^{-1} N U*x, so one point costs a 2k x 2k
-    inversion.  Raises Singular when that core fails the relative
-    singular-value test at tol, and NotOrthonormal when the point fails the
-    x*x = I check; both happen only once t |A| is large enough for rounding
-    to swamp the step.
+    inversion.  Raises Singular when that core fails mat_inverse's relative
+    singular-value test at kalg.DEFAULT_TOL, and NotOrthonormal when the
+    point fails the x*x = I check; both happen only once t |A| is large
+    enough for rounding to swamp the step.
     """
     if not math.isfinite(t):
         raise ValueError(f"curve parameter must be finite, got {t}")
     core = g.NG.data * t
     kalg._shift_diagonal(core, 1.0)
-    step = g.U @ (kalg.mat_inverse(Mat._trusted(g.NG.field, core), tol) @ g.NUx)
+    step = g.U @ (kalg.mat_inverse(Mat._trusted(g.NG.field, core)) @ g.NUx)
     return StiefelPoint(g.x.m - (2.0 * t) * step)
 
 
@@ -259,10 +259,10 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     return OptimTrace(tuple(records), reason)
 
 
-def rayleigh_objective(M: Mat, tol: float = 1e-8) -> Objective:
-    """Trace objective f(x) = Re tr(x* M x) for a Hermitian matrix M."""
+def rayleigh_objective(M: Mat) -> Objective:
+    """Trace objective f(x) = Re tr(x* M x); M is checked Hermitian within kalg.CHECK_TOL."""
     resid = kalg.frobenius_norm(M - M.H)
-    if not resid <= tol * max(1.0, kalg.frobenius_norm(M)):
+    if not resid <= kalg.CHECK_TOL * max(1.0, kalg.frobenius_norm(M)):
         raise NotHermitian(f"M - M* residual {resid:.3e}")
 
     # the last point seen and its M x: the search evaluates f at the point

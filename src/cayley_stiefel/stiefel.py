@@ -17,8 +17,6 @@ from . import group, kalg
 from .group import GroupElement, InvalidTangent, SkewBlockTangent
 from .kalg import Field, Mat, Singular
 
-POINT_CHECK_TOL = 1e-8
-
 
 class OutsideCayleyOpen(Exception):
     """Raised when a target point falls outside the Cayley open subset."""
@@ -50,7 +48,7 @@ class StiefelPoint:
     """An n x k matrix x with x*x = I_k: an orthonormal k-frame in K^n."""
 
     m: Mat
-    check_tol: float = dc_field(default=POINT_CHECK_TOL, repr=False)
+    check_tol: float = dc_field(default=kalg.CHECK_TOL, repr=False)
 
     def __post_init__(self):
         n, k = self.m.shape
@@ -125,7 +123,7 @@ class TangentCoords:
 
     X is (n-k) x k, Y is k x k skew-Hermitian; the lift is carried along
     because the Stiefel Cayley transform genuinely depends on it.  Y is
-    checked skew-Hermitian within POINT_CHECK_TOL here, once; the transforms
+    checked skew-Hermitian within kalg.CHECK_TOL here, once; the transforms
     that take a TangentCoords trust it.
     """
 
@@ -137,8 +135,8 @@ class TangentCoords:
         n, k = self.lift.n, self.lift.k
         if self.X.shape != (n - k, k) or self.Y.shape != (k, k):
             raise ValueError("tangent block shapes do not match the lift")
-        if not kalg.is_skew_hermitian(self.Y, POINT_CHECK_TOL):
-            raise InvalidTangent(f"Y is not skew-Hermitian within {POINT_CHECK_TOL:.1e}")
+        if not kalg.is_skew_hermitian(self.Y, kalg.CHECK_TOL):
+            raise InvalidTangent(f"Y is not skew-Hermitian within {kalg.CHECK_TOL:.1e}")
 
     @classmethod
     def _trusted(cls, lift: Lift, X: Mat, Y: Mat) -> "TangentCoords":
@@ -199,7 +197,7 @@ def tangent_from_ambient(lift: Lift, v: Mat) -> TangentCoords:
     """Coordinates (X, Y) of an ambient tangent vector v at x, via A*v = [X; Y].
 
     v is tangent when Y = x*v is skew-Hermitian; the TangentCoords
-    constructor tests that within POINT_CHECK_TOL, relative to |Y| and not
+    constructor tests that within kalg.CHECK_TOL, relative to |Y| and not
     to |v|.  So a mostly horizontal v (|X| >> |Y|) whose Y carries rounding
     of order eps |v| is rejected.
     """
@@ -210,15 +208,15 @@ def tangent_from_ambient(lift: Lift, v: Mat) -> TangentCoords:
     return TangentCoords(lift, X, Y)
 
 
-def gamma(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
+def gamma(t: TangentCoords) -> StiefelPoint:
     """The Stiefel Cayley transform of the tangent vector with coordinates t.
 
-    Evaluates 2 [-Xb; b] (beta X + P)* + [beta*; -P*] with
-    b = (I + X*X + Y)^{-1}; only a k x k inversion is needed.  Y was checked
-    when t was built and is not checked again.
+    Evaluates 2 [-Xb; b] (beta X + P)* + [beta*; -P*] with b = (I + X*X + Y)^{-1};
+    that k x k core has every singular value at least 1, so gamma takes no tol.
+    Y was checked when t was built and is not checked again.
     """
     lift = t.lift
-    b = group._b_core(t.X, t.Y, tol)
+    b = group._b_core(t.X, t.Y)
     right = (lift.beta @ t.X + lift.P).H
     top = -2.0 * ((t.X @ b) @ right) + lift.beta.H
     bot = 2.0 * (b @ right) - lift.P.H
@@ -257,8 +255,7 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     return TangentCoords._trusted(lift, X, Y)
 
 
-def gamma_differential(t: TangentCoords, M: Mat, N: Mat,
-                       tol: float = kalg.DEFAULT_TOL) -> Mat:
+def gamma_differential(t: TangentCoords, M: Mat, N: Mat) -> Mat:
     """Differential of the Stiefel Cayley transform at t, applied to (M, N).
 
     With xi = X*M + M*X + N the result is the stacked pair
@@ -270,10 +267,10 @@ def gamma_differential(t: TangentCoords, M: Mat, N: Mat,
     n, k = lift.n, lift.k
     if M.shape != (n - k, k) or N.shape != (k, k):
         raise ValueError("direction block shapes do not match the lift")
-    if not kalg.is_skew_hermitian(N, POINT_CHECK_TOL):
-        raise InvalidTangent(f"N is not skew-Hermitian within {POINT_CHECK_TOL:.1e}")
+    if not kalg.is_skew_hermitian(N, kalg.CHECK_TOL):
+        raise InvalidTangent(f"N is not skew-Hermitian within {kalg.CHECK_TOL:.1e}")
     X = t.X
-    b = group._b_core(X, t.Y, tol)
+    b = group._b_core(X, t.Y)
     xi = X.H @ M + M.H @ X + N
     bXh = b @ X.H
     xib = xi @ b
@@ -296,7 +293,7 @@ def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -
 in_injectivity_domain = differential_is_injective
 
 
-def kernel_witness(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> Mat | None:
+def kernel_witness(t: TangentCoords) -> Mat | None:
     """A nonzero skew-Hermitian N with the differential vanishing on (0, N).
 
     Such an N satisfies N b (beta X + P)* = 0; it is found by solving that
@@ -307,7 +304,7 @@ def kernel_witness(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> Mat | Non
     """
     lift = t.lift
     k = lift.k
-    b = group._b_core(t.X, t.Y, tol)
+    b = group._b_core(t.X, t.Y)
     K = b @ (lift.beta @ t.X + lift.P).H
     basis = kalg.skew_hermitian_basis(k, t.field)
     if not basis:
@@ -327,7 +324,7 @@ def kernel_witness(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> Mat | Non
     return (1.0 / norm) * N
 
 
-def differential_min_gain(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> float:
+def differential_min_gain(t: TangentCoords) -> float:
     """Smallest singular value of the differential over unit tangent directions.
 
     The differential is assembled as a real linear operator over an
@@ -340,8 +337,8 @@ def differential_min_gain(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> fl
     basis_N = kalg.skew_hermitian_basis(k, t.field)
     zero_M = kalg.zeros(n - k, k, t.field)
     zero_N = kalg.zeros(k, k, t.field)
-    cols = [np.ravel(gamma_differential(t, B, zero_N, tol).data) for B in basis_M]
-    cols += [np.ravel(gamma_differential(t, zero_M, B, tol).data) for B in basis_N]
+    cols = [np.ravel(gamma_differential(t, B, zero_N).data) for B in basis_M]
+    cols += [np.ravel(gamma_differential(t, zero_M, B).data) for B in basis_N]
     A = np.stack(cols, axis=1)
     return float(np.linalg.svd(A, compute_uv=False)[-1])
 
@@ -357,7 +354,7 @@ def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     """
     coords = gamma_inverse(lift, y, tol)
     X = coords.X
-    b = group._b_core(X, coords.Y, tol)
+    b = group._b_core(X, coords.Y)
     bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
     update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
     return GroupElement(lift.A.m.H + update)
@@ -367,13 +364,13 @@ def contraction(lift: Lift, y: StiefelPoint, t: float,
                 tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
     """Contraction homotopy of the Cayley open subset at x.
 
-    H(y, t) = gamma(t gamma_inverse(y)): only k x k matrices are inverted,
-    and the core I + t(X*X + Y) of gamma has every singular value at least
-    1.  H(y, 0) is the transform of the zero tangent and H(y, 1) = y.
+    H(y, t) = gamma(t gamma_inverse(y)), with k x k inversions only.  tol is the
+    test of gamma_inverse on pi + P*; the core I + t(X*X + Y) of gamma has every
+    singular value at least 1.  H(y, 0) is gamma of the zero tangent, H(y, 1) = y.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("homotopy parameter must lie in [0, 1]")
-    return gamma(gamma_inverse(lift, y, tol).scaled(t), tol)
+    return gamma(gamma_inverse(lift, y, tol).scaled(t))
 
 
 def lift_change_equivariance_check(lift: Lift, E: GroupElement, t: TangentCoords) -> float:

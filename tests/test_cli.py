@@ -152,6 +152,13 @@ class TestCover:
         assert code == 0
         assert json.loads(out)["samples"] == 0
 
+    def test_negative_samples(self, capsys):
+        code, out, err = run(capsys, ["cover", "--field", "quaternion", "--n", "4",
+                                      "--k", "2", "--samples", "-1", "--reproducible"])
+        assert code == 2
+        assert out == ""
+        assert "samples must be nonnegative" in err
+
 
 class TestDemo:
     def test_anchors_and_residuals(self, capsys):
@@ -180,7 +187,7 @@ class TestDemo:
 
 
 class TestTolerance:
-    @pytest.mark.parametrize("command", ["check", "optimize", "cover", "demo"])
+    @pytest.mark.parametrize("command", ["check", "cover", "demo"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-12"])
     def test_rejects_unusable_tol(self, capsys, command, tol):
         argv = [command, "--field", "quaternion", "--n", "4", "--k", "2",
@@ -191,6 +198,22 @@ class TestTolerance:
         assert code == 2
         assert out == ""
         assert "tol must be finite and nonnegative" in err
+
+    def test_optimize_takes_no_tol(self, capsys):
+        code, out, err = run(capsys, ["optimize", "--tol", "1e-3", "--reproducible"])
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --tol" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--field", "real", "--n", "6", "--k", "2", "--tol", "0.5"],
+        ["demo", "--field", "quaternion", "--n", "6", "--k", "2", "--tol", "0.5"],
+    ], ids=["check", "demo"])
+    def test_tol_that_rejects_an_input_is_a_config_error(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--reproducible"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_zero_tol_is_valid(self, capsys):
         code, out, _ = run(capsys, ["cover", "--field", "quaternion", "--n", "4",

@@ -142,6 +142,10 @@ class TestVerifyCover:
         with pytest.raises(DimensionError):
             verify_cover(3, 2, default_ladder(2), 10, 0)
 
+    def test_rejects_negative_samples(self):
+        with pytest.raises(ValueError, match="samples must be nonnegative"):
+            verify_cover(4, 2, default_ladder(2), -5, 0)
+
     def test_report_schema(self):
         report = verify_cover(4, 2, default_ladder(2), 5, 0)
         assert set(report) == {"n", "k", "field", "angles", "samples",

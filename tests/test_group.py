@@ -109,6 +109,17 @@ class TestBMatrix:
             Y = random_skew(2, field, 2000 + s)
             group.b_matrix(X, Y)  # must not raise
 
+    @pytest.mark.parametrize("x_scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("y_scale", [1e-3, 1.0, 1e3])
+    def test_core_singular_values_at_least_one(self, field, x_scale, y_scale):
+        # Re v*(I + X*X + Y)v = 1 + |Xv|^2 for unit v: why the core takes no tolerance
+        for s in range(20):
+            X = x_scale * kalg.random_gaussian(4, 3, field, 3000 + s)
+            Y = random_skew(3, field, 4000 + s, y_scale)
+            core = kalg.identity(3, field) + X.H @ X + Y
+            _, _, sv = kalg._invertible_operand(field, core.data, kalg.DEFAULT_TOL)
+            assert sv.min() >= 1.0 - 1e-12
+
 
 class TestBlockFormula:
     def test_zero_tangent(self, field):

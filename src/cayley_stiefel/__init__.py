@@ -5,12 +5,10 @@ from .group import (GroupElement, InvalidTangent, SkewBlockTangent,
                     b_matrix, cayley_at, cayley_at_identity, cayley_identity_block)
 from .stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, RankDeficient,
                       StiefelPoint, TangentCoords, complete_lift, contraction, gamma,
-                      gamma_differential, gamma_inverse, in_cayley_open,
-                      in_injectivity_domain, local_section, random_stiefel_point,
-                      rho, tangent_from_ambient)
-from .optim import (NotHermitian, Objective, OptimTrace, SearchGenerator,
-                    SearchParams, curve, descent_skew, gradient_descent,
-                    procrustes_objective, rayleigh_objective)
+                      gamma_differential, gamma_inverse, in_cayley_open, local_section,
+                      random_stiefel_point, rho)
+from .optim import (NotHermitian, Objective, OptimTrace, SearchGenerator, SearchParams,
+                    curve, gradient_descent, procrustes_objective, rayleigh_objective)
 from .cover import (DimensionError, ThetaLadder, cover_membership,
                     default_ladder, theta_frame, verify_cover)
 
@@ -21,11 +19,9 @@ __all__ = [
     "Lift", "NotOrthonormal", "OutsideCayleyOpen", "RankDeficient", "StiefelPoint",
     "TangentCoords",
     "complete_lift", "contraction", "gamma", "gamma_differential", "gamma_inverse",
-    "in_cayley_open", "in_injectivity_domain", "local_section",
-    "random_stiefel_point", "rho", "tangent_from_ambient",
+    "in_cayley_open", "local_section", "random_stiefel_point", "rho",
     "NotHermitian", "Objective", "OptimTrace", "SearchGenerator", "SearchParams",
-    "curve", "descent_skew", "gradient_descent", "procrustes_objective",
-    "rayleigh_objective",
+    "curve", "gradient_descent", "procrustes_objective", "rayleigh_objective",
     "DimensionError", "ThetaLadder", "cover_membership", "default_ladder",
     "theta_frame", "verify_cover",
 ]

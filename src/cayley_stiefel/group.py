@@ -4,17 +4,21 @@ Covers the transform at the identity, the transform based at an arbitrary
 group element, and the specialized block formula on tangent vectors of the
 form [[0, X], [-X*, Y]], which only needs a k x k inversion.
 
-SkewBlockTangent checks that Y is skew-Hermitian when it is built, at
-kalg.CHECK_TOL; cayley_identity_block trusts it.  b_matrix is the one
-public entry that takes a bare Y, so it checks Y itself.
+SkewBlockTangent and stiefel.TangentCoords check that Y is skew-Hermitian
+when they are built, at kalg.CHECK_TOL; b_matrix and cayley_identity_block
+take only those types and trust that check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 from . import kalg
 from .kalg import Mat
+
+if TYPE_CHECKING:
+    from .stiefel import TangentCoords
 
 
 class InvalidTangent(Exception):
@@ -102,22 +106,15 @@ def cayley_at(A: GroupElement, X: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
     return (I - A.m.H @ X) @ kalg.mat_inverse(A.m + X, tol)
 
 
-def b_matrix(X: Mat, Y: Mat) -> Mat:
+def b_matrix(t: SkewBlockTangent | TangentCoords) -> Mat:
     """(I_k + X*X + Y)^{-1}, the k x k core of the block Cayley formula.
 
-    Y is a bare matrix here, so it is checked within kalg.CHECK_TOL;
-    callers that hold a checked tangent use _b_core.
+    Y was checked skew-Hermitian when t was built and is not checked again.
+    Re v*(I + X*X + Y)v = 1 + |Xv|^2 for unit v, so every singular value of
+    the core is at least 1 and it takes no tol.
     """
-    if not kalg.is_skew_hermitian(Y, kalg.CHECK_TOL):
-        raise InvalidTangent(f"Y is not skew-Hermitian within {kalg.CHECK_TOL:.1e}")
-    return _b_core(X, Y)
-
-
-def _b_core(X: Mat, Y: Mat) -> Mat:
-    """b_matrix with no check on Y, for the Y of a checked tangent or one that is
-    skew-Hermitian by construction.  Re v*(I + X*X + Y)v = 1 + |Xv|^2 for unit v,
-    so every singular value of the core is at least 1 and it takes no tol."""
-    return kalg.mat_inverse(kalg.identity(X.cols, X.field) + X.H @ X + Y)
+    X = t.X
+    return kalg.mat_inverse(kalg.identity(X.cols, X.field) + X.H @ X + t.Y)
 
 
 def cayley_identity_block(t: SkewBlockTangent) -> GroupElement:
@@ -126,9 +123,9 @@ def cayley_identity_block(t: SkewBlockTangent) -> GroupElement:
     Returns [[I - 2XbX*, -2Xb], [2bX*, -I + 2b]] with b = (I + X*X + Y)^{-1};
     equal to the generic (I - M)(I + M)^{-1} but only inverts a k x k matrix.
     """
-    X, Y = t.X, t.Y
+    X = t.X
     nk, k = X.rows, X.cols
-    b = _b_core(X, Y)
+    b = b_matrix(t)
     Xb = X @ b
     top = kalg.hstack(kalg.identity(nk, t.field) - 2.0 * (Xb @ X.H), -2.0 * Xb)
     bot = kalg.hstack(2.0 * (b @ X.H), 2.0 * b - kalg.identity(k, t.field))

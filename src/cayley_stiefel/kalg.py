@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -232,11 +231,6 @@ def identity(n: int, field: Field) -> Mat:
     return Mat._trusted(field, data)
 
 
-def scalar(value: Iterable[float], field: Field) -> Mat:
-    """1x1 matrix from raw scalar components."""
-    return Mat(field, np.asarray(value, dtype=np.float64).reshape(1, 1, field.ncomp))
-
-
 def conj_transpose(m: Mat) -> Mat:
     return Mat._trusted(m.field, _conj_transpose(m.data))
 
@@ -366,10 +360,3 @@ def mat_to_json(m: Mat) -> dict:
         "cols": m.cols,
         "data": m.data.reshape(m.rows * m.cols, m.field.ncomp).tolist(),
     }
-
-
-def mat_from_json(obj: dict) -> Mat:
-    field = Field.parse(obj["field"])
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=np.float64).reshape(rows, cols, field.ncomp)
-    return Mat(field, data)

@@ -100,16 +100,9 @@ def _inner(a: Mat, b: Mat) -> float:
     return float(np.vdot(a.data, b.data))
 
 
-def descent_skew(x: StiefelPoint, F: Mat) -> Mat:
-    """The skew-Hermitian search generator F x* - x F*."""
-    if F.shape != x.m.shape:
-        raise ValueError("gradient shape must match the frame")
-    return F @ x.m.H - x.m @ F.H
-
-
 @dataclass(frozen=True)
 class SearchGenerator:
-    """The search generator A = descent_skew(x, F), factored as U N U*.
+    """The skew-Hermitian search generator A = F x* - x F*, factored as U N U*.
 
     With W = F - x(x*F), K = x*F - F*x and s = |W|_F (s = 1 when W = 0),
     U = [W/s, x] and N = [[0, sI], [-sI, K]] give U N U* = F x* - x F*
@@ -164,11 +157,6 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     kalg._shift_diagonal(core, 1.0)
     step = g.U @ (kalg.mat_inverse(Mat._trusted(g.NG.field, core)) @ g.NUx)
     return StiefelPoint(g.x.m - (2.0 * t) * step)
-
-
-def riemannian_gradient(x: StiefelPoint, egrad: Mat) -> Mat:
-    """Projection of the Euclidean gradient onto the tangent space at x."""
-    return egrad - x.m @ kalg.hermitian_part(x.m.H @ egrad)
 
 
 def _bb_step(S: Mat, D: Mat, odd: bool, fallback: float) -> float:

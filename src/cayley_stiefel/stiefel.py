@@ -193,21 +193,6 @@ def complete_lift(x: StiefelPoint) -> Lift:
     return Lift(x, A)
 
 
-def tangent_from_ambient(lift: Lift, v: Mat) -> TangentCoords:
-    """Coordinates (X, Y) of an ambient tangent vector v at x, via A*v = [X; Y].
-
-    v is tangent when Y = x*v is skew-Hermitian; the TangentCoords
-    constructor tests that within kalg.CHECK_TOL, relative to |Y| and not
-    to |v|.  So a mostly horizontal v (|X| >> |Y|) whose Y carries rounding
-    of order eps |v| is rejected.
-    """
-    B = lift.A.m.H @ v
-    n, k = lift.n, lift.k
-    X = B.block(0, n - k, 0, k)
-    Y = B.block(n - k, n, 0, k)
-    return TangentCoords(lift, X, Y)
-
-
 def gamma(t: TangentCoords) -> StiefelPoint:
     """The Stiefel Cayley transform of the tangent vector with coordinates t.
 
@@ -216,7 +201,7 @@ def gamma(t: TangentCoords) -> StiefelPoint:
     Y was checked when t was built and is not checked again.
     """
     lift = t.lift
-    b = group._b_core(t.X, t.Y)
+    b = group.b_matrix(t)
     right = (lift.beta @ t.X + lift.P).H
     top = -2.0 * ((t.X @ b) @ right) + lift.beta.H
     bot = 2.0 * (b @ right) - lift.P.H
@@ -270,7 +255,7 @@ def gamma_differential(t: TangentCoords, M: Mat, N: Mat) -> Mat:
     if not kalg.is_skew_hermitian(N, kalg.CHECK_TOL):
         raise InvalidTangent(f"N is not skew-Hermitian within {kalg.CHECK_TOL:.1e}")
     X = t.X
-    b = group._b_core(X, t.Y)
+    b = group.b_matrix(t)
     xi = X.H @ M + M.H @ X + N
     bXh = b @ X.H
     xib = xi @ b
@@ -290,9 +275,6 @@ def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -
     return kalg.is_invertible(t.lift.beta @ t.X + t.lift.P, tol)
 
 
-in_injectivity_domain = differential_is_injective
-
-
 def kernel_witness(t: TangentCoords) -> Mat | None:
     """A nonzero skew-Hermitian N with the differential vanishing on (0, N).
 
@@ -304,7 +286,7 @@ def kernel_witness(t: TangentCoords) -> Mat | None:
     """
     lift = t.lift
     k = lift.k
-    b = group._b_core(t.X, t.Y)
+    b = group.b_matrix(t)
     K = b @ (lift.beta @ t.X + lift.P).H
     basis = kalg.skew_hermitian_basis(k, t.field)
     if not basis:
@@ -354,7 +336,7 @@ def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     """
     coords = gamma_inverse(lift, y, tol)
     X = coords.X
-    b = group._b_core(X, coords.Y)
+    b = group.b_matrix(coords)
     bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
     update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
     return GroupElement(lift.A.m.H + update)
@@ -453,18 +435,6 @@ def point_to_json(x: StiefelPoint) -> dict:
     return {"n": x.n, "k": x.k, "matrix": kalg.mat_to_json(x.m)}
 
 
-def point_from_json(obj: dict) -> StiefelPoint:
-    m = kalg.mat_from_json(obj["matrix"])
-    if m.shape != (int(obj["n"]), int(obj["k"])):
-        raise ValueError("header dimensions disagree with the matrix payload")
-    return StiefelPoint(m)
-
-
 def lift_to_json(lift: Lift) -> dict:
     return {"n": lift.n, "k": lift.k, "point": point_to_json(lift.point),
             "A": kalg.mat_to_json(lift.A.m)}
-
-
-def lift_from_json(obj: dict) -> Lift:
-    point = point_from_json(obj["point"])
-    return Lift(point, GroupElement(kalg.mat_from_json(obj["A"])))

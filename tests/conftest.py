@@ -26,6 +26,16 @@ def random_lift_tangent(n, k, fld, seed, scale=1.0):
     return lift, TangentCoords(lift, X, Y)
 
 
+def scalar(value, fld):
+    """1 x 1 matrix from raw scalar components."""
+    return kalg.Mat(fld, np.asarray(value, dtype=np.float64).reshape(1, 1, fld.ncomp))
+
+
+def mat_payload(obj):
+    """The component array of a kalg.mat_to_json payload, shaped by its own header."""
+    return np.reshape(obj["data"], (obj["rows"], obj["cols"], Field.parse(obj["field"]).ncomp))
+
+
 def overflow_nan(rows, cols, fld):
     """c - c for c = a @ b with finite 1e200 entries: NaN from kalg arithmetic alone."""
     a = kalg.Mat(fld, np.full((rows, 3, fld.ncomp), 1e200))

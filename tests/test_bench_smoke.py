@@ -28,3 +28,6 @@ def test_harness_runs_correctly(workload, trace):
     assert result["failed"] == 0
     if trace == "0":
         assert all(result["metrics"][name]["value"] > 0 for name in END_TO_END)
+    else:
+        # the k x k core of every Stiefel transform is a traced span
+        assert result["metrics"]["group.b_matrix.calls"]["value"] > 0

@@ -22,6 +22,17 @@ class TestCheck:
         assert payload["pass"] is True
         assert all(p["pass"] for p in payload["properties"])
 
+    def test_core_bound_ignores_tol(self, capsys):
+        # every singular value of I + X*X + Y is at least 1, whatever --tol says
+        props = []
+        for tol in ["1e-12", "0.1"]:
+            code, out, _ = run(capsys, ["check", "--field", "real", "--n", "6", "--k", "2",
+                                        "--tol", tol, "--reproducible"])
+            assert code == 0
+            props += [p for p in json.loads(out)["properties"]
+                      if p["name"] == "b_matrix_core_sigma_min_shortfall"]
+        assert props[0] == props[1] and props[0]["pass"] is True
+
     def test_config_error(self, capsys):
         code, out, err = run(capsys, ["check", "--n", "2", "--k", "5"])
         assert code == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import overflow_nan, random_skew
+from conftest import overflow_nan, random_skew, scalar
 
 from cayley_stiefel import group, kalg
 from cayley_stiefel.group import GroupElement, InvalidTangent, SkewBlockTangent
@@ -30,7 +30,7 @@ class TestCayleyAtIdentity:
         assert fro(group.cayley_at_identity(M) - expected) <= 1e-15
 
     def test_1x1_quaternion(self):
-        i = kalg.scalar([0, 1, 0, 0], Q)
+        i = scalar([0, 1, 0, 0], Q)
         # (1 - i)(1 + i)^{-1} = (1 - i)^2 / 2 = -i
         assert fro(group.cayley_at_identity(i) + i) <= 1e-15
 
@@ -85,29 +85,30 @@ class TestCayleyAt:
 
 class TestBMatrix:
     def test_zero_inputs(self, field):
-        got = group.b_matrix(kalg.zeros(3, 2, field), kalg.zeros(2, 2, field))
+        got = group.b_matrix(SkewBlockTangent(kalg.zeros(3, 2, field), kalg.zeros(2, 2, field)))
         assert fro(got - kalg.identity(2, field)) == 0.0
 
     def test_real_column(self):
         X = Mat(Field.REAL, np.array([1.0, 2.0]).reshape(2, 1, 1))
-        got = group.b_matrix(X, kalg.zeros(1, 1, Field.REAL))
+        got = group.b_matrix(SkewBlockTangent(X, kalg.zeros(1, 1, Field.REAL)))
         assert got.data[0, 0, 0] == pytest.approx(1.0 / 6.0)
 
     def test_complex_scalar(self):
-        Y = kalg.scalar([0, 1], Field.COMPLEX)
-        got = group.b_matrix(kalg.zeros(2, 1, Field.COMPLEX), Y)
+        Y = scalar([0, 1], Field.COMPLEX)
+        got = group.b_matrix(SkewBlockTangent(kalg.zeros(2, 1, Field.COMPLEX), Y))
         assert np.allclose(got.data.ravel(), [0.5, -0.5])
 
     def test_rejects_nonskew(self, field):
+        # the tangent b_matrix takes cannot hold a Y that is not skew-Hermitian
         with pytest.raises(InvalidTangent):
-            group.b_matrix(kalg.zeros(2, 2, field), kalg.identity(2, field))
+            group.b_matrix(SkewBlockTangent(kalg.zeros(2, 2, field), kalg.identity(2, field)))
 
     def test_always_invertible_sweep(self, field):
         # the load-bearing fact: I + X*X + Y has an inverse for every skew Y
         for s in range(200):
             X = kalg.random_gaussian(4, 2, field, 1000 + s)
             Y = random_skew(2, field, 2000 + s)
-            group.b_matrix(X, Y)  # must not raise
+            group.b_matrix(SkewBlockTangent(X, Y))  # must not raise
 
     @pytest.mark.parametrize("x_scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("y_scale", [1e-3, 1.0, 1e3])

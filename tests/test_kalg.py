@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import mat_payload, scalar
+
 from cayley_stiefel import kalg
 from cayley_stiefel.kalg import Field, Mat, Singular
 
@@ -11,7 +13,7 @@ Q = Field.QUATERNION
 
 
 def quat(w, x, y, z):
-    return kalg.scalar([w, x, y, z], Q)
+    return scalar([w, x, y, z], Q)
 
 
 ONE = quat(1, 0, 0, 0)
@@ -41,29 +43,29 @@ class TestQuaternionRing:
     def test_associative_on_samples(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            p, q, r = (kalg.scalar(rng.standard_normal(4), Q) for _ in range(3))
+            p, q, r = (scalar(rng.standard_normal(4), Q) for _ in range(3))
             assert close((p @ q) @ r, p @ (q @ r), 1e-13)
 
     def test_q_times_conjugate_is_norm_squared(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            q = kalg.scalar(rng.standard_normal(4), Q)
+            q = scalar(rng.standard_normal(4), Q)
             n2 = kalg.frobenius_norm(q) ** 2
             assert close(q @ q.H, n2 * ONE, 1e-12 * (1 + n2))
 
     def test_norm_multiplicativity(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            p = kalg.scalar(rng.standard_normal(4), Q)
-            q = kalg.scalar(rng.standard_normal(4), Q)
+            p = scalar(rng.standard_normal(4), Q)
+            q = scalar(rng.standard_normal(4), Q)
             lhs = kalg.frobenius_norm(p @ q)
             rhs = kalg.frobenius_norm(p) * kalg.frobenius_norm(q)
             assert abs(lhs - rhs) <= 1e-12 * (1 + rhs)
 
     @given(st.lists(st.floats(-10, 10), min_size=8, max_size=8))
     def test_norm_multiplicativity_hypothesis(self, comps):
-        p = kalg.scalar(comps[:4], Q)
-        q = kalg.scalar(comps[4:], Q)
+        p = scalar(comps[:4], Q)
+        q = scalar(comps[4:], Q)
         lhs = kalg.frobenius_norm(p @ q)
         rhs = kalg.frobenius_norm(p) * kalg.frobenius_norm(q)
         assert abs(lhs - rhs) <= 1e-9 * (1 + rhs)
@@ -267,8 +269,8 @@ class TestSkewHermitianPart:
         assert close(kalg.skew_hermitian_part(m), m, 0)
 
     def test_1x1_complex(self):
-        m = kalg.scalar([3, 4], Field.COMPLEX)
-        assert close(kalg.skew_hermitian_part(m), kalg.scalar([0, 4], Field.COMPLEX), 0)
+        m = scalar([3, 4], Field.COMPLEX)
+        assert close(kalg.skew_hermitian_part(m), scalar([0, 4], Field.COMPLEX), 0)
 
     def test_exact_skewness(self, field):
         m = kalg.random_gaussian(4, 4, field, 9)
@@ -356,9 +358,8 @@ class TestJson:
     def test_round_trip(self, field):
         m = kalg.random_gaussian(3, 2, field, 11)
         obj = json.loads(json.dumps(kalg.mat_to_json(m)))
-        back = kalg.mat_from_json(obj)
-        assert back.field is field
-        assert np.array_equal(back.data, m.data)
+        assert obj["field"] == field.value
+        assert np.array_equal(mat_payload(obj), m.data)
 
     def test_schema_fields(self):
         obj = kalg.mat_to_json(kalg.identity(2, Q))
@@ -367,6 +368,6 @@ class TestJson:
         assert len(obj["data"]) == 4 and len(obj["data"][0]) == 4
 
     def test_empty(self):
-        m = kalg.zeros(3, 0, Field.COMPLEX)
-        back = kalg.mat_from_json(kalg.mat_to_json(m))
-        assert back.shape == (3, 0)
+        obj = json.loads(json.dumps(kalg.mat_to_json(kalg.zeros(3, 0, Field.COMPLEX))))
+        assert (obj["rows"], obj["cols"], obj["data"]) == (3, 0, [])
+        assert mat_payload(obj).shape == (3, 0, 2)

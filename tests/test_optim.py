@@ -8,9 +8,8 @@ from conftest import random_skew
 from cayley_stiefel import group, kalg, optim, stiefel
 from cayley_stiefel.kalg import Field, Mat
 from cayley_stiefel.optim import (NotHermitian, Objective, SearchGenerator, SearchParams,
-                                  _bb_step, curve, descent_skew, gradient_descent,
-                                  procrustes_objective, rayleigh_objective,
-                                  riemannian_gradient)
+                                  _bb_step, curve, gradient_descent,
+                                  procrustes_objective, rayleigh_objective)
 from cayley_stiefel.stiefel import StiefelPoint, TangentCoords
 
 
@@ -22,6 +21,17 @@ def real_trace(m):
     """Re tr(m) from the diagonal, the reference for the component inner products."""
     assert m.rows == m.cols
     return float(m.data[:, :, 0].trace())
+
+
+def descent_skew(x, F):
+    """The skew-Hermitian search generator F x* - x F*, the reference for SearchGenerator."""
+    return F @ x.m.H - x.m @ F.H
+
+
+def riemannian_gradient(x, egrad):
+    """Projection of the Euclidean gradient onto the tangent space at x, the reference
+    for SearchGenerator.gnorm."""
+    return egrad - x.m @ kalg.hermitian_part(x.m.H @ egrad)
 
 
 def chi(m):

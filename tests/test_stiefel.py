@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import overflow_nan, random_lift_tangent, random_skew
+from conftest import mat_payload, overflow_nan, random_lift_tangent, random_skew
 
 from cayley_stiefel import group, kalg, stiefel
 from cayley_stiefel.group import GroupElement, InvalidTangent
@@ -75,27 +75,29 @@ class TestCompleteLift:
 
 
 class TestTangentFromAmbient:
+    """Coordinates read off an ambient vector v at x: A*v = [X; Y], so Y = x*v.
+    TangentCoords accepts them when Y is skew-Hermitian relative to |Y|."""
+
     def test_zero(self, field):
         lift, _ = random_lift_tangent(5, 2, field, 4)
-        got = stiefel.tangent_from_ambient(lift, kalg.zeros(5, 2, field))
-        assert fro(got.X) == 0.0 and fro(got.Y) == 0.0
+        assert fro(zero_tangent(lift).ambient()) == 0.0
 
     def test_round_trip(self, field):
         lift, t = random_lift_tangent(6, 2, field, 5)
-        got = stiefel.tangent_from_ambient(lift, t.ambient())
-        assert fro(got.X - t.X) <= 1e-12
-        assert fro(got.Y - t.Y) <= 1e-12
-        assert fro(got.lift.A.m @ kalg.vstack(got.X, got.Y) - t.ambient()) <= 1e-12
+        B = lift.A.m.H @ t.ambient()
+        assert fro(B.block(0, 4, 0, 2) - t.X) <= 1e-12
+        assert fro(B.block(4, 6, 0, 2) - t.Y) <= 1e-12
 
     def test_y_skewness_automatic(self, field):
         lift, t = random_lift_tangent(6, 3, field, 6)
-        got = stiefel.tangent_from_ambient(lift, t.ambient())
-        assert fro(got.Y + got.Y.H) <= 1e-12
+        Y = lift.point.m.H @ t.ambient()
+        assert fro(Y + Y.H) <= 1e-12
 
     def test_rejects_nontangent(self, field):
+        # v = x has A*v = [0; I]
         lift, _ = random_lift_tangent(5, 2, field, 7)
         with pytest.raises(InvalidTangent):
-            stiefel.tangent_from_ambient(lift, lift.point.m)
+            TangentCoords(lift, kalg.zeros(3, 2, field), lift.point.m.H @ lift.point.m)
 
     @staticmethod
     def tangent_plus_hermitian(lift, seed, scale_X, scale_Y, scale_E):
@@ -116,21 +118,24 @@ class TestTangentFromAmbient:
     def test_tangency_is_relative_to_x_star_v(self, field, scale_X, scale_Y, scale_E, tangent):
         lift, _ = random_lift_tangent(6, 2, field, 48)
         v = self.tangent_plus_hermitian(lift, 49, scale_X, scale_Y, scale_E)
+        B = lift.A.m.H @ v
+        X, Y = B.block(0, 4, 0, 2), B.block(4, 6, 0, 2)
         if tangent:
-            got = stiefel.tangent_from_ambient(lift, v)
-            assert fro(lift.A.m @ kalg.vstack(got.X, got.Y) - v) <= 1e-12 * fro(v)
+            got = TangentCoords(lift, X, Y)
+            assert fro(got.ambient() - v) <= 1e-12 * fro(v)
         else:
             with pytest.raises(InvalidTangent):
-                stiefel.tangent_from_ambient(lift, v)
+                TangentCoords(lift, X, Y)
 
     def test_large_scale_passes_every_skew_check(self, field):
         # rounding leaves |Y + Y*| near 1e-6 here, tiny next to |Y| ~ 1e9
         lift, t = random_lift_tangent(6, 2, field, 47, scale=1e9)
-        got = stiefel.tangent_from_ambient(lift, t.ambient())
-        assert fro(got.Y + got.Y.H) > 1e-8
+        Y = lift.point.m.H @ t.ambient()
+        assert fro(Y + Y.H) > 1e-8
+        got = TangentCoords(lift, t.X, Y)
         got.ambient_group()
-        group.b_matrix(kalg.zeros(4, 2, field), got.Y)
-        stiefel.gamma_differential(zero_tangent(lift), kalg.zeros(4, 2, field), got.Y)
+        group.b_matrix(got)
+        stiefel.gamma_differential(zero_tangent(lift), kalg.zeros(4, 2, field), Y)
 
 
 class TestGamma:
@@ -161,13 +166,13 @@ class TestGamma:
 class TestInjectivityDomain:
     def test_zero_tangent_with_invertible_bottom(self, field):
         lift, _ = random_lift_tangent(5, 2, field, 10)
-        assert stiefel.in_injectivity_domain(zero_tangent(lift))
+        assert stiefel.differential_is_injective(zero_tangent(lift))
 
     def test_zero_bottom_block_outside(self, field):
         x = zero_bottom_point(6, 2, field, 11)
         lift = stiefel.complete_lift(x)
         t = TangentCoords(lift, kalg.zeros(4, 2, field), random_skew(2, field, 12))
-        assert not stiefel.in_injectivity_domain(t)
+        assert not stiefel.differential_is_injective(t)
 
     def test_lift_independent(self, field):
         lift, t = random_lift_tangent(6, 2, field, 13)
@@ -177,7 +182,7 @@ class TestInjectivityDomain:
             kalg.hstack(kalg.zeros(2, 4, field), kalg.identity(2, field)))
         lift2 = Lift(lift.point, GroupElement(lift.A.m @ blk))
         t2 = TangentCoords(lift2, E.m.H @ t.X, t.Y)
-        assert stiefel.in_injectivity_domain(t) == stiefel.in_injectivity_domain(t2)
+        assert stiefel.differential_is_injective(t) == stiefel.differential_is_injective(t2)
 
 
 class TestCayleyOpen:
@@ -214,7 +219,7 @@ class TestGammaInverse:
     def test_round_trip_from_tangent(self, field):
         for s in range(5):
             lift, t = random_lift_tangent(6, 2, field, 200 + s)
-            if not stiefel.in_injectivity_domain(t):
+            if not stiefel.differential_is_injective(t):
                 continue
             back = stiefel.gamma_inverse(lift, stiefel.gamma(t))
             assert fro(back.X - t.X) <= 1e-9
@@ -228,7 +233,7 @@ class TestGammaInverse:
                 continue
             coords = stiefel.gamma_inverse(lift, y)
             assert fro(stiefel.gamma(coords).m - y.m) <= 1e-9
-            assert stiefel.in_injectivity_domain(coords)
+            assert stiefel.differential_is_injective(coords)
 
     def test_outside_raises(self):
         one = StiefelPoint(Mat(Field.REAL, np.ones((1, 1, 1))))
@@ -316,10 +321,13 @@ class TestDifferentialInjectivity:
         assert fro(out) <= 1e-9 * fro(N)
 
     def test_agrees_with_domain_predicate(self, field):
-        for s in range(20):
-            lift, t = random_lift_tangent(5, 2, field, 500 + s)
-            assert stiefel.differential_is_injective(t) == \
-                stiefel.in_injectivity_domain(t)
+        # invertibility of beta X + P decides whether the differential has a kernel
+        x = zero_bottom_point(5, 2, field, 499)
+        lift = stiefel.complete_lift(x)
+        cases = [TangentCoords(lift, kalg.zeros(3, 2, field), random_skew(2, field, 498))]
+        cases += [random_lift_tangent(5, 2, field, 500 + s)[1] for s in range(20)]
+        for t in cases:
+            assert stiefel.differential_is_injective(t) == (differential_min_gain(t) > 1e-8)
 
     def test_injective_case_has_gain(self, field):
         lift, t = random_lift_tangent(5, 2, field, 32)
@@ -424,7 +432,8 @@ class TestSkewCheckCounts:
 
     @pytest.mark.parametrize("name, expected", [
         ("gamma", 0), ("gamma_inverse", 0), ("local_section", 0), ("contraction", 0),
-        ("gamma_differential", 1), ("kernel_witness", 0), ("cayley_identity_block", 0)])
+        ("gamma_differential", 1), ("kernel_witness", 0), ("cayley_identity_block", 0),
+        ("b_matrix", 0)])
     def test_checks_per_transform(self, field, monkeypatch, name, expected):
         lift, t = random_lift_tangent(16, 4, field, 73, scale=0.5)
         y = stiefel.gamma(t)
@@ -438,7 +447,8 @@ class TestSkewCheckCounts:
                  # the one check is on the caller's direction N
                  "gamma_differential": lambda: stiefel.gamma_differential(t, M, N),
                  "kernel_witness": lambda: kernel_witness(t),
-                 "cayley_identity_block": lambda: group.cayley_identity_block(block)}
+                 "cayley_identity_block": lambda: group.cayley_identity_block(block),
+                 "b_matrix": lambda: group.b_matrix(t)}
         counts = self.count(monkeypatch)
         calls[name]()
         assert counts["skew"] == expected
@@ -464,16 +474,13 @@ class TestSkewCheckCounts:
         lift, t = random_lift_tangent(7, 3, field, 75)
         counts = self.count(monkeypatch)
         TangentCoords(lift, t.X, t.Y)
-        group.SkewBlockTangent(t.X, t.Y)
-        group.b_matrix(t.X, t.Y)
-        assert counts["skew"] == 3
+        group.b_matrix(group.SkewBlockTangent(t.X, t.Y))
+        assert counts["skew"] == 2
         not_skew = kalg.identity(3, field)
         with pytest.raises(InvalidTangent):
             TangentCoords(lift, t.X, not_skew)
         with pytest.raises(InvalidTangent):
-            group.SkewBlockTangent(t.X, not_skew)
-        with pytest.raises(InvalidTangent):
-            group.b_matrix(t.X, not_skew)
+            group.b_matrix(group.SkewBlockTangent(t.X, not_skew))
 
 
 class TestContraction:
@@ -570,17 +577,13 @@ class TestNonInjectivity:
 class TestJson:
     def test_point_round_trip(self, field):
         x = stiefel.random_stiefel_point(5, 2, field, 45)
-        back = stiefel.point_from_json(json.loads(json.dumps(stiefel.point_to_json(x))))
-        assert np.array_equal(back.m.data, x.m.data)
+        obj = json.loads(json.dumps(stiefel.point_to_json(x)))
+        assert (obj["n"], obj["k"]) == (5, 2)
+        assert np.array_equal(mat_payload(obj["matrix"]), x.m.data)
 
     def test_lift_round_trip(self, field):
         lift, _ = random_lift_tangent(5, 2, field, 46)
-        back = stiefel.lift_from_json(json.loads(json.dumps(stiefel.lift_to_json(lift))))
-        assert np.array_equal(back.A.m.data, lift.A.m.data)
-
-    def test_header_mismatch_rejected(self):
-        x = stiefel.random_stiefel_point(4, 2, Field.REAL, 47)
-        obj = stiefel.point_to_json(x)
-        obj["k"] = 3
-        with pytest.raises(ValueError):
-            stiefel.point_from_json(obj)
+        obj = json.loads(json.dumps(stiefel.lift_to_json(lift)))
+        assert (obj["n"], obj["k"]) == (obj["point"]["n"], obj["point"]["k"]) == (5, 2)
+        assert np.array_equal(mat_payload(obj["point"]["matrix"]), lift.point.m.data)
+        assert np.array_equal(mat_payload(obj["A"]), lift.A.m.data)

@@ -56,6 +56,8 @@ class SearchParams:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if not 0.0 < self.initial_step < math.inf:
             raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
+        if not 0.0 <= self.grad_tol:  # NaN or negative: no gradient norm would ever pass
+            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.max_backtracks < 0:

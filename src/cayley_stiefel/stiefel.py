@@ -179,18 +179,25 @@ def complete_lift(x: StiefelPoint) -> Lift:
     least sqrt(r/n) for the rank r of R, since the squared column norms of
     a projector sum to its rank.  At the base frame [0; I_k] this yields
     A = I_n exactly.
+
+    The steps run on the (n, n, ncomp) component arrays, with R updated in
+    place and each u written straight into A; the arithmetic and its order
+    are those of the same steps on Mat values, so A is the same to the bit.
     """
-    n, k = x.n, x.k
-    R = kalg.identity(n, x.field) - x.m @ x.m.H
-    cols = []
-    for _ in range(n - k):
-        norms = np.linalg.norm(R.data, axis=(0, 2))
-        p = int(np.flatnonzero(norms >= norms.max() - 1e-12)[0])
-        u = (1.0 / norms[p]) * R.block(0, n, p, p + 1)
-        R = R - u @ u.H
-        cols.append(u)
-    A = GroupElement(kalg.hstack(*cols, x.m), check_tol=1e-10)
-    return Lift(x, A)
+    field, n, k = x.field, x.n, x.k
+    R = np.zeros((n, n, field.ncomp))
+    kalg._shift_diagonal(R, 1.0)
+    R -= kalg._product(field, x.m.data, kalg._conj_transpose(x.m.data))
+    A = np.empty((n, n, field.ncomp))
+    A[:, n - k:] = x.m.data
+    for j in range(n - k):
+        # np.linalg.norm(R, axis=(0, 2)), without its dispatch
+        norms = np.sqrt(np.add.reduce(R * R, axis=(0, 2)))
+        p = (norms >= norms.max() - 1e-12).argmax()
+        u = R[:, p:p + 1] * (1.0 / norms[p])
+        R -= kalg._product(field, u, kalg._conj_transpose(u))
+        A[:, j:j + 1] = u
+    return Lift(x, GroupElement(Mat._trusted(field, A), check_tol=1e-10))
 
 
 def gamma(t: TangentCoords) -> StiefelPoint:

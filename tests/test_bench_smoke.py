@@ -16,7 +16,7 @@ END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(
 
 
 @pytest.mark.parametrize("workload, trace", [("optimize", "0"), ("transforms", "0"),
-                                             ("optimize", "1")])
+                                             ("optimize", "1"), ("transforms", "1")])
 def test_harness_runs_correctly(workload, trace):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
@@ -28,6 +28,9 @@ def test_harness_runs_correctly(workload, trace):
     assert result["failed"] == 0
     if trace == "0":
         assert all(result["metrics"][name]["value"] > 0 for name in END_TO_END)
-    else:
+    elif workload == "optimize":
         # the k x k core of every Stiefel transform is a traced span
         assert result["metrics"]["group.b_matrix.calls"]["value"] > 0
+    else:
+        # the lift works on component arrays but is still a traced span
+        assert result["metrics"]["stiefel.complete_lift.self_s"]["value"] > 0

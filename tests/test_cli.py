@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cayley_stiefel import cover
+from cayley_stiefel import cover, stiefel
 from cayley_stiefel.cli import main
 
 
@@ -32,6 +32,28 @@ class TestCheck:
             props += [p for p in json.loads(out)["properties"]
                       if p["name"] == "b_matrix_core_sigma_min_shortfall"]
         assert props[0] == props[1] and props[0]["pass"] is True
+
+    def test_fails_when_every_inverse_draw_is_skipped(self, capsys):
+        # all 8 draws test Singular at --tol 0.15: the property checked nothing
+        code, out, _ = run(capsys, ["check", "--field", "real", "--n", "6", "--k", "2",
+                                    "--tol", "0.15", "--reproducible"])
+        assert code == 1
+        payload = json.loads(out)
+        props = {p["name"]: p for p in payload["properties"]}
+        assert props["mat_inverse_residual"]["max_residual"] is None
+        assert props["mat_inverse_residual"]["pass"] is False
+        assert payload["pass"] is False
+        assert all(p["pass"] for name, p in props.items() if name != "mat_inverse_residual")
+
+    def test_fails_when_every_round_trip_draw_is_skipped(self, capsys, monkeypatch):
+        monkeypatch.setattr(stiefel, "differential_is_injective", lambda t, tol: False)
+        code, out, _ = run(capsys, ["check", "--field", "complex", "--n", "5", "--k", "2",
+                                    "--reproducible"])
+        assert code == 1
+        props = {p["name"]: p for p in json.loads(out)["properties"]}
+        assert props["gamma_round_trip"]["max_residual"] is None
+        assert props["gamma_round_trip"]["pass"] is False
+        assert all(p["pass"] for name, p in props.items() if name != "gamma_round_trip")
 
     def test_config_error(self, capsys):
         code, out, err = run(capsys, ["check", "--n", "2", "--k", "5"])
@@ -74,7 +96,8 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flags", [["--max-iters", "-3"], ["--step", "0"],
                                        ["--step", "-1"], ["--step", "inf"],
-                                       ["--step", "nan"]])
+                                       ["--step", "nan"], ["--grad-tol", "nan"],
+                                       ["--grad-tol", "-1"]])
     def test_unusable_search_params(self, capsys, flags):
         code, out, err = run(capsys, ["optimize", "--n", "6", "--k", "2",
                                       "--reproducible", *flags])

@@ -386,14 +386,14 @@ class TestGradientDescent:
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": -1}, {"max_iters": -3}, {"max_backtracks": -1},
         {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": np.inf},
-        {"initial_step": np.nan}])
+        {"initial_step": np.nan}, {"grad_tol": np.nan}, {"grad_tol": -1e-6}])
     def test_params_reject_unusable_values(self, kwargs):
         with pytest.raises(ValueError):
             SearchParams(**kwargs)
 
     def test_params_accept_boundary_values(self):
-        p = SearchParams(max_iters=0, max_backtracks=0, initial_step=1e-300)
-        assert (p.max_iters, p.max_backtracks, p.initial_step) == (0, 0, 1e-300)
+        p = SearchParams(max_iters=0, max_backtracks=0, initial_step=1e-300, grad_tol=0.0)
+        assert (p.max_iters, p.max_backtracks, p.initial_step, p.grad_tol) == (0, 0, 1e-300, 0.0)
 
 
 def prescribed_spectrum(eigs, field, seed):

@@ -73,6 +73,37 @@ class TestCompleteLift:
             assert np.array_equal(lift.A.m.data[:, 4:], x.m.data)
             assert fro(lift.A.m @ lift.A.m.H - kalg.identity(7, field)) <= 1e-10
 
+    @staticmethod
+    def mat_steps(x):
+        """Reference: the projector steps of complete_lift written on Mat values."""
+        n, k = x.n, x.k
+        R = kalg.identity(n, x.field) - x.m @ x.m.H
+        cols = []
+        for _ in range(n - k):
+            norms = np.linalg.norm(R.data, axis=(0, 2))
+            p = int(np.flatnonzero(norms >= norms.max() - 1e-12)[0])
+            u = (1.0 / norms[p]) * R.block(0, n, p, p + 1)
+            R = R - u @ u.H
+            cols.append(u)
+        return kalg.hstack(*cols, x.m).data
+
+    @classmethod
+    def assert_same_bits(cls, x):
+        got, want = stiefel.complete_lift(x).A.m.data, cls.mat_steps(x)
+        assert np.array_equal(got, want), (x.n, x.k)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (x.n, x.k)
+
+    def test_bit_identical_to_mat_steps_at_base_frame(self, field):
+        # every column norm of R ties, so each step takes the tie rule's pivot
+        for n in range(1, 17):
+            for k in range(n + 1):
+                self.assert_same_bits(base_point(n, k, field))
+
+    def test_bit_identical_to_mat_steps_at_random_frames(self, field):
+        for n in range(1, 17):
+            for k in range(n + 1):
+                self.assert_same_bits(stiefel.random_stiefel_point(n, k, field, 100 * n + k))
+
 
 class TestTangentFromAmbient:
     """Coordinates read off an ambient vector v at x: A*v = [X; Y], so Y = x*v.

@@ -9,9 +9,11 @@ stress-tests the cover claim on random samples.
 
 The verifier works on stacks of samples: one Gram-Schmidt over the
 (S, n, k) Gaussian draws, then one stacked singular-value test per angle
-on the (S, k, k) bottom blocks.  Each sample still draws from its own seed,
-so the report equals a loop of random_stiefel_point and cover_membership,
-which are the S = 1 case of the same code.
+on the (S, k, k) bottom blocks.  All samples of one run come from a single
+stream, np.random.default_rng(seed), and stacking does not change what it
+draws unless a rank-deficient draw is redrawn: sample 0 is
+random_stiefel_point(seed), and the report equals cover_membership applied
+to each frame of one unstacked draw.
 """
 
 from __future__ import annotations
@@ -101,20 +103,25 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
                  tol: float = kalg.DEFAULT_TOL) -> dict:
     """Sample random frames and report how many escape every cover member.
 
-    Sample s is random_stiefel_point(n, k, field, seed + s), and its members
-    are those of cover_membership; both run on stacks of up to _CHUNK
-    samples.  With k + 1 angles the expected uncovered count is zero in
-    every field.  Uncovered witnesses are serialized in full.
+    Sample s is frame s of the stream np.random.default_rng(seed), so
+    sample 0 is random_stiefel_point(n, k, field, seed); its members are
+    those of cover_membership.  Both run on stacks of up to _CHUNK samples.
+    With k + 1 angles the expected uncovered count is zero in every field.
+    Uncovered witnesses are serialized in full.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if not 0.0 <= tol < math.inf:  # NaN or -1 would cover every sample, inf none
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if n < 2 * k:
         raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
     histogram: Counter[int] = Counter()
     witnesses = []
-    end = seed + samples
-    for start in range(seed, end, _CHUNK):
-        frames = stiefel._random_frames(n, k, field, range(start, min(start + _CHUNK, end)))
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _CHUNK):
+        frames = stiefel._random_frames(n, k, field, rng, min(_CHUNK, samples - start))
         counts = _memberships(field, frames[:, n - k:], ladder, tol).sum(axis=1)
         histogram.update(counts.tolist())
         witnesses += [stiefel.point_to_json(StiefelPoint(Mat(field, frames[s])))

@@ -9,7 +9,6 @@ contraction of a Cayley open subset onto a point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
 
 import numpy as np
 
@@ -388,25 +387,25 @@ def lift_change_equivariance_check(lift: Lift, E: GroupElement, t: TangentCoords
     return kalg.frobenius_norm(lhs - rhs)
 
 
-def _random_frames(n: int, k: int, field: Field, seeds: Sequence[int]) -> np.ndarray:
-    """Components (S, n, k, ncomp) of the frames random_stiefel_point draws from seeds.
+def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,
+                   count: int) -> np.ndarray:
+    """Components (count, n, k, ncomp) of the next count random frames of rng.
 
-    Each frame is modified Gram-Schmidt applied to the Gaussian matrix that
-    kalg.random_gaussian(n, k, field, seed) draws; it runs on the whole
+    Frame s is modified Gram-Schmidt applied to the s-th Gaussian matrix of
+    one rng.standard_normal((count, n, k, ncomp)) draw; it runs on the whole
     stack at once.  A draw with a column whose projected norm is below 1e-8
-    is redrawn from seed + 1_000_003 * attempt, at most three attempts in
-    all.  Every frame is checked for x*x = I within 1e-12.
+    is redrawn from rng, at most three attempts in all.  Every frame is
+    checked for x*x = I within 1e-12.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     nc = field.ncomp
-    out = np.empty((len(seeds), n, k, nc))
-    todo = np.arange(len(seeds))
+    out = np.empty((count, n, k, nc))
+    todo = np.arange(count)
     for attempt in range(3):
         if not todo.size:
             break
-        raw = np.stack([np.random.default_rng(seeds[i] + 1_000_003 * attempt)
-                        .standard_normal((n, k, nc)) for i in todo])
+        raw = rng.standard_normal((todo.size, n, k, nc))
         cols: list[np.ndarray] = []
         full_rank = np.ones(len(todo), dtype=bool)
         for j in range(k):
@@ -432,10 +431,11 @@ def _random_frames(n: int, k: int, field: Field, seeds: Sequence[int]) -> np.nda
 def random_stiefel_point(n: int, k: int, field: Field, seed: int) -> StiefelPoint:
     """Random orthonormal frame: Gram-Schmidt applied to a Gaussian matrix.
 
-    The S = 1 case of the stacked frame builder that cover.verify_cover uses.
+    The first frame of the stream np.random.default_rng(seed), which is
+    also sample 0 of cover.verify_cover(..., seed, ...).
     """
-    return StiefelPoint(Mat._trusted(field, _random_frames(n, k, field, [seed])[0]),
-                        check_tol=1e-12)
+    frame = _random_frames(n, k, field, np.random.default_rng(seed), 1)[0]
+    return StiefelPoint(Mat._trusted(field, frame), check_tol=1e-12)
 
 
 def point_to_json(x: StiefelPoint) -> dict:

@@ -193,6 +193,14 @@ class TestCover:
         assert out == ""
         assert "samples must be nonnegative" in err
 
+    @pytest.mark.parametrize("samples", ["0", "3"])
+    def test_negative_seed(self, capsys, samples):
+        code, out, err = run(capsys, ["cover", "--n", "4", "--k", "2", "--samples", samples,
+                                      "--seed", "-1", "--reproducible"])
+        assert code == 2
+        assert out == ""
+        assert "seed must be nonnegative" in err
+
 
 class TestDemo:
     def test_anchors_and_residuals(self, capsys):

@@ -146,6 +146,17 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="samples must be nonnegative"):
             verify_cover(4, 2, default_ladder(2), -5, 0)
 
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_rejects_negative_seed(self, samples):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            verify_cover(4, 2, default_ladder(2), samples, -1)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_rejects_unusable_tol(self, field, tol):
+        # nan and -1 would put every sample in every member, inf in none
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            verify_cover(4, 2, default_ladder(2), 20, 1, field, tol)
+
     def test_report_schema(self):
         report = verify_cover(4, 2, default_ladder(2), 5, 0)
         assert set(report) == {"n", "k", "field", "angles", "samples",
@@ -153,10 +164,11 @@ class TestVerifyCover:
 
 
 def reference_report(n, k, ladder, samples, seed, fld, tol=kalg.DEFAULT_TOL):
-    """verify_cover's report, one sample at a time through the public API."""
+    """verify_cover's report: cover_membership on each frame of one unstacked draw."""
+    frames = stiefel._random_frames(n, k, fld, np.random.default_rng(seed), samples)
     histogram, witnesses = {}, []
     for s in range(samples):
-        y = stiefel.random_stiefel_point(n, k, fld, seed + s)
+        y = StiefelPoint(Mat(fld, frames[s]))
         members = cover_membership(y, ladder, tol)
         histogram[len(members)] = histogram.get(len(members), 0) + 1
         if not members:
@@ -167,24 +179,32 @@ def reference_report(n, k, ladder, samples, seed, fld, tol=kalg.DEFAULT_TOL):
             "witnesses": witnesses}
 
 
-def rank_deficient_draws(monkeypatch, bad_seeds):
-    """Make default_rng(seed) draw a second column equal to the first for seed in bad_seeds."""
-    default_rng = np.random.default_rng
+def assert_same_report(report, expected):
+    """Field by field, naming the first differing witness instead of diffing all of them."""
+    assert report.keys() == expected.keys()
+    for key in expected:
+        if key != "witnesses":
+            assert report[key] == expected[key], key
+    got, want = report["witnesses"], expected["witnesses"]
+    first = next((i for i, (a, b) in enumerate(zip(got, want))
+                  if json.dumps(a) != json.dumps(b)), None)
+    assert first is None, f"witness {first} differs"
+    assert len(got) == len(want)
 
-    class Deficient:
-        def __init__(self, rng):
-            self.rng = rng
 
-        def standard_normal(self, shape):
-            a = self.rng.standard_normal(shape)
-            a[:, 1] = a[:, 0]
-            return a
+class DeficientDraws:
+    """A generator whose i-th standard_normal draw repeats column 0 of member
+    rows[i] in column 1, so that member's frame is rank-deficient."""
 
-    def patched(seed):
-        rng = default_rng(seed)
-        return Deficient(rng) if seed in bad_seeds else rng
+    def __init__(self, rng, rows):
+        self.rng, self.rows, self.calls = rng, rows, 0
 
-    monkeypatch.setattr(np.random, "default_rng", patched)
+    def standard_normal(self, shape):
+        a = self.rng.standard_normal(shape)
+        if self.calls < len(self.rows):
+            a[self.rows[self.calls], :, 1] = a[self.rows[self.calls], :, 0]
+        self.calls += 1
+        return a
 
 
 class TestStackedVerifier:
@@ -196,30 +216,33 @@ class TestStackedVerifier:
         # more samples than one stack; tol = 0.5 leaves samples uncovered for k >= 2
         samples, ladder = cover._CHUNK + 3, default_ladder(k)
         report = verify_cover(n, k, ladder, samples, 31, field, tol)
-        expected = reference_report(n, k, ladder, samples, 31, field, tol)
-        assert json.dumps(report) == json.dumps(expected)
+        assert_same_report(report, reference_report(n, k, ladder, samples, 31, field, tol))
         if tol == 0.5 and k >= 2:
             assert report["uncovered"] > 0
+        first = stiefel._random_frames(n, k, field, np.random.default_rng(31), 1)[0]
+        assert np.array_equal(first, stiefel.random_stiefel_point(n, k, field, 31).m.data)
 
-    def test_rank_deficient_draw_is_redrawn(self, field, monkeypatch):
-        bad = 41 + 5
-        rank_deficient_draws(monkeypatch, {bad})
-        frames = stiefel._random_frames(4, 2, field, range(41, 51))
-        x = stiefel.random_stiefel_point(4, 2, field, bad)
-        assert np.array_equal(frames[bad - 41], x.m.data)
-        # the retry draws from seed + 1_000_003
-        retry = stiefel.random_stiefel_point(4, 2, field, bad + 1_000_003)
-        assert np.array_equal(x.m.data, retry.m.data)
-        ladder = default_ladder(2)
-        assert (verify_cover(4, 2, ladder, 10, 41, field, 0.5)
-                == reference_report(4, 2, ladder, 10, 41, field, 0.5))
+    def test_rank_deficient_draw_is_redrawn(self, field):
+        # member 5 is redrawn from the same stream, after the stack it was drawn in;
+        # with rows [5, 0] its first redraw is deficient too, and the third draw holds
+        for rows in ([5], [5, 0]):
+            rng = DeficientDraws(np.random.default_rng(41), rows)
+            frames = stiefel._random_frames(4, 2, field, rng, 10)
+            assert rng.calls == len(rows) + 1
+            drawn = 10 + len(rows)
+            stream = stiefel._random_frames(4, 2, field, np.random.default_rng(41), drawn)
+            assert np.array_equal(frames[:5], stream[:5])
+            assert np.array_equal(frames[6:], stream[6:10])
+            assert np.array_equal(frames[5], stream[-1])
+            # and the stream is left where an undisturbed one would be
+            ahead = np.random.default_rng(41).standard_normal(drawn * 4 * 2 * field.ncomp + 3)
+            assert np.array_equal(rng.rng.standard_normal(3), ahead[-3:])
 
-    def test_three_rank_deficient_draws_raise(self, field, monkeypatch):
-        rank_deficient_draws(monkeypatch, {7, 7 + 1_000_003, 7 + 2_000_006})
+    def test_three_rank_deficient_draws_raise(self, field):
+        rng = DeficientDraws(np.random.default_rng(7), [0, 0, 0])
         with pytest.raises(stiefel.RankDeficient):
-            stiefel.random_stiefel_point(4, 2, field, 7)
-        with pytest.raises(stiefel.RankDeficient):
-            verify_cover(4, 2, default_ladder(2), 5, 3, field)
+            stiefel._random_frames(4, 2, field, rng, 5)
+        assert rng.calls == 3
 
 
 class TestSvdCounts:
@@ -249,3 +272,28 @@ class TestSvdCounts:
         calls = self.count(monkeypatch)
         cover_membership(y, ladder)
         assert calls[0] == len(ladder)
+
+
+class TestGeneratorCounts:
+    """One generator per verify_cover call, one Gaussian draw per stack."""
+
+    def test_verify_cover(self, field, monkeypatch):
+        built, draws = [], []
+        default_rng = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                built.append(seed)
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, shape):
+                draws.append(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        samples = 2 * cover._CHUNK + 1
+        report = verify_cover(4, 2, default_ladder(2), samples, 5, field)
+        assert built == [5]
+        nc = field.ncomp
+        assert draws == [(cover._CHUNK, 4, 2, nc), (cover._CHUNK, 4, 2, nc), (1, 4, 2, nc)]
+        assert sum(report["multiplicity_histogram"].values()) == samples

@@ -27,13 +27,21 @@ def _add_common(p: argparse.ArgumentParser, tol: bool = True):
                    help="base ring (default: real)")
     p.add_argument("--n", type=int, default=6, help="ambient dimension (default: 6)")
     p.add_argument("--k", type=int, default=2, help="frame size (default: 2)")
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed (default: 0)")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="master RNG seed, nonnegative (default: 0)")
     if tol:
         p.add_argument("--tol", type=_tolerance, default=kalg.DEFAULT_TOL,
                        help="singular when sigma_min <= tol * sigma_max (default: 1e-12)")
     p.add_argument("--out", default=None, help="write machine output to this path")
     p.add_argument("--reproducible", action="store_true",
                    help="suppress the timestamp field for byte-identical reruns")
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:  # numpy's generators reject it, and check's offsets would hide it
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _tolerance(text: str) -> float:

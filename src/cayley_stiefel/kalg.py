@@ -19,7 +19,9 @@ once, on stacks of component arrays of shape (S, rows, cols, ncomp), so S
 matrices cost one numpy or LAPACK call and not S of them.  The random
 frames of stiefel and the cover test use these private stacked forms;
 Mat products and conjugate transposes, mat_inverse and is_invertible are
-their case with no stack axis.
+their case with no stack axis.  mat_inverse is that singularity test
+followed by _inverse, LAPACK's inverse on component arrays, which a caller
+that bounds the matrix's condition number itself may call directly.
 
 Validation happens at the boundaries.  The public constructor Mat(field,
 data) copies its input and rejects non-finite entries.  Results that kalg
@@ -266,6 +268,12 @@ def vstack(*mats: Mat) -> Mat:
     return Mat._trusted(field, np.concatenate([m.data for m in mats], axis=0))
 
 
+def _operand(field: Field, data: np.ndarray) -> np.ndarray:
+    """The real or complex array LAPACK works on: the view of the components
+    over R and C, the interleaved adjoint over H."""
+    return _adjoint(data) if field is Field.QUATERNION else _view(field, data)
+
+
 def _invertible_operand(field: Field, data: np.ndarray,
                         tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Operands and the relative singularity test for a stack of square matrices.
@@ -279,13 +287,34 @@ def _invertible_operand(field: Field, data: np.ndarray,
     """
     if data.shape[-3] != data.shape[-2]:
         raise ValueError("inversion needs a square matrix")
-    a = _adjoint(data) if field is Field.QUATERNION else _view(field, data)
+    a = _operand(field, data)
     s = np.linalg.svd(a, compute_uv=False)
     if s.shape[-1] == 0:
         return a, np.ones(s.shape[:-1], dtype=bool), s
     # numpy scalars for one matrix (0-d arrays cost microseconds), arrays over a stack
     smin, smax = s.T[-1], s.T[0]
     return a, ~(smin <= tol * smax), s
+
+
+def _inverse(field: Field, operand: np.ndarray) -> np.ndarray:
+    """Components of the inverse of a square matrix from its operand, by LAPACK.
+
+    operand is what _operand returns for the matrix.  No singularity test is
+    run: a caller that skips mat_inverse's test must know the matrix is well
+    conditioned, as optim.curve does when |t| |N U*U|_F <= 1/2 puts every
+    singular value of its core I + t N U*U in [1/2, 3/2].  Raises Singular
+    only when LAPACK finds an exactly zero pivot.  Over H the inverse of
+    the adjoint is the adjoint of M^{-1}, whose (i, 0) rows hold (Z1', Z2')
+    interleaved.
+    """
+    try:
+        inv = np.linalg.inv(operand)
+    except np.linalg.LinAlgError as exc:
+        raise Singular(str(exc)) from exc
+    if field is Field.QUATERNION:
+        n = operand.shape[-1] // 2
+        return np.ascontiguousarray(inv.reshape(n, 2, n, 2)[:, 0]).view(np.float64)
+    return _components(inv)
 
 
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
@@ -297,17 +326,7 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     if not invertible:
         raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
                        f"{tol:.1e} times the largest {s[0]:.3e}")
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(str(exc)) from exc
-    if m.field is Field.QUATERNION:
-        # the inverse of the adjoint is the adjoint of M^{-1}, whose (i, 0)
-        # rows hold (Z1', Z2') interleaved
-        n = m.rows
-        return Mat._trusted(m.field, np.ascontiguousarray(
-            inv.reshape(n, 2, n, 2)[:, 0]).view(np.float64))
-    return Mat._trusted(m.field, _components(inv))
+    return Mat._trusted(m.field, _inverse(m.field, a))
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:

@@ -12,6 +12,15 @@ Every line search after the first starts from a Barzilai-Borwein step, as
 in Wen and Yin's Algorithm 2, and backtracks under the monotone Armijo
 test, so every accepted step decreases f (Barzilai and Borwein,
 "Two-point step size gradient methods", IMA J. Numer. Anal. 1988).
+
+The generator and the curve points are the inner loop, so their
+arithmetic runs on the component arrays through kalg's private product,
+conjugate transpose and inverse, with inputs checked once where they
+enter: the gradient's shape and base ring, the curve parameter, and the
+x*x = I check of every point.  The 2k x 2k core I + t N U*U skips
+mat_inverse's SVD test when |t| |N U*U|_F <= 1/2, where the test cannot
+fail.  Every value is the same to the bit as the same formulas on Mat
+values.
 """
 
 from __future__ import annotations
@@ -111,9 +120,16 @@ class SearchGenerator:
     exactly, for any x, orthonormal or not.  Dividing W by s keeps the
     condition number of the curve's core I + t N U*U growing like t |A|
     rather than t^2 |W|^2.  Holds the products every point of the curve
-    needs: U, N U*U, N U*x and the rate |A|_F^2 = -Re tr((N U*U)^2) at
-    which f decreases along the curve at t = 0, and the Riemannian gradient
-    norm gnorm = |W + xK/2|_F, equal to |F - x herm(x*F)|_F for any x.
+    needs: U, N U*U, N U*x, |N U*U|_F, which bounds the core's distance
+    from I, and the rate |A|_F^2 = -Re tr((N U*U)^2) at which f decreases
+    along the curve at t = 0, and the Riemannian gradient norm
+    gnorm = |W + xK/2|_F, equal to |F - x herm(x*F)|_F for any x.
+
+    from_gradient checks that F matches x in base ring and shape, then
+    computes on the component arrays through kalg's private product and
+    conjugate transpose, with no Mat per intermediate value.  The
+    operations and their order are those of the same formulas on Mat
+    values, so every field is the same to the bit.
     """
 
     x: StiefelPoint
@@ -122,24 +138,29 @@ class SearchGenerator:
     NUx: Mat
     rate: float
     gnorm: float
+    ng_norm: float
 
     @classmethod
     def from_gradient(cls, x: StiefelPoint, F: Mat) -> "SearchGenerator":
         if F.shape != x.m.shape:
             raise ValueError("gradient shape must match the frame")
-        k, fld = x.k, x.field
-        xF = x.m.H @ F
-        W = F - x.m @ xF
-        K = xF - xF.H
-        s = kalg.frobenius_norm(W) or 1.0
-        U = kalg.hstack((1.0 / s) * W, x.m)
+        if F.field is not x.field:
+            raise ValueError(f"mixed base rings: {x.field.value} vs {F.field.value}")
+        k, fld, xm, Fd = x.k, x.field, x.m.data, F.data
+        xF = kalg._product(fld, kalg._conj_transpose(xm), Fd)
+        W = Fd - kalg._product(fld, xm, xF)
+        K = xF - kalg._conj_transpose(xF)
+        s = float(np.linalg.norm(W)) or 1.0
+        U = np.concatenate([W * (1.0 / s), xm], axis=1)
         # with G = U*U split into k-row blocks, N G = [s G_bot; K G_bot - s G_top];
         # U*x is the last k columns of G, so N U*x is the last k columns of N G
-        G = (U.H @ U).data
-        bot = Mat._trusted(fld, G[k:])
-        NG = Mat._trusted(fld, np.concatenate([s * G[k:], (K @ bot).data - s * G[:k]]))
-        gnorm = kalg.frobenius_norm(W + x.m @ (0.5 * K))
-        return cls(x, U, NG, NG.block(0, 2 * k, k, 2 * k), -_inner(NG.H, NG), gnorm)
+        G = kalg._product(fld, kalg._conj_transpose(U), U)
+        NG = np.concatenate([G[k:] * s, kalg._product(fld, K, G[k:]) - G[:k] * s])
+        gnorm = float(np.linalg.norm(W + kalg._product(fld, xm, K * 0.5)))
+        rate = -float(np.vdot(kalg._conj_transpose(NG), NG))  # -Re tr(NG NG), as in _inner
+        return cls(x, Mat._trusted(fld, U), Mat._trusted(fld, NG),
+                   Mat._trusted(fld, NG[:, k:].copy()), rate, gnorm,
+                   float(np.linalg.norm(NG)))
 
 
 def curve(g: SearchGenerator, t: float) -> StiefelPoint:
@@ -151,14 +172,27 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     inversion.  Raises Singular when that core fails mat_inverse's relative
     singular-value test at kalg.DEFAULT_TOL, and NotOrthonormal when the
     point fails the x*x = I check; both happen only once t |A| is large
-    enough for rounding to swamp the step.
+    enough for rounding to swamp the step.  Raises ValueError when t or 2t
+    is not finite.
+
+    When |t| |N U*U|_F <= 1/2 the test cannot fail: the core is within 1/2
+    of I in the spectral norm, so its singular values lie in [1/2, 3/2].
+    The core is then inverted by LAPACK with no SVD (kalg._inverse); above
+    the bound it goes through mat_inverse and its test.  The arithmetic
+    runs on the component arrays, in the order of the same formula on Mat
+    values, so the point is the same to the bit either way.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"curve parameter must be finite, got {t}")
+    if not math.isfinite(2.0 * t):  # t is NaN, infinite, or 2t overflows
+        raise ValueError(f"curve parameter must be finite, and so must 2t; got {t}")
+    fld = g.NG.field
     core = g.NG.data * t
     kalg._shift_diagonal(core, 1.0)
-    step = g.U @ (kalg.mat_inverse(Mat._trusted(g.NG.field, core)) @ g.NUx)
-    return StiefelPoint(g.x.m - (2.0 * t) * step)
+    if abs(t) * g.ng_norm <= 0.5:
+        inv = kalg._inverse(fld, kalg._operand(fld, core))
+    else:
+        inv = kalg.mat_inverse(Mat._trusted(fld, core)).data
+    step = kalg._product(fld, g.U.data, kalg._product(fld, inv, g.NUx.data))
+    return StiefelPoint(Mat._trusted(fld, g.x.m.data - step * (2.0 * t)))
 
 
 def _bb_step(S: Mat, D: Mat, odd: bool, fallback: float) -> float:
@@ -196,11 +230,12 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     A rejected tau is replaced by the minimiser of the quadratic through
     f(0), that slope and f(tau), clamped to [0.1, backtrack_factor] * tau;
     halving alone can settle on a step that flips the steepest component
-    of x every iteration.  A trial whose core is Singular or whose point
-    fails the x*x = I check is a rejected step too: tau shrinks by
-    backtrack_factor, and the backtrack counts.  Terminates when the
-    Riemannian gradient norm, read from the generator (gnorm), drops below
-    grad_tol, the iteration budget is exhausted, or the line search fails.
+    of x every iteration.  A trial whose core is Singular, whose point
+    fails the x*x = I check or whose objective value is NaN is a rejected
+    step too: tau shrinks by backtrack_factor, and the backtrack counts.
+    Terminates when the Riemannian gradient norm, read from the generator
+    (gnorm), drops below grad_tol, the iteration budget is exhausted, or
+    the line search fails.
     """
     x = x0
     fval = obj.f(x)
@@ -230,10 +265,12 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
             try:
                 cand = curve(gen, tau)
             except (Singular, NotOrthonormal):
+                cand = None
+            fcand = math.nan if cand is None else obj.f(cand)
+            if math.isnan(fcand):
                 tau *= p.backtrack_factor
                 backtracks += 1
                 continue
-            fcand = obj.f(cand)
             if fcand <= fval - p.armijo_c * tau * rate:
                 accepted = (cand, fcand)
                 break

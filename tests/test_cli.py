@@ -202,6 +202,17 @@ class TestCover:
         assert "seed must be nonnegative" in err
 
 
+class TestSeed:
+    # cover has its own case in TestCover, which also covers --samples 0
+    @pytest.mark.parametrize("command", ["check", "demo", "optimize"])
+    def test_negative_seed(self, capsys, command):
+        code, out, err = run(capsys, [command, "--n", "4", "--k", "2", "--seed", "-1",
+                                      "--reproducible"])
+        assert code == 2
+        assert out == ""
+        assert "seed must be nonnegative" in err
+
+
 class TestDemo:
     def test_anchors_and_residuals(self, capsys):
         code, out, err = run(capsys, ["demo", "--field", "real", "--n", "3",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from conftest import random_skew
 
 from cayley_stiefel import group, kalg, optim, stiefel
-from cayley_stiefel.kalg import Field, Mat
+from cayley_stiefel.kalg import Field, Mat, Singular
 from cayley_stiefel.optim import (NotHermitian, Objective, SearchGenerator, SearchParams,
                                   _bb_step, curve, gradient_descent,
                                   procrustes_objective, rayleigh_objective)
-from cayley_stiefel.stiefel import StiefelPoint, TangentCoords
+from cayley_stiefel.stiefel import NotOrthonormal, StiefelPoint, TangentCoords
 
 
 def fro(m):
@@ -84,7 +85,8 @@ class TestCurve:
         g = SearchGenerator.from_gradient(x, kalg.random_gaussian(5, 2, field, 6))
         assert fro(curve(g, 0.0).m - x.m) == 0.0
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    # at 1e308 the parameter is finite but 2t overflows
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308, -1e308])
     def test_rejects_non_finite_parameter(self, t):
         x = stiefel.random_stiefel_point(5, 2, Field.REAL, 5)
         g = SearchGenerator.from_gradient(x, kalg.random_gaussian(5, 2, Field.REAL, 6))
@@ -193,16 +195,159 @@ class TestSearchGenerator:
         # x*F, x (x*F), U*U, K G_bot and x K/2; N is never formed
         x = stiefel.random_stiefel_point(7, 3, field, 68)
         F = kalg.random_gaussian(7, 3, field, 69)
-        products = []
-        matmul = Mat.__matmul__
-
-        def counted(a, b):
-            products.append(a.shape)
-            return matmul(a, b)
-
-        monkeypatch.setattr(Mat, "__matmul__", counted)
+        products = recorded_calls(monkeypatch, "_product")
         SearchGenerator.from_gradient(x, F)
         assert len(products) == 5
+
+    # multiples of the bound 1/2 on |t| |NG|_F; 0.99 and 1.01 sit on either side
+    @pytest.mark.parametrize("c", [0.0, 0.5, -0.99, 0.99, 1.01, -1.01, 3.0])
+    def test_curve_counts(self, field, c, monkeypatch):
+        n, k, nc = 7, 3, field.ncomp
+        x = stiefel.random_stiefel_point(n, k, field, 68)
+        g = SearchGenerator.from_gradient(x, kalg.random_gaussian(n, k, field, 69))
+        t = c * 0.5 / g.ng_norm
+        products = recorded_calls(monkeypatch, "_product")
+        svd_tests = recorded_calls(monkeypatch, "_invertible_operand")
+        curve(g, t)
+        # inv N U*x and U (inv N U*x) for the step; x*x of the point's frame check
+        assert products == [((2 * k, 2 * k, nc), (2 * k, k, nc)), ((n, 2 * k, nc), (2 * k, k, nc)),
+                            ((1, k, n, nc), (1, n, k, nc))]
+        assert len(svd_tests) == (0 if abs(c) <= 0.99 else 1)
+
+    def test_rejects_gradient_over_another_ring(self, field):
+        x = stiefel.random_stiefel_point(7, 3, field, 68)
+        other = Field.COMPLEX if field is Field.REAL else Field.REAL
+        with pytest.raises(ValueError, match="mixed base rings"):
+            SearchGenerator.from_gradient(x, kalg.random_gaussian(7, 3, other, 69))
+
+    def test_rejects_gradient_of_another_shape(self, field):
+        x = stiefel.random_stiefel_point(7, 3, field, 68)
+        with pytest.raises(ValueError, match="gradient shape"):
+            SearchGenerator.from_gradient(x, kalg.random_gaussian(7, 2, field, 69))
+
+
+def recorded_calls(monkeypatch, name):
+    """Patch kalg.<name> to record the shapes of its array arguments; returns the record."""
+    calls = []
+    fn = getattr(kalg, name)
+
+    def recorded(fld, *arrays, **kwargs):
+        calls.append(tuple(a.shape for a in arrays if isinstance(a, np.ndarray)))
+        return fn(fld, *arrays, **kwargs)
+
+    monkeypatch.setattr(kalg, name, recorded)
+    return calls
+
+
+def mat_from_gradient(x, F):
+    """SearchGenerator.from_gradient on Mat values, one Mat per intermediate: the
+    reference for its arithmetic on component arrays."""
+    if F.shape != x.m.shape:
+        raise ValueError("gradient shape must match the frame")
+    k, fld = x.k, x.field
+    xF = x.m.H @ F
+    W = F - x.m @ xF
+    K = xF - xF.H
+    s = kalg.frobenius_norm(W) or 1.0
+    U = kalg.hstack((1.0 / s) * W, x.m)
+    G = (U.H @ U).data
+    bot = Mat._trusted(fld, G[k:])
+    NG = Mat._trusted(fld, np.concatenate([s * G[k:], (K @ bot).data - s * G[:k]]))
+    gnorm = kalg.frobenius_norm(W + x.m @ (0.5 * K))
+    return SearchGenerator(x, U, NG, NG.block(0, 2 * k, k, 2 * k), -optim._inner(NG.H, NG),
+                           gnorm, fro(NG))
+
+
+def mat_curve(g, t):
+    """curve on Mat values, with mat_inverse's SVD test on every core: the reference
+    for its arithmetic on component arrays and its norm bound."""
+    if not math.isfinite(t):
+        raise ValueError(f"curve parameter must be finite, got {t}")
+    core = g.NG.data * t
+    kalg._shift_diagonal(core, 1.0)
+    step = g.U @ (kalg.mat_inverse(Mat._trusted(g.NG.field, core)) @ g.NUx)
+    return StiefelPoint(g.x.m - (2.0 * t) * step)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def curve_outcome(curve_fn, g, t):
+    """The point's components, or the type of the rejection curve_fn raised."""
+    try:
+        return curve_fn(g, t).m.data
+    except (Singular, NotOrthonormal) as exc:
+        return type(exc)
+
+
+class TestMatReference:
+    """The array arithmetic of from_gradient and curve against the Mat formulas, bit for bit."""
+
+    STEPS = [0.0, 1e-3, -0.05, 0.3, 1.0, 7.0, 1e6]
+
+    @staticmethod
+    def frames(n, k, field):
+        """Four random frames, then one 1e-10 off x*x = I; each with a Gaussian gradient."""
+        for seed in range(4):
+            yield (stiefel.random_stiefel_point(n, k, field, 300 + seed),
+                   kalg.random_gaussian(n, k, field, 400 + seed))
+        x = stiefel.random_stiefel_point(n, k, field, 304)
+        drift = 1e-10 * kalg.random_gaussian(n, k, field, 305).data
+        yield StiefelPoint(Mat(field, x.m.data + drift)), kalg.random_gaussian(n, k, field, 404)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (5, 2), (9, 4), (20, 4), (4, 0)])
+    def test_bit_identical(self, field, n, k):
+        bounded = set()
+        for x, F in self.frames(n, k, field):
+            g, ref = SearchGenerator.from_gradient(x, F), mat_from_gradient(x, F)
+            for name in ("U", "NG", "NUx"):
+                assert_same_bits(getattr(g, name).data, getattr(ref, name).data)
+            for name in ("rate", "gnorm", "ng_norm"):
+                assert_same_bits(getattr(g, name), getattr(ref, name))
+            for t in self.STEPS:
+                got, want = curve_outcome(curve, g, t), curve_outcome(mat_curve, ref, t)
+                if isinstance(want, type) or isinstance(got, type):
+                    assert got is want
+                else:
+                    assert_same_bits(got, want)
+                bounded.add(abs(t) * g.ng_norm <= 0.5)
+        # both paths are taken: t = 0 is within the bound and, for k >= 1, t = 1e6 is not
+        assert bounded == ({True, False} if k else {True})
+
+    # at n = 5, k = 3, W has rank at most 2, so the core I + t N U*U nears
+    # singularity as t grows; at scale 1e8 the first trials are Singular or
+    # lose the manifold to rounding
+    @pytest.mark.parametrize("n,k,scale", [(20, 4, 1.0), (5, 3, 1e8)])
+    def test_solve_bit_identical(self, field, n, k, scale, monkeypatch):
+        M = scale * kalg.hermitian_part(kalg.random_gaussian(n, n, field, 7))
+        x0 = stiefel.random_stiefel_point(n, k, field, 8)
+        p = SearchParams(grad_tol=1e-6 * scale)
+        rejected = set()
+
+        def recorded(g, t):
+            try:
+                return curve(g, t)
+            except (Singular, NotOrthonormal) as exc:
+                rejected.add(type(exc))
+                raise
+
+        monkeypatch.setattr(optim, "curve", recorded)
+        got = gradient_descent(rayleigh_objective(M), x0, p)
+        monkeypatch.setattr(SearchGenerator, "from_gradient", staticmethod(mat_from_gradient))
+        monkeypatch.setattr(optim, "curve", mat_curve)
+        want = gradient_descent(rayleigh_objective(M), x0, p)
+        assert got.reason == want.reason == "converged"
+        assert rejected == ({Singular, NotOrthonormal} if scale > 1.0 else set())
+        assert len(got.records) == len(want.records)
+        for a, b in zip(got.records, want.records):
+            assert (a.iteration, a.backtracks) == (b.iteration, b.backtracks)
+            for va, vb in ((a.f, b.f), (a.gnorm, b.gnorm), (a.step, b.step),
+                           (a.x.m.data, b.x.m.data)):
+                assert_same_bits(va, vb)
 
 
 class TestRayleighObjective:
@@ -461,6 +606,23 @@ class TestStepRule:
         # and when the difference is not finite
         inf = Mat._trusted(field, np.full((6, 2, field.ncomp), np.inf))
         assert _bb_step(inf, Mat(field, D + 1.0), odd, 0.37) == 0.37
+
+    def test_nan_objective_value_is_a_rejected_trial(self, field, monkeypatch):
+        M = kalg.hermitian_part(kalg.random_gaussian(8, 8, field, 83))
+        rayleigh = rayleigh_objective(M)
+        calls = []
+
+        def f(x):
+            # the 2nd call is the first trial point
+            calls.append(x)
+            return math.nan if len(calls) == 2 else rayleigh.f(x)
+
+        x0 = stiefel.random_stiefel_point(8, 2, field, 84)
+        steps = self.trial_steps(monkeypatch)
+        trace = gradient_descent(Objective(f, rayleigh.egrad), x0, SearchParams(initial_step=0.37))
+        assert trace.reason == "converged"
+        assert [t for _, t in steps[:2]] == [0.37, 0.37 * 0.5]
+        assert trace.records[1].backtracks >= 1
 
     def test_benchmark_spectrum_is_monotone(self, field):
         # bottom k eigenvalues linspace(0, 0.1, k), gap 0.5, the rest up to 1.1

@@ -302,7 +302,8 @@ def _inverse(field: Field, operand: np.ndarray) -> np.ndarray:
     operand is what _operand returns for the matrix.  No singularity test is
     run: a caller that skips mat_inverse's test must know the matrix is well
     conditioned, as optim.curve does when |t| |N U*U|_F <= 1/2 puts every
-    singular value of its core I + t N U*U in [1/2, 3/2].  Raises Singular
+    singular value of its core I + t N U*U in [1/2, 3/2], and group.b_matrix
+    within the norm bound its docstring proves.  Raises Singular
     only when LAPACK finds an exactly zero pivot.  Over H the inverse of
     the adjoint is the adjoint of M^{-1}, whose (i, 0) rows hold (Z1', Z2')
     interleaved.

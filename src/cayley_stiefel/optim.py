@@ -63,8 +63,10 @@ class SearchParams:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0.0 < self.initial_step < math.inf:
-            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
+        # curve takes the step as t and needs 2t finite too
+        if not (0.0 < self.initial_step and math.isfinite(2.0 * self.initial_step)):
+            raise ValueError("initial_step must be positive with 2 * initial_step finite, "
+                             f"got {self.initial_step}")
         if not 0.0 <= self.grad_tol:  # NaN or negative: no gradient norm would ever pass
             raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if self.max_iters < 0:

@@ -4,6 +4,17 @@ Implements the projection from the group onto the manifold, frame completion
 (lifting), the Stiefel Cayley transform and its inverse, its differential
 and injectivity predicates, local sections of the projection, and the
 contraction of a Cayley open subset onto a point.
+
+gamma, gamma_inverse, local_section and contraction compute on the
+component arrays through kalg's private product and conjugate transpose,
+in the operations and order of the same formulas on Mat values, so every
+result is the same to the bit.  Their only inversions are k x k: C = pi + P*
+by mat_inverse with its test at the caller's tol, and the core
+I + X*X + Y by group.b_matrix, which skips that test wherever a norm bound
+proves it passes.  Inputs are checked where they enter: a TangentCoords's
+shapes, base ring and skew-Hermitian Y when it is built, y's shape and
+base ring in gamma_inverse, and every result by the x*x = I check of
+StiefelPoint or the A A* = I check of GroupElement.
 """
 
 from __future__ import annotations
@@ -134,6 +145,8 @@ class TangentCoords:
         n, k = self.lift.n, self.lift.k
         if self.X.shape != (n - k, k) or self.Y.shape != (k, k):
             raise ValueError("tangent block shapes do not match the lift")
+        if self.X.field is not self.lift.field or self.Y.field is not self.lift.field:
+            raise ValueError("X and Y must share the lift's base ring")
         if not kalg.is_skew_hermitian(self.Y, kalg.CHECK_TOL):
             raise InvalidTangent(f"Y is not skew-Hermitian within {kalg.CHECK_TOL:.1e}")
 
@@ -199,19 +212,29 @@ def complete_lift(x: StiefelPoint) -> Lift:
     return Lift(x, GroupElement(Mat._trusted(field, A), check_tol=1e-10))
 
 
+def _lift_blocks(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
+    """The lift's beta and P as component arrays.  beta is copied, as
+    Lift.beta copies it, so that its products get the contiguous operand
+    of the Mat formulas."""
+    nk = lift.n - lift.k
+    return lift.A.m.data[nk:, :nk].copy(), lift.point.m.data[nk:]
+
+
 def gamma(t: TangentCoords) -> StiefelPoint:
     """The Stiefel Cayley transform of the tangent vector with coordinates t.
 
     Evaluates 2 [-Xb; b] (beta X + P)* + [beta*; -P*] with b = (I + X*X + Y)^{-1};
-    that k x k core has every singular value at least 1, so gamma takes no tol.
-    Y was checked when t was built and is not checked again.
+    that k x k core has every singular value at least 1 less half the slack
+    of Y's skew check (group.b_matrix), so gamma takes no tol.  Y was checked
+    when t was built and is not checked again.
     """
-    lift = t.lift
-    b = group.b_matrix(t)
-    right = (lift.beta @ t.X + lift.P).H
-    top = -2.0 * ((t.X @ b) @ right) + lift.beta.H
-    bot = 2.0 * (b @ right) - lift.P.H
-    return StiefelPoint(kalg.vstack(top, bot))
+    fld, X = t.field, t.X.data
+    beta, P = _lift_blocks(t.lift)
+    b = group.b_matrix(t).data
+    right = kalg._conj_transpose(kalg._product(fld, beta, X) + P)
+    top = kalg._product(fld, kalg._product(fld, X, b), right) * -2.0 + kalg._conj_transpose(beta)
+    bot = kalg._product(fld, b, right) * 2.0 - kalg._conj_transpose(P)
+    return StiefelPoint(Mat._trusted(fld, np.concatenate([top, bot])))
 
 
 def in_cayley_open(x: StiefelPoint, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> bool:
@@ -231,19 +254,24 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     With C = pi + P*, X = -(tau - beta*) C^{-1}.  The core is
     b = (1/2) C D^{-1} with D = (beta X + P)*, so Y, the skew-Hermitian part
     of b^{-1} = 2 D C^{-1}, needs no inverse but C^{-1}.  Requires y in the
-    Cayley open subset of the lift's base point.  kalg.skew_hermitian_part
-    makes Y exactly skew-Hermitian, so Y is not checked again, here or by
-    local_section.
+    Cayley open subset of the lift's base point: C^{-1} is mat_inverse's,
+    with its test at tol.  Taking the skew-Hermitian part makes Y exactly
+    skew-Hermitian, so Y is not checked again, here or by local_section.
     """
-    tau, pi = y.T, y.P
+    if (y.n, y.k) != (lift.n, lift.k) or y.field is not lift.field:
+        raise ValueError("y must share the lift's shape and base ring")
+    fld, nk = lift.field, lift.n - lift.k
+    beta, P = _lift_blocks(lift)
+    tau, pi = y.m.data[:nk], y.m.data[nk:]
     try:
-        C_inv = kalg.mat_inverse(pi + lift.P.H, tol)
+        C_inv = kalg.mat_inverse(Mat._trusted(fld, pi + kalg._conj_transpose(P)), tol).data
     except Singular as exc:
         raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
-    X = -((tau - lift.beta.H) @ C_inv)
-    D = (lift.beta @ X + lift.P).H
-    Y = kalg.skew_hermitian_part(2.0 * (D @ C_inv))
-    return TangentCoords._trusted(lift, X, Y)
+    X = -kalg._product(fld, tau - kalg._conj_transpose(beta), C_inv)
+    D = kalg._conj_transpose(kalg._product(fld, beta, X) + P)
+    B = kalg._product(fld, D, C_inv) * 2.0
+    Y = (B - kalg._conj_transpose(B)) * 0.5
+    return TangentCoords._trusted(lift, Mat._trusted(fld, X), Mat._trusted(fld, Y))
 
 
 def gamma_differential(t: TangentCoords, M: Mat, N: Mat) -> Mat:
@@ -340,12 +368,17 @@ def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     that is the rank-k update A* + [-2X bV*; 2(bV* - x*)] with V = A [X; I],
     O(n^2 k) work.  The last k columns of the result agree with y.
     """
+    fld, n, k = lift.field, lift.n, lift.k
     coords = gamma_inverse(lift, y, tol)
-    X = coords.X
-    b = group.b_matrix(coords)
-    bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
-    update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
-    return GroupElement(lift.A.m.H + update)
+    A, X = lift.A.m.data, coords.X.data
+    b = group.b_matrix(coords).data
+    XI = np.zeros((n, k, fld.ncomp))  # [X; I]
+    XI[:n - k] = X
+    kalg._shift_diagonal(XI[n - k:], 1.0)
+    bVh = kalg._product(fld, b, kalg._conj_transpose(kalg._product(fld, A, XI)))
+    update = np.concatenate([kalg._product(fld, X, bVh) * -2.0,
+                             (bVh - kalg._conj_transpose(lift.point.m.data)) * 2.0])
+    return GroupElement(Mat._trusted(fld, kalg._conj_transpose(A) + update))
 
 
 def contraction(lift: Lift, y: StiefelPoint, t: float,
@@ -353,7 +386,7 @@ def contraction(lift: Lift, y: StiefelPoint, t: float,
     """Contraction homotopy of the Cayley open subset at x.
 
     H(y, t) = gamma(t gamma_inverse(y)), with k x k inversions only.  tol is the
-    test of gamma_inverse on pi + P*; the core I + t(X*X + Y) of gamma has every
+    test of gamma_inverse on pi + P*; the core I + t^2 X*X + t Y of gamma has every
     singular value at least 1.  H(y, 0) is gamma of the zero tangent, H(y, 1) = y.
     """
     if not 0.0 <= t <= 1.0:

@@ -26,6 +26,14 @@ def random_lift_tangent(n, k, fld, seed, scale=1.0):
     return lift, TangentCoords(lift, X, Y)
 
 
+def assert_same_bits(a, b):
+    """Equal values and equal signs of zero, entry for entry."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def scalar(value, fld):
     """1 x 1 matrix from raw scalar components."""
     return kalg.Mat(fld, np.asarray(value, dtype=np.float64).reshape(1, 1, fld.ncomp))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -96,7 +97,8 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flags", [["--max-iters", "-3"], ["--step", "0"],
                                        ["--step", "-1"], ["--step", "inf"],
-                                       ["--step", "nan"], ["--grad-tol", "nan"],
+                                       ["--step", "nan"], ["--step", "1e308"],
+                                       ["--grad-tol", "nan"],
                                        ["--grad-tol", "-1"]])
     def test_unusable_search_params(self, capsys, flags):
         code, out, err = run(capsys, ["optimize", "--n", "6", "--k", "2",
@@ -104,6 +106,8 @@ class TestOptimize:
         assert code == 2
         assert out == ""
         assert "error" in err and "Traceback" not in err
+        # the message names the parameter: --step sets initial_step
+        assert flags[0][2:].replace("-", "_") in err
 
     def test_csv_companion(self, capsys, tmp_path):
         csv_path = tmp_path / "trace.csv"
@@ -294,3 +298,26 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, argv)
         assert code1 == code2
         assert out1 == out2
+
+
+class TestGoldenOutput:
+    """SHA-256 of --reproducible stdout, pinned so that a change of arithmetic that
+    moves any printed bit shows here.  A change that moves these bytes on purpose
+    updates the hashes and says why."""
+
+    GOLDEN = {
+        ("demo", "real"): "ab9bb8d4dca6dd7b531571194d12f2ef2e76b5a71eaea355d01743df87454560",
+        ("demo", "complex"): "c91e75f83208436c9744e25486de600519eb9cf7f113cc0021e4a354ae322f27",
+        ("demo", "quaternion"): "46021c2e10f7a7cb6643ebd07ff630058bd8275c2b00d7f0f16f68f0704e6da5",
+        ("check", "real"): "1ac3e81da7b8143c86866b64743496514f64c3da7291b594620d021742beb324",
+        ("check", "complex"): "a94e95f63a93427d50c370c9705ae6109ea5c9590f0ff5c86ae4bead5b79deb0",
+        ("check", "quaternion"): "61051474dbe54e66a691ebc461f756b46b2b25e74b5d97f87afa7e6fe25a3578",
+    }
+    ARGS = {"demo": ["--n", "16", "--k", "4", "--seed", "3"],
+            "check": ["--n", "6", "--k", "2", "--seed", "7"]}
+
+    @pytest.mark.parametrize("command, fld", sorted(GOLDEN))
+    def test_reproducible_stdout(self, capsys, command, fld):
+        code, out, _ = run(capsys, [command, "--field", fld, *self.ARGS[command], "--reproducible"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[command, fld]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_skew
+from conftest import assert_same_bits, random_skew
 
 from cayley_stiefel import group, kalg, optim, stiefel
 from cayley_stiefel.kalg import Field, Mat, Singular
@@ -269,13 +269,6 @@ def mat_curve(g, t):
     return StiefelPoint(g.x.m - (2.0 * t) * step)
 
 
-def assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.shape == b.shape
-    assert np.array_equal(a, b)
-    assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
 def curve_outcome(curve_fn, g, t):
     """The point's components, or the type of the rejection curve_fn raised."""
     try:
@@ -501,10 +494,11 @@ class TestGradientDescent:
 
     @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
     def test_rayleigh_converges_at_large_scale(self, field, scale):
-        # the first trials at tau = 1 lose the manifold to rounding or make
-        # the core singular; they are rejected steps, not errors.  Later
-        # searches start from the Barzilai-Borwein step, which carries the
-        # scale: restarting at tau = 1 cost 4784 backtracks at real, 1e10
+        # convergence, and the backtrack budget, when M is far from unit scale:
+        # later searches start from the Barzilai-Borwein step, which carries
+        # the scale (restarting at tau = 1 cost 4784 backtracks at real, 1e10).
+        # No trial here is Singular or fails the x*x = I check;
+        # TestMatReference::test_solve_bit_identical reaches both rejections
         M = scale * kalg.hermitian_part(kalg.random_gaussian(12, 12, field, 7))
         x0 = stiefel.random_stiefel_point(12, 3, field, 8)
         trace = gradient_descent(rayleigh_objective(M), x0, SearchParams(grad_tol=1e-6 * scale))
@@ -531,9 +525,10 @@ class TestGradientDescent:
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": -1}, {"max_iters": -3}, {"max_backtracks": -1},
         {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": np.inf},
-        {"initial_step": np.nan}, {"grad_tol": np.nan}, {"grad_tol": -1e-6}])
+        {"initial_step": np.nan}, {"initial_step": 1e308}, {"grad_tol": np.nan},
+        {"grad_tol": -1e-6}])
     def test_params_reject_unusable_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SearchParams(**kwargs)
 
     def test_params_accept_boundary_values(self):

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import mat_payload, overflow_nan, random_lift_tangent, random_skew
+from conftest import (assert_same_bits, mat_payload, overflow_nan, random_lift_tangent,
+                      random_skew)
 
 from cayley_stiefel import group, kalg, stiefel
 from cayley_stiefel.group import GroupElement, InvalidTangent
@@ -37,6 +39,70 @@ def zero_bottom_point(n, k, fld, seed):
 def zero_tangent(lift):
     return TangentCoords(lift, kalg.zeros(lift.n - lift.k, lift.k, lift.field),
                          kalg.zeros(lift.k, lift.k, lift.field))
+
+
+def mat_b_matrix(t):
+    """group.b_matrix on Mat values, with mat_inverse's SVD test on every core: the
+    reference for its arithmetic on component arrays and its norm bound."""
+    X = t.X
+    return kalg.mat_inverse(kalg.identity(X.cols, X.field) + X.H @ X + t.Y)
+
+
+def mat_gamma(t):
+    """stiefel.gamma on Mat values: the reference for its arithmetic on component arrays."""
+    lift, X = t.lift, t.X
+    b = mat_b_matrix(t)
+    right = (lift.beta @ X + lift.P).H
+    top = -2.0 * ((X @ b) @ right) + lift.beta.H
+    bot = 2.0 * (b @ right) - lift.P.H
+    return StiefelPoint(kalg.vstack(top, bot))
+
+
+def mat_gamma_inverse(lift, y, tol=kalg.DEFAULT_TOL):
+    """stiefel.gamma_inverse on Mat values."""
+    tau, pi = y.T, y.P
+    try:
+        C_inv = kalg.mat_inverse(pi + lift.P.H, tol)
+    except Singular as exc:
+        raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
+    X = -((tau - lift.beta.H) @ C_inv)
+    D = (lift.beta @ X + lift.P).H
+    Y = kalg.skew_hermitian_part(2.0 * (D @ C_inv))
+    return TangentCoords._trusted(lift, X, Y)
+
+
+def mat_local_section(lift, y):
+    """stiefel.local_section on Mat values."""
+    coords = mat_gamma_inverse(lift, y)
+    X = coords.X
+    b = mat_b_matrix(coords)
+    bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
+    update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
+    return GroupElement(lift.A.m.H + update)
+
+
+def mat_contraction(lift, y, t):
+    """stiefel.contraction on Mat values."""
+    return mat_gamma(mat_gamma_inverse(lift, y).scaled(t))
+
+
+def svd_tests(monkeypatch, fn, *args):
+    """The tol of each SVD test (kalg._invertible_operand) that fn(*args) runs;
+    a rejection fn raises is ignored."""
+    tols = []
+    invertible_operand = kalg._invertible_operand
+
+    def recorded(fld, data, tol):
+        tols.append(tol)
+        return invertible_operand(fld, data, tol)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(kalg, "_invertible_operand", recorded)
+        try:
+            fn(*args)
+        except (Singular, ValueError):
+            pass
+    return tols
 
 
 class TestRho:
@@ -407,8 +473,10 @@ class TestCoreCounts:
 
     @staticmethod
     def count(monkeypatch, n=None):
+        # every k x k inversion ends in kalg._inverse, with or without mat_inverse's test
+        # and every product, Mat or component array, in kalg._product
         counts = {"inverse": 0, "element": 0, "square_products": 0}
-        inverse, post_init, matmul = kalg.mat_inverse, GroupElement.__post_init__, Mat.__matmul__
+        inverse, post_init, product = kalg._inverse, GroupElement.__post_init__, kalg._product
 
         def counted_inverse(*args, **kwargs):
             counts["inverse"] += 1
@@ -418,13 +486,13 @@ class TestCoreCounts:
             counts["element"] += 1
             post_init(self)
 
-        def counted_matmul(a, b):
-            counts["square_products"] += a.shape == b.shape == (n, n)
-            return matmul(a, b)
+        def counted_product(fld, a, b):
+            counts["square_products"] += a.shape[-3:-1] == b.shape[-3:-1] == (n, n)
+            return product(fld, a, b)
 
-        monkeypatch.setattr(kalg, "mat_inverse", counted_inverse)
+        monkeypatch.setattr(kalg, "_inverse", counted_inverse)
         monkeypatch.setattr(GroupElement, "__post_init__", counted_post_init)
-        monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
+        monkeypatch.setattr(kalg, "_product", counted_product)
         return counts
 
     def test_gamma_inverse_inverts_once(self, field, monkeypatch):
@@ -443,6 +511,166 @@ class TestCoreCounts:
         assert counts["element"] == 1
         # the one n x n product is the A A* residual of that GroupElement check
         assert counts["square_products"] == 1
+
+
+class TestSvdTestCounts:
+    """mat_inverse's SVD test runs only where it decides something: in b_matrix
+    above its norm bound, and in gamma_inverse once, at the caller's tol."""
+
+    # |I + X*X + Y|_F is c / (2 tol) to about 1e-11; the bound 2 tol |core|_F <= L
+    # has L = 0.99 here, so 0.98 is inside it and 1.02 outside
+    @pytest.mark.parametrize("c", [0.0, 0.5, 0.98, 1.02, 1.2, 10.0])
+    def test_b_matrix_at_multiples_of_the_bound(self, field, c, monkeypatch):
+        lift, t = random_lift_tangent(7, 3, field, 81)
+        s = math.sqrt(c / (2.0 * kalg.DEFAULT_TOL) / fro(t.X.H @ t.X))
+        tols = svd_tests(monkeypatch, group.b_matrix, TangentCoords(lift, s * t.X, t.Y))
+        assert tols == ([] if c < 1.0 else [kalg.DEFAULT_TOL])
+
+    # the slack CHECK_TOL |Y|_F of a Y that is skew-Hermitian only within the check
+    # takes the bound from L = 0.9 (1e7) through 0.5 (5e7) to below 0 (2e8)
+    @pytest.mark.parametrize("y_norm", [1e7, 5e7, 2e8])
+    def test_b_matrix_at_large_y(self, field, y_norm, monkeypatch):
+        lift, t = random_lift_tangent(7, 3, field, 82)
+        coords = TangentCoords(lift, t.X, (y_norm / fro(t.Y)) * t.Y)
+        tols = svd_tests(monkeypatch, group.b_matrix, coords)
+        assert tols == ([] if y_norm < 1e8 else [kalg.DEFAULT_TOL])
+
+    @pytest.mark.parametrize("tol", [kalg.DEFAULT_TOL, 1e-6])
+    def test_per_transform(self, field, tol, monkeypatch):
+        lift, t = random_lift_tangent(16, 4, field, 83, scale=0.5)
+        y = stiefel.gamma(t)
+        assert svd_tests(monkeypatch, stiefel.gamma, t) == []
+        # the one test is on pi + P*, at the caller's tol; every core is within the bound
+        assert svd_tests(monkeypatch, stiefel.gamma_inverse, lift, y, tol) == [tol]
+        assert svd_tests(monkeypatch, stiefel.local_section, lift, y, tol) == [tol]
+        assert svd_tests(monkeypatch, stiefel.contraction, lift, y, 0.3, tol) == [tol]
+
+
+def outcome(fn, *args):
+    """The components of what fn returns (None, a Mat or a type holding one, or
+    TangentCoords as the pair X, Y), or the type of the rejection it raised."""
+    try:
+        out = fn(*args)
+    except (Singular, OutsideCayleyOpen, ValueError) as exc:  # NotOrthonormal is a ValueError
+        return type(exc)
+    if out is None:
+        return None
+    if isinstance(out, TangentCoords):
+        return out.X.data, out.Y.data
+    return (out if isinstance(out, Mat) else out.m).data
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, (type, type(None))) or isinstance(got, (type, type(None))):
+        assert got is want
+    elif isinstance(want, tuple):
+        for a, b in zip(got, want, strict=True):
+            assert_same_bits(a, b)
+    else:
+        assert_same_bits(got, want)
+
+
+class TestTransformReference:
+    """The transforms on component arrays, and b_matrix with its norm bound, against
+    the Mat formulas with mat_inverse's test on every core, bit for bit."""
+
+    @staticmethod
+    def tangents(n, k, field):
+        """Tangents of several kinds, each on its lift:
+        random ones at the benchmark's scale 0.5 and at 3; one whose Y is off
+        skew-Hermitian by half the check's tolerance; random ones at 1e8, where
+        |X|, |Y| >= 1e8 puts the core outside the bound; a rank-one X at 1e8 with
+        |Y| near 1, whose core fails the SVD test; and a small tangent on a lift
+        whose group element was accepted at check_tol 1e-4, 1e-7 off A A* = I."""
+        for seed, scale in ((0, 0.5), (1, 0.5), (2, 3.0)):
+            yield random_lift_tangent(n, k, field, 500 + seed, scale)
+        lift, t = random_lift_tangent(n, k, field, 503)
+        at_1e8 = [(1e8 / fro(m)) * m if fro(m) else m for m in (t.X, t.Y)]
+        yield lift, TangentCoords(lift, *at_1e8)
+        lift, t = random_lift_tangent(n, k, field, 504, 3.0)
+        if k:
+            E = kalg.hermitian_part(kalg.random_gaussian(k, k, field, 505))
+            Y = t.Y + (0.25e-8 * max(1.0, fro(t.Y)) / fro(E)) * E
+            yield lift, TangentCoords(lift, t.X, Y)
+        if n > k >= 1:
+            rank_one = t.X.data.copy()
+            rank_one[:, 1:] = 0.0
+            yield lift, TangentCoords(lift, (1e8 / np.linalg.norm(rank_one)) * Mat(field, rank_one),
+                                      (1.0 / max(1.0, fro(t.Y))) * t.Y)
+        if n > k:
+            A = lift.A.m.data.copy()
+            A[:, :n - k] += 1e-7 * kalg.random_gaussian(n, n - k, field, 506).data
+            loose = stiefel.Lift(lift.point, GroupElement(Mat(field, A), check_tol=1e-4))
+            yield loose, TangentCoords(loose, 0.1 * t.X, 0.1 * t.Y)
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (5, 2), (16, 4), (4, 0)])
+    def test_bit_identical(self, field, n, k, monkeypatch):
+        def check(fn, ref, *args):
+            want = outcome(ref, *args)
+            assert_same_outcome(outcome(fn, *args), want)
+            if isinstance(want, type):
+                seen.add(want)
+            return want
+
+        def with_mat_core(fn, *args):
+            with monkeypatch.context() as mp:
+                mp.setattr(group, "b_matrix", mat_b_matrix)
+                return fn(*args)
+
+        seen, bounded = set(), set()
+        M = kalg.random_gaussian(n - k, k, field, 507)
+        N = random_skew(k, field, 508)
+        base = stiefel.complete_lift(base_point(n, k, field))
+        # -x for the base frame x = [0; I] has pi + P* = 0: outside the Cayley open set
+        cases = [(base, zero_tangent(base), StiefelPoint(-base.point.m))]
+        for i, (lift, t) in enumerate(self.tangents(n, k, field)):
+            cases.append((lift, t, stiefel.random_stiefel_point(n, k, field, 600 + i)))
+        for lift, t, other in cases:
+            bounded.add(not svd_tests(monkeypatch, group.b_matrix, t))
+            check(group.b_matrix, mat_b_matrix, t)
+            y = check(stiefel.gamma, mat_gamma, t)
+            for name in ("gamma_differential", "kernel_witness"):
+                fn = getattr(stiefel, name)
+                args = (t, M, N) if name == "gamma_differential" else (t,)
+                check(fn, lambda *a: with_mat_core(fn, *a), *args)
+            block = group.SkewBlockTangent(t.X, t.Y)
+            check(group.cayley_identity_block,
+                  lambda b: with_mat_core(group.cayley_identity_block, b), block)
+            targets = [other] if isinstance(y, type) else [StiefelPoint(Mat(field, y)), other]
+            for target in targets:
+                check(stiefel.gamma_inverse, mat_gamma_inverse, lift, target)
+                check(stiefel.local_section, mat_local_section, lift, target)
+                for s in (0.0, 0.3, 1.0):
+                    check(stiefel.contraction, mat_contraction, lift, target, s)
+        # both of b_matrix's paths are taken, and every rejection on the way
+        # (only the identity core of real 1 x 1 frames and of k = 0 is never above the bound)
+        assert bounded == ({True, False} if k and (n > k or k > 1 or field is not Field.REAL)
+                           else {True})
+        expected = {OutsideCayleyOpen} if k else set()
+        if n > k >= 2:
+            expected |= {Singular, NotOrthonormal}
+        assert expected <= seen
+
+    def test_rejects_target_of_another_shape_or_ring(self, field):
+        lift, _ = random_lift_tangent(5, 2, field, 84)
+        other = Field.COMPLEX if field is Field.REAL else Field.REAL
+        for y in (stiefel.random_stiefel_point(5, 3, field, 85),
+                  stiefel.random_stiefel_point(6, 2, field, 85),
+                  stiefel.random_stiefel_point(5, 2, other, 85)):
+            for fn in (stiefel.gamma_inverse, stiefel.local_section):
+                with pytest.raises(ValueError, match="shape and base ring"):
+                    fn(lift, y)
+            with pytest.raises(ValueError, match="shape and base ring"):
+                stiefel.contraction(lift, y, 0.5)
+
+    def test_tangent_rejects_blocks_over_another_ring(self, field):
+        lift, t = random_lift_tangent(5, 2, field, 86)
+        other = Field.COMPLEX if field is Field.REAL else Field.REAL
+        X = kalg.random_gaussian(3, 2, other, 87)
+        Y = random_skew(2, other, 88)
+        for args in ((X, t.Y), (t.X, Y), (X, Y)):
+            with pytest.raises(ValueError, match="lift's base ring"):
+                TangentCoords(lift, *args)
 
 
 class TestSkewCheckCounts:

@@ -5,12 +5,11 @@ from .group import (GroupElement, InvalidTangent, SkewBlockTangent,
                     b_matrix, cayley_at, cayley_at_identity, cayley_identity_block)
 from .stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, RankDeficient,
                       StiefelPoint, TangentCoords, complete_lift, contraction, gamma,
-                      gamma_differential, gamma_inverse, in_cayley_open, local_section,
-                      random_stiefel_point, rho)
+                      gamma_inverse, local_section, random_stiefel_point, rho)
 from .optim import (NotHermitian, Objective, OptimTrace, SearchGenerator, SearchParams,
                     curve, gradient_descent, procrustes_objective, rayleigh_objective)
-from .cover import (DimensionError, ThetaLadder, cover_membership,
-                    default_ladder, theta_frame, verify_cover)
+from .cover import (DimensionError, ThetaLadder, cover_membership, default_ladder,
+                    verify_cover)
 
 __all__ = [
     "Field", "Mat", "Singular",
@@ -18,10 +17,9 @@ __all__ = [
     "b_matrix", "cayley_at", "cayley_at_identity", "cayley_identity_block",
     "Lift", "NotOrthonormal", "OutsideCayleyOpen", "RankDeficient", "StiefelPoint",
     "TangentCoords",
-    "complete_lift", "contraction", "gamma", "gamma_differential", "gamma_inverse",
-    "in_cayley_open", "local_section", "random_stiefel_point", "rho",
+    "complete_lift", "contraction", "gamma", "gamma_inverse", "local_section",
+    "random_stiefel_point", "rho",
     "NotHermitian", "Objective", "OptimTrace", "SearchGenerator", "SearchParams",
     "curve", "gradient_descent", "procrustes_objective", "rayleigh_objective",
-    "DimensionError", "ThetaLadder", "cover_membership", "default_ladder",
-    "theta_frame", "verify_cover",
+    "DimensionError", "ThetaLadder", "cover_membership", "default_ladder", "verify_cover",
 ]

@@ -1,10 +1,11 @@
-"""Angle-indexed frames and empirical verification of the Cayley open cover.
+"""Membership in, and empirical verification of, the Cayley open cover.
 
 For n >= 2k the frames x_theta = [0; (sin theta) I; (cos theta) I] give
 k + 1 Cayley open subsets which cover the whole Stiefel manifold over R, C
 and H: y escapes the i-th subset only when -cos theta_i is an eigenvalue of
 its bottom block pi (of the complex adjoint chi(pi) over H), and pi has at
-most k distinct real eigenvalues.  This module builds the frames and
+most k distinct real eigenvalues.  Membership depends only on pi, so this
+module tests it on pi + (cos theta_i) I_k without forming the frames, and
 stress-tests the cover claim on random samples.
 
 The verifier works on stacks of samples: one Gram-Schmidt over the
@@ -58,19 +59,6 @@ class ThetaLadder:
 def default_ladder(k: int) -> ThetaLadder:
     """k + 1 evenly spaced angles strictly inside (0, pi/2)."""
     return ThetaLadder(tuple((i + 1) * math.pi / (2 * (k + 2)) for i in range(k + 1)))
-
-
-def theta_frame(n: int, k: int, theta: float, field: Field) -> StiefelPoint:
-    """The frame [0; (sin theta) I_k; (cos theta) I_k] for n >= 2k."""
-    if n < 2 * k:
-        raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
-    if not 0.0 < theta < math.pi / 2:
-        raise ValueError(f"theta {theta} outside (0, pi/2)")
-    data = np.zeros((n, k, field.ncomp))
-    for j in range(k):
-        data[n - 2 * k + j, j, 0] = math.sin(theta)
-        data[n - k + j, j, 0] = math.cos(theta)
-    return StiefelPoint(Mat(field, data), check_tol=1e-14)
 
 
 def _memberships(field: Field, pi: np.ndarray, ladder: ThetaLadder,

@@ -29,7 +29,8 @@ computes itself (products, sums, negation, scaling, blocks, conjugate
 transposes, stacks, inverses, zeros and identities) wrap their fresh
 array read-only, with no copy and no finiteness scan; overflow can then
 give inf or NaN entries, which the residual checks of the manifold and
-group types reject.
+group types reject, and which the singularity test reports as Singular
+before any LAPACK call sees them.
 """
 
 from __future__ import annotations
@@ -281,19 +282,31 @@ def _invertible_operand(field: Field, data: np.ndarray,
     data holds (S, n, n, ncomp) or (n, n, ncomp) components.  Returns
     (a, invertible, s): each matrix as a real or complex array, its
     interleaved adjoint over H; a boolean array over the stack, False where
-    sigma_min <= tol * sigma_max; and the singular values, from one stacked
-    SVD.  The adjoint has the singular values of M, each twice, so the test
-    means the same in all three rings.
+    sigma_min <= tol * sigma_max or where an entry is not finite; and the
+    singular values, from one stacked SVD, NaN for a matrix that is not
+    finite.  The adjoint has the singular values of M, each twice, so the
+    test means the same in all three rings.
     """
     if data.shape[-3] != data.shape[-2]:
         raise ValueError("inversion needs a square matrix")
+    # LAPACK prints to stdout, fails to converge or returns NaN on a matrix that
+    # is not finite, so such a member reaches the SVD as zeros.  The sum of
+    # squares is finite only if every entry is: one cheap screen of the stack.
+    all_finite = math.isfinite(np.vdot(data, data))
+    if not all_finite:
+        finite = np.isfinite(data).all(axis=(-3, -2, -1))
+        data = np.where(finite[..., None, None, None], data, 0.0)
     a = _operand(field, data)
     s = np.linalg.svd(a, compute_uv=False)
     if s.shape[-1] == 0:
         return a, np.ones(s.shape[:-1], dtype=bool), s
     # numpy scalars for one matrix (0-d arrays cost microseconds), arrays over a stack
     smin, smax = s.T[-1], s.T[0]
-    return a, ~(smin <= tol * smax), s
+    invertible = ~(smin <= tol * smax)
+    if not all_finite:
+        s[~finite] = np.nan
+        invertible &= finite
+    return a, invertible, s
 
 
 def _inverse(field: Field, operand: np.ndarray) -> np.ndarray:
@@ -321,10 +334,12 @@ def _inverse(field: Field, operand: np.ndarray) -> np.ndarray:
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     """Inverse of a square matrix by LAPACK, through the adjoint over H.
 
-    Raises Singular when sigma_min <= tol * sigma_max.
+    Raises Singular when sigma_min <= tol * sigma_max or an entry is not finite.
     """
     a, invertible, s = _invertible_operand(m.field, m.data, tol)
     if not invertible:
+        if np.isnan(s[0]):
+            raise Singular("matrix entries are not finite")
         raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
                        f"{tol:.1e} times the largest {s[0]:.3e}")
     return Mat._trusted(m.field, _inverse(m.field, a))
@@ -339,37 +354,6 @@ def random_gaussian(rows: int, cols: int, field: Field, seed: int) -> Mat:
     """Matrix with every real component drawn i.i.d. standard normal."""
     rng = np.random.default_rng(seed)
     return Mat(field, rng.standard_normal((rows, cols, field.ncomp)))
-
-
-def unit_matrix_basis(rows: int, cols: int, field: Field) -> list[Mat]:
-    """Real orthonormal basis of the full rows x cols matrix space."""
-    basis = []
-    for i in range(rows):
-        for j in range(cols):
-            for c in range(field.ncomp):
-                data = np.zeros((rows, cols, field.ncomp))
-                data[i, j, c] = 1.0
-                basis.append(Mat(field, data))
-    return basis
-
-
-def skew_hermitian_basis(k: int, field: Field) -> list[Mat]:
-    """Real orthonormal (Frobenius) basis of the skew-Hermitian k x k matrices."""
-    basis = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(k):
-        # diagonal entries are purely imaginary
-        for c in range(1, field.ncomp):
-            data = np.zeros((k, k, field.ncomp))
-            data[i, i, c] = 1.0
-            basis.append(Mat(field, data))
-        for j in range(i + 1, k):
-            for c in range(field.ncomp):
-                data = np.zeros((k, k, field.ncomp))
-                data[i, j, c] = inv_sqrt2
-                data[j, i, c] = inv_sqrt2 if c else -inv_sqrt2
-                basis.append(Mat(field, data))
-    return basis
 
 
 def mat_to_json(m: Mat) -> dict:

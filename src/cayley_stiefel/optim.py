@@ -230,11 +230,12 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     tau is accepted when f(alpha(tau)) <= f(x) - armijo_c * tau * |A|_F^2,
     so every accepted step decreases f.
     A rejected tau is replaced by the minimiser of the quadratic through
-    f(0), that slope and f(tau), clamped to [0.1, backtrack_factor] * tau;
-    halving alone can settle on a step that flips the steepest component
-    of x every iteration.  A trial whose core is Singular, whose point
-    fails the x*x = I check or whose objective value is NaN is a rejected
-    step too: tau shrinks by backtrack_factor, and the backtrack counts.
+    f(0), that slope and f(tau), clamped to [0.1, backtrack_factor] * tau,
+    or by 0.1 tau where that minimiser is NaN; halving alone can settle on
+    a step that flips the steepest component of x every iteration.  A
+    trial whose core is Singular (not finite included), whose point fails
+    the x*x = I check or whose objective value is NaN is a rejected step
+    too: tau shrinks by backtrack_factor, and the backtrack counts.
     Terminates when the Riemannian gradient norm, read from the generator
     (gnorm), drops below grad_tol, the iteration budget is exhausted, or
     the line search fails.
@@ -278,7 +279,9 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
                 break
             # the step was rejected, so the denominator exceeds (1 - armijo_c) tau rate
             tau_q = rate * tau * tau / (2.0 * (fcand - fval + rate * tau))
-            tau = min(max(tau_q, 0.1 * tau), p.backtrack_factor * tau)
+            # 0.1 tau first: max keeps its first argument against a NaN tau_q,
+            # which a huge tau gives when rate tau^2 and the denominator overflow
+            tau = min(max(0.1 * tau, tau_q), p.backtrack_factor * tau)
             backtracks += 1
         if accepted is None:
             reason = "linesearch_failed"

@@ -1,9 +1,10 @@
 """Cayley transform on the compact Stiefel manifold of orthonormal k-frames.
 
 Implements the projection from the group onto the manifold, frame completion
-(lifting), the Stiefel Cayley transform and its inverse, its differential
-and injectivity predicates, local sections of the projection, and the
-contraction of a Cayley open subset onto a point.
+(lifting), the Stiefel Cayley transform and its inverse, the injectivity
+test of its differential, local sections of the projection, the
+contraction of a Cayley open subset onto a point, and the residual of the
+lift-change identity.
 
 gamma, gamma_inverse, local_section and contraction compute on the
 component arrays through kalg's private product and conjugate transpose,
@@ -19,7 +20,7 @@ StiefelPoint or the A A* = I check of GroupElement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +59,14 @@ class StiefelPoint:
     """An n x k matrix x with x*x = I_k: an orthonormal k-frame in K^n."""
 
     m: Mat
-    check_tol: float = dc_field(default=kalg.CHECK_TOL, repr=False)
 
     def __post_init__(self):
         n, k = self.m.shape
         if k > n:
             raise ValueError(f"need k <= n, got n={n}, k={k}")
         resid = _frame_residuals(self.m.field, self.m.data[None])[0]
-        if not resid <= self.check_tol:
-            raise NotOrthonormal(f"x*x - I residual {resid:.3e} exceeds {self.check_tol:.1e}")
+        if not resid <= kalg.CHECK_TOL:
+            raise NotOrthonormal(f"x*x - I residual {resid:.3e} exceeds {kalg.CHECK_TOL:.1e}")
 
     @property
     def n(self) -> int:
@@ -79,11 +79,6 @@ class StiefelPoint:
     @property
     def field(self) -> Field:
         return self.m.field
-
-    @property
-    def T(self) -> Mat:
-        """Top (n-k) x k block."""
-        return self.m.block(0, self.n - self.k, 0, self.k)
 
     @property
     def P(self) -> Mat:
@@ -168,10 +163,6 @@ class TangentCoords:
         checked again."""
         return TangentCoords._trusted(self.lift, t * self.X, t * self.Y)
 
-    def ambient(self) -> Mat:
-        """The n x k tangent vector v = A [X; Y]."""
-        return self.lift.A.m @ kalg.vstack(self.X, self.Y)
-
     def ambient_group(self) -> Mat:
         """The n x n tangent vector A [[0, X], [-X*, Y]] at A in the group."""
         return self.lift.A.m @ SkewBlockTangent(self.X, self.Y).embed()
@@ -237,17 +228,6 @@ def gamma(t: TangentCoords) -> StiefelPoint:
     return StiefelPoint(Mat._trusted(fld, np.concatenate([top, bot])))
 
 
-def in_cayley_open(x: StiefelPoint, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> bool:
-    """Whether y lies in the Cayley open subset attached to x.
-
-    Membership means pi + P* is invertible, with pi the bottom block of y
-    and P the bottom block of x.
-    """
-    if (x.n, x.k) != (y.n, y.k) or x.field is not y.field:
-        raise ValueError("x and y must share shape and base ring")
-    return kalg.is_invertible(y.P + x.P.H, tol)
-
-
 def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> TangentCoords:
     """Tangent coordinates mapping to y under the Stiefel Cayley transform.
 
@@ -274,32 +254,6 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     return TangentCoords._trusted(lift, Mat._trusted(fld, X), Mat._trusted(fld, Y))
 
 
-def gamma_differential(t: TangentCoords, M: Mat, N: Mat) -> Mat:
-    """Differential of the Stiefel Cayley transform at t, applied to (M, N).
-
-    With xi = X*M + M*X + N the result is the stacked pair
-    (-2MbX* + 2Xb xi bX* - 2XbM*) beta* + (-2Mb + 2Xb xi b) P* on top of
-    (-2b xi bX* + 2bM*) beta* - 2b xi b P*.  The direction N is checked
-    skew-Hermitian; t.Y was checked when t was built.
-    """
-    lift = t.lift
-    n, k = lift.n, lift.k
-    if M.shape != (n - k, k) or N.shape != (k, k):
-        raise ValueError("direction block shapes do not match the lift")
-    if not kalg.is_skew_hermitian(N, kalg.CHECK_TOL):
-        raise InvalidTangent(f"N is not skew-Hermitian within {kalg.CHECK_TOL:.1e}")
-    X = t.X
-    b = group.b_matrix(t)
-    xi = X.H @ M + M.H @ X + N
-    bXh = b @ X.H
-    xib = xi @ b
-    top = (-2.0 * (M @ bXh) + 2.0 * (X @ (b @ (xib @ X.H))) - 2.0 * ((X @ b) @ M.H)) @ lift.beta.H \
-        + (-2.0 * (M @ b) + 2.0 * (X @ (b @ xib))) @ lift.P.H
-    bot = (-2.0 * (b @ (xib @ X.H)) + 2.0 * (b @ M.H)) @ lift.beta.H \
-        - 2.0 * ((b @ xib) @ lift.P.H)
-    return kalg.vstack(top, bot)
-
-
 def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> bool:
     """Whether the differential at t is injective: invertibility of beta X + P.
 
@@ -307,56 +261,6 @@ def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -
     does not depend on the choice of lift.
     """
     return kalg.is_invertible(t.lift.beta @ t.X + t.lift.P, tol)
-
-
-def kernel_witness(t: TangentCoords) -> Mat | None:
-    """A nonzero skew-Hermitian N with the differential vanishing on (0, N).
-
-    Such an N satisfies N b (beta X + P)* = 0; it is found by solving that
-    linear condition over the real components of a skew-Hermitian basis.
-    Returns None when no such direction exists (in particular whenever
-    beta X + P is invertible, and over R with k = 1 where the only skew
-    matrix is zero).
-    """
-    lift = t.lift
-    k = lift.k
-    b = group.b_matrix(t)
-    K = b @ (lift.beta @ t.X + lift.P).H
-    basis = kalg.skew_hermitian_basis(k, t.field)
-    if not basis:
-        return None
-    cols = [np.ravel((B @ K).data) for B in basis]
-    A = np.stack(cols, axis=1)
-    _, s, vt = np.linalg.svd(A)
-    if s.size and s[-1] > 1e-10 * max(1.0, s[0]):
-        return None
-    coeffs = vt[-1]
-    N = kalg.zeros(k, k, t.field)
-    for c, B in zip(coeffs, basis):
-        N = N + float(c) * B
-    norm = kalg.frobenius_norm(N)
-    if norm == 0.0:
-        return None
-    return (1.0 / norm) * N
-
-
-def differential_min_gain(t: TangentCoords) -> float:
-    """Smallest singular value of the differential over unit tangent directions.
-
-    The differential is assembled as a real linear operator over an
-    orthonormal basis of the (M, N) parameter space; the value is the
-    least achievable output norm over unit-norm inputs.
-    """
-    lift = t.lift
-    n, k = lift.n, lift.k
-    basis_M = kalg.unit_matrix_basis(n - k, k, t.field)
-    basis_N = kalg.skew_hermitian_basis(k, t.field)
-    zero_M = kalg.zeros(n - k, k, t.field)
-    zero_N = kalg.zeros(k, k, t.field)
-    cols = [np.ravel(gamma_differential(t, B, zero_N).data) for B in basis_M]
-    cols += [np.ravel(gamma_differential(t, zero_M, B).data) for B in basis_N]
-    A = np.stack(cols, axis=1)
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
 def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> GroupElement:
@@ -462,13 +366,14 @@ def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,
 
 
 def random_stiefel_point(n: int, k: int, field: Field, seed: int) -> StiefelPoint:
-    """Random orthonormal frame: Gram-Schmidt applied to a Gaussian matrix.
+    """Random orthonormal frame: Gram-Schmidt applied to a Gaussian matrix,
+    checked for x*x = I within 1e-12 by _random_frames.
 
     The first frame of the stream np.random.default_rng(seed), which is
     also sample 0 of cover.verify_cover(..., seed, ...).
     """
     frame = _random_frames(n, k, field, np.random.default_rng(seed), 1)[0]
-    return StiefelPoint(Mat._trusted(field, frame), check_tol=1e-12)
+    return StiefelPoint(Mat._trusted(field, frame))
 
 
 def point_to_json(x: StiefelPoint) -> dict:

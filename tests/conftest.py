@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from cayley_stiefel import kalg, stiefel
-from cayley_stiefel.kalg import Field
-from cayley_stiefel.stiefel import TangentCoords
+from cayley_stiefel import group, kalg, stiefel
+from cayley_stiefel.kalg import Field, Mat
+from cayley_stiefel.stiefel import StiefelPoint, TangentCoords
 
 FIELDS = [Field.REAL, Field.COMPLEX, Field.QUATERNION]
 
@@ -51,3 +53,104 @@ def overflow_nan(rows, cols, fld):
     with np.errstate(over="ignore", invalid="ignore"):
         c = a @ b
         return c - c
+
+
+# References for the paper's statements about the Stiefel Cayley transform that
+# the library itself does not need: its differential, the kernel witnesses and
+# minimum gain of that differential, the Cayley open sets and the angle frames
+# of the cover.  They are written on Mat values, as plainly as the checks allow.
+
+
+def in_cayley_open(x, y, tol=kalg.DEFAULT_TOL):
+    """Whether y lies in the Cayley open subset attached to x: pi + P* is
+    invertible, with pi the bottom k x k block of y and P that of x."""
+    return kalg.is_invertible(y.P + x.P.H, tol)
+
+
+def sample_in_cayley_open(lift, seed):
+    """A random frame inside the Cayley open subset of the lift's base point."""
+    for attempt in range(20):
+        y = stiefel.random_stiefel_point(lift.n, lift.k, lift.field,
+                                         seed + 7_000_003 * attempt)
+        if in_cayley_open(lift.point, y):
+            return y
+    raise AssertionError("could not sample inside the Cayley open subset")
+
+
+def theta_frame(n, k, theta, fld):
+    """The angle frame [0; (sin theta) I_k; (cos theta) I_k] of the cover, n >= 2k."""
+    data = np.zeros((n, k, fld.ncomp))
+    for j in range(k):
+        data[n - 2 * k + j, j, 0] = math.sin(theta)
+        data[n - k + j, j, 0] = math.cos(theta)
+    return StiefelPoint(Mat(fld, data))
+
+
+def gamma_differential(t, M, N):
+    """Differential of the Stiefel Cayley transform at t in the direction (M, N),
+    N skew-Hermitian.
+
+    With b = (I + X*X + Y)^{-1} and xi = X*M + M*X + N it is
+    (-2MbX* + 2Xb xi bX* - 2XbM*) beta* + (-2Mb + 2Xb xi b) P* on top of
+    (-2b xi bX* + 2bM*) beta* - 2b xi b P*.
+    """
+    lift, X = t.lift, t.X
+    b = group.b_matrix(t)
+    xi = X.H @ M + M.H @ X + N
+    top = (-2.0 * (M @ b @ X.H) + 2.0 * (X @ b @ xi @ b @ X.H)
+           - 2.0 * (X @ b @ M.H)) @ lift.beta.H \
+        + (-2.0 * (M @ b) + 2.0 * (X @ b @ xi @ b)) @ lift.P.H
+    bot = (-2.0 * (b @ xi @ b @ X.H) + 2.0 * (b @ M.H)) @ lift.beta.H \
+        - 2.0 * (b @ xi @ b @ lift.P.H)
+    return kalg.vstack(top, bot)
+
+
+def unit_basis(rows, cols, fld):
+    """Components of the real unit matrices: an orthonormal basis of all
+    rows x cols matrices, one per row of an identity."""
+    size = rows * cols * fld.ncomp
+    return np.eye(size).reshape(size, rows, cols, fld.ncomp)
+
+
+def skew_hermitian_basis(k, fld):
+    """Components of a real orthonormal basis of the k x k skew-Hermitian
+    matrices: the range of the projection E -> (E - E*)/2 of the unit matrices."""
+    units = unit_basis(k, k, fld)
+    skew = 0.5 * (units - kalg._conj_transpose(units))
+    u, s, _ = np.linalg.svd(skew.reshape(len(units), -1).T)
+    return u[:, s > 0.5].T.reshape(-1, k, k, fld.ncomp)
+
+
+def differential_matrix(t, directions):
+    """Real matrix of the differential at t: column j holds the components of
+    gamma_differential(t, M_j, N_j) for the j-th pair of directions."""
+    return np.stack([gamma_differential(t, M, N).data.ravel() for M, N in directions],
+                    axis=1)
+
+
+def differential_min_gain(t):
+    """Smallest singular value of the differential over unit directions (M, N)."""
+    n, k, fld = t.lift.n, t.lift.k, t.field
+    zero_M, zero_N = kalg.zeros(n - k, k, fld), kalg.zeros(k, k, fld)
+    directions = [(Mat(fld, E), zero_N) for E in unit_basis(n - k, k, fld)]
+    directions += [(zero_M, Mat(fld, B)) for B in skew_hermitian_basis(k, fld)]
+    return float(np.linalg.svd(differential_matrix(t, directions), compute_uv=False)[-1])
+
+
+def kernel_witness(t):
+    """A unit skew-Hermitian N with gamma_differential(t, 0, N) = 0, or None.
+
+    N is the right singular vector of the least singular value of the
+    differential on the directions (0, N), when that value is at most
+    1e-10 max(1, largest).
+    """
+    k, fld = t.lift.k, t.field
+    basis = skew_hermitian_basis(k, fld)
+    if not len(basis):  # over R with k = 1 the only skew matrix is zero
+        return None
+    zero_M = kalg.zeros(t.lift.n - k, k, fld)
+    _, s, vt = np.linalg.svd(differential_matrix(t, [(zero_M, Mat(fld, B)) for B in basis]))
+    if s[-1] > 1e-10 * max(1.0, s[0]):
+        return None
+    N = Mat(fld, np.tensordot(vt[-1], basis, axes=1))
+    return (1.0 / kalg.frobenius_norm(N)) * N

@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from conftest import FIELDS, random_lift_tangent, random_skew
+from conftest import (FIELDS, differential_min_gain, gamma_differential, kernel_witness,
+                      random_lift_tangent, random_skew, sample_in_cayley_open)
 
 from cayley_stiefel import cover, group, kalg, optim, stiefel
 from cayley_stiefel.cli import main as cli_main
@@ -34,16 +35,6 @@ def zero_bottom_point(n, k, fld, seed):
     T = stiefel.random_stiefel_point(n - k, k, fld, seed)
     data = np.concatenate([T.m.data, np.zeros((k, k, fld.ncomp))], axis=0)
     return StiefelPoint(Mat(fld, data))
-
-
-def in_open_sample(lift, seed):
-    """A random frame inside the Cayley open subset of the lift's base point."""
-    for attempt in range(20):
-        y = stiefel.random_stiefel_point(lift.n, lift.k, lift.field,
-                                         seed + 7_000_003 * attempt)
-        if stiefel.in_cayley_open(lift.point, y):
-            return y
-    raise AssertionError("could not sample inside the Cayley open subset")
 
 
 def test_criterion_1_commuting_square():
@@ -73,7 +64,7 @@ def test_criterion_2_round_trips():
             lift, t = random_lift_tangent(6, 2, fld, 500 + seed, scale=0.4)
             back = stiefel.gamma_inverse(lift, stiefel.gamma(t))
             worst_fwd = max(worst_fwd, fro(back.X - t.X) + fro(back.Y - t.Y))
-            y = in_open_sample(lift, 90_000 + seed)
+            y = sample_in_cayley_open(lift, 90_000 + seed)
             again = stiefel.gamma(stiefel.gamma_inverse(lift, y))
             worst_bwd = max(worst_bwd, fro(again.m - y.m))
     elapsed = time.perf_counter() - start
@@ -92,7 +83,7 @@ def test_criterion_3_differential():
         lift, t = random_lift_tangent(n, k, fld, 20_000 + trial, scale=0.4)
         M = kalg.random_gaussian(n - k, k, fld, 30_000 + trial)
         N = random_skew(k, fld, 40_000 + trial)
-        exact = stiefel.gamma_differential(t, M, N)
+        exact = gamma_differential(t, M, N)
         errs = []
         for h in (1e-3, 5e-4):
             plus = stiefel.gamma(TangentCoords(lift, t.X + h * M, t.Y + h * N))
@@ -106,7 +97,7 @@ def test_criterion_3_differential():
     for fld in FIELDS:
         lift, t = random_lift_tangent(6, 2, fld, 55, scale=0.4)
         assert stiefel.differential_is_injective(t)
-        gains.append(stiefel.differential_min_gain(t))
+        gains.append(differential_min_gain(t))
     gain_ok = all(g > 1e-4 for g in gains)
 
     witness_worst = 0.0
@@ -115,9 +106,9 @@ def test_criterion_3_differential():
         lift = stiefel.complete_lift(x)
         t = TangentCoords(lift, kalg.zeros(4, 2, fld), kalg.zeros(2, 2, fld))
         assert not stiefel.differential_is_injective(t)
-        N = stiefel.kernel_witness(t)
+        N = kernel_witness(t)
         assert N is not None
-        out = stiefel.gamma_differential(t, kalg.zeros(4, 2, fld), N)
+        out = gamma_differential(t, kalg.zeros(4, 2, fld), N)
         witness_worst = max(witness_worst, fro(out) / fro(N))
     report(3, f"differential, ratio range [{min(ratios):.2f}, {max(ratios):.2f}], "
               f"min gain {min(gains):.3e}, witness {witness_worst:.3e}",
@@ -148,7 +139,7 @@ def test_criterion_5_section_and_homotopy():
         for seed in range(100):
             x = stiefel.random_stiefel_point(6, 2, fld, 600 + seed)
             lift = stiefel.complete_lift(x)
-            y = in_open_sample(lift, 80_000 + seed)
+            y = sample_in_cayley_open(lift, 80_000 + seed)
             s = stiefel.local_section(lift, y)
             worst_sec = max(worst_sec, fro(stiefel.rho(s, 2).m - y.m))
             anchor = kalg.vstack(lift.beta.H, lift.P.H)

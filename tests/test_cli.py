@@ -127,6 +127,17 @@ class TestOptimize:
         assert code == 0
         assert json.loads(out.strip().split("\n")[-1]) == {"reason": "converged"}
 
+    @pytest.mark.parametrize("field", ["real", "complex", "quaternion"])
+    def test_overflowing_step_fails_the_line_search(self, capfd, field):
+        # a finite --step so large that every trial overflows is no configuration error
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["optimize", "--field", field, "--n", "6", "--k", "2",
+                         "--step", "1e307", "--reproducible"])
+        out, err = capfd.readouterr()
+        assert code == 4
+        assert json.loads(out.strip().split("\n")[-1]) == {"reason": "linesearch_failed"}
+        assert "error" not in err
+
     @pytest.mark.parametrize("field", ["real", "quaternion"])
     def test_reference_size_converges_within_70_iterations(self, capsys, field):
         # starting every line search at --step took 116 (R) and 145 (H) iterations

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import in_cayley_open, theta_frame
+
 from cayley_stiefel import cover, kalg, stiefel
 from cayley_stiefel.cover import (DimensionError, ThetaLadder, cover_membership,
-                                  default_ladder, theta_frame, verify_cover)
+                                  default_ladder, verify_cover)
 from cayley_stiefel.kalg import Field, Mat
 from cayley_stiefel.stiefel import StiefelPoint
 
@@ -57,13 +59,9 @@ class TestThetaFrame:
         x = theta_frame(2, 1, math.pi / 4, Field.REAL)
         assert np.allclose(x.m.data.ravel(), [math.sqrt(2) / 2, math.sqrt(2) / 2])
 
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionError):
-            theta_frame(3, 2, 0.5, Q)
-
     def test_self_membership(self, field):
         x = theta_frame(4, 2, 0.7, field)
-        assert stiefel.in_cayley_open(x, x)
+        assert in_cayley_open(x, x)
 
 
 def eigen_bottom_frame(n, W, thetas):
@@ -85,6 +83,16 @@ class TestCoverMembership:
         ladder = default_ladder(2)
         x = theta_frame(4, 2, ladder.angles[0], Q)
         assert 0 in cover_membership(x, ladder)
+
+    def test_matches_the_angle_frames(self, field):
+        # member i is the Cayley open subset of the i-th angle frame
+        ladder = default_ladder(2)
+        frames = [theta_frame(4, 2, theta, field) for theta in ladder.angles]
+        ys = [stiefel.random_stiefel_point(4, 2, field, 300 + s) for s in range(20)]
+        ys += [negated_bottom_frame(4, 2, theta, field) for theta in ladder.angles]
+        for y in ys:
+            assert cover_membership(y, ladder) == \
+                [i for i, x in enumerate(frames) if in_cayley_open(x, y)]
 
     def test_adversarial_block_excludes_exactly_one(self, field):
         ladder = default_ladder(2)

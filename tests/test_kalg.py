@@ -233,6 +233,33 @@ class TestIsInvertible:
         with pytest.raises(Singular):
             kalg.mat_inverse(m)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_not_finite_is_singular(self, field, value, capfd):
+        # no LAPACK call sees the matrix: it would print to stdout, fail to
+        # converge or return a NaN "inverse"
+        full = np.full((2, 2, field.ncomp), value)
+        one_entry = kalg.identity(3, field).data.copy()
+        one_entry[0, 2, -1] = value
+        for data in (full, one_entry):
+            m = Mat._trusted(field, data)
+            assert not kalg.is_invertible(m)
+            with pytest.raises(Singular, match="not finite"):
+                kalg.mat_inverse(m)
+        assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_not_finite_members_of_a_stack(self, field, value):
+        stack = np.stack([kalg.random_gaussian(3, 3, field, 60 + i).data for i in range(4)])
+        stack[1, 0, 0, 0] = value
+        stack[2] *= 1e200  # finite, though its sum of squares overflows
+        stack[3] = value
+        _, invertible, s = kalg._invertible_operand(field, stack, kalg.DEFAULT_TOL)
+        assert invertible.tolist() == [True, False, True, False]
+        assert np.isnan(s[[1, 3]]).all()
+        for i in (0, 2):
+            _, alone, s_alone = kalg._invertible_operand(field, stack[i], kalg.DEFAULT_TOL)
+            assert alone and np.array_equal(s[i], s_alone)
+
 
 class TestFrobeniusNorm:
     def test_zero(self, field):

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (assert_same_bits, mat_payload, overflow_nan, random_lift_tangent,
-                      random_skew)
+from conftest import (assert_same_bits, differential_min_gain, gamma_differential,
+                      in_cayley_open, kernel_witness, mat_payload, overflow_nan,
+                      random_lift_tangent, random_skew)
 
 from cayley_stiefel import group, kalg, stiefel
 from cayley_stiefel.group import GroupElement, InvalidTangent
 from cayley_stiefel.kalg import Field, Mat, Singular
 from cayley_stiefel.stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, StiefelPoint,
-                                    TangentCoords, differential_min_gain,
-                                    kernel_witness)
+                                    TangentCoords)
 
 Q = Field.QUATERNION
 
@@ -34,6 +34,11 @@ def zero_bottom_point(n, k, fld, seed):
     T = stiefel.random_stiefel_point(n - k, k, fld, seed)
     data = np.concatenate([T.m.data, np.zeros((k, k, fld.ncomp))], axis=0)
     return StiefelPoint(Mat(fld, data))
+
+
+def ambient(t):
+    """The n x k tangent vector A [X; Y] with coordinates t."""
+    return t.lift.A.m @ kalg.vstack(t.X, t.Y)
 
 
 def zero_tangent(lift):
@@ -60,7 +65,7 @@ def mat_gamma(t):
 
 def mat_gamma_inverse(lift, y, tol=kalg.DEFAULT_TOL):
     """stiefel.gamma_inverse on Mat values."""
-    tau, pi = y.T, y.P
+    tau, pi = y.m.block(0, y.n - y.k, 0, y.k), y.P
     try:
         C_inv = kalg.mat_inverse(pi + lift.P.H, tol)
     except Singular as exc:
@@ -177,17 +182,17 @@ class TestTangentFromAmbient:
 
     def test_zero(self, field):
         lift, _ = random_lift_tangent(5, 2, field, 4)
-        assert fro(zero_tangent(lift).ambient()) == 0.0
+        assert fro(ambient(zero_tangent(lift))) == 0.0
 
     def test_round_trip(self, field):
         lift, t = random_lift_tangent(6, 2, field, 5)
-        B = lift.A.m.H @ t.ambient()
+        B = lift.A.m.H @ ambient(t)
         assert fro(B.block(0, 4, 0, 2) - t.X) <= 1e-12
         assert fro(B.block(4, 6, 0, 2) - t.Y) <= 1e-12
 
     def test_y_skewness_automatic(self, field):
         lift, t = random_lift_tangent(6, 3, field, 6)
-        Y = lift.point.m.H @ t.ambient()
+        Y = lift.point.m.H @ ambient(t)
         assert fro(Y + Y.H) <= 1e-12
 
     def test_rejects_nontangent(self, field):
@@ -219,7 +224,7 @@ class TestTangentFromAmbient:
         X, Y = B.block(0, 4, 0, 2), B.block(4, 6, 0, 2)
         if tangent:
             got = TangentCoords(lift, X, Y)
-            assert fro(got.ambient() - v) <= 1e-12 * fro(v)
+            assert fro(ambient(got) - v) <= 1e-12 * fro(v)
         else:
             with pytest.raises(InvalidTangent):
                 TangentCoords(lift, X, Y)
@@ -227,12 +232,11 @@ class TestTangentFromAmbient:
     def test_large_scale_passes_every_skew_check(self, field):
         # rounding leaves |Y + Y*| near 1e-6 here, tiny next to |Y| ~ 1e9
         lift, t = random_lift_tangent(6, 2, field, 47, scale=1e9)
-        Y = lift.point.m.H @ t.ambient()
+        Y = lift.point.m.H @ ambient(t)
         assert fro(Y + Y.H) > 1e-8
         got = TangentCoords(lift, t.X, Y)
         got.ambient_group()
         group.b_matrix(got)
-        stiefel.gamma_differential(zero_tangent(lift), kalg.zeros(4, 2, field), Y)
 
 
 class TestGamma:
@@ -287,7 +291,7 @@ class TestCayleyOpen:
         lift, _ = random_lift_tangent(5, 2, field, 15)
         y = stiefel.gamma(zero_tangent(lift))
         # pi + P* = 2P*, invertible iff P is
-        assert stiefel.in_cayley_open(lift.point, y) == \
+        assert in_cayley_open(lift.point, y) == \
             kalg.is_invertible(lift.P)
 
     def test_antipodal_bottom_block(self, field):
@@ -296,14 +300,29 @@ class TestCayleyOpen:
         y = StiefelPoint(Mat(field, y_data))
         # pi = -P so pi + P* = -P + P* which can be singular; use x with
         # Hermitian bottom block: the circle case below is the sharp one
-        assert stiefel.in_cayley_open(x, x) == kalg.is_invertible(x.P + x.P.H)
-        assert isinstance(stiefel.in_cayley_open(x, y), bool)
+        assert in_cayley_open(x, x) == kalg.is_invertible(x.P + x.P.H)
+        assert isinstance(in_cayley_open(x, y), bool)
 
     def test_circle_case(self):
         one = StiefelPoint(Mat(Field.REAL, np.ones((1, 1, 1))))
         minus = StiefelPoint(Mat(Field.REAL, -np.ones((1, 1, 1))))
-        assert stiefel.in_cayley_open(one, one)
-        assert not stiefel.in_cayley_open(one, minus)
+        assert in_cayley_open(one, one)
+        assert not in_cayley_open(one, minus)
+
+    def test_agrees_with_gamma_inverse(self, field):
+        # gamma_inverse rejects exactly the targets outside the reference's open set
+        base = stiefel.complete_lift(base_point(4, 2, field))
+        cases = [(base, StiefelPoint(-base.point.m))]  # pi + P* = 0
+        for s in range(10):
+            lift, _ = random_lift_tangent(4, 2, field, 900 + s)
+            cases.append((lift, stiefel.random_stiefel_point(4, 2, field, 950 + s)))
+        for lift, y in cases:
+            try:
+                stiefel.gamma_inverse(lift, y)
+                inside = True
+            except OutsideCayleyOpen:
+                inside = False
+            assert inside == in_cayley_open(lift.point, y)
 
 
 class TestGammaInverse:
@@ -326,7 +345,7 @@ class TestGammaInverse:
         for s in range(5):
             lift, _ = random_lift_tangent(6, 2, field, 300 + s)
             y = stiefel.random_stiefel_point(6, 2, field, 400 + s)
-            if not stiefel.in_cayley_open(lift.point, y):
+            if not in_cayley_open(lift.point, y):
                 continue
             coords = stiefel.gamma_inverse(lift, y)
             assert fro(stiefel.gamma(coords).m - y.m) <= 1e-9
@@ -356,15 +375,14 @@ class TestGammaInverse:
 class TestGammaDifferential:
     def test_zero_direction(self, field):
         lift, t = random_lift_tangent(5, 2, field, 18)
-        got = stiefel.gamma_differential(
-            t, kalg.zeros(3, 2, field), kalg.zeros(2, 2, field))
+        got = gamma_differential(t, kalg.zeros(3, 2, field), kalg.zeros(2, 2, field))
         assert fro(got) == 0.0
 
     def test_at_zero_tangent_closed_form(self, field):
         lift, _ = random_lift_tangent(5, 2, field, 19)
         M = kalg.random_gaussian(3, 2, field, 20)
         N = random_skew(2, field, 21)
-        got = stiefel.gamma_differential(zero_tangent(lift), M, N)
+        got = gamma_differential(zero_tangent(lift), M, N)
         # X = 0, b = I, xi = N
         expected = kalg.vstack(-2.0 * (M @ lift.P.H),
                                2.0 * (M.H @ lift.beta.H) - 2.0 * (N @ lift.P.H))
@@ -374,7 +392,7 @@ class TestGammaDifferential:
         lift, t = random_lift_tangent(6, 2, field, 22)
         M = kalg.random_gaussian(4, 2, field, 23)
         N = random_skew(2, field, 24)
-        analytic = stiefel.gamma_differential(t, M, N)
+        analytic = gamma_differential(t, M, N)
         h = 1e-5
         plus = stiefel.gamma(TangentCoords(lift, t.X + h * M, t.Y + h * N)).m
         minus = stiefel.gamma(TangentCoords(lift, t.X - h * M, t.Y - h * N)).m
@@ -385,7 +403,7 @@ class TestGammaDifferential:
         lift, t = random_lift_tangent(6, 2, field, 25)
         M = kalg.random_gaussian(4, 2, field, 26)
         N = random_skew(2, field, 27)
-        analytic = stiefel.gamma_differential(t, M, N)
+        analytic = gamma_differential(t, M, N)
 
         def err(h):
             plus = stiefel.gamma(TangentCoords(lift, t.X + h * M, t.Y + h * N)).m
@@ -394,12 +412,6 @@ class TestGammaDifferential:
 
         ratio = err(1e-3) / err(5e-4)
         assert 3.5 <= ratio <= 4.5
-
-    def test_rejects_nonskew_direction(self, field):
-        lift, t = random_lift_tangent(5, 2, field, 28)
-        with pytest.raises(InvalidTangent):
-            stiefel.gamma_differential(t, kalg.zeros(3, 2, field),
-                                       kalg.identity(2, field))
 
 
 class TestDifferentialInjectivity:
@@ -414,7 +426,7 @@ class TestDifferentialInjectivity:
         assert not stiefel.differential_is_injective(t)
         N = kernel_witness(t)
         assert N is not None
-        out = stiefel.gamma_differential(t, kalg.zeros(4, 2, field), N)
+        out = gamma_differential(t, kalg.zeros(4, 2, field), N)
         assert fro(out) <= 1e-9 * fro(N)
 
     def test_agrees_with_domain_predicate(self, field):
@@ -444,7 +456,7 @@ class TestLocalSection:
         for s_ in range(5):
             lift, _ = random_lift_tangent(6, 2, field, 600 + s_)
             y = stiefel.random_stiefel_point(6, 2, field, 700 + s_)
-            if not stiefel.in_cayley_open(lift.point, y):
+            if not in_cayley_open(lift.point, y):
                 continue
             s = stiefel.local_section(lift, y)
             assert fro(stiefel.rho(s, 2).m - y.m) <= 1e-9
@@ -618,8 +630,6 @@ class TestTransformReference:
                 return fn(*args)
 
         seen, bounded = set(), set()
-        M = kalg.random_gaussian(n - k, k, field, 507)
-        N = random_skew(k, field, 508)
         base = stiefel.complete_lift(base_point(n, k, field))
         # -x for the base frame x = [0; I] has pi + P* = 0: outside the Cayley open set
         cases = [(base, zero_tangent(base), StiefelPoint(-base.point.m))]
@@ -629,10 +639,6 @@ class TestTransformReference:
             bounded.add(not svd_tests(monkeypatch, group.b_matrix, t))
             check(group.b_matrix, mat_b_matrix, t)
             y = check(stiefel.gamma, mat_gamma, t)
-            for name in ("gamma_differential", "kernel_witness"):
-                fn = getattr(stiefel, name)
-                args = (t, M, N) if name == "gamma_differential" else (t,)
-                check(fn, lambda *a: with_mat_core(fn, *a), *args)
             block = group.SkewBlockTangent(t.X, t.Y)
             check(group.cayley_identity_block,
                   lambda b: with_mat_core(group.cayley_identity_block, b), block)
@@ -691,21 +697,15 @@ class TestSkewCheckCounts:
 
     @pytest.mark.parametrize("name, expected", [
         ("gamma", 0), ("gamma_inverse", 0), ("local_section", 0), ("contraction", 0),
-        ("gamma_differential", 1), ("kernel_witness", 0), ("cayley_identity_block", 0),
-        ("b_matrix", 0)])
+        ("cayley_identity_block", 0), ("b_matrix", 0)])
     def test_checks_per_transform(self, field, monkeypatch, name, expected):
         lift, t = random_lift_tangent(16, 4, field, 73, scale=0.5)
         y = stiefel.gamma(t)
-        M = kalg.random_gaussian(12, 4, field, 78)
-        N = random_skew(4, field, 79)
         block = group.SkewBlockTangent(t.X, t.Y)
         calls = {"gamma": lambda: stiefel.gamma(t),
                  "gamma_inverse": lambda: stiefel.gamma_inverse(lift, y),
                  "local_section": lambda: stiefel.local_section(lift, y),
                  "contraction": lambda: stiefel.contraction(lift, y, 0.5),
-                 # the one check is on the caller's direction N
-                 "gamma_differential": lambda: stiefel.gamma_differential(t, M, N),
-                 "kernel_witness": lambda: kernel_witness(t),
                  "cayley_identity_block": lambda: group.cayley_identity_block(block),
                  "b_matrix": lambda: group.b_matrix(t)}
         counts = self.count(monkeypatch)
@@ -746,7 +746,7 @@ class TestContraction:
     def test_endpoints_and_midpoint(self, field):
         lift, _ = random_lift_tangent(6, 2, field, 34)
         y = stiefel.random_stiefel_point(6, 2, field, 35)
-        if not stiefel.in_cayley_open(lift.point, y):
+        if not in_cayley_open(lift.point, y):
             pytest.skip("sampled y outside the Cayley open subset")
         anchor = stiefel.gamma(zero_tangent(lift))
         assert fro(stiefel.contraction(lift, y, 0.0).m - anchor.m) <= 1e-9

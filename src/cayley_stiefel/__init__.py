@@ -1,11 +1,10 @@
 """Cayley transforms on real, complex and quaternionic Stiefel manifolds."""
 
 from .kalg import Field, Mat, Singular
-from .group import (GroupElement, InvalidTangent, SkewBlockTangent,
-                    b_matrix, cayley_at, cayley_at_identity, cayley_identity_block)
+from .group import GroupElement, InvalidTangent, b_matrix, cayley_at, cayley_at_identity
 from .stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, RankDeficient,
-                      StiefelPoint, TangentCoords, complete_lift, contraction, gamma,
-                      gamma_inverse, local_section, random_stiefel_point, rho)
+                      StiefelPoint, TangentCoords, cayley_block, complete_lift, contraction,
+                      gamma, gamma_inverse, local_section, random_stiefel_point, rho)
 from .optim import (NotHermitian, Objective, OptimTrace, SearchGenerator, SearchParams,
                     curve, gradient_descent, procrustes_objective, rayleigh_objective)
 from .cover import (DimensionError, ThetaLadder, cover_membership, default_ladder,
@@ -13,11 +12,10 @@ from .cover import (DimensionError, ThetaLadder, cover_membership, default_ladde
 
 __all__ = [
     "Field", "Mat", "Singular",
-    "GroupElement", "InvalidTangent", "SkewBlockTangent",
-    "b_matrix", "cayley_at", "cayley_at_identity", "cayley_identity_block",
+    "GroupElement", "InvalidTangent", "b_matrix", "cayley_at", "cayley_at_identity",
     "Lift", "NotOrthonormal", "OutsideCayleyOpen", "RankDeficient", "StiefelPoint",
     "TangentCoords",
-    "complete_lift", "contraction", "gamma", "gamma_inverse", "local_section",
+    "cayley_block", "complete_lift", "contraction", "gamma", "gamma_inverse", "local_section",
     "random_stiefel_point", "rho",
     "NotHermitian", "Objective", "OptimTrace", "SearchGenerator", "SearchParams",
     "curve", "gradient_descent", "procrustes_objective", "rayleigh_objective",

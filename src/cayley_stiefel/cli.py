@@ -140,7 +140,10 @@ def run_check(args) -> int:
     record("conj_transpose_anti_homomorphism", r_anti, 1e-12)
     record("mat_inverse_residual", r_inv if n_inv else None, 1e-10)
 
-    # group-level properties
+    # group-level properties; a tangent at the identity lives on the identity
+    # lift of the base frame [0; I]
+    identity = group.GroupElement(kalg.identity(n, field))
+    identity_lift = stiefel.Lift(stiefel.rho(identity, k), identity)
     r_invol = r_member = r_block = r_pair = 0.0
     for s in range(8):
         M = 0.5 * kalg.skew_hermitian_part(kalg.random_gaussian(n, n, field, seed + 300 + s))
@@ -149,9 +152,9 @@ def run_check(args) -> int:
         r_member = max(r_member, kalg.frobenius_norm(c @ c.H - kalg.identity(n, field)))
         X = kalg.random_gaussian(n - k, k, field, seed + 400 + s)
         Y = kalg.skew_hermitian_part(kalg.random_gaussian(k, k, field, seed + 500 + s))
-        t = group.SkewBlockTangent(X, Y)
+        t = TangentCoords(identity_lift, X, Y)
         r_block = max(r_block, kalg.frobenius_norm(
-            group.cayley_identity_block(t).m - group.cayley_at_identity(t.embed(), tol)))
+            stiefel.cayley_block(t).m - group.cayley_at_identity(t.embed(), tol)))
         A = group.GroupElement(group.cayley_at_identity(M, tol))
         W = A.m @ (0.3 * kalg.skew_hermitian_part(
             kalg.random_gaussian(n, n, field, seed + 600 + s)))

@@ -128,6 +128,20 @@ def _conj_transpose(data: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a stack, summed as np.linalg.norm sums one."""
+    flat = a.reshape(len(a), 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+
+
+def _frame_residuals(field: Field, data: np.ndarray) -> np.ndarray:
+    """|x*x - I|_F for each x of a (S, n, k, ncomp) component stack: the residual
+    of orthonormal frames and, with k = n, of group elements."""
+    gram = _product(field, _conj_transpose(data), data)
+    _shift_diagonal(gram, -1.0)
+    return _norms(gram)
+
+
 class Mat:
     """Dense rows x cols matrix over one of the three base rings.
 

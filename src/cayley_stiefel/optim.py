@@ -37,6 +37,13 @@ from .kalg import Mat, Singular
 from .stiefel import NotOrthonormal, StiefelPoint
 
 
+# Every line search starts at a step t with t |N U*U|_F at most this.  Beyond it
+# c(tA) x is within about 1/(t |N U*U|_F) of its limit as t -> inf (a reflection
+# of x), so f barely changes, the quadratic backtrack only halves t, and the
+# max_backtracks halvings from a huge start would never leave that stretch.
+_SATURATION = 1e8
+
+
 class NotHermitian(Exception):
     """Raised when a matrix required to be Hermitian is not."""
 
@@ -225,7 +232,8 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     The first line search starts at initial_step; every later one starts
     at the Barzilai-Borwein step from the last two iterates and their
     gradients A x (_bb_step), and falls back to initial_step when
-    Re tr(S* D) is 0 or not finite.
+    Re tr(S* D) is 0 or not finite.  Either start is cut to
+    _SATURATION / |N U*U|_F, where the curve has saturated.
     f decreases along the curve at rate |A|_F^2 at t = 0, and a trial step
     tau is accepted when f(alpha(tau)) <= f(x) - armijo_c * tau * |A|_F^2,
     so every accepted step decreases f.
@@ -261,6 +269,8 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
         tau = p.initial_step
         if prev is not None:
             tau = _bb_step(x.m - prev[0], Ax - prev[1], it % 2 == 1, tau)
+        if tau * gen.ng_norm > _SATURATION:  # min(tau, S / ng_norm) with no 1/0
+            tau = _SATURATION / gen.ng_norm
         prev = (x.m, Ax)
         accepted = None
         backtracks = 0

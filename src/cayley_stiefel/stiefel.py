@@ -1,21 +1,24 @@
 """Cayley transform on the compact Stiefel manifold of orthonormal k-frames.
 
 Implements the projection from the group onto the manifold, frame completion
-(lifting), the Stiefel Cayley transform and its inverse, the injectivity
-test of its differential, local sections of the projection, the
-contraction of a Cayley open subset onto a point, and the residual of the
-lift-change identity.
+(lifting), the tangent coordinates (X, Y) at a lift A, the group Cayley
+transform of A [[0, X], [-X*, Y]] by its block formula (cayley_block), the
+Stiefel Cayley transform and its inverse, the injectivity test of its
+differential, local sections of the projection, the contraction of a Cayley
+open subset onto a point, and the residual of the lift-change identity.
+A tangent at the identity of the group is a TangentCoords on the identity
+lift of the base frame [0; I].
 
-gamma, gamma_inverse, local_section and contraction compute on the
-component arrays through kalg's private product and conjugate transpose,
-in the operations and order of the same formulas on Mat values, so every
-result is the same to the bit.  Their only inversions are k x k: C = pi + P*
-by mat_inverse with its test at the caller's tol, and the core
+gamma, gamma_inverse, cayley_block, local_section and contraction compute
+on the component arrays through kalg's private product and conjugate
+transpose, in the operations and order of the same formulas on Mat values,
+so every result is the same to the bit.  Their only inversions are k x k:
+C = pi + P* by mat_inverse with its test at the caller's tol, and the core
 I + X*X + Y by group.b_matrix, which skips that test wherever a norm bound
 proves it passes.  Inputs are checked where they enter: a TangentCoords's
 shapes, base ring and skew-Hermitian Y when it is built, y's shape and
 base ring in gamma_inverse, and every result by the x*x = I check of
-StiefelPoint or the A A* = I check of GroupElement.
+StiefelPoint or the A*A = I check of GroupElement.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group, kalg
-from .group import GroupElement, InvalidTangent, SkewBlockTangent
+from .group import GroupElement, InvalidTangent
 from .kalg import Field, Mat, Singular
 
 
@@ -41,19 +44,6 @@ class RankDeficient(Exception):
     """Raised when random frame generation keeps hitting rank-deficient draws."""
 
 
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member of a stack, summed as np.linalg.norm sums one."""
-    flat = a.reshape(len(a), 1, -1)
-    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
-
-
-def _frame_residuals(field: Field, data: np.ndarray) -> np.ndarray:
-    """|x*x - I|_F for each frame x of a (S, n, k, ncomp) component stack."""
-    gram = kalg._product(field, kalg._conj_transpose(data), data)
-    kalg._shift_diagonal(gram, -1.0)
-    return _norms(gram)
-
-
 @dataclass(frozen=True)
 class StiefelPoint:
     """An n x k matrix x with x*x = I_k: an orthonormal k-frame in K^n."""
@@ -64,7 +54,7 @@ class StiefelPoint:
         n, k = self.m.shape
         if k > n:
             raise ValueError(f"need k <= n, got n={n}, k={k}")
-        resid = _frame_residuals(self.m.field, self.m.data[None])[0]
+        resid = kalg._frame_residuals(self.m.field, self.m.data[None])[0]
         if not resid <= kalg.CHECK_TOL:
             raise NotOrthonormal(f"x*x - I residual {resid:.3e} exceeds {kalg.CHECK_TOL:.1e}")
 
@@ -163,9 +153,15 @@ class TangentCoords:
         checked again."""
         return TangentCoords._trusted(self.lift, t * self.X, t * self.Y)
 
+    def embed(self) -> Mat:
+        """The n x n skew-Hermitian matrix Z = [[0, X], [-X*, Y]]."""
+        nk = self.lift.n - self.lift.k
+        top = kalg.hstack(kalg.zeros(nk, nk, self.field), self.X)
+        return kalg.vstack(top, kalg.hstack(-self.X.H, self.Y))
+
     def ambient_group(self) -> Mat:
-        """The n x n tangent vector A [[0, X], [-X*, Y]] at A in the group."""
-        return self.lift.A.m @ SkewBlockTangent(self.X, self.Y).embed()
+        """The n x n tangent vector A Z at A in the group."""
+        return self.lift.A.m @ self.embed()
 
 
 def rho(A: GroupElement, k: int) -> StiefelPoint:
@@ -263,19 +259,19 @@ def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -
     return kalg.is_invertible(t.lift.beta @ t.X + t.lift.P, tol)
 
 
-def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> GroupElement:
-    """Local section of the projection over the Cayley open subset at x.
+def cayley_block(t: TangentCoords) -> GroupElement:
+    """The group Cayley transform based at the lift A of the tangent A Z:
+    c(Z) A*, the value of group.cayley_at(A, t.ambient_group()).
 
-    With (X, Y) = gamma_inverse(lift, y), the group Cayley transform based
-    at A sends the tangent A Z, Z = [[0, X], [-X*, Y]], to c(Z) A*.  As
-    c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I] with b = (I + X*X + Y)^{-1},
-    that is the rank-k update A* + [-2X bV*; 2(bV* - x*)] with V = A [X; I],
-    O(n^2 k) work.  The last k columns of the result agree with y.
+    As c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I] with b = (I + X*X + Y)^{-1}
+    (group.b_matrix), that is the rank-k update A* + [-2X bV*; 2(bV* - x*)]
+    with V = A [X; I]: one k x k inversion and O(n^2 k) work.  On the
+    identity lift of the base frame [0; I] it is c(Z).
     """
+    lift = t.lift
     fld, n, k = lift.field, lift.n, lift.k
-    coords = gamma_inverse(lift, y, tol)
-    A, X = lift.A.m.data, coords.X.data
-    b = group.b_matrix(coords).data
+    A, X = lift.A.m.data, t.X.data
+    b = group.b_matrix(t).data
     XI = np.zeros((n, k, fld.ncomp))  # [X; I]
     XI[:n - k] = X
     kalg._shift_diagonal(XI[n - k:], 1.0)
@@ -283,6 +279,12 @@ def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     update = np.concatenate([kalg._product(fld, X, bVh) * -2.0,
                              (bVh - kalg._conj_transpose(lift.point.m.data)) * 2.0])
     return GroupElement(Mat._trusted(fld, kalg._conj_transpose(A) + update))
+
+
+def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> GroupElement:
+    """Local section of the projection over the Cayley open subset at x:
+    cayley_block(gamma_inverse(lift, y, tol)), whose last k columns agree with y."""
+    return cayley_block(gamma_inverse(lift, y, tol))
 
 
 def contraction(lift: Lift, y: StiefelPoint, t: float,
@@ -305,22 +307,14 @@ def lift_change_equivariance_check(lift: Lift, E: GroupElement, t: TangentCoords
     value by diag(E*, I_k) on the left; this returns the Frobenius norm of
     the difference between the two sides.
     """
-    n, k = lift.n, lift.k
-    if E.n != n - k:
+    n, nk = lift.n, lift.n - lift.k
+    if E.n != nk:
         raise ValueError("E must act on the first n - k columns")
-    blk = kalg.vstack(
-        kalg.hstack(E.m, kalg.zeros(n - k, k, lift.field)),
-        kalg.hstack(kalg.zeros(k, n - k, lift.field), kalg.identity(k, lift.field)),
-    )
-    AE = GroupElement(lift.A.m @ blk)
-    lift_E = Lift(lift.point, AE)
-    t_E = TangentCoords(lift_E, E.m.H @ t.X, t.Y)
-    lhs = gamma(t_E).m
-    blk_star = kalg.vstack(
-        kalg.hstack(E.m.H, kalg.zeros(n - k, k, lift.field)),
-        kalg.hstack(kalg.zeros(k, n - k, lift.field), kalg.identity(k, lift.field)),
-    )
-    rhs = blk_star @ gamma(t).m
+    # A diag(E, I) and diag(E*, I) gamma(t), formed on the blocks
+    AE = GroupElement(kalg.hstack(lift.A.m.block(0, n, 0, nk) @ E.m, lift.point.m))
+    lhs = gamma(TangentCoords(Lift(lift.point, AE), E.m.H @ t.X, t.Y)).m
+    g = gamma(t).m
+    rhs = kalg.vstack(E.m.H @ g.block(0, nk, 0, lift.k), g.block(nk, n, 0, lift.k))
     return kalg.frobenius_norm(lhs - rhs)
 
 
@@ -351,7 +345,7 @@ def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,
             v = np.ascontiguousarray(raw[:, :, j:j + 1])
             for u in cols:
                 v = v - kalg._product(field, u, kalg._product(field, kalg._conj_transpose(u), v))
-            norm = _norms(v)
+            norm = kalg._norms(v)
             full_rank &= norm >= 1e-8
             cols.append((1.0 / np.where(full_rank, norm, 1.0))[:, None, None, None] * v)
         frames = np.concatenate(cols, axis=2) if cols else raw
@@ -359,7 +353,7 @@ def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,
         todo = todo[~full_rank]
     if todo.size:
         raise RankDeficient(f"could not draw a full-rank {n}x{k} frame")
-    resid = _frame_residuals(field, out)
+    resid = kalg._frame_residuals(field, out)
     if not np.all(resid <= 1e-12):
         raise NotOrthonormal(f"x*x - I residual {resid.max():.3e} exceeds 1.0e-12")
     return out

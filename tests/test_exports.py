@@ -26,23 +26,40 @@ def _identifiers(node):
             yield sub.attr
 
 
-def _program_statements():
-    """(path, top-level statement) of every module in src/ and bench/ but __init__.py."""
+def _program_units():
+    """(path, top-level statement, unit) of every module in src/ and bench/ but
+    __init__.py.  A unit is a top-level statement, or for a class each item of
+    its body and each base and decorator, so that a method's own body is a unit
+    apart from its callers."""
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "bench").glob("*.py"))
-    return [(p, stmt) for p in paths for stmt in ast.parse(p.read_text()).body]
+    units = []
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            parts = [stmt]
+            if isinstance(stmt, ast.ClassDef):
+                parts = stmt.body + stmt.bases + stmt.decorator_list
+            units += [(path, stmt, part, set(_identifiers(part))) for part in parts]
+    return units
+
+
+def _public(node):
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_definition_has_a_caller(module):
-    # a public function or class that only tests reach belongs with the tests
-    statements = _program_statements()
+    # a public function, class, method or property that only tests reach belongs
+    # with the tests; a definition's own body does not count as its caller
+    units = _program_units()
     path = PACKAGE / f"{module}.py"
     uncalled = []
     for node in ast.parse(path.read_text()).body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-            continue
-        if not any(node.name in _identifiers(stmt) for p, stmt in statements
-                   if not (p == path and getattr(stmt, "name", None) == node.name)):
+        if _public(node) and not any(node.name in names for p, stmt, _, names in units
+                                     if not (p == path and stmt.lineno == node.lineno)):
             uncalled.append(node.name)
+        for item in node.body if isinstance(node, ast.ClassDef) else []:
+            if _public(item) and not any(item.name in names for p, _, part, names in units
+                                         if not (p == path and part.lineno == item.lineno)):
+                uncalled.append(f"{node.name}.{item.name}")
     assert uncalled == []

@@ -508,14 +508,14 @@ class TestGradientDescent:
         oracle = float(np.sort(np.linalg.eigvalsh(chi(M)))[:3 * mult].sum()) / mult
         assert abs(trace.final.f - oracle) <= 1e-10 * scale
 
-    def test_overflowing_first_step_fails_the_line_search(self, field, capfd):
-        # at tau = 1e305 the core and the quadratic backtrack's rate tau^2 overflow:
-        # the trials are rejected steps, not a NaN step or a LAPACK error
+    def test_huge_first_step_converges(self, field, capfd):
+        # tau = 1e305 starts at the curve's saturation, so nothing overflows (warnings
+        # are errors) and the backtracks reach steps where the curve moves; uncut,
+        # 40 backtracks from the saturated curve reached only tau 2^-40
         M = 1e3 * kalg.hermitian_part(kalg.random_gaussian(6, 6, field, 39))
         x0 = stiefel.random_stiefel_point(6, 2, field, 40)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = gradient_descent(rayleigh_objective(M), x0, SearchParams(initial_step=1e305))
-        assert trace.reason == "linesearch_failed"
+        trace = gradient_descent(rayleigh_objective(M), x0, SearchParams(initial_step=1e305))
+        assert trace.reason == "converged"
         assert capfd.readouterr().out == ""
 
     def test_iterates_stay_feasible(self, field):
@@ -628,6 +628,31 @@ class TestStepRule:
         assert trace.reason == "converged"
         assert [t for _, t in steps[:2]] == [0.37, 0.37 * 0.5]
         assert trace.records[1].backtracks >= 1
+
+    @pytest.mark.parametrize("initial_step", [1e8, 1e12, 1e305])
+    def test_start_is_cut_at_the_saturation(self, field, initial_step, monkeypatch):
+        M = kalg.hermitian_part(kalg.random_gaussian(8, 8, field, 85))
+        obj = rayleigh_objective(M)
+        x0 = stiefel.random_stiefel_point(8, 2, field, 86)
+        steps = self.trial_steps(monkeypatch)
+        gradient_descent(obj, x0, SearchParams(initial_step=initial_step, max_iters=1))
+        gen = SearchGenerator.from_gradient(x0, obj.egrad(x0))
+        assert 1.0 < gen.ng_norm < 1e3
+        assert steps[0][1] == optim._SATURATION / gen.ng_norm
+
+    def test_nan_start_value_takes_the_backtrack_clamp(self, field, monkeypatch):
+        # f(x0) = NaN makes the quadratic backtrack's minimiser NaN for every trial:
+        # each tau becomes 0.1 tau, never NaN, and the search fails
+        M = kalg.hermitian_part(kalg.random_gaussian(8, 8, field, 87))
+        rayleigh = rayleigh_objective(M)
+        x0 = stiefel.random_stiefel_point(8, 2, field, 88)
+        obj = Objective(lambda x: math.nan if x is x0 else rayleigh.f(x), rayleigh.egrad)
+        steps = self.trial_steps(monkeypatch)
+        trace = gradient_descent(obj, x0, SearchParams(initial_step=0.37, max_backtracks=5))
+        assert trace.reason == "linesearch_failed"
+        taus = [t for _, t in steps]
+        assert len(taus) == 6 and taus[0] == 0.37
+        assert all(b == 0.1 * a for a, b in zip(taus, taus[1:]))
 
     def test_benchmark_spectrum_is_monotone(self, field):
         # bottom k eigenvalues linspace(0, 0.1, k), gap 0.5, the rest up to 1.1

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (assert_same_bits, differential_min_gain, gamma_differential,
-                      in_cayley_open, kernel_witness, mat_payload, overflow_nan,
-                      random_lift_tangent, random_skew)
+                      identity_tangent, in_cayley_open, kernel_witness, mat_payload,
+                      overflow_nan, random_lift_tangent, random_skew)
 
 from cayley_stiefel import group, kalg, stiefel
 from cayley_stiefel.group import GroupElement, InvalidTangent
@@ -76,14 +76,18 @@ def mat_gamma_inverse(lift, y, tol=kalg.DEFAULT_TOL):
     return TangentCoords._trusted(lift, X, Y)
 
 
-def mat_local_section(lift, y):
-    """stiefel.local_section on Mat values."""
-    coords = mat_gamma_inverse(lift, y)
-    X = coords.X
-    b = mat_b_matrix(coords)
+def mat_cayley_block(t):
+    """stiefel.cayley_block on Mat values."""
+    lift, X = t.lift, t.X
+    b = mat_b_matrix(t)
     bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
     update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
     return GroupElement(lift.A.m.H + update)
+
+
+def mat_local_section(lift, y):
+    """stiefel.local_section on Mat values."""
+    return mat_cayley_block(mat_gamma_inverse(lift, y))
 
 
 def mat_contraction(lift, y, t):
@@ -294,15 +298,6 @@ class TestCayleyOpen:
         assert in_cayley_open(lift.point, y) == \
             kalg.is_invertible(lift.P)
 
-    def test_antipodal_bottom_block(self, field):
-        x = stiefel.random_stiefel_point(4, 2, field, 16)
-        y_data = -x.m.data
-        y = StiefelPoint(Mat(field, y_data))
-        # pi = -P so pi + P* = -P + P* which can be singular; use x with
-        # Hermitian bottom block: the circle case below is the sharp one
-        assert in_cayley_open(x, x) == kalg.is_invertible(x.P + x.P.H)
-        assert isinstance(in_cayley_open(x, y), bool)
-
     def test_circle_case(self):
         one = StiefelPoint(Mat(Field.REAL, np.ones((1, 1, 1))))
         minus = StiefelPoint(Mat(Field.REAL, -np.ones((1, 1, 1))))
@@ -313,6 +308,8 @@ class TestCayleyOpen:
         # gamma_inverse rejects exactly the targets outside the reference's open set
         base = stiefel.complete_lift(base_point(4, 2, field))
         cases = [(base, StiefelPoint(-base.point.m))]  # pi + P* = 0
+        lift, _ = random_lift_tangent(4, 2, field, 16)
+        cases.append((lift, StiefelPoint(-lift.point.m)))  # antipodal: pi + P* = P* - P
         for s in range(10):
             lift, _ = random_lift_tangent(4, 2, field, 900 + s)
             cases.append((lift, stiefel.random_stiefel_point(4, 2, field, 950 + s)))
@@ -480,6 +477,16 @@ class TestLocalSection:
         assert fro(stiefel.local_section(lift, y).m - dense.m) <= 1e-12
 
 
+class TestCayleyBlock:
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (4, 0), (5, 2), (16, 4)])
+    def test_matches_cayley_at(self, field, n, k):
+        # c(Z) A* with one k x k inversion against (I - A*W)(A + W)^{-1}, W = A Z
+        for s in range(4):
+            lift, t = random_lift_tangent(n, k, field, 620 + s)
+            dense = group.cayley_at(lift.A, t.ambient_group())
+            assert fro(stiefel.cayley_block(t).m - dense) <= 1e-12
+
+
 class TestCoreCounts:
     """Each k x k core is inverted once and the section is checked once."""
 
@@ -521,7 +528,7 @@ class TestCoreCounts:
         stiefel.local_section(lift, y)
         assert counts["inverse"] == 2
         assert counts["element"] == 1
-        # the one n x n product is the A A* residual of that GroupElement check
+        # the one n x n product is the A*A residual of that GroupElement check
         assert counts["square_products"] == 1
 
 
@@ -624,11 +631,6 @@ class TestTransformReference:
                 seen.add(want)
             return want
 
-        def with_mat_core(fn, *args):
-            with monkeypatch.context() as mp:
-                mp.setattr(group, "b_matrix", mat_b_matrix)
-                return fn(*args)
-
         seen, bounded = set(), set()
         base = stiefel.complete_lift(base_point(n, k, field))
         # -x for the base frame x = [0; I] has pi + P* = 0: outside the Cayley open set
@@ -639,9 +641,7 @@ class TestTransformReference:
             bounded.add(not svd_tests(monkeypatch, group.b_matrix, t))
             check(group.b_matrix, mat_b_matrix, t)
             y = check(stiefel.gamma, mat_gamma, t)
-            block = group.SkewBlockTangent(t.X, t.Y)
-            check(group.cayley_identity_block,
-                  lambda b: with_mat_core(group.cayley_identity_block, b), block)
+            check(stiefel.cayley_block, mat_cayley_block, t)
             targets = [other] if isinstance(y, type) else [StiefelPoint(Mat(field, y)), other]
             for target in targets:
                 check(stiefel.gamma_inverse, mat_gamma_inverse, lift, target)
@@ -669,6 +669,13 @@ class TestTransformReference:
             with pytest.raises(ValueError, match="shape and base ring"):
                 stiefel.contraction(lift, y, 0.5)
 
+    def test_tangent_rejects_blocks_of_another_shape(self, field):
+        lift, t = random_lift_tangent(5, 2, field, 86)
+        for X, Y in ((t.X.H, t.Y), (t.X, random_skew(3, field, 87)),
+                     (kalg.zeros(3, 1, field), kalg.zeros(1, 1, field))):
+            with pytest.raises(ValueError, match="shapes do not match the lift"):
+                TangentCoords(lift, X, Y)
+
     def test_tangent_rejects_blocks_over_another_ring(self, field):
         lift, t = random_lift_tangent(5, 2, field, 86)
         other = Field.COMPLEX if field is Field.REAL else Field.REAL
@@ -681,7 +688,7 @@ class TestTransformReference:
 
 class TestSkewCheckCounts:
     """Y is checked skew-Hermitian once, when its tangent is built: no transform
-    that takes a TangentCoords or a SkewBlockTangent checks it again."""
+    that takes a TangentCoords checks it again."""
 
     @staticmethod
     def count(monkeypatch):
@@ -697,17 +704,17 @@ class TestSkewCheckCounts:
 
     @pytest.mark.parametrize("name, expected", [
         ("gamma", 0), ("gamma_inverse", 0), ("local_section", 0), ("contraction", 0),
-        ("cayley_identity_block", 0), ("b_matrix", 0)])
+        ("cayley_block", 0), ("b_matrix", 0), ("ambient_group", 0)])
     def test_checks_per_transform(self, field, monkeypatch, name, expected):
         lift, t = random_lift_tangent(16, 4, field, 73, scale=0.5)
         y = stiefel.gamma(t)
-        block = group.SkewBlockTangent(t.X, t.Y)
         calls = {"gamma": lambda: stiefel.gamma(t),
                  "gamma_inverse": lambda: stiefel.gamma_inverse(lift, y),
                  "local_section": lambda: stiefel.local_section(lift, y),
                  "contraction": lambda: stiefel.contraction(lift, y, 0.5),
-                 "cayley_identity_block": lambda: group.cayley_identity_block(block),
-                 "b_matrix": lambda: group.b_matrix(t)}
+                 "cayley_block": lambda: stiefel.cayley_block(t),
+                 "b_matrix": lambda: group.b_matrix(t),
+                 "ambient_group": t.ambient_group}
         counts = self.count(monkeypatch)
         calls[name]()
         assert counts["skew"] == expected
@@ -733,13 +740,13 @@ class TestSkewCheckCounts:
         lift, t = random_lift_tangent(7, 3, field, 75)
         counts = self.count(monkeypatch)
         TangentCoords(lift, t.X, t.Y)
-        group.b_matrix(group.SkewBlockTangent(t.X, t.Y))
+        group.b_matrix(identity_tangent(t.X, t.Y))
         assert counts["skew"] == 2
         not_skew = kalg.identity(3, field)
         with pytest.raises(InvalidTangent):
             TangentCoords(lift, t.X, not_skew)
         with pytest.raises(InvalidTangent):
-            group.b_matrix(group.SkewBlockTangent(t.X, not_skew))
+            group.b_matrix(identity_tangent(t.X, not_skew))
 
 
 class TestContraction:

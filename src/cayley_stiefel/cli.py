@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import math
 import sys
 import time
 
@@ -30,7 +28,8 @@ def _add_common(p: argparse.ArgumentParser, tol: bool = True):
     p.add_argument("--seed", type=_seed, default=0,
                    help="master RNG seed, nonnegative (default: 0)")
     if tol:
-        p.add_argument("--tol", type=_tolerance, default=kalg.DEFAULT_TOL,
+        # a NaN, negative or infinite tol is rejected by the library's singularity test
+        p.add_argument("--tol", type=float, default=kalg.DEFAULT_TOL,
                        help="singular when sigma_min <= tol * sigma_max (default: 1e-12)")
     p.add_argument("--out", default=None, help="write machine output to this path")
     p.add_argument("--reproducible", action="store_true",
@@ -42,13 +41,6 @@ def _seed(text: str) -> int:
     if seed < 0:  # numpy's generators reject it, and check's offsets would hide it
         raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
     return seed
-
-
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0.0 <= tol < math.inf:  # a NaN tolerance would pass every singularity test
-        raise argparse.ArgumentTypeError(f"tol must be finite and nonnegative, got {tol}")
-    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,13 +214,11 @@ def run_optimize(args) -> int:
     trace = optim.gradient_descent(obj, x0, params)
     if args.csv:
         # written first, so an unwritable path leaves stdout empty
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["iter", "f", "gnorm", "step", "backtracks"])
-        for r in trace.records:
-            writer.writerow([r.iteration, r.f, r.gnorm, r.step, r.backtracks])
+        rows = [r.to_json() for r in trace.records]
         with open(args.csv, "w") as fh:
-            fh.write(buf.getvalue())
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     _emit(trace.to_jsonl(), args.out)
     print(f"{args.problem}: {trace.reason} after {trace.final.iteration} iterations, "
           f"f = {trace.final.f:.9g}", file=sys.stderr)

@@ -101,8 +101,7 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
         raise ValueError("samples must be nonnegative")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if not 0.0 <= tol < math.inf:  # NaN or -1 would cover every sample, inf none
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    kalg._check_tol(tol)  # up front, so that samples=0 rejects it too
     if n < 2 * k:
         raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
     histogram: Counter[int] = Counter()

@@ -257,9 +257,7 @@ def frobenius_norm(m: Mat) -> float:
 
 
 def skew_hermitian_part(m: Mat) -> Mat:
-    if m.rows != m.cols:
-        raise ValueError("skew_hermitian_part needs a square matrix")
-    return 0.5 * (m - m.H)
+    return 0.5 * (m - m.H)  # a non-square m fails the shape check of -
 
 
 def is_skew_hermitian(m: Mat, tol: float) -> bool:
@@ -268,9 +266,7 @@ def is_skew_hermitian(m: Mat, tol: float) -> bool:
 
 
 def hermitian_part(m: Mat) -> Mat:
-    if m.rows != m.cols:
-        raise ValueError("hermitian_part needs a square matrix")
-    return 0.5 * (m + m.H)
+    return 0.5 * (m + m.H)  # a non-square m fails the shape check of +
 
 
 def hstack(*mats: Mat) -> Mat:
@@ -289,6 +285,11 @@ def _operand(field: Field, data: np.ndarray) -> np.ndarray:
     return _adjoint(data) if field is Field.QUATERNION else _view(field, data)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # NaN or -1 would pass every singularity test, inf none
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def _invertible_operand(field: Field, data: np.ndarray,
                         tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Operands and the relative singularity test for a stack of square matrices.
@@ -299,8 +300,10 @@ def _invertible_operand(field: Field, data: np.ndarray,
     sigma_min <= tol * sigma_max or where an entry is not finite; and the
     singular values, from one stacked SVD, NaN for a matrix that is not
     finite.  The adjoint has the singular values of M, each twice, so the
-    test means the same in all three rings.
+    test means the same in all three rings.  Raises ValueError for a tol
+    outside [0, inf); every public tol reaches this test.
     """
+    _check_tol(tol)
     if data.shape[-3] != data.shape[-2]:
         raise ValueError("inversion needs a square matrix")
     # LAPACK prints to stdout, fails to converge or returns NaN on a matrix that
@@ -348,7 +351,8 @@ def _inverse(field: Field, operand: np.ndarray) -> np.ndarray:
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     """Inverse of a square matrix by LAPACK, through the adjoint over H.
 
-    Raises Singular when sigma_min <= tol * sigma_max or an entry is not finite.
+    Raises Singular when sigma_min <= tol * sigma_max or an entry is not
+    finite, and ValueError for a tol outside [0, inf).
     """
     a, invertible, s = _invertible_operand(m.field, m.data, tol)
     if not invertible:

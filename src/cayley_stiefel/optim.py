@@ -11,7 +11,8 @@ orthogonality constraints", Math. Prog. 2013).
 Every line search after the first starts from a Barzilai-Borwein step, as
 in Wen and Yin's Algorithm 2, and backtracks under the monotone Armijo
 test, so every accepted step decreases f (Barzilai and Borwein,
-"Two-point step size gradient methods", IMA J. Numer. Anal. 1988).
+"Two-point step size gradient methods", IMA J. Numer. Anal. 1988).  Its
+Armijo constant, backtrack factor and backtrack budget are constants.
 
 The generator and the curve points are the inner loop, so their
 arithmetic runs on the component arrays through kalg's private product,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,8 +42,12 @@ from .stiefel import NotOrthonormal, StiefelPoint
 # Every line search starts at a step t with t |N U*U|_F at most this.  Beyond it
 # c(tA) x is within about 1/(t |N U*U|_F) of its limit as t -> inf (a reflection
 # of x), so f barely changes, the quadratic backtrack only halves t, and the
-# max_backtracks halvings from a huge start would never leave that stretch.
+# _MAX_BACKTRACKS halvings from a huge start would never leave that stretch.
 _SATURATION = 1e8
+# the Armijo constant, the largest backtrack factor, the backtracks before a failure
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 40
 
 
 class NotHermitian(Exception):
@@ -58,28 +64,22 @@ class Objective:
 
 @dataclass(frozen=True)
 class SearchParams:
+    """gradient_descent's first trial step, integer iteration budget and
+    gradient-norm tolerance; its other settings are module constants."""
+
     initial_step: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     max_iters: int = 1000
     grad_tol: float = 1e-6
-    max_backtracks: int = 40
 
     def __post_init__(self):
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
         # curve takes the step as t and needs 2t finite too
         if not (0.0 < self.initial_step and math.isfinite(2.0 * self.initial_step)):
             raise ValueError("initial_step must be positive with 2 * initial_step finite, "
                              f"got {self.initial_step}")
         if not 0.0 <= self.grad_tol:  # NaN or negative: no gradient norm would ever pass
             raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.max_backtracks < 0:
-            raise ValueError(f"max_backtracks must be nonnegative, got {self.max_backtracks}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -235,15 +235,16 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     Re tr(S* D) is 0 or not finite.  Either start is cut to
     _SATURATION / |N U*U|_F, where the curve has saturated.
     f decreases along the curve at rate |A|_F^2 at t = 0, and a trial step
-    tau is accepted when f(alpha(tau)) <= f(x) - armijo_c * tau * |A|_F^2,
+    tau is accepted when f(alpha(tau)) <= f(x) - 1e-4 tau |A|_F^2 (_ARMIJO_C),
     so every accepted step decreases f.
     A rejected tau is replaced by the minimiser of the quadratic through
-    f(0), that slope and f(tau), clamped to [0.1, backtrack_factor] * tau,
-    or by 0.1 tau where that minimiser is NaN; halving alone can settle on
-    a step that flips the steepest component of x every iteration.  A
-    trial whose core is Singular (not finite included), whose point fails
-    the x*x = I check or whose objective value is NaN is a rejected step
-    too: tau shrinks by backtrack_factor, and the backtrack counts.
+    f(0), that slope and f(tau), clamped to [0.1, 0.5] * tau (0.5 is
+    _BACKTRACK_FACTOR), or by 0.1 tau where that minimiser is NaN; halving
+    alone can settle on a step that flips the steepest component of x every
+    iteration.  A trial whose core is Singular (not finite included), whose
+    point fails the x*x = I check or whose objective value is NaN is a
+    rejected step too: tau is halved, and the backtrack counts.  After 40
+    backtracks (_MAX_BACKTRACKS) the line search fails.
     Terminates when the Riemannian gradient norm, read from the generator
     (gnorm), drops below grad_tol, the iteration budget is exhausted, or
     the line search fails.
@@ -262,7 +263,6 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
             reason = "converged"
             break
         if it == p.max_iters:
-            reason = "max_iters"
             break
         rate = gen.rate
         Ax = gen.U @ gen.NUx
@@ -272,31 +272,29 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
         if tau * gen.ng_norm > _SATURATION:  # min(tau, S / ng_norm) with no 1/0
             tau = _SATURATION / gen.ng_norm
         prev = (x.m, Ax)
-        accepted = None
         backtracks = 0
-        while backtracks <= p.max_backtracks:
+        while backtracks <= _MAX_BACKTRACKS:
             try:
                 cand = curve(gen, tau)
             except (Singular, NotOrthonormal):
                 cand = None
             fcand = math.nan if cand is None else obj.f(cand)
             if math.isnan(fcand):
-                tau *= p.backtrack_factor
+                tau *= _BACKTRACK_FACTOR
                 backtracks += 1
                 continue
-            if fcand <= fval - p.armijo_c * tau * rate:
-                accepted = (cand, fcand)
+            if fcand <= fval - _ARMIJO_C * tau * rate:
                 break
-            # the step was rejected, so the denominator exceeds (1 - armijo_c) tau rate
+            # the step was rejected, so the denominator exceeds (1 - _ARMIJO_C) tau rate
             tau_q = rate * tau * tau / (2.0 * (fcand - fval + rate * tau))
             # 0.1 tau first: max keeps its first argument against a NaN tau_q,
             # which a huge tau gives when rate tau^2 and the denominator overflow
-            tau = min(max(0.1 * tau, tau_q), p.backtrack_factor * tau)
+            tau = min(max(0.1 * tau, tau_q), _BACKTRACK_FACTOR * tau)
             backtracks += 1
-        if accepted is None:
+        else:  # no trial was accepted
             reason = "linesearch_failed"
             break
-        x, fval = accepted
+        x, fval = cand, fcand
         step_taken = tau
     return OptimTrace(tuple(records), reason)
 

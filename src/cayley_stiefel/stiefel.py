@@ -182,6 +182,8 @@ def complete_lift(x: StiefelPoint) -> Lift:
     The steps run on the (n, n, ncomp) component arrays, with R updated in
     place and each u written straight into A; the arithmetic and its order
     are those of the same steps on Mat values, so A is the same to the bit.
+    A must pass A*A = I within 1e-10, which a frame that StiefelPoint accepts
+    can fail; it raises NotOrthonormal, naming its own x*x - I residual.
     """
     field, n, k = x.field, x.n, x.k
     R = np.zeros((n, n, field.ncomp))
@@ -196,7 +198,13 @@ def complete_lift(x: StiefelPoint) -> Lift:
         u = R[:, p:p + 1] * (1.0 / norms[p])
         R -= kalg._product(field, u, kalg._conj_transpose(u))
         A[:, j:j + 1] = u
-    return Lift(x, GroupElement(Mat._trusted(field, A), check_tol=1e-10))
+    try:
+        A = GroupElement(Mat._trusted(field, A), check_tol=1e-10)
+    except ValueError as exc:
+        resid = kalg._frame_residuals(field, x.m.data[None])[0]
+        raise NotOrthonormal(f"x*x - I residual {resid:.3e} is too large to lift: "
+                             f"the lift must pass A*A = I within 1.0e-10 ({exc})") from exc
+    return Lift(x, A)
 
 
 def _lift_blocks(lift: Lift) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -111,12 +113,18 @@ class TestOptimize:
 
     def test_csv_companion(self, capsys, tmp_path):
         csv_path = tmp_path / "trace.csv"
-        code, _, _ = run(capsys, ["optimize", "--field", "real", "--n", "8",
-                                  "--k", "2", "--seed", "3", "--reproducible",
-                                  "--csv", str(csv_path)])
+        code, out, _ = run(capsys, ["optimize", "--field", "real", "--n", "8",
+                                    "--k", "2", "--seed", "3", "--reproducible",
+                                    "--csv", str(csv_path)])
         assert code == 0
-        header = csv_path.read_text().splitlines()[0]
-        assert header == "iter,f,gnorm,step,backtracks"
+        text = csv_path.read_text()
+        assert text.splitlines()[0] == "iter,f,gnorm,step,backtracks"
+        # row i is record i of the JSONL trace, each value written as JSON writes it
+        records = [json.loads(line) for line in out.strip().split("\n")[:-1]]
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == len(records) > 1
+        for row, rec in zip(rows, records):
+            assert row == {key: json.dumps(value) for key, value in rec.items()}
 
     @pytest.mark.parametrize("field,step", [("quaternion", "1e6"), ("real", "1e8"),
                                             ("complex", "1e8"), ("quaternion", "1e8")])

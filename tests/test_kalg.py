@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import mat_payload, scalar
+from conftest import mat_payload, random_lift_tangent, random_skew, scalar
 
-from cayley_stiefel import kalg
+from cayley_stiefel import cover, group, kalg, stiefel
 from cayley_stiefel.kalg import Field, Mat, Singular
 
 Q = Field.QUATERNION
@@ -261,6 +261,31 @@ class TestIsInvertible:
             assert alone and np.array_equal(s[i], s_alone)
 
 
+def tol_taking_calls():
+    """Each public function that takes a tol, as a call on fixed arguments."""
+    near_singular = Mat(Q, [[[1, 0, 0, 0], [1, 0, 0, 0]], [[1, 0, 0, 0], [1 + 1e-15, 0, 0, 0]]])
+    rank_one = Mat(Field.REAL, [[[1], [2]], [[2], [4]]])
+    lift, t = random_lift_tangent(5, 2, Q, 3)
+    y = stiefel.gamma(t)
+    return {
+        "mat_inverse": lambda tol: kalg.mat_inverse(near_singular, tol),
+        "is_invertible": lambda tol: kalg.is_invertible(rank_one, tol),
+        "cayley_at_identity": lambda tol: group.cayley_at_identity(random_skew(3, Q, 4), tol),
+        "gamma_inverse": lambda tol: stiefel.gamma_inverse(lift, y, tol),
+        "differential_is_injective": lambda tol: stiefel.differential_is_injective(t, tol),
+        "cover_membership": lambda tol: cover.cover_membership(y, cover.default_ladder(2), tol),
+    }
+
+
+@pytest.mark.parametrize("name", list(tol_taking_calls()))
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+def test_unusable_tol_is_rejected(name, tol):
+    # NaN or -1 passes every singularity test (mat_inverse inverted near_singular
+    # to entries of 9e14, is_invertible called rank_one invertible), inf fails all
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        tol_taking_calls()[name](tol)
+
+
 class TestFrobeniusNorm:
     def test_zero(self, field):
         assert kalg.frobenius_norm(kalg.zeros(2, 3, field)) == 0.0
@@ -303,6 +328,11 @@ class TestSkewHermitianPart:
         m = kalg.random_gaussian(4, 4, field, 9)
         s = kalg.skew_hermitian_part(m)
         assert kalg.frobenius_norm(s + s.H) == 0.0
+
+    @pytest.mark.parametrize("part", [kalg.skew_hermitian_part, kalg.hermitian_part])
+    def test_rejects_non_square(self, part):
+        with pytest.raises(ValueError, match=r"shape mismatch \(2, 3\)"):
+            part(kalg.zeros(2, 3, Field.REAL))
 
     def test_predicate_is_relative(self, field):
         s = kalg.skew_hermitian_part(kalg.random_gaussian(4, 4, field, 10))

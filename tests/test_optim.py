@@ -455,18 +455,15 @@ class TestGradientDescent:
         assert trace.reason == "converged"
         assert abs(trace.final.f - oracle) <= 1e-5
 
-    @pytest.mark.parametrize("c", [1e-4, 0.1])
-    def test_armijo_decrease_recorded(self, c):
+    def test_armijo_decrease_recorded(self, field):
         # f decreases along the curve at rate |A|_F^2 at t = 0
-        fld = Field.COMPLEX
-        M = kalg.hermitian_part(kalg.random_gaussian(8, 8, fld, 35))
+        M = kalg.hermitian_part(kalg.random_gaussian(8, 8, field, 35))
         obj = rayleigh_objective(M)
-        x0 = stiefel.random_stiefel_point(8, 2, fld, 36)
-        p = SearchParams(max_iters=200, armijo_c=c)
-        trace = gradient_descent(obj, x0, p)
+        x0 = stiefel.random_stiefel_point(8, 2, field, 36)
+        trace = gradient_descent(obj, x0, SearchParams(max_iters=200))
         for prev, rec in zip(trace.records, trace.records[1:]):
             rate = fro(descent_skew(prev.x, obj.egrad(prev.x))) ** 2
-            assert rec.f <= prev.f - p.armijo_c * rec.step * rate + 1e-12
+            assert rec.f <= prev.f - optim._ARMIJO_C * rec.step * rate + 1e-12
 
     def test_well_separated_spectrum_does_not_zigzag(self):
         # halving from tau = 1 settles on steps that flip the components of
@@ -479,18 +476,6 @@ class TestGradientDescent:
                                  SearchParams(max_iters=100))
         assert trace.reason == "converged"
         assert abs(trace.final.f - 2.0) <= 1e-8
-
-    @pytest.mark.parametrize("c", [0.5, 0.7, 0.9])
-    def test_rayleigh_converges_for_large_armijo_c(self, field, c):
-        # f decreases at rate |A|_F^2 along the curve; a slope twice that
-        # rejects every step once armijo_c >= 0.5
-        data = np.zeros((8, 8, field.ncomp))
-        data[range(8), range(8), 0] = np.arange(1.0, 9.0)
-        obj = rayleigh_objective(Mat(field, data))
-        x0 = stiefel.random_stiefel_point(8, 2, field, 52)
-        trace = gradient_descent(obj, x0, SearchParams(armijo_c=c))
-        assert trace.reason == "converged"
-        assert abs(trace.final.f - 3.0) <= 1e-8
 
     @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
     def test_rayleigh_converges_at_large_scale(self, field, scale):
@@ -526,14 +511,8 @@ class TestGradientDescent:
         for rec in trace.records:
             assert fro(rec.x.m.H @ rec.x.m - kalg.identity(2, field)) <= 1e-8
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            SearchParams(armijo_c=2.0)
-        with pytest.raises(ValueError):
-            SearchParams(backtrack_factor=1.0)
-
     @pytest.mark.parametrize("kwargs", [
-        {"max_iters": -1}, {"max_iters": -3}, {"max_backtracks": -1},
+        {"max_iters": -1}, {"max_iters": -3}, {"max_iters": 2.5}, {"max_iters": 1000.0},
         {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": np.inf},
         {"initial_step": np.nan}, {"initial_step": 1e308}, {"grad_tol": np.nan},
         {"grad_tol": -1e-6}])
@@ -542,8 +521,8 @@ class TestGradientDescent:
             SearchParams(**kwargs)
 
     def test_params_accept_boundary_values(self):
-        p = SearchParams(max_iters=0, max_backtracks=0, initial_step=1e-300, grad_tol=0.0)
-        assert (p.max_iters, p.max_backtracks, p.initial_step, p.grad_tol) == (0, 0, 1e-300, 0.0)
+        p = SearchParams(max_iters=0, initial_step=1e-300, grad_tol=0.0)
+        assert (p.max_iters, p.initial_step, p.grad_tol) == (0, 1e-300, 0.0)
 
 
 def prescribed_spectrum(eigs, field, seed):
@@ -642,16 +621,17 @@ class TestStepRule:
 
     def test_nan_start_value_takes_the_backtrack_clamp(self, field, monkeypatch):
         # f(x0) = NaN makes the quadratic backtrack's minimiser NaN for every trial:
-        # each tau becomes 0.1 tau, never NaN, and the search fails
+        # each tau becomes 0.1 tau, never NaN, and the search fails after the first
+        # trial and its 40 backtracks
         M = kalg.hermitian_part(kalg.random_gaussian(8, 8, field, 87))
         rayleigh = rayleigh_objective(M)
         x0 = stiefel.random_stiefel_point(8, 2, field, 88)
         obj = Objective(lambda x: math.nan if x is x0 else rayleigh.f(x), rayleigh.egrad)
         steps = self.trial_steps(monkeypatch)
-        trace = gradient_descent(obj, x0, SearchParams(initial_step=0.37, max_backtracks=5))
+        trace = gradient_descent(obj, x0, SearchParams(initial_step=0.37))
         assert trace.reason == "linesearch_failed"
         taus = [t for _, t in steps]
-        assert len(taus) == 6 and taus[0] == 0.37
+        assert len(taus) == 41 and taus[0] == 0.37
         assert all(b == 0.1 * a for a, b in zip(taus, taus[1:]))
 
     def test_benchmark_spectrum_is_monotone(self, field):

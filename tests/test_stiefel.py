@@ -148,6 +148,13 @@ class TestCompleteLift:
             assert np.array_equal(lift.A.m.data[:, 4:], x.m.data)
             assert fro(lift.A.m @ lift.A.m.H - kalg.identity(7, field)) <= 1e-10
 
+    def test_loose_frame_names_its_residual(self, field):
+        # StiefelPoint accepts x's residual 2.83e-9 (CHECK_TOL 1e-8), but the
+        # lift's A*A - I residual is 4.3e-9 to 6.6e-9, above its 1e-10
+        x = StiefelPoint((1.0 + 1e-9) * stiefel.random_stiefel_point(6, 2, field, 3).m)
+        with pytest.raises(NotOrthonormal, match=r"x\*x - I residual 2\.828e-09 .*1\.0e-10"):
+            stiefel.complete_lift(x)
+
     @staticmethod
     def mat_steps(x):
         """Reference: the projector steps of complete_lift written on Mat values."""

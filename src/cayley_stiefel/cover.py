@@ -20,6 +20,7 @@ to each frame of one unstacked draw.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -97,8 +98,8 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
     With k + 1 angles the expected uncovered count is zero in every field.
     Uncovered witnesses are serialized in full.
     """
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    if not (isinstance(samples, numbers.Integral) and samples >= 0):
+        raise ValueError(f"samples must be nonnegative and an integer, got {samples!r}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     kalg._check_tol(tol)  # up front, so that samples=0 rejects it too

@@ -10,7 +10,6 @@ at kalg.CHECK_TOL when it was built, and trusts that check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
@@ -77,52 +76,16 @@ def b_matrix(t: TangentCoords) -> Mat:
     """(I_k + X*X + Y)^{-1}, the k x k core of the block Cayley formula.
 
     Y was checked skew-Hermitian when t was built and is not checked again.
-    The core is formed and inverted on the component arrays, in the order
-    of the Mat formula mat_inverse(I + X*X + Y), so the inverse is the same
-    to the bit.  It skips mat_inverse's SVD test, sigma_min <= tol sigma_max
-    with tol = kalg.DEFAULT_TOL, wherever a norm bound proves the test passes:
-
-    - Exactly.  Split Y = S + E into its skew-Hermitian part S and its
-      Hermitian part E = (Y + Y*)/2.  For a unit vector v,
-      Re v*(I + X*X + S)v = 1 + |Xv|^2 >= 1, so every singular value of
-      I + X*X + S is at least 1, and by Weyl's inequality those of
-      C = I + X*X + Y are at least 1 - |E|_2.  The check made when t was
-      built gives |E|_2 <= |E|_F = |Y + Y*|_F / 2 <= CHECK_TOL max(1, |Y|_F) / 2.
-    - Rounding.  With m = n - k, u = 2^-53 and g = (2m + 2)u / (1 - (2m + 2)u),
-      every entry of X*X is an inner product of m terms over R, m complex
-      terms over C and 2m complex terms over H (through the adjoint), so in
-      any summation order the computed product is within
-      sqrt(2) g |X|_F^2 of X*X in the Frobenius norm (Higham, Accuracy and
-      Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 3.6).
-      The two additions add at most u |I + X*X|_F + u |C'|_F / (1 - u), so
-      the computed core C' is within 2g (|X|_F^2 + sqrt(k) + |C'|_F) of C.
-    - Bound.  So sigma_min(C') >= L and sigma_max(C') <= |C'|_F, with
-      L = 1 - CHECK_TOL max(1, |Y|_F) - (m + 1) 2^-50 (|X|_F^2 + k + |C'|_F).
-      L takes twice the slack of E, which covers the rounding of the check
-      and of |Y|_F, and a rounding term nearly twice 2g, which covers that
-      of the computed |X|_F^2 and |C'|_F.
-    - Decision.  LAPACK returns singular values within p u |C'|_2 of the
-      exact ones, p a slowly growing function of the order 2k (LAPACK
-      Users' Guide, section 4.9).  When 2 tol |C'|_F <= L, the smallest
-      computed one is at least L (1 - p u / (2 tol)) and tol times the
-      largest at most L (1 + p u) / 2, so the test passes whenever
-      p u < tol / (1 + tol), that is p < 9000; the gap also absorbs the
-      rounding of the computed |C'|_F on the left.
-
-    Then the core is inverted by LAPACK directly (kalg._inverse).
-    Otherwise, and whenever a norm is not finite, mat_inverse inverts it
-    after its test.
+    For skew-Hermitian Y, Re v*(I + X*X + Y)v = 1 + |Xv|^2 for a unit vector
+    v, so every singular value of the core is at least 1 and b_matrix takes
+    no tol: the core is inverted at kalg.DEFAULT_TOL (kalg._invert), formed
+    on the component arrays in the order of the Mat formula
+    mat_inverse(I + X*X + Y), so the inverse is the same to the bit.
     """
     X, Y = t.X.data, t.Y.data
-    fld, m, k = t.X.field, t.X.rows, t.X.cols
+    fld, k = t.X.field, t.X.cols
     core = np.zeros((k, k, fld.ncomp))
     kalg._shift_diagonal(core, 1.0)
     core += kalg._product(fld, kalg._conj_transpose(X), X)
     core += Y
-    cf = math.sqrt(np.vdot(core, core))
-    slack = (kalg.CHECK_TOL * max(1.0, math.sqrt(np.vdot(Y, Y)))
-             + (m + 1) * 2.0 ** -50 * (np.vdot(X, X) + k + cf))
-    if 2.0 * kalg.DEFAULT_TOL * cf <= 1.0 - slack:
-        return Mat._trusted(fld, kalg._inverse(fld, kalg._operand(fld, core)))
-    return kalg.mat_inverse(Mat._trusted(fld, core))
-
+    return Mat._trusted(fld, kalg._invert(fld, core, kalg.DEFAULT_TOL))

@@ -18,13 +18,16 @@ The product, the conjugate transpose and the singularity test are written
 once, on stacks of component arrays of shape (S, rows, cols, ncomp), so S
 matrices cost one numpy or LAPACK call and not S of them.  The random
 frames of stiefel and the cover test use these private stacked forms;
-Mat products and conjugate transposes, mat_inverse and is_invertible are
-their case with no stack axis.  mat_inverse is that singularity test
-followed by _inverse, LAPACK's inverse on component arrays, which a caller
-that bounds the matrix's condition number itself may call directly.
+Mat products and conjugate transposes and is_invertible are their case
+with no stack axis.  Every inversion is _invert, on component arrays:
+LAPACK inverts first, and the SVD test runs only where the residual of
+that inverse cannot prove the test passes.  mat_inverse is _invert on Mat
+values; the library's transforms and its search curve call _invert on
+their k x k and 2k x 2k cores directly.
 
 Validation happens at the boundaries.  The public constructor Mat(field,
-data) copies its input and rejects non-finite entries.  Results that kalg
+data) copies its input and rejects non-finite and complex entries (a
+complex matrix is Field.COMPLEX with 2 components).  Results that kalg
 computes itself (products, sums, negation, scaling, blocks, conjugate
 transposes, stacks, inverses, zeros and identities) wrap their fresh
 array read-only, with no copy and no finiteness scan; overflow can then
@@ -154,6 +157,8 @@ class Mat:
     __slots__ = ("field", "data")
 
     def __init__(self, field: Field, data: np.ndarray):
+        if np.iscomplexobj(data):  # a float64 cast would drop the imaginary parts
+            raise ValueError("complex entries: a complex matrix is Field.COMPLEX, 2 components")
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 3 or data.shape[2] != field.ncomp:
             raise ValueError(f"expected (rows, cols, {field.ncomp}) array, got {data.shape}")
@@ -301,7 +306,7 @@ def _invertible_operand(field: Field, data: np.ndarray,
     singular values, from one stacked SVD, NaN for a matrix that is not
     finite.  The adjoint has the singular values of M, each twice, so the
     test means the same in all three rings.  Raises ValueError for a tol
-    outside [0, inf); every public tol reaches this test.
+    outside [0, inf).
     """
     _check_tol(tol)
     if data.shape[-3] != data.shape[-2]:
@@ -326,41 +331,78 @@ def _invertible_operand(field: Field, data: np.ndarray,
     return a, invertible, s
 
 
-def _inverse(field: Field, operand: np.ndarray) -> np.ndarray:
-    """Components of the inverse of a square matrix from its operand, by LAPACK.
+def _invert(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
+    """Components of the inverse of a square (n, n, ncomp) matrix M, by LAPACK
+    on its operand A (_operand), under the singularity test of mat_inverse.
 
-    operand is what _operand returns for the matrix.  No singularity test is
-    run: a caller that skips mat_inverse's test must know the matrix is well
-    conditioned, as optim.curve does when |t| |N U*U|_F <= 1/2 puts every
-    singular value of its core I + t N U*U in [1/2, 3/2], and group.b_matrix
-    within the norm bound its docstring proves.  Raises Singular
-    only when LAPACK finds an exactly zero pivot.  Over H the inverse of
-    the adjoint is the adjoint of M^{-1}, whose (i, 0) rows hold (Z1', Z2')
-    interleaved.
+    LAPACK inverts first, giving B, and B alone decides the test when the
+    computed R = I - A B has |R|_F <= 1/4 and 4 |A|_F |B|_F e <= 1, with
+    e = max(tol, p 2^-50) and p the order of A (n, or 2n over H):
+
+    - Forming A B rounds by at most 5 p u |A|_F |B|_F <= 5/32, u = 2^-53
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      sections 3.5 and 3.6), so the exact I - A B has spectral norm below 1/2.
+    - Then sigma_min(A B) > 1/2, so sigma_min(A) > 1 / (2 |B|_F), and
+      sigma_max(A) <= |A|_F: the exact ratio sigma_min / sigma_max exceeds 2e.
+    - LAPACK's singular values are within q u sigma_max of the exact ones, q
+      a modest function of p (LAPACK Users' Guide, section 4.9).  For q <= 4p,
+      q u <= e / 2, so the computed smallest exceeds 1.5 e times the exact
+      largest and tol times the computed largest does not: the test passes.
+      The margins absorb the rounding of the norms.
+
+    Otherwise the SVD test of _invertible_operand decides, and B is returned
+    if it passes.  Either way the result is the same np.linalg.inv of the
+    same operand.  Over H the inverse of the adjoint is the adjoint of
+    M^{-1}, whose (i, 0) rows hold (Z1', Z2') interleaved.  Raises
+    Singular and ValueError as mat_inverse does.
     """
+    _check_tol(tol)
+    if data.shape[-3] != data.shape[-2]:
+        raise ValueError("inversion needs a square matrix")
+    # |M|_F^2, finite unless an entry is not finite or the sum overflows
+    sq = float(np.vdot(data, data))
+    if not math.isfinite(sq) and not np.isfinite(data).all():
+        raise Singular("matrix entries are not finite")
+    a = _operand(field, data)
+    p = a.shape[-1]
     try:
-        inv = np.linalg.inv(operand)
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
-        raise Singular(str(exc)) from exc
+        inv, failure = None, exc
+    else:
+        r = a.dot(inv)
+        r.reshape(-1)[::p + 1] -= 1.0  # A B - I
+        # Python floats: inf * 0 gives NaN, which fails the test, with no warning
+        e = max(float(tol), p * 2.0 ** -50)
+        a_sq = 2.0 * sq if field is Field.QUATERNION else sq  # |A|_F^2: chi doubles it
+        if (np.vdot(r, r).real <= 0.0625
+                and 16.0 * a_sq * float(np.vdot(inv, inv).real) * e * e <= 1.0):
+            return _from_operand(field, inv)
+    _, invertible, s = _invertible_operand(field, data, tol)
+    if not invertible:
+        raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
+                       f"{tol:.1e} times the largest {s[0]:.3e}")
+    if inv is None:  # LAPACK found an exactly zero pivot
+        raise Singular(str(failure)) from failure
+    return _from_operand(field, inv)
+
+
+def _from_operand(field: Field, a: np.ndarray) -> np.ndarray:
+    """Components of the matrix whose operand is a: inverse of _operand."""
     if field is Field.QUATERNION:
-        n = operand.shape[-1] // 2
-        return np.ascontiguousarray(inv.reshape(n, 2, n, 2)[:, 0]).view(np.float64)
-    return _components(inv)
+        n = a.shape[-1] // 2
+        return np.ascontiguousarray(a.reshape(n, 2, n, 2)[:, 0]).view(np.float64)
+    return _components(a)
 
 
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     """Inverse of a square matrix by LAPACK, through the adjoint over H.
 
     Raises Singular when sigma_min <= tol * sigma_max or an entry is not
-    finite, and ValueError for a tol outside [0, inf).
+    finite, and ValueError for a tol outside [0, inf).  The SVD that decides
+    the first runs only where the inverse cannot decide it itself (_invert).
     """
-    a, invertible, s = _invertible_operand(m.field, m.data, tol)
-    if not invertible:
-        if np.isnan(s[0]):
-            raise Singular("matrix entries are not finite")
-        raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
-                       f"{tol:.1e} times the largest {s[0]:.3e}")
-    return Mat._trusted(m.field, _inverse(m.field, a))
+    return Mat._trusted(m.field, _invert(m.field, m.data, tol))
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:

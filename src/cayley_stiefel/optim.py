@@ -18,10 +18,8 @@ The generator and the curve points are the inner loop, so their
 arithmetic runs on the component arrays through kalg's private product,
 conjugate transpose and inverse, with inputs checked once where they
 enter: the gradient's shape and base ring, the curve parameter, and the
-x*x = I check of every point.  The 2k x 2k core I + t N U*U skips
-mat_inverse's SVD test when |t| |N U*U|_F <= 1/2, where the test cannot
-fail.  Every value is the same to the bit as the same formulas on Mat
-values.
+x*x = I check of every point.  Every value is the same to the bit as the
+same formulas on Mat values.
 """
 
 from __future__ import annotations
@@ -76,8 +74,8 @@ class SearchParams:
         if not (0.0 < self.initial_step and math.isfinite(2.0 * self.initial_step)):
             raise ValueError("initial_step must be positive with 2 * initial_step finite, "
                              f"got {self.initial_step}")
-        if not 0.0 <= self.grad_tol:  # NaN or negative: no gradient norm would ever pass
-            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
+        if not 0.0 <= self.grad_tol < math.inf:  # NaN or < 0: no gnorm passes; inf: all do
+            raise ValueError(f"grad_tol must be finite and nonnegative, got {self.grad_tol}")
         if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
             raise ValueError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
 
@@ -182,24 +180,17 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     singular-value test at kalg.DEFAULT_TOL, and NotOrthonormal when the
     point fails the x*x = I check; both happen only once t |A| is large
     enough for rounding to swamp the step.  Raises ValueError when t or 2t
-    is not finite.
-
-    When |t| |N U*U|_F <= 1/2 the test cannot fail: the core is within 1/2
-    of I in the spectral norm, so its singular values lie in [1/2, 3/2].
-    The core is then inverted by LAPACK with no SVD (kalg._inverse); above
-    the bound it goes through mat_inverse and its test.  The arithmetic
-    runs on the component arrays, in the order of the same formula on Mat
-    values, so the point is the same to the bit either way.
+    is not finite.  The core is inverted by kalg._invert, which runs the
+    test's SVD only where its inverse cannot decide it.  The arithmetic runs
+    on the component arrays, in the order of the same formula on Mat
+    values, so the point is the same to the bit.
     """
     if not math.isfinite(2.0 * t):  # t is NaN, infinite, or 2t overflows
         raise ValueError(f"curve parameter must be finite, and so must 2t; got {t}")
     fld = g.NG.field
     core = g.NG.data * t
     kalg._shift_diagonal(core, 1.0)
-    if abs(t) * g.ng_norm <= 0.5:
-        inv = kalg._inverse(fld, kalg._operand(fld, core))
-    else:
-        inv = kalg.mat_inverse(Mat._trusted(fld, core)).data
+    inv = kalg._invert(fld, core, kalg.DEFAULT_TOL)
     step = kalg._product(fld, g.U.data, kalg._product(fld, inv, g.NUx.data))
     return StiefelPoint(Mat._trusted(fld, g.x.m.data - step * (2.0 * t)))
 

@@ -12,10 +12,10 @@ lift of the base frame [0; I].
 gamma, gamma_inverse, cayley_block, local_section and contraction compute
 on the component arrays through kalg's private product and conjugate
 transpose, in the operations and order of the same formulas on Mat values,
-so every result is the same to the bit.  Their only inversions are k x k:
-C = pi + P* by mat_inverse with its test at the caller's tol, and the core
-I + X*X + Y by group.b_matrix, which skips that test wherever a norm bound
-proves it passes.  Inputs are checked where they enter: a TangentCoords's
+so every result is the same to the bit.  Their only inversions are k x k,
+by kalg._invert: C = pi + P* with mat_inverse's test at the caller's tol,
+and the core I + X*X + Y by group.b_matrix at the default.  Inputs are
+checked where they enter: a TangentCoords's
 shapes, base ring and skew-Hermitian Y when it is built, y's shape and
 base ring in gamma_inverse, and every result by the x*x = I check of
 StiefelPoint or the A*A = I check of GroupElement.
@@ -238,8 +238,8 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     With C = pi + P*, X = -(tau - beta*) C^{-1}.  The core is
     b = (1/2) C D^{-1} with D = (beta X + P)*, so Y, the skew-Hermitian part
     of b^{-1} = 2 D C^{-1}, needs no inverse but C^{-1}.  Requires y in the
-    Cayley open subset of the lift's base point: C^{-1} is mat_inverse's,
-    with its test at tol.  Taking the skew-Hermitian part makes Y exactly
+    Cayley open subset of the lift's base point: C must pass mat_inverse's
+    test at tol (kalg._invert).  Taking the skew-Hermitian part makes Y exactly
     skew-Hermitian, so Y is not checked again, here or by local_section.
     """
     if (y.n, y.k) != (lift.n, lift.k) or y.field is not lift.field:
@@ -248,7 +248,7 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     beta, P = _lift_blocks(lift)
     tau, pi = y.m.data[:nk], y.m.data[nk:]
     try:
-        C_inv = kalg.mat_inverse(Mat._trusted(fld, pi + kalg._conj_transpose(P)), tol).data
+        C_inv = kalg._invert(fld, pi + kalg._conj_transpose(P), tol)
     except Singular as exc:
         raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
     X = -kalg._product(fld, tau - kalg._conj_transpose(beta), C_inv)

@@ -43,6 +43,25 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def svd_test_runs(fld, data, tol):
+    """Whether mat_inverse must run its SVD test on the square matrix with
+    components data: True where sigma_max / sigma_min >= 1 / (2e), False
+    where it is at most 1 / (8 p e), None between; e = max(tol, p 2^-50)
+    and p is the order of LAPACK's operand (n, or 2n over H).
+
+    Above the first bound no inverse can prove the test passes (kalg._invert).
+    Below the second |A|_F |A^-1|_F <= p sigma_max / sigma_min leaves a
+    backward-stable inverse well inside the rule that skips it.
+    """
+    p = data.shape[0] * (2 if fld is Field.QUATERNION else 1)
+    e = max(tol, p * 2.0 ** -50)
+    s = kalg._invertible_operand(fld, data, 0.0)[2]
+    cond = s[0] / s[-1] if s[-1] else math.inf
+    if cond >= 1.0 / (2.0 * e):
+        return True
+    return False if cond <= 1.0 / (8.0 * p * e) else None
+
+
 def scalar(value, fld):
     """1 x 1 matrix from raw scalar components."""
     return kalg.Mat(fld, np.asarray(value, dtype=np.float64).reshape(1, 1, fld.ncomp))

@@ -101,7 +101,7 @@ class TestOptimize:
                                        ["--step", "-1"], ["--step", "inf"],
                                        ["--step", "nan"], ["--step", "1e308"],
                                        ["--grad-tol", "nan"],
-                                       ["--grad-tol", "-1"]])
+                                       ["--grad-tol", "-1"], ["--grad-tol", "inf"]])
     def test_unusable_search_params(self, capsys, flags):
         code, out, err = run(capsys, ["optimize", "--n", "6", "--k", "2",
                                       "--reproducible", *flags])

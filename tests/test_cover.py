@@ -154,6 +154,12 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="samples must be nonnegative"):
             verify_cover(4, 2, default_ladder(2), -5, 0)
 
+    # the rule of SearchParams.max_iters: 3.0 is rejected too
+    @pytest.mark.parametrize("samples", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be nonnegative and an integer"):
+            verify_cover(4, 2, default_ladder(2), samples, 0)
+
     @pytest.mark.parametrize("samples", [0, 3])
     def test_rejects_negative_seed(self, samples):
         with pytest.raises(ValueError, match="seed must be nonnegative"):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import mat_payload, random_lift_tangent, random_skew, scalar
+from conftest import (assert_same_bits, mat_payload, random_lift_tangent, random_skew,
+                      scalar, svd_test_runs)
 
 from cayley_stiefel import cover, group, kalg, stiefel
 from cayley_stiefel.kalg import Field, Mat, Singular
@@ -261,6 +262,85 @@ class TestIsInvertible:
             assert alone and np.array_equal(s[i], s_alone)
 
 
+def conditioned(field, n, cond, seed, scale=1.0):
+    """Components of scale U diag(s) V* with U, V random unitary over the field
+    and s falling geometrically from 1 to 1/cond (to 0 for cond = inf)."""
+    u, v = (stiefel.random_stiefel_point(n, n, field, seed + i).m for i in (0, 1))
+    s = np.zeros((n, n, field.ncomp))
+    s[range(n), range(n), 0] = np.geomspace(1.0, 1.0 / cond, n) if cond < np.inf else 1.0
+    if cond == np.inf:
+        s[n - 1, n - 1, 0] = 0.0
+    return scale * (u @ Mat(field, s) @ v.H).data
+
+
+def reference_inverse(field, data, tol):
+    """mat_inverse with the SVD test on every matrix: Singular, or the components
+    of LAPACK's inverse of the operand."""
+    a, invertible, _ = kalg._invertible_operand(field, data, tol)
+    if not invertible:
+        return Singular
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return Singular
+    if field is Q:
+        n = len(data)
+        return np.ascontiguousarray(inv.reshape(n, 2, n, 2)[:, 0]).view(np.float64)
+    return inv[..., None].view(np.float64)
+
+
+class TestInverseDecision:
+    """mat_inverse runs its SVD test only where its own inverse cannot decide it,
+    and decides as the test on every matrix would, to the bit."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])
+    def test_sweep_agrees_with_the_svd_test(self, field, tol, monkeypatch):
+        # condition numbers from 1 to 1e17 and exactly singular, denser near 1/tol
+        conds = list(np.geomspace(1.0, 1e17, 18)) + [np.inf]
+        if tol:
+            conds += list(np.geomspace(0.03 / tol, 30.0 / tol, 25))
+        svd_runs, ran = [], []
+        invertible_operand = kalg._invertible_operand
+
+        def recorded(fld, data, t):
+            svd_runs.append(t)
+            return invertible_operand(fld, data, t)
+
+        monkeypatch.setattr(kalg, "_invertible_operand", recorded)
+        for n in (1, 2, 4):
+            for i, cond in enumerate(conds if n > 1 else [1.0]):
+                for scale in (1.0, 1e-100, 1e100):
+                    data = conditioned(field, n, cond, 17 * i + n, scale)
+                    want = reference_inverse(field, data, tol)
+                    must_run = svd_test_runs(field, data, tol)
+                    svd_runs.clear()
+                    try:
+                        got = kalg.mat_inverse(Mat(field, data), tol).data
+                    except Singular:
+                        got = Singular
+                    if want is Singular:
+                        assert got is Singular
+                    else:
+                        assert_same_bits(got, want)
+                    assert svd_runs in ([], [tol])
+                    if must_run is not None:
+                        assert bool(svd_runs) == must_run, (n, cond, scale)
+                    ran.append(bool(svd_runs))
+        assert any(ran) and not all(ran)
+
+    def test_a_wrong_inverse_is_not_trusted(self, field, monkeypatch):
+        # an inverse that does not invert proves nothing, however small it is
+        monkeypatch.setattr(np.linalg, "inv", lambda a: np.eye(len(a), dtype=a.dtype))
+        rank_one = np.zeros((2, 2, field.ncomp))
+        rank_one[:, :, 0] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(Singular, match="smallest singular value"):
+            kalg.mat_inverse(Mat(field, rank_one))
+
+    def test_singular_message_is_the_svd_test(self, field):
+        with pytest.raises(Singular, match="at most 1.0e-06 times the largest"):
+            kalg.mat_inverse(Mat(field, conditioned(field, 3, 1e7, 5)), 1e-6)
+
+
 def tol_taking_calls():
     """Each public function that takes a tol, as a call on fixed arguments."""
     near_singular = Mat(Q, [[[1, 0, 0, 0], [1, 0, 0, 0]], [[1, 0, 0, 0], [1 + 1e-15, 0, 0, 0]]])
@@ -351,6 +431,11 @@ class TestMatValidation:
         data[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             Mat(Field.REAL, data)
+
+    def test_rejects_complex_entries(self, field):
+        # a complex matrix is Field.COMPLEX with 2 real components per entry
+        with pytest.raises(ValueError, match="complex entries"):
+            Mat(field, np.full((1, 1, field.ncomp), 1.0 + 2.0j))
 
     def test_rejects_mixed_fields(self):
         a = kalg.identity(2, Field.REAL)

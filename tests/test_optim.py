@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, random_skew
+from conftest import assert_same_bits, random_skew, svd_test_runs
 
 from cayley_stiefel import group, kalg, optim, stiefel
 from cayley_stiefel.kalg import Field, Mat, Singular
@@ -199,7 +199,7 @@ class TestSearchGenerator:
         SearchGenerator.from_gradient(x, F)
         assert len(products) == 5
 
-    # multiples of the bound 1/2 on |t| |NG|_F; 0.99 and 1.01 sit on either side
+    # t |NG|_F = c / 2, from 0 to 1.5 either way
     @pytest.mark.parametrize("c", [0.0, 0.5, -0.99, 0.99, 1.01, -1.01, 3.0])
     def test_curve_counts(self, field, c, monkeypatch):
         n, k, nc = 7, 3, field.ncomp
@@ -212,7 +212,26 @@ class TestSearchGenerator:
         # inv N U*x and U (inv N U*x) for the step; x*x of the point's frame check
         assert products == [((2 * k, 2 * k, nc), (2 * k, k, nc)), ((n, 2 * k, nc), (2 * k, k, nc)),
                             ((1, k, n, nc), (1, n, k, nc))]
-        assert len(svd_tests) == (0 if abs(c) <= 0.99 else 1)
+        # the core I + t N U*U is well conditioned, so its inverse decides the test
+        assert svd_tests == []
+
+    # F = x S puts W = 0 and N U*U of rank k: the core's condition number grows with t
+    @pytest.mark.parametrize("c", [1.0, 1e3, 1e12])
+    def test_curve_tests_an_ill_conditioned_core(self, field, c, monkeypatch):
+        # the base frame [0; I]
+        x = StiefelPoint(Mat(field, np.eye(7, 3, -4)[:, :, None] * np.eye(1, field.ncomp)))
+        g = SearchGenerator.from_gradient(x, x.m @ kalg.random_gaussian(3, 3, field, 5))
+        t = c / g.ng_norm
+        core = g.NG.data * t
+        kalg._shift_diagonal(core, 1.0)
+        must_run = svd_test_runs(field, core, kalg.DEFAULT_TOL)
+        assert must_run is (c > 1e6)
+        svd_tests = recorded_calls(monkeypatch, "_invertible_operand")
+        try:
+            curve(g, t)
+        except (Singular, NotOrthonormal):
+            pass
+        assert len(svd_tests) == must_run
 
     def test_rejects_gradient_over_another_ring(self, field):
         x = stiefel.random_stiefel_point(7, 3, field, 68)
@@ -515,7 +534,7 @@ class TestGradientDescent:
         {"max_iters": -1}, {"max_iters": -3}, {"max_iters": 2.5}, {"max_iters": 1000.0},
         {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": np.inf},
         {"initial_step": np.nan}, {"initial_step": 1e308}, {"grad_tol": np.nan},
-        {"grad_tol": -1e-6}])
+        {"grad_tol": -1e-6}, {"grad_tol": np.inf}])
     def test_params_reject_unusable_values(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SearchParams(**kwargs)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (assert_same_bits, differential_min_gain, gamma_differential,
                       identity_tangent, in_cayley_open, kernel_witness, mat_payload,
-                      overflow_nan, random_lift_tangent, random_skew)
+                      overflow_nan, random_lift_tangent, random_skew, svd_test_runs)
 
 from cayley_stiefel import group, kalg, stiefel
 from cayley_stiefel.group import GroupElement, InvalidTangent
@@ -47,8 +47,8 @@ def zero_tangent(lift):
 
 
 def mat_b_matrix(t):
-    """group.b_matrix on Mat values, with mat_inverse's SVD test on every core: the
-    reference for its arithmetic on component arrays and its norm bound."""
+    """group.b_matrix on Mat values: the reference for its arithmetic on component
+    arrays."""
     X = t.X
     return kalg.mat_inverse(kalg.identity(X.cols, X.field) + X.H @ X + t.Y)
 
@@ -109,7 +109,7 @@ def svd_tests(monkeypatch, fn, *args):
         mp.setattr(kalg, "_invertible_operand", recorded)
         try:
             fn(*args)
-        except (Singular, ValueError):
+        except (Singular, OutsideCayleyOpen, ValueError):
             pass
     return tols
 
@@ -499,14 +499,14 @@ class TestCoreCounts:
 
     @staticmethod
     def count(monkeypatch, n=None):
-        # every k x k inversion ends in kalg._inverse, with or without mat_inverse's test
-        # and every product, Mat or component array, in kalg._product
+        # every inversion is one LAPACK call, whether or not the SVD test runs,
+        # and every product, Mat or component array, is one kalg._product
         counts = {"inverse": 0, "element": 0, "square_products": 0}
-        inverse, post_init, product = kalg._inverse, GroupElement.__post_init__, kalg._product
+        inverse, post_init, product = np.linalg.inv, GroupElement.__post_init__, kalg._product
 
-        def counted_inverse(*args, **kwargs):
+        def counted_inverse(a):
             counts["inverse"] += 1
-            return inverse(*args, **kwargs)
+            return inverse(a)
 
         def counted_post_init(self):
             counts["element"] += 1
@@ -516,7 +516,7 @@ class TestCoreCounts:
             counts["square_products"] += a.shape[-3:-1] == b.shape[-3:-1] == (n, n)
             return product(fld, a, b)
 
-        monkeypatch.setattr(kalg, "_inverse", counted_inverse)
+        monkeypatch.setattr(np.linalg, "inv", counted_inverse)
         monkeypatch.setattr(GroupElement, "__post_init__", counted_post_init)
         monkeypatch.setattr(kalg, "_product", counted_product)
         return counts
@@ -539,37 +539,61 @@ class TestCoreCounts:
         assert counts["square_products"] == 1
 
 
-class TestSvdTestCounts:
-    """mat_inverse's SVD test runs only where it decides something: in b_matrix
-    above its norm bound, and in gamma_inverse once, at the caller's tol."""
+def near_base_point(n, k, fld, gaps):
+    """A frame y with y*y = I whose bottom block is diag(gaps) - I, so that
+    pi + P* at the base frame [0; I] has the singular values gaps (each in (0, 2))."""
+    data = np.zeros((n, k, fld.ncomp))
+    for j, gap in enumerate(gaps):
+        c = gap - 1.0
+        data[j, j, 0] = math.sqrt(1.0 - c * c)
+        data[n - k + j, j, 0] = c
+    return StiefelPoint(Mat(fld, data))
 
-    # |I + X*X + Y|_F is c / (2 tol) to about 1e-11; the bound 2 tol |core|_F <= L
-    # has L = 0.99 here, so 0.98 is inside it and 1.02 outside
+
+class TestSvdTestCounts:
+    """The transforms run mat_inverse's SVD test only on a core whose condition
+    number nears 1/tol, whatever its size, and gamma_inverse at the caller's tol."""
+
+    # |X*X|_F = c / (2 tol), from 0 to ten times 1/(2 tol): the core grows, but its
+    # condition number stays that of X*X, so its inverse decides the test every time
     @pytest.mark.parametrize("c", [0.0, 0.5, 0.98, 1.02, 1.2, 10.0])
     def test_b_matrix_at_multiples_of_the_bound(self, field, c, monkeypatch):
         lift, t = random_lift_tangent(7, 3, field, 81)
         s = math.sqrt(c / (2.0 * kalg.DEFAULT_TOL) / fro(t.X.H @ t.X))
         tols = svd_tests(monkeypatch, group.b_matrix, TangentCoords(lift, s * t.X, t.Y))
-        assert tols == ([] if c < 1.0 else [kalg.DEFAULT_TOL])
+        assert tols == []
 
-    # the slack CHECK_TOL |Y|_F of a Y that is skew-Hermitian only within the check
-    # takes the bound from L = 0.9 (1e7) through 0.5 (5e7) to below 0 (2e8)
-    @pytest.mark.parametrize("y_norm", [1e7, 5e7, 2e8])
+    # a Y with a zero last row and column leaves the core a singular value near 1,
+    # so its condition number grows with |Y|: well below 1/tol up to 2e8, above at 1e14
+    @pytest.mark.parametrize("y_norm", [1e7, 5e7, 2e8, 1e14])
     def test_b_matrix_at_large_y(self, field, y_norm, monkeypatch):
         lift, t = random_lift_tangent(7, 3, field, 82)
-        coords = TangentCoords(lift, t.X, (y_norm / fro(t.Y)) * t.Y)
+        Y = t.Y.data.copy()
+        Y[-1], Y[:, -1] = 0.0, 0.0
+        coords = TangentCoords(lift, t.X, (y_norm / np.linalg.norm(Y)) * Mat(field, Y))
+        core = kalg.identity(3, field) + coords.X.H @ coords.X + coords.Y
+        must_run = svd_test_runs(field, core.data, kalg.DEFAULT_TOL)
+        assert must_run is (y_norm > 1e12)
         tols = svd_tests(monkeypatch, group.b_matrix, coords)
-        assert tols == ([] if y_norm < 1e8 else [kalg.DEFAULT_TOL])
+        assert tols == ([kalg.DEFAULT_TOL] if must_run else [])
 
     @pytest.mark.parametrize("tol", [kalg.DEFAULT_TOL, 1e-6])
     def test_per_transform(self, field, tol, monkeypatch):
         lift, t = random_lift_tangent(16, 4, field, 83, scale=0.5)
         y = stiefel.gamma(t)
+        # every core of a transform at the benchmark's scale is well conditioned
         assert svd_tests(monkeypatch, stiefel.gamma, t) == []
-        # the one test is on pi + P*, at the caller's tol; every core is within the bound
-        assert svd_tests(monkeypatch, stiefel.gamma_inverse, lift, y, tol) == [tol]
-        assert svd_tests(monkeypatch, stiefel.local_section, lift, y, tol) == [tol]
-        assert svd_tests(monkeypatch, stiefel.contraction, lift, y, 0.3, tol) == [tol]
+        assert svd_tests(monkeypatch, stiefel.gamma_inverse, lift, y, tol) == []
+        assert svd_tests(monkeypatch, stiefel.local_section, lift, y, tol) == []
+        assert svd_tests(monkeypatch, stiefel.contraction, lift, y, 0.3, tol) == []
+        # pi + P* with singular values 3 tol and 1 is tested, at the caller's tol, and passes
+        base = stiefel.complete_lift(base_point(16, 4, field))
+        near = near_base_point(16, 4, field, [3.0 * tol, 1.0, 1.0, 1.0])
+        assert svd_tests(monkeypatch, stiefel.gamma_inverse, base, near, tol) == [tol]
+        stiefel.gamma_inverse(base, near, tol)
+        # and -x, with pi + P* = 0, fails it
+        assert svd_tests(monkeypatch, stiefel.gamma_inverse, base,
+                         StiefelPoint(-base.point.m), tol) == [tol]
 
 
 def outcome(fn, *args):
@@ -597,16 +621,15 @@ def assert_same_outcome(got, want):
 
 
 class TestTransformReference:
-    """The transforms on component arrays, and b_matrix with its norm bound, against
-    the Mat formulas with mat_inverse's test on every core, bit for bit."""
+    """The transforms on component arrays against the Mat formulas, bit for bit."""
 
     @staticmethod
     def tangents(n, k, field):
         """Tangents of several kinds, each on its lift:
         random ones at the benchmark's scale 0.5 and at 3; one whose Y is off
-        skew-Hermitian by half the check's tolerance; random ones at 1e8, where
-        |X|, |Y| >= 1e8 puts the core outside the bound; a rank-one X at 1e8 with
-        |Y| near 1, whose core fails the SVD test; and a small tangent on a lift
+        skew-Hermitian by half the check's tolerance; random ones at 1e8, whose
+        core is large but well conditioned; a rank-one X at 1e8 with |Y| near 1,
+        whose core fails the SVD test; and a small tangent on a lift
         whose group element was accepted at check_tol 1e-4, 1e-7 off A A* = I."""
         for seed, scale in ((0, 0.5), (1, 0.5), (2, 3.0)):
             yield random_lift_tangent(n, k, field, 500 + seed, scale)
@@ -638,14 +661,14 @@ class TestTransformReference:
                 seen.add(want)
             return want
 
-        seen, bounded = set(), set()
+        seen, tested = set(), set()
         base = stiefel.complete_lift(base_point(n, k, field))
         # -x for the base frame x = [0; I] has pi + P* = 0: outside the Cayley open set
         cases = [(base, zero_tangent(base), StiefelPoint(-base.point.m))]
         for i, (lift, t) in enumerate(self.tangents(n, k, field)):
             cases.append((lift, t, stiefel.random_stiefel_point(n, k, field, 600 + i)))
         for lift, t, other in cases:
-            bounded.add(not svd_tests(monkeypatch, group.b_matrix, t))
+            tested.add(bool(svd_tests(monkeypatch, group.b_matrix, t)))
             check(group.b_matrix, mat_b_matrix, t)
             y = check(stiefel.gamma, mat_gamma, t)
             check(stiefel.cayley_block, mat_cayley_block, t)
@@ -655,10 +678,10 @@ class TestTransformReference:
                 check(stiefel.local_section, mat_local_section, lift, target)
                 for s in (0.0, 0.3, 1.0):
                     check(stiefel.contraction, mat_contraction, lift, target, s)
-        # both of b_matrix's paths are taken, and every rejection on the way
-        # (only the identity core of real 1 x 1 frames and of k = 0 is never above the bound)
-        assert bounded == ({True, False} if k and (n > k or k > 1 or field is not Field.REAL)
-                           else {True})
+        # b_matrix runs the SVD test on the rank-one core alone, and every rejection
+        # on the way is seen; with k = 1 that X has full rank and the core is well
+        # conditioned
+        assert tested == ({False, True} if n > k >= 2 else {False})
         expected = {OutsideCayleyOpen} if k else set()
         if n > k >= 2:
             expected |= {Singular, NotOrthonormal}

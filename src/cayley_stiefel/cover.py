@@ -102,7 +102,7 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
         raise ValueError(f"samples must be nonnegative and an integer, got {samples!r}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    kalg._check_tol(tol)  # up front, so that samples=0 rejects it too
+    kalg._validate_tol(tol)  # up front, so that samples=0 rejects it too
     if n < 2 * k:
         raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
     histogram: Counter[int] = Counter()

@@ -10,7 +10,7 @@ at kalg.CHECK_TOL when it was built, and trusts that check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,17 +28,16 @@ class InvalidTangent(Exception):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An n x n matrix A with A*A = I, i.e. a member of O(n)/U(n)/Sp(n)."""
+    """An n x n matrix A with A*A = I within kalg.CHECK_TOL: O(n), U(n) or Sp(n)."""
 
     m: Mat
-    check_tol: float = dc_field(default=kalg.CHECK_TOL, repr=False)
 
     def __post_init__(self):
         if self.m.rows != self.m.cols:
             raise ValueError("group elements are square")
         resid = kalg._frame_residuals(self.m.field, self.m.data[None])[0]
-        if not resid <= self.check_tol:
-            raise ValueError(f"A*A - I residual {resid:.3e} exceeds {self.check_tol:.1e}")
+        if not resid <= kalg.CHECK_TOL:
+            raise ValueError(f"A*A - I residual {resid:.3e} exceeds {kalg.CHECK_TOL:.1e}")
 
     @property
     def n(self) -> int:
@@ -51,7 +50,7 @@ class GroupElement:
     @property
     def inverse(self) -> "GroupElement":
         # A^{-1} = A* for group elements
-        return GroupElement(self.m.H, self.check_tol)
+        return GroupElement(self.m.H)
 
 
 def cayley_at_identity(M: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:

@@ -290,7 +290,7 @@ def _operand(field: Field, data: np.ndarray) -> np.ndarray:
     return _adjoint(data) if field is Field.QUATERNION else _view(field, data)
 
 
-def _check_tol(tol: float) -> None:
+def _validate_tol(tol: float) -> None:
     if not 0.0 <= tol < math.inf:  # NaN or -1 would pass every singularity test, inf none
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
@@ -308,7 +308,7 @@ def _invertible_operand(field: Field, data: np.ndarray,
     test means the same in all three rings.  Raises ValueError for a tol
     outside [0, inf).
     """
-    _check_tol(tol)
+    _validate_tol(tol)
     if data.shape[-3] != data.shape[-2]:
         raise ValueError("inversion needs a square matrix")
     # LAPACK prints to stdout, fails to converge or returns NaN on a matrix that
@@ -324,7 +324,9 @@ def _invertible_operand(field: Field, data: np.ndarray,
         return a, np.ones(s.shape[:-1], dtype=bool), s
     # numpy scalars for one matrix (0-d arrays cost microseconds), arrays over a stack
     smin, smax = s.T[-1], s.T[0]
-    invertible = ~(smin <= tol * smax)
+    # as smin <= smax, a tol of 1 or more calls every matrix singular; capping it
+    # at 1 keeps tol * smax from overflowing
+    invertible = ~(smin <= min(tol, 1.0) * smax)
     if not all_finite:
         s[~finite] = np.nan
         invertible &= finite
@@ -356,7 +358,7 @@ def _invert(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
     M^{-1}, whose (i, 0) rows hold (Z1', Z2') interleaved.  Raises
     Singular and ValueError as mat_inverse does.
     """
-    _check_tol(tol)
+    _validate_tol(tol)
     if data.shape[-3] != data.shape[-2]:
         raise ValueError("inversion needs a square matrix")
     # |M|_F^2, finite unless an entry is not finite or the sum overflows

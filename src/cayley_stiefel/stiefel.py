@@ -172,39 +172,31 @@ def rho(A: GroupElement, k: int) -> StiefelPoint:
 def complete_lift(x: StiefelPoint) -> Lift:
     """Complete a frame x to a group element A with last k columns equal to x.
 
-    Runs n - k projector steps from R = I - x x*: each step takes the column
-    of R with the largest norm (ties within 1e-12 go to the lowest index),
-    normalises it to u and subtracts u u* from R.  The chosen norm is at
-    least sqrt(r/n) for the rank r of R, since the squared column norms of
-    a projector sum to its rank.  At the base frame [0; I_k] this yields
-    A = I_n exactly.
-
-    The steps run on the (n, n, ncomp) component arrays, with R updated in
-    place and each u written straight into A; the arithmetic and its order
-    are those of the same steps on Mat values, so A is the same to the bit.
-    A must pass A*A = I within 1e-10, which a frame that StiefelPoint accepts
-    can fail; it raises NotOrthonormal, naming its own x*x - I residual.
+    The QL factorisation x = Q [0; L] by k Householder reflectors, unitary
+    and linear over R, C and H alike (Bunse-Gerstner, Byers and Mehrmann,
+    "A quaternion QR algorithm", Numer. Math. 55, 1989), applied in place
+    to B = [I_n, x], last column first.  Reflector j, for row r = n - k + j,
+    is I - 2 v v* / (v* v) on rows 0..r with v = a + q |a| e_r: a is rows
+    0..r of column n + j of B and q the unit phase of a_r (q = 1 when
+    a_r = 0).  Then A = [(B[:n-k, :n])*, x], whose A*A - I residual is x's
+    to rounding; at the base frame [0; I_k] every v is 2 e_r and A = I_n.
     """
     field, n, k = x.field, x.n, x.k
-    R = np.zeros((n, n, field.ncomp))
-    kalg._shift_diagonal(R, 1.0)
-    R -= kalg._product(field, x.m.data, kalg._conj_transpose(x.m.data))
-    A = np.empty((n, n, field.ncomp))
-    A[:, n - k:] = x.m.data
-    for j in range(n - k):
-        # np.linalg.norm(R, axis=(0, 2)), without its dispatch
-        norms = np.sqrt(np.add.reduce(R * R, axis=(0, 2)))
-        p = (norms >= norms.max() - 1e-12).argmax()
-        u = R[:, p:p + 1] * (1.0 / norms[p])
-        R -= kalg._product(field, u, kalg._conj_transpose(u))
-        A[:, j:j + 1] = u
-    try:
-        A = GroupElement(Mat._trusted(field, A), check_tol=1e-10)
-    except ValueError as exc:
-        resid = kalg._frame_residuals(field, x.m.data[None])[0]
-        raise NotOrthonormal(f"x*x - I residual {resid:.3e} is too large to lift: "
-                             f"the lift must pass A*A = I within 1.0e-10 ({exc})") from exc
-    return Lift(x, A)
+    B = np.concatenate([kalg.identity(n, field).data, x.m.data], axis=1)
+    for j in reversed(range(k)):
+        r = n - k + j
+        a = B[:r + 1, n + j:n + j + 1]
+        abs_r = np.sqrt(a[r, 0] @ a[r, 0])
+        q = a[r, 0] / abs_r if abs_r else np.eye(field.ncomp)[0]
+        v = a.copy()
+        v[r, 0] += q * np.sqrt(np.vdot(a, a))
+        rows = B[:r + 1, :n + j]
+        w = kalg._product(field, kalg._conj_transpose(v), rows)
+        rows -= kalg._product(field, v, w) * (2.0 / np.vdot(v, v))
+    # + 0.0 turns the -0.0 that conjugation leaves in zero parts into +0.0,
+    # so the base frame completes to I_n bit for bit
+    A = np.concatenate([kalg._conj_transpose(B[:n - k, :n]) + 0.0, x.m.data], axis=1)
+    return Lift(x, GroupElement(Mat._trusted(field, A)))
 
 
 def _lift_blocks(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
@@ -326,44 +318,52 @@ def lift_change_equivariance_check(lift: Lift, E: GroupElement, t: TangentCoords
     return kalg.frobenius_norm(lhs - rhs)
 
 
+def _gram_schmidt(field: Field, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt on a (S, n, k, ncomp) stack: the frames, and which
+    members kept every projected column norm at least 1e-8."""
+    cols: list[np.ndarray] = []
+    full_rank = np.ones(len(raw), dtype=bool)
+    for j in range(raw.shape[2]):
+        # a contiguous copy: BLAS sums a strided column in another order,
+        # which would move the last bits of the frames
+        v = np.ascontiguousarray(raw[:, :, j:j + 1])
+        for u in cols:
+            v = v - kalg._product(field, u, kalg._product(field, kalg._conj_transpose(u), v))
+        norm = kalg._norms(v)
+        full_rank &= norm >= 1e-8
+        cols.append((1.0 / np.where(full_rank, norm, 1.0))[:, None, None, None] * v)
+    return (np.concatenate(cols, axis=2) if cols else raw), full_rank
+
+
 def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,
                    count: int) -> np.ndarray:
     """Components (count, n, k, ncomp) of the next count random frames of rng.
 
-    Frame s is modified Gram-Schmidt applied to the s-th Gaussian matrix of
-    one rng.standard_normal((count, n, k, ncomp)) draw; it runs on the whole
-    stack at once.  A draw with a column whose projected norm is below 1e-8
-    is redrawn from rng, at most three attempts in all.  Every frame is
-    checked for x*x = I within 1e-12.
+    Frame s is _gram_schmidt of the s-th Gaussian matrix of one
+    rng.standard_normal((count, n, k, ncomp)) draw; a rank-deficient draw is
+    redrawn, at most three attempts in all.  A frame more than 1e-12 off
+    x*x = I, as one pass leaves a few at large k, is orthonormalised once
+    more, and every frame is checked for x*x = I within 1e-12.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    nc = field.ncomp
-    out = np.empty((count, n, k, nc))
+    out = np.empty((count, n, k, field.ncomp))
     todo = np.arange(count)
     for attempt in range(3):
         if not todo.size:
             break
-        raw = rng.standard_normal((todo.size, n, k, nc))
-        cols: list[np.ndarray] = []
-        full_rank = np.ones(len(todo), dtype=bool)
-        for j in range(k):
-            # a contiguous copy: BLAS sums a strided column in another order,
-            # which would move the last bits of the frames
-            v = np.ascontiguousarray(raw[:, :, j:j + 1])
-            for u in cols:
-                v = v - kalg._product(field, u, kalg._product(field, kalg._conj_transpose(u), v))
-            norm = kalg._norms(v)
-            full_rank &= norm >= 1e-8
-            cols.append((1.0 / np.where(full_rank, norm, 1.0))[:, None, None, None] * v)
-        frames = np.concatenate(cols, axis=2) if cols else raw
+        frames, full_rank = _gram_schmidt(field, rng.standard_normal((todo.size, *out.shape[1:])))
         out[todo[full_rank]] = frames[full_rank]
         todo = todo[~full_rank]
     if todo.size:
         raise RankDeficient(f"could not draw a full-rank {n}x{k} frame")
     resid = kalg._frame_residuals(field, out)
-    if not np.all(resid <= 1e-12):
-        raise NotOrthonormal(f"x*x - I residual {resid.max():.3e} exceeds 1.0e-12")
+    loose = ~(resid <= 1e-12)
+    if loose.any():
+        out[loose] = _gram_schmidt(field, out[loose])[0]
+        resid = kalg._frame_residuals(field, out[loose])
+        if not np.all(resid <= 1e-12):
+            raise NotOrthonormal(f"x*x - I residual {resid.max():.3e} exceeds 1.0e-12")
     return out
 
 

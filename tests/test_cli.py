@@ -324,12 +324,12 @@ class TestGoldenOutput:
     updates the hashes and says why."""
 
     GOLDEN = {
-        ("demo", "real"): "ab9bb8d4dca6dd7b531571194d12f2ef2e76b5a71eaea355d01743df87454560",
-        ("demo", "complex"): "c91e75f83208436c9744e25486de600519eb9cf7f113cc0021e4a354ae322f27",
-        ("demo", "quaternion"): "46021c2e10f7a7cb6643ebd07ff630058bd8275c2b00d7f0f16f68f0704e6da5",
-        ("check", "real"): "8db5e5ec8599889f2a70ebdd2bfb76dd2a85c439f341a24c98730980df95dd93",
-        ("check", "complex"): "042f49430ab1969173d53d8846893864d9c176e50e6f2b48f3a61bc1aacb83e2",
-        ("check", "quaternion"): "cfd6eca88a42a1a199008fd9f3c686f49d9370c9cf482721f9e6c93bc8f58274",
+        ("demo", "real"): "39f5587c751b2d804d3324761e0e1ee408892dad9ac5efbc758e5c31a336392e",
+        ("demo", "complex"): "72bd6c3b1ea57417430a3297fafdc9747c3824f91ac240a7038eb04901aeb7f3",
+        ("demo", "quaternion"): "d6a905067c0dea7e5438e6cf1b081fc38c0724367d9464366b5db53ecc293acd",
+        ("check", "real"): "4e268a58d56156b8e2a01c0558168fccd76bc8efdc48408d5471cf811c15dbe4",
+        ("check", "complex"): "f2caa09cdfe243c17d5c0405e18de387a9455913c7654244d7ca91aa7357ddc2",
+        ("check", "quaternion"): "661802eb5542bd542ce5e697b44c26dfd32e1bc09641502fe6a5eb0de6a1a111",
     }
     ARGS = {"demo": ["--n", "16", "--k", "4", "--seed", "3"],
             "check": ["--n", "6", "--k", "2", "--seed", "7"]}

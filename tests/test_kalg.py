@@ -340,6 +340,14 @@ class TestInverseDecision:
         with pytest.raises(Singular, match="at most 1.0e-06 times the largest"):
             kalg.mat_inverse(Mat(field, conditioned(field, 3, 1e7, 5)), 1e-6)
 
+    def test_tol_times_a_huge_sigma_max(self, field):
+        # tol * sigma_max overflows: the test still decides, with no warning
+        data = np.zeros((2, 2, field.ncomp))
+        data[:, :, 0] = [[1e308, 0.5e308], [0.0, 1e308]]
+        with pytest.raises(Singular, match="at most 5.0e\\+00 times the largest"):
+            kalg.mat_inverse(Mat(field, data), 5.0)
+        assert not kalg.is_invertible(Mat(field, data), 5.0)
+
 
 def tol_taking_calls():
     """Each public function that takes a tol, as a call on fixed arguments."""

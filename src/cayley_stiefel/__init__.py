@@ -1,10 +1,10 @@
 """Cayley transforms on real, complex and quaternionic Stiefel manifolds."""
 
 from .kalg import Field, Mat, Singular
-from .group import GroupElement, InvalidTangent, b_matrix, cayley_at, cayley_at_identity
-from .stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, RankDeficient,
-                      StiefelPoint, TangentCoords, cayley_block, complete_lift, contraction,
-                      gamma, gamma_inverse, local_section, random_stiefel_point, rho)
+from .group import InvalidTangent, b_matrix, cayley_at, cayley_at_identity
+from .stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, StiefelPoint, TangentCoords,
+                      cayley_block, complete_lift, contraction, gamma, gamma_inverse,
+                      local_section, random_stiefel_point, rho)
 from .optim import (NotHermitian, Objective, OptimTrace, SearchGenerator, SearchParams,
                     curve, gradient_descent, procrustes_objective, rayleigh_objective)
 from .cover import (DimensionError, ThetaLadder, cover_membership, default_ladder,
@@ -12,9 +12,8 @@ from .cover import (DimensionError, ThetaLadder, cover_membership, default_ladde
 
 __all__ = [
     "Field", "Mat", "Singular",
-    "GroupElement", "InvalidTangent", "b_matrix", "cayley_at", "cayley_at_identity",
-    "Lift", "NotOrthonormal", "OutsideCayleyOpen", "RankDeficient", "StiefelPoint",
-    "TangentCoords",
+    "InvalidTangent", "b_matrix", "cayley_at", "cayley_at_identity",
+    "Lift", "NotOrthonormal", "OutsideCayleyOpen", "StiefelPoint", "TangentCoords",
     "cayley_block", "complete_lift", "contraction", "gamma", "gamma_inverse", "local_section",
     "random_stiefel_point", "rho",
     "NotHermitian", "Objective", "OptimTrace", "SearchGenerator", "SearchParams",

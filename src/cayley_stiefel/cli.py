@@ -17,7 +17,7 @@ import time
 
 from . import cover, group, kalg, optim, stiefel
 from .kalg import Field
-from .stiefel import TangentCoords
+from .stiefel import StiefelPoint, TangentCoords
 
 
 def _add_common(p: argparse.ArgumentParser, tol: bool = True):
@@ -134,7 +134,7 @@ def run_check(args) -> int:
 
     # group-level properties; a tangent at the identity lives on the identity
     # lift of the base frame [0; I]
-    identity = group.GroupElement(kalg.identity(n, field))
+    identity = StiefelPoint(kalg.identity(n, field))
     identity_lift = stiefel.Lift(stiefel.rho(identity, k), identity)
     r_invol = r_member = r_block = r_pair = 0.0
     for s in range(8):
@@ -147,10 +147,10 @@ def run_check(args) -> int:
         t = TangentCoords(identity_lift, X, Y)
         r_block = max(r_block, kalg.frobenius_norm(
             stiefel.cayley_block(t).m - group.cayley_at_identity(t.embed(), tol)))
-        A = group.GroupElement(group.cayley_at_identity(M, tol))
+        A = StiefelPoint(group.cayley_at_identity(M, tol))
         W = A.m @ (0.3 * kalg.skew_hermitian_part(
             kalg.random_gaussian(n, n, field, seed + 600 + s)))
-        back = group.cayley_at(A.inverse, group.cayley_at(A, W, tol), tol)
+        back = group.cayley_at(StiefelPoint(A.m.H), group.cayley_at(A, W, tol), tol)
         r_pair = max(r_pair, kalg.frobenius_norm(back - W))
     record("cayley_involution", r_invol, 1e-9)
     record("cayley_group_membership", r_member, 1e-10)
@@ -174,7 +174,7 @@ def run_check(args) -> int:
     n_round = 0
     for s in range(8):
         lift, t = _random_lift_and_tangent(n, k, field, seed + 900 + 17 * s)
-        via_group = stiefel.rho(group.GroupElement(
+        via_group = stiefel.rho(StiefelPoint(
             group.cayley_at(lift.A, t.ambient_group(), tol)), k)
         r_square = max(r_square, kalg.frobenius_norm(stiefel.gamma(t).m - via_group.m))
         if stiefel.differential_is_injective(t, tol):
@@ -183,7 +183,7 @@ def run_check(args) -> int:
             r_round = max(r_round, kalg.frobenius_norm(back.X - t.X)
                           + kalg.frobenius_norm(back.Y - t.Y))
             n_round += 1
-        E = group.GroupElement(group.cayley_at_identity(0.5 * kalg.skew_hermitian_part(
+        E = StiefelPoint(group.cayley_at_identity(0.5 * kalg.skew_hermitian_part(
             kalg.random_gaussian(n - k, n - k, field, seed + 950 + s)), tol))
         r_equiv = max(r_equiv, stiefel.lift_change_equivariance_check(lift, E, t))
     record("commuting_square", r_square, 1e-11)

@@ -11,10 +11,9 @@ stress-tests the cover claim on random samples.
 The verifier works on stacks of samples: one Gram-Schmidt over the
 (S, n, k) Gaussian draws, then one stacked singular-value test per angle
 on the (S, k, k) bottom blocks.  All samples of one run come from a single
-stream, np.random.default_rng(seed), and stacking does not change what it
-draws unless a rank-deficient draw is redrawn: sample 0 is
-random_stiefel_point(seed), and the report equals cover_membership applied
-to each frame of one unstacked draw.
+stream, np.random.default_rng(seed), and stacking never changes what it
+draws: sample 0 is random_stiefel_point(seed), and the report equals
+cover_membership applied to each frame of one unstacked draw.
 """
 
 from __future__ import annotations

@@ -4,13 +4,16 @@ Covers the transform at the identity, the transform based at an arbitrary
 group element, and b = (I + X*X + Y)^{-1}, the k x k core of its block
 formula on tangents of the form [[0, X], [-X*, Y]] (stiefel.cayley_block).
 
+The group is the Stiefel manifold of orthonormal n-frames in K^n, so a
+group element is a stiefel.StiefelPoint with k = n, whose x*x = I check at
+kalg.CHECK_TOL is A*A = I.
+
 b_matrix takes a stiefel.TangentCoords, whose Y was checked skew-Hermitian
 at kalg.CHECK_TOL when it was built, and trusts that check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,38 +22,11 @@ from . import kalg
 from .kalg import Mat
 
 if TYPE_CHECKING:
-    from .stiefel import TangentCoords
+    from .stiefel import StiefelPoint, TangentCoords
 
 
 class InvalidTangent(Exception):
     """Raised when a matrix fails the tangency identity it must satisfy."""
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An n x n matrix A with A*A = I within kalg.CHECK_TOL: O(n), U(n) or Sp(n)."""
-
-    m: Mat
-
-    def __post_init__(self):
-        if self.m.rows != self.m.cols:
-            raise ValueError("group elements are square")
-        resid = kalg._frame_residuals(self.m.field, self.m.data[None])[0]
-        if not resid <= kalg.CHECK_TOL:
-            raise ValueError(f"A*A - I residual {resid:.3e} exceeds {kalg.CHECK_TOL:.1e}")
-
-    @property
-    def n(self) -> int:
-        return self.m.rows
-
-    @property
-    def field(self) -> kalg.Field:
-        return self.m.field
-
-    @property
-    def inverse(self) -> "GroupElement":
-        # A^{-1} = A* for group elements
-        return GroupElement(self.m.H)
 
 
 def cayley_at_identity(M: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
@@ -61,8 +37,9 @@ def cayley_at_identity(M: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
     return (I - M) @ kalg.mat_inverse(I + M, tol)
 
 
-def cayley_at(A: GroupElement, X: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
-    """Cayley transform based at A: (I - A*X)(A + X)^{-1}.
+def cayley_at(A: StiefelPoint, X: Mat, tol: float = kalg.DEFAULT_TOL) -> Mat:
+    """Cayley transform based at the group element A, an n x n StiefelPoint:
+    (I - A*X)(A + X)^{-1}.
 
     Maps the tangent space at A into the group; raises Singular when A + X
     is not invertible (X outside the transform's domain).

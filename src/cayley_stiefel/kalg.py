@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 DEFAULT_TOL = 1e-12
-CHECK_TOL = 1e-8  # residual checks of input frames, group elements, tangents, Hermitian M
+CHECK_TOL = 1e-8  # residual checks of frames (group elements among them), tangents, Hermitian M
 
 
 class Singular(Exception):
@@ -203,7 +203,14 @@ class Mat:
         return conj_transpose(self)
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
-        """Contiguous submatrix with rows [r0, r1) and columns [c0, c1)."""
+        """Contiguous submatrix with rows [r0, r1) and columns [c0, c1).
+
+        Raises ValueError unless 0 <= r0 <= r1 <= rows and 0 <= c0 <= c1 <= cols:
+        numpy would wrap a negative bound and clip one past the end.
+        """
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise ValueError(f"block rows [{r0}, {r1}) and columns [{c0}, {c1}) "
+                             f"outside a {self.rows}x{self.cols} matrix")
         return Mat._trusted(self.field, self.data[r0:r1, c0:c1].copy())
 
     def _check_same_field(self, other: "Mat"):

@@ -18,7 +18,8 @@ and the core I + X*X + Y by group.b_matrix at the default.  Inputs are
 checked where they enter: a TangentCoords's
 shapes, base ring and skew-Hermitian Y when it is built, y's shape and
 base ring in gamma_inverse, and every result by the x*x = I check of
-StiefelPoint or the A*A = I check of GroupElement.
+StiefelPoint.  A group element (a lift, a section's value) is a StiefelPoint
+with k = n, for which that check is A*A = I.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import group, kalg
-from .group import GroupElement, InvalidTangent
+from .group import InvalidTangent
 from .kalg import Field, Mat, Singular
 
 
@@ -38,10 +39,6 @@ class OutsideCayleyOpen(Exception):
 
 class NotOrthonormal(ValueError):
     """Raised when a frame fails the x*x = I residual check of StiefelPoint."""
-
-
-class RankDeficient(Exception):
-    """Raised when random frame generation keeps hitting rank-deficient draws."""
 
 
 @dataclass(frozen=True)
@@ -78,15 +75,16 @@ class StiefelPoint:
 
 @dataclass(frozen=True)
 class Lift:
-    """A group element A whose last k columns are exactly the frame x."""
+    """A group element A, an n x n StiefelPoint, whose last k columns are
+    exactly the frame x."""
 
     point: StiefelPoint
-    A: GroupElement
+    A: StiefelPoint
 
     def __post_init__(self):
         n, k = self.point.n, self.point.k
-        if self.A.n != n:
-            raise ValueError("lift dimension mismatch")
+        if self.A.m.shape != (n, n):
+            raise ValueError(f"A must be {n} x {n}, got {self.A.m.rows} x {self.A.m.cols}")
         if not np.array_equal(self.A.m.data[:, n - k:], self.point.m.data):
             raise ValueError("last k columns of A must equal x exactly")
 
@@ -164,9 +162,9 @@ class TangentCoords:
         return self.lift.A.m @ self.embed()
 
 
-def rho(A: GroupElement, k: int) -> StiefelPoint:
-    """Projection onto the last k columns of a group element."""
-    return StiefelPoint(A.m.block(0, A.n, A.n - k, A.n))
+def rho(A: StiefelPoint, k: int) -> StiefelPoint:
+    """Projection onto the last k columns of a frame, such as a group element."""
+    return StiefelPoint(A.m.block(0, A.n, A.k - k, A.k))
 
 
 def complete_lift(x: StiefelPoint) -> Lift:
@@ -196,7 +194,7 @@ def complete_lift(x: StiefelPoint) -> Lift:
     # + 0.0 turns the -0.0 that conjugation leaves in zero parts into +0.0,
     # so the base frame completes to I_n bit for bit
     A = np.concatenate([kalg._conj_transpose(B[:n - k, :n]) + 0.0, x.m.data], axis=1)
-    return Lift(x, GroupElement(Mat._trusted(field, A)))
+    return Lift(x, StiefelPoint(Mat._trusted(field, A)))
 
 
 def _lift_blocks(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +257,9 @@ def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -
     return kalg.is_invertible(t.lift.beta @ t.X + t.lift.P, tol)
 
 
-def cayley_block(t: TangentCoords) -> GroupElement:
+def cayley_block(t: TangentCoords) -> StiefelPoint:
     """The group Cayley transform based at the lift A of the tangent A Z:
-    c(Z) A*, the value of group.cayley_at(A, t.ambient_group()).
+    the group element c(Z) A*, the value of group.cayley_at(A, t.ambient_group()).
 
     As c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I] with b = (I + X*X + Y)^{-1}
     (group.b_matrix), that is the rank-k update A* + [-2X bV*; 2(bV* - x*)]
@@ -278,10 +276,10 @@ def cayley_block(t: TangentCoords) -> GroupElement:
     bVh = kalg._product(fld, b, kalg._conj_transpose(kalg._product(fld, A, XI)))
     update = np.concatenate([kalg._product(fld, X, bVh) * -2.0,
                              (bVh - kalg._conj_transpose(lift.point.m.data)) * 2.0])
-    return GroupElement(Mat._trusted(fld, kalg._conj_transpose(A) + update))
+    return StiefelPoint(Mat._trusted(fld, kalg._conj_transpose(A) + update))
 
 
-def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> GroupElement:
+def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
     """Local section of the projection over the Cayley open subset at x:
     cayley_block(gamma_inverse(lift, y, tol)), whose last k columns agree with y."""
     return cayley_block(gamma_inverse(lift, y, tol))
@@ -300,29 +298,29 @@ def contraction(lift: Lift, y: StiefelPoint, t: float,
     return gamma(gamma_inverse(lift, y, tol).scaled(t))
 
 
-def lift_change_equivariance_check(lift: Lift, E: GroupElement, t: TangentCoords) -> float:
+def lift_change_equivariance_check(lift: Lift, E: StiefelPoint, t: TangentCoords) -> float:
     """Residual of the lift-change identity for the Stiefel Cayley transform.
 
-    Replacing the lift A by A * diag(E, I_k) multiplies the transform's
+    Replacing the lift A by A * diag(E, I_k), for a group element E of order
+    n - k (an (n-k) x (n-k) StiefelPoint), multiplies the transform's
     value by diag(E*, I_k) on the left; this returns the Frobenius norm of
     the difference between the two sides.
     """
     n, nk = lift.n, lift.n - lift.k
-    if E.n != nk:
-        raise ValueError("E must act on the first n - k columns")
+    if E.m.shape != (nk, nk):
+        raise ValueError(f"E must be {nk} x {nk}: it acts on the first n - k columns")
     # A diag(E, I) and diag(E*, I) gamma(t), formed on the blocks
-    AE = GroupElement(kalg.hstack(lift.A.m.block(0, n, 0, nk) @ E.m, lift.point.m))
+    AE = StiefelPoint(kalg.hstack(lift.A.m.block(0, n, 0, nk) @ E.m, lift.point.m))
     lhs = gamma(TangentCoords(Lift(lift.point, AE), E.m.H @ t.X, t.Y)).m
     g = gamma(t).m
     rhs = kalg.vstack(E.m.H @ g.block(0, nk, 0, lift.k), g.block(nk, n, 0, lift.k))
     return kalg.frobenius_norm(lhs - rhs)
 
 
-def _gram_schmidt(field: Field, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt on a (S, n, k, ncomp) stack: the frames, and which
-    members kept every projected column norm at least 1e-8."""
+def _gram_schmidt(field: Field, raw: np.ndarray) -> np.ndarray:
+    """Modified Gram-Schmidt on a (S, n, k, ncomp) stack.  A projected column
+    that is exactly zero stays zero, and fails the frame's x*x = I check."""
     cols: list[np.ndarray] = []
-    full_rank = np.ones(len(raw), dtype=bool)
     for j in range(raw.shape[2]):
         # a contiguous copy: BLAS sums a strided column in another order,
         # which would move the last bits of the frames
@@ -330,9 +328,8 @@ def _gram_schmidt(field: Field, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray
         for u in cols:
             v = v - kalg._product(field, u, kalg._product(field, kalg._conj_transpose(u), v))
         norm = kalg._norms(v)
-        full_rank &= norm >= 1e-8
-        cols.append((1.0 / np.where(full_rank, norm, 1.0))[:, None, None, None] * v)
-    return (np.concatenate(cols, axis=2) if cols else raw), full_rank
+        cols.append((1.0 / np.where(norm > 0.0, norm, 1.0))[:, None, None, None] * v)
+    return np.concatenate(cols, axis=2) if cols else raw
 
 
 def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,
@@ -340,27 +337,20 @@ def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,
     """Components (count, n, k, ncomp) of the next count random frames of rng.
 
     Frame s is _gram_schmidt of the s-th Gaussian matrix of one
-    rng.standard_normal((count, n, k, ncomp)) draw; a rank-deficient draw is
-    redrawn, at most three attempts in all.  A frame more than 1e-12 off
-    x*x = I, as one pass leaves a few at large k, is orthonormalised once
-    more, and every frame is checked for x*x = I within 1e-12.
+    rng.standard_normal((count, n, k, ncomp)) draw.  A frame more than 1e-12
+    off x*x = I, as one pass leaves a few at large k and on nearly dependent
+    columns, is orthonormalised once more (Gram-Schmidt run twice: Giraud,
+    Langou and Rozloznik, Comput. Math. Appl. 50, 2005), and a frame still
+    more than 1e-12 off, such as one with a zero projected column, raises
+    NotOrthonormal.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    out = np.empty((count, n, k, field.ncomp))
-    todo = np.arange(count)
-    for attempt in range(3):
-        if not todo.size:
-            break
-        frames, full_rank = _gram_schmidt(field, rng.standard_normal((todo.size, *out.shape[1:])))
-        out[todo[full_rank]] = frames[full_rank]
-        todo = todo[~full_rank]
-    if todo.size:
-        raise RankDeficient(f"could not draw a full-rank {n}x{k} frame")
+    out = _gram_schmidt(field, rng.standard_normal((count, n, k, field.ncomp)))
     resid = kalg._frame_residuals(field, out)
     loose = ~(resid <= 1e-12)
     if loose.any():
-        out[loose] = _gram_schmidt(field, out[loose])[0]
+        out[loose] = _gram_schmidt(field, out[loose])
         resid = kalg._frame_residuals(field, out[loose])
         if not np.all(resid <= 1e-12):
             raise NotOrthonormal(f"x*x - I residual {resid.max():.3e} exceeds 1.0e-12")
@@ -369,7 +359,8 @@ def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,
 
 def random_stiefel_point(n: int, k: int, field: Field, seed: int) -> StiefelPoint:
     """Random orthonormal frame: Gram-Schmidt applied to a Gaussian matrix,
-    checked for x*x = I within 1e-12 by _random_frames.
+    twice where once leaves it more than 1e-12 off x*x = I, and checked for
+    x*x = I within 1e-12 by _random_frames.
 
     The first frame of the stream np.random.default_rng(seed), which is
     also sample 0 of cover.verify_cover(..., seed, ...).

@@ -31,7 +31,7 @@ def random_lift_tangent(n, k, fld, seed, scale=1.0):
 def identity_tangent(X, Y):
     """TangentCoords (X, Y) on the identity lift of the base frame [0; I]: the
     tangent [[0, X], [-X*, Y]] at the identity of the group."""
-    identity = group.GroupElement(kalg.identity(X.rows + X.cols, X.field))
+    identity = StiefelPoint(kalg.identity(X.rows + X.cols, X.field))
     return TangentCoords(stiefel.Lift(stiefel.rho(identity, X.cols), identity), X, Y)
 
 

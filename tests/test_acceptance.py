@@ -16,7 +16,6 @@ from conftest import (FIELDS, differential_min_gain, gamma_differential, identit
 
 from cayley_stiefel import cover, group, kalg, optim, stiefel
 from cayley_stiefel.cli import main as cli_main
-from cayley_stiefel.group import GroupElement
 from cayley_stiefel.kalg import Field, Mat
 from cayley_stiefel.stiefel import StiefelPoint, TangentCoords
 
@@ -48,7 +47,7 @@ def test_criterion_1_commuting_square():
             lift, t = random_lift_tangent(n, k, fld, 10_000 * trial + 17, scale=0.5)
             direct = stiefel.gamma(t)
             via_group = stiefel.rho(
-                GroupElement(group.cayley_at(lift.A, t.ambient_group())), k)
+                StiefelPoint(group.cayley_at(lift.A, t.ambient_group())), k)
             worst = max(worst, fro(direct.m - via_group.m))
     elapsed = time.perf_counter() - start
     report(1, f"commuting square, worst residual {worst:.3e}, {elapsed:.1f} s",
@@ -220,7 +219,7 @@ def test_criterion_9_equivariance():
             n = int(rng.integers(3, 9))
             k = int(rng.integers(1, min(3, n - 1) + 1))
             lift, t = random_lift_tangent(n, k, fld, 50_000 + trial, scale=0.5)
-            E = GroupElement(group.cayley_at_identity(
+            E = StiefelPoint(group.cayley_at_identity(
                 0.5 * random_skew(n - k, fld, 60_000 + trial)))
             worst = max(worst, stiefel.lift_change_equivariance_check(lift, E, t))
     report(9, f"lift-change equivariance, worst residual {worst:.3e}",

@@ -197,6 +197,15 @@ class TestCover:
         assert json.loads(out)["uncovered"] == 3
         assert "cover FAILED" in err
 
+    @pytest.mark.parametrize("command", ["cover", "optimize"])
+    def test_draw_that_stays_off_orthonormal_exits_2(self, capsys, monkeypatch, command):
+        # a frame that neither Gram-Schmidt pass brings within 1e-12 of x*x = I
+        # raises NotOrthonormal, a ValueError: a configuration error, not a traceback
+        monkeypatch.setattr(stiefel, "_gram_schmidt", lambda field, raw: np.zeros_like(raw))
+        code, out, err = run(capsys, [command, "--n", "4", "--k", "2", "--reproducible"])
+        assert (code, out) == (2, "")
+        assert "x*x - I residual 1.414e+00 exceeds 1.0e-12" in err
+
     def test_dimension_guard(self, capsys):
         code, _, err = run(capsys, ["cover", "--n", "3", "--k", "2"])
         assert code == 2
@@ -321,7 +330,8 @@ class TestDeterminism:
 class TestGoldenOutput:
     """SHA-256 of --reproducible stdout, pinned so that a change of arithmetic that
     moves any printed bit shows here.  A change that moves these bytes on purpose
-    updates the hashes and says why."""
+    updates the hashes and says why.  The cover run's --tol leaves 504-525 of its
+    600 samples uncovered, so its witnesses pin the bits of the sampled frames."""
 
     GOLDEN = {
         ("demo", "real"): "39f5587c751b2d804d3324761e0e1ee408892dad9ac5efbc758e5c31a336392e",
@@ -330,12 +340,23 @@ class TestGoldenOutput:
         ("check", "real"): "4e268a58d56156b8e2a01c0558168fccd76bc8efdc48408d5471cf811c15dbe4",
         ("check", "complex"): "f2caa09cdfe243c17d5c0405e18de387a9455913c7654244d7ca91aa7357ddc2",
         ("check", "quaternion"): "661802eb5542bd542ce5e697b44c26dfd32e1bc09641502fe6a5eb0de6a1a111",
+        ("optimize", "real"): "cdd8f27eb9327e429b56f509533e9d31df319b5c7493d64443b97a0a0d2bf11e",
+        ("optimize", "complex"): "51df63b265a821b6c4b47ad4e711787850d9e742fe849f4aaa4b756187d7b93b",
+        ("optimize", "quaternion"): "4c76439182159ff8fd8bf5813b39c0d0190e7975e2e5c21cc436a4ffe3d7a4c9",
+        ("cover", "real"): "30cd006415a7ee9f66f4e30dfbd8a6f768acd61e25a1ab0bd13c6aff2cdaaf2b",
+        ("cover", "complex"): "602c64eb04782e8baf92d4c222788c8943add3ab6cdb33b87269d72dfcc7fbb3",
+        ("cover", "quaternion"): "17f6c0f202131ca54fd87bd757b35c69c167976dbd74afc594d475f8677bbfaa",
     }
-    ARGS = {"demo": ["--n", "16", "--k", "4", "--seed", "3"],
-            "check": ["--n", "6", "--k", "2", "--seed", "7"]}
+    # the arguments of each command, and its exit code
+    ARGS = {"demo": (["--n", "16", "--k", "4", "--seed", "3"], 0),
+            "check": (["--n", "6", "--k", "2", "--seed", "7"], 0),
+            "optimize": (["--n", "20", "--k", "4", "--seed", "42"], 0),
+            "cover": (["--n", "6", "--k", "3", "--samples", "600", "--tol", "0.5",
+                       "--seed", "3"], 1)}
 
     @pytest.mark.parametrize("command, fld", sorted(GOLDEN))
     def test_reproducible_stdout(self, capsys, command, fld):
-        code, out, _ = run(capsys, [command, "--field", fld, *self.ARGS[command], "--reproducible"])
-        assert code == 0
+        args, exit_code = self.ARGS[command]
+        code, out, _ = run(capsys, [command, "--field", fld, *args, "--reproducible"])
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[command, fld]

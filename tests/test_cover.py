@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cayley_stiefel import cover, kalg, stiefel
 from cayley_stiefel.cover import (DimensionError, ThetaLadder, cover_membership,
                                   default_ladder, verify_cover)
 from cayley_stiefel.kalg import Field, Mat
-from cayley_stiefel.stiefel import StiefelPoint
+from cayley_stiefel.stiefel import NotOrthonormal, StiefelPoint
 
 Q = Field.QUATERNION
 
@@ -207,16 +208,15 @@ def assert_same_report(report, expected):
 
 
 class DeficientDraws:
-    """A generator whose i-th standard_normal draw repeats column 0 of member
-    rows[i] in column 1, so that member's frame is rank-deficient."""
+    """A generator that passes each standard_normal draw to spoil, which makes
+    a member's columns (nearly) dependent, and counts the draws."""
 
-    def __init__(self, rng, rows):
-        self.rng, self.rows, self.calls = rng, rows, 0
+    def __init__(self, rng, spoil):
+        self.rng, self.spoil, self.calls = rng, spoil, 0
 
     def standard_normal(self, shape):
         a = self.rng.standard_normal(shape)
-        if self.calls < len(self.rows):
-            a[self.rows[self.calls], :, 1] = a[self.rows[self.calls], :, 0]
+        self.spoil(a)
         self.calls += 1
         return a
 
@@ -236,27 +236,33 @@ class TestStackedVerifier:
         first = stiefel._random_frames(n, k, field, np.random.default_rng(31), 1)[0]
         assert np.array_equal(first, stiefel.random_stiefel_point(n, k, field, 31).m.data)
 
-    def test_rank_deficient_draw_is_redrawn(self, field):
-        # member 5 is redrawn from the same stream, after the stack it was drawn in;
-        # with rows [5, 0] its first redraw is deficient too, and the third draw holds
-        for rows in ([5], [5, 0]):
-            rng = DeficientDraws(np.random.default_rng(41), rows)
-            frames = stiefel._random_frames(4, 2, field, rng, 10)
-            assert rng.calls == len(rows) + 1
-            drawn = 10 + len(rows)
-            stream = stiefel._random_frames(4, 2, field, np.random.default_rng(41), drawn)
-            assert np.array_equal(frames[:5], stream[:5])
-            assert np.array_equal(frames[6:], stream[6:10])
-            assert np.array_equal(frames[5], stream[-1])
-            # and the stream is left where an undisturbed one would be
-            ahead = np.random.default_rng(41).standard_normal(drawn * 4 * 2 * field.ncomp + 3)
-            assert np.array_equal(rng.rng.standard_normal(3), ahead[-3:])
+    def test_nearly_dependent_draw_is_orthonormalised_in_one_draw(self, field):
+        # member 5's column 1 is its column 0 plus eps noise: the second
+        # Gram-Schmidt pass repairs it, and the stream is drawn once
+        stream = stiefel._random_frames(4, 2, field, np.random.default_rng(41), 10)
+        for eps in (1e-6, 1e-9, 1e-12, 1e-15):
+            def spoil(a):
+                a[5, :, 1] = a[5, :, 0] + eps * a[5, :, 1]
 
-    def test_three_rank_deficient_draws_raise(self, field):
-        rng = DeficientDraws(np.random.default_rng(7), [0, 0, 0])
-        with pytest.raises(stiefel.RankDeficient):
-            stiefel._random_frames(4, 2, field, rng, 5)
-        assert rng.calls == 3
+            rng = DeficientDraws(np.random.default_rng(41), spoil)
+            frames = stiefel._random_frames(4, 2, field, rng, 10)
+            assert rng.calls == 1
+            assert kalg._frame_residuals(field, frames[5:6])[0] <= 1e-12
+            assert np.array_equal(np.delete(frames, 5, axis=0), np.delete(stream, 5, axis=0))
+
+    def test_zero_projected_column_raises(self, field):
+        # both columns of member 0 are (2, 0, 0, 0): column 1 projects to exactly
+        # zero, which stays zero through both passes, with no division by it
+        def spoil(a):
+            a[0] = 0.0
+            a[0, 0, :, 0] = 2.0
+
+        rng = DeficientDraws(np.random.default_rng(7), spoil)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotOrthonormal, match="exceeds 1.0e-12"):
+                stiefel._random_frames(4, 2, field, rng, 5)
+        assert rng.calls == 1
 
 
 class TestSvdCounts:

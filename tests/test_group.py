@@ -4,8 +4,9 @@ import pytest
 from conftest import identity_tangent, overflow_nan, random_skew, scalar
 
 from cayley_stiefel import group, kalg, stiefel
-from cayley_stiefel.group import GroupElement, InvalidTangent
+from cayley_stiefel.group import InvalidTangent
 from cayley_stiefel.kalg import Field, Mat, Singular
+from cayley_stiefel.stiefel import NotOrthonormal, StiefelPoint
 
 Q = Field.QUATERNION
 
@@ -16,7 +17,7 @@ def fro(m):
 
 def random_group_element(n, fld, seed):
     M = 0.5 * random_skew(n, fld, seed)
-    return GroupElement(group.cayley_at_identity(M))
+    return StiefelPoint(group.cayley_at_identity(M))
 
 
 class TestCayleyAtIdentity:
@@ -58,7 +59,7 @@ class TestCayleyAt:
         assert fro(got - A.m.H) <= 1e-12
 
     def test_base_identity_matches_plain_transform(self, field):
-        A = GroupElement(kalg.identity(4, field))
+        A = StiefelPoint(kalg.identity(4, field))
         X = 0.5 * random_skew(4, field, 2)
         assert fro(group.cayley_at(A, X) - group.cayley_at_identity(X)) <= 1e-13
 
@@ -74,11 +75,11 @@ class TestCayleyAt:
         for s in range(5):
             A = random_group_element(4, field, 50 + s)
             W = A.m @ (0.3 * random_skew(4, field, 60 + s))
-            back = group.cayley_at(A.inverse, group.cayley_at(A, W))
+            back = group.cayley_at(StiefelPoint(A.m.H), group.cayley_at(A, W))
             assert fro(back - W) <= 1e-9
 
     def test_singular_outside_domain(self, field):
-        A = GroupElement(kalg.identity(3, field))
+        A = StiefelPoint(kalg.identity(3, field))
         with pytest.raises(Singular):
             group.cayley_at(A, -1.0 * A.m)
 
@@ -150,15 +151,16 @@ class TestBlockFormula:
 
 class TestTypes:
     def test_group_element_rejects_nonorthogonal(self, field):
-        with pytest.raises(ValueError, match=r"A\*A - I residual 5\.196e\+00"):
-            GroupElement(2.0 * kalg.identity(3, field))  # |4I - I|_F = sqrt(27)
+        # a group element is an n x n StiefelPoint, checked x*x = I
+        with pytest.raises(NotOrthonormal, match=r"x\*x - I residual 5\.196e\+00"):
+            StiefelPoint(2.0 * kalg.identity(3, field))  # |4I - I|_F = sqrt(27)
 
     def test_nan_fails_every_residual_check(self, field):
         # products are not re-scanned for finiteness, so overflow reaches
         # these checks as NaN, which compares false with any tolerance
         nan = overflow_nan(3, 3, field)
         assert np.isnan(nan.data).all()
-        with pytest.raises(ValueError):
-            GroupElement(nan)
+        with pytest.raises(NotOrthonormal):
+            StiefelPoint(nan)
         with pytest.raises(InvalidTangent):
             identity_tangent(kalg.zeros(2, 3, field), nan)

@@ -457,6 +457,19 @@ class TestMatValidation:
         with pytest.raises(ValueError):
             a @ b
 
+    @pytest.mark.parametrize("bounds", [(0, 3, 0, 4), (0, 2, 0, 5), (-1, 2, 0, 3),
+                                        (0, 2, -1, 3), (2, 1, 0, 3), (0, 2, 3, 2)])
+    def test_block_rejects_a_range_outside_the_matrix(self, field, bounds):
+        # numpy would clip a bound past the end and wrap a negative one
+        with pytest.raises(ValueError, match="outside a 2x3 matrix"):
+            kalg.random_gaussian(2, 3, field, 8).block(*bounds)
+
+    def test_block_accepts_every_range_inside_the_matrix(self, field):
+        a = kalg.random_gaussian(2, 3, field, 9)
+        assert np.array_equal(a.block(0, 2, 0, 3).data, a.data)
+        assert a.block(1, 1, 3, 3).shape == (0, 0)
+        assert np.array_equal(a.block(1, 2, 1, 3).data, a.data[1:, 1:])
+
     def test_immutable(self):
         m = kalg.identity(2, Field.REAL)
         with pytest.raises(ValueError):

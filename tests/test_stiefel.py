@@ -9,7 +9,7 @@ from conftest import (assert_same_bits, differential_min_gain, gamma_differentia
                       overflow_nan, random_lift_tangent, random_skew, svd_test_runs)
 
 from cayley_stiefel import group, kalg, stiefel
-from cayley_stiefel.group import GroupElement, InvalidTangent
+from cayley_stiefel.group import InvalidTangent
 from cayley_stiefel.kalg import Field, Mat, Singular
 from cayley_stiefel.stiefel import (Lift, NotOrthonormal, OutsideCayleyOpen, StiefelPoint,
                                     TangentCoords)
@@ -87,7 +87,7 @@ def mat_cayley_block(t):
     b = mat_b_matrix(t)
     bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
     update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
-    return GroupElement(lift.A.m.H + update)
+    return StiefelPoint(lift.A.m.H + update)
 
 
 def mat_local_section(lift, y):
@@ -121,7 +121,7 @@ def svd_tests(monkeypatch, fn, *args):
 
 class TestRho:
     def test_identity_projects_to_base_frame(self, field):
-        x = stiefel.rho(GroupElement(kalg.identity(5, field)), 2)
+        x = stiefel.rho(StiefelPoint(kalg.identity(5, field)), 2)
         assert fro(x.m - base_point(5, 2, field).m) == 0.0
 
     def test_extracts_last_columns(self, field):
@@ -131,9 +131,35 @@ class TestRho:
 
     def test_result_is_orthonormal(self, field):
         M = 0.5 * random_skew(6, field, 2)
-        A = GroupElement(group.cayley_at_identity(M))
+        A = StiefelPoint(group.cayley_at_identity(M))
         x = stiefel.rho(A, 3)
         assert fro(x.m.H @ x.m - kalg.identity(3, field)) <= 1e-12
+
+    def test_keeps_last_columns_of_any_frame(self, field):
+        x = stiefel.random_stiefel_point(6, 4, field, 3)
+        assert np.array_equal(stiefel.rho(x, 3).m.data, x.m.data[:, 1:])
+        assert stiefel.rho(x, 0).k == 0
+
+    @pytest.mark.parametrize("k", [5, -1])
+    def test_rejects_k_outside_the_frame(self, field, k):
+        # numpy alone would clip k = 5 to a 3 x 2 frame and wrap k = -1 to 3 x 0
+        with pytest.raises(ValueError, match="outside a 3x3 matrix"):
+            stiefel.rho(StiefelPoint(kalg.identity(3, field)), k)
+
+
+class TestLift:
+    def test_rejects_a_that_is_not_n_by_n(self, field):
+        # a 5 x 4 frame whose last 2 columns are x, and a 6 x 6 group element
+        x = base_point(5, 2, field)
+        for A in (stiefel.rho(StiefelPoint(kalg.identity(5, field)), 4),
+                  StiefelPoint(kalg.identity(6, field))):
+            with pytest.raises(ValueError, match="A must be 5 x 5"):
+                Lift(x, A)
+
+    def test_rejects_a_whose_last_columns_are_not_x(self, field):
+        lift, _ = random_lift_tangent(5, 2, field, 5)
+        with pytest.raises(ValueError, match="last k columns"):
+            Lift(base_point(5, 2, field), lift.A)
 
 
 class TestCompleteLift:
@@ -270,7 +296,7 @@ class TestGamma:
         for s in range(5):
             lift, t = random_lift_tangent(6, 2, field, 100 + s)
             via_group = stiefel.rho(
-                GroupElement(group.cayley_at(lift.A, t.ambient_group())), 2)
+                StiefelPoint(group.cayley_at(lift.A, t.ambient_group())), 2)
             assert fro(stiefel.gamma(t).m - via_group.m) <= 1e-11
 
 
@@ -287,11 +313,11 @@ class TestInjectivityDomain:
 
     def test_lift_independent(self, field):
         lift, t = random_lift_tangent(6, 2, field, 13)
-        E = GroupElement(group.cayley_at_identity(0.5 * random_skew(4, field, 14)))
+        E = StiefelPoint(group.cayley_at_identity(0.5 * random_skew(4, field, 14)))
         blk = kalg.vstack(
             kalg.hstack(E.m, kalg.zeros(4, 2, field)),
             kalg.hstack(kalg.zeros(2, 4, field), kalg.identity(2, field)))
-        lift2 = Lift(lift.point, GroupElement(lift.A.m @ blk))
+        lift2 = Lift(lift.point, StiefelPoint(lift.A.m @ blk))
         t2 = TangentCoords(lift2, E.m.H @ t.X, t.Y)
         assert stiefel.differential_is_injective(t) == stiefel.differential_is_injective(t2)
 
@@ -479,7 +505,7 @@ class TestLocalSection:
         lift, _ = random_lift_tangent(6, 2, field, 37)
         y = stiefel.contraction(lift, stiefel.random_stiefel_point(6, 2, field, 38), t)
         W = stiefel.gamma_inverse(lift, y).ambient_group()
-        dense = GroupElement(group.cayley_at(lift.A, W))
+        dense = StiefelPoint(group.cayley_at(lift.A, W))
         assert fro(stiefel.local_section(lift, y).m - dense.m) <= 1e-12
 
 
@@ -501,7 +527,7 @@ class TestCoreCounts:
         # every inversion is one LAPACK call, whether or not the SVD test runs,
         # and every product, Mat or component array, is one kalg._product
         counts = {"inverse": 0, "element": 0, "square_products": 0}
-        inverse, post_init, product = np.linalg.inv, GroupElement.__post_init__, kalg._product
+        inverse, post_init, product = np.linalg.inv, StiefelPoint.__post_init__, kalg._product
 
         def counted_inverse(a):
             counts["inverse"] += 1
@@ -516,7 +542,7 @@ class TestCoreCounts:
             return product(fld, a, b)
 
         monkeypatch.setattr(np.linalg, "inv", counted_inverse)
-        monkeypatch.setattr(GroupElement, "__post_init__", counted_post_init)
+        monkeypatch.setattr(StiefelPoint, "__post_init__", counted_post_init)
         monkeypatch.setattr(kalg, "_product", counted_product)
         return counts
 
@@ -534,7 +560,7 @@ class TestCoreCounts:
         stiefel.local_section(lift, y)
         assert counts["inverse"] == 2
         assert counts["element"] == 1
-        # the one n x n product is the A*A residual of that GroupElement check
+        # the one n x n product is the A*A residual of that n x n StiefelPoint check
         assert counts["square_products"] == 1
 
 
@@ -794,7 +820,7 @@ class TestContraction:
         lift, _ = random_lift_tangent(6, 2, field, 34)
         y = stiefel.random_stiefel_point(6, 2, field, 35)
         W = stiefel.gamma_inverse(lift, y).ambient_group()
-        dense = stiefel.rho(GroupElement(group.cayley_at(lift.A, t * W)), 2)
+        dense = stiefel.rho(StiefelPoint(group.cayley_at(lift.A, t * W)), 2)
         assert fro(stiefel.contraction(lift, y, t).m - dense.m) <= 1e-12
 
     def test_rejects_parameter_outside_unit_interval(self, field):
@@ -805,21 +831,28 @@ class TestContraction:
 
 
 class TestEquivariance:
+    def test_rejects_e_that_is_not_n_minus_k_square(self, field):
+        lift, t = random_lift_tangent(5, 2, field, 37)
+        for E in (stiefel.rho(StiefelPoint(kalg.identity(3, field)), 2),
+                  StiefelPoint(kalg.identity(4, field))):
+            with pytest.raises(ValueError, match="E must be 3 x 3"):
+                stiefel.lift_change_equivariance_check(lift, E, t)
+
     def test_identity_change(self, field):
         lift, t = random_lift_tangent(5, 2, field, 37)
-        E = GroupElement(kalg.identity(3, field))
+        E = StiefelPoint(kalg.identity(3, field))
         assert stiefel.lift_change_equivariance_check(lift, E, t) <= 1e-14
 
     def test_zero_tangent(self, field):
         lift, _ = random_lift_tangent(5, 2, field, 38)
-        E = GroupElement(group.cayley_at_identity(0.5 * random_skew(3, field, 39)))
+        E = StiefelPoint(group.cayley_at_identity(0.5 * random_skew(3, field, 39)))
         assert stiefel.lift_change_equivariance_check(
             lift, E, zero_tangent(lift)) <= 1e-12
 
     def test_random(self, field):
         for s in range(5):
             lift, t = random_lift_tangent(6, 2, field, 800 + s)
-            E = GroupElement(group.cayley_at_identity(
+            E = StiefelPoint(group.cayley_at_identity(
                 0.5 * random_skew(4, field, 900 + s)))
             assert stiefel.lift_change_equivariance_check(lift, E, t) <= 1e-10
 
@@ -857,7 +890,7 @@ class TestRandomStiefelPoint:
     def test_loose_draw_is_orthonormalised_again(self):
         # one Gram-Schmidt pass leaves this draw 2.81e-12 off x*x = I
         raw = np.random.default_rng(2828).standard_normal((1, 28, 28, 1))
-        assert residual(Field.REAL, stiefel._gram_schmidt(Field.REAL, raw)[0][0]) > 1e-12
+        assert residual(Field.REAL, stiefel._gram_schmidt(Field.REAL, raw)[0]) > 1e-12
         x = stiefel.random_stiefel_point(28, 28, Field.REAL, 2828)
         assert residual(Field.REAL, x.m.data) <= 1e-12
 

@@ -185,7 +185,7 @@ def run_check(args) -> int:
             n_round += 1
         E = StiefelPoint(group.cayley_at_identity(0.5 * kalg.skew_hermitian_part(
             kalg.random_gaussian(n - k, n - k, field, seed + 950 + s)), tol))
-        r_equiv = max(r_equiv, stiefel.lift_change_equivariance_check(lift, E, t))
+        r_equiv = max(r_equiv, stiefel.lift_change_equivariance_check(E, t))
     record("commuting_square", r_square, 1e-11)
     record("gamma_round_trip", r_round if n_round else None, 1e-9)
     record("lift_change_equivariance", r_equiv, 1e-10)

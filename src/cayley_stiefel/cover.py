@@ -97,10 +97,9 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
     With k + 1 angles the expected uncovered count is zero in every field.
     Uncovered witnesses are serialized in full.
     """
-    if not (isinstance(samples, numbers.Integral) and samples >= 0):
-        raise ValueError(f"samples must be nonnegative and an integer, got {samples!r}")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not (isinstance(value, numbers.Integral) and value >= 0):
+            raise ValueError(f"{name} must be nonnegative and an integer, got {value!r}")
     kalg._validate_tol(tol)  # up front, so that samples=0 rejects it too
     if n < 2 * k:
         raise DimensionError(f"need n >= 2k, got n={n}, k={k}")

@@ -2,7 +2,8 @@
 
 Covers the transform at the identity, the transform based at an arbitrary
 group element, and b = (I + X*X + Y)^{-1}, the k x k core of its block
-formula on tangents of the form [[0, X], [-X*, Y]] (stiefel.cayley_block).
+formula on tangents of the form [[0, X], [-X*, Y]]: stiefel's one Cayley
+kernel, which gives cayley_block on all rows of a lift and gamma on its last k.
 
 The group is the Stiefel manifold of orthonormal n-frames in K^n, so a
 group element is a stiefel.StiefelPoint with k = n, whose x*x = I check at

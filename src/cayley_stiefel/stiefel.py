@@ -9,17 +9,17 @@ open subset onto a point, and the residual of the lift-change identity.
 A tangent at the identity of the group is a TangentCoords on the identity
 lift of the base frame [0; I].
 
-gamma, gamma_inverse, cayley_block, local_section and contraction compute
-on the component arrays through kalg's private product and conjugate
-transpose, in the operations and order of the same formulas on Mat values,
-so every result is the same to the bit.  Their only inversions are k x k,
-by kalg._invert: C = pi + P* with mat_inverse's test at the caller's tol,
-and the core I + X*X + Y by group.b_matrix at the default.  Inputs are
-checked where they enter: a TangentCoords's
-shapes, base ring and skew-Hermitian Y when it is built, y's shape and
-base ring in gamma_inverse, and every result by the x*x = I check of
-StiefelPoint.  A group element (a lift, a section's value) is a StiefelPoint
-with k = n, for which that check is A*A = I.
+cayley_block and gamma are one kernel, c(Z) W for W = rows* (_cayley_rows),
+on all rows of the lift A and on its last k rows [beta P]: gamma is rho of
+cayley_block, as in the paper.  gamma_inverse and the injectivity test share
+its factor (beta X + P)*.  All compute on the component arrays through kalg's
+private kernels, in the operations and order of the same formulas on Mat
+values, so every result is the same to the bit.  Their only inversions are
+k x k, by kalg._invert: pi + P* at the caller's tol and the core
+I + X*X + Y (group.b_matrix).  Inputs are checked where they enter: a
+TangentCoords's shapes, base ring and skew-Hermitian Y when it is built, y's
+in gamma_inverse, and every result by the x*x = I check of StiefelPoint,
+which for a group element (a lift, a section's value; k = n) is A*A = I.
 """
 
 from __future__ import annotations
@@ -197,37 +197,44 @@ def complete_lift(x: StiefelPoint) -> Lift:
     return Lift(x, StiefelPoint(Mat._trusted(field, A)))
 
 
-def _lift_blocks(lift: Lift) -> tuple[np.ndarray, np.ndarray]:
-    """The lift's beta and P as component arrays.  beta is copied, as
-    Lift.beta copies it, so that its products get the contiguous operand
-    of the Mat formulas."""
-    nk = lift.n - lift.k
-    return lift.A.m.data[nk:, :nk].copy(), lift.point.m.data[nk:]
+def _right_factor(fld: Field, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(rows [X; I])* for a block of rows of a lift and an (n-k) x k X: on the
+    last k rows [beta P], (beta X + P)*."""
+    XI = np.concatenate([X, np.zeros((X.shape[1], X.shape[1], fld.ncomp))])  # [X; I]
+    kalg._shift_diagonal(XI[len(X):], 1.0)
+    return kalg._conj_transpose(kalg._product(fld, rows, XI))
+
+
+def _cayley_rows(t: TangentCoords, rows: np.ndarray) -> np.ndarray:
+    """c(Z) W for a block of rows of the lift A and W = rows*: the one Cayley
+    kernel.  As c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I], b = group.b_matrix(t),
+    it is W + [-2 X b R; 2 (b R - W_bot)], R = (rows [X; I])* (_right_factor)
+    and W_bot the last k rows of W: one k x k inversion, linear in the rows."""
+    fld, X = t.field, t.X.data
+    W = kalg._conj_transpose(rows)
+    bR = kalg._product(fld, group.b_matrix(t).data, _right_factor(fld, rows, X))
+    return W + np.concatenate([kalg._product(fld, X, bR) * -2.0,
+                               (bR - W[len(X):]) * 2.0])
 
 
 def gamma(t: TangentCoords) -> StiefelPoint:
-    """The Stiefel Cayley transform of the tangent vector with coordinates t.
-
-    Evaluates 2 [-Xb; b] (beta X + P)* + [beta*; -P*] with b = (I + X*X + Y)^{-1};
-    that k x k core has every singular value at least 1 less half the slack
-    of Y's skew check (group.b_matrix), so gamma takes no tol.  Y was checked
-    when t was built and is not checked again.
+    """The Stiefel Cayley transform of the tangent vector with coordinates t:
+    rho of cayley_block(t), the Cayley kernel on the lift's last k rows
+    [beta P] in O(n k^2), 2 [-Xb; b] (beta X + P)* + [beta*; -P*].  The core b
+    has every singular value at least 1 (group.b_matrix), so gamma takes no
+    tol, and Y, checked when t was built, is not checked again.
     """
-    fld, X = t.field, t.X.data
-    beta, P = _lift_blocks(t.lift)
-    b = group.b_matrix(t).data
-    right = kalg._conj_transpose(kalg._product(fld, beta, X) + P)
-    top = kalg._product(fld, kalg._product(fld, X, b), right) * -2.0 + kalg._conj_transpose(beta)
-    bot = kalg._product(fld, b, right) * 2.0 - kalg._conj_transpose(P)
-    return StiefelPoint(Mat._trusted(fld, np.concatenate([top, bot])))
+    rows = t.lift.A.m.data[t.lift.n - t.lift.k:]
+    return StiefelPoint(Mat._trusted(t.field, _cayley_rows(t, rows)))
 
 
 def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> TangentCoords:
     """Tangent coordinates mapping to y under the Stiefel Cayley transform.
 
-    With C = pi + P*, X = -(tau - beta*) C^{-1}.  The core is
-    b = (1/2) C D^{-1} with D = (beta X + P)*, so Y, the skew-Hermitian part
-    of b^{-1} = 2 D C^{-1}, needs no inverse but C^{-1}.  Requires y in the
+    With [beta*; P*] the conjugate transpose of the lift's last k rows and
+    C = pi + P*, X = -(tau - beta*) C^{-1}.  The core is b = (1/2) C D^{-1}
+    with D = (beta X + P)* (_right_factor), so Y, the skew-Hermitian part of
+    b^{-1} = 2 D C^{-1}, needs no inverse but C^{-1}.  Requires y in the
     Cayley open subset of the lift's base point: C must pass mat_inverse's
     test at tol (kalg._invert).  Taking the skew-Hermitian part makes Y exactly
     skew-Hermitian, so Y is not checked again, here or by local_section.
@@ -235,48 +242,39 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     if (y.n, y.k) != (lift.n, lift.k) or y.field is not lift.field:
         raise ValueError("y must share the lift's shape and base ring")
     fld, nk = lift.field, lift.n - lift.k
-    beta, P = _lift_blocks(lift)
+    rows = lift.A.m.data[nk:]
+    W = kalg._conj_transpose(rows)
     tau, pi = y.m.data[:nk], y.m.data[nk:]
     try:
-        C_inv = kalg._invert(fld, pi + kalg._conj_transpose(P), tol)
+        C_inv = kalg._invert(fld, pi + W[nk:], tol)
     except Singular as exc:
         raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
-    X = -kalg._product(fld, tau - kalg._conj_transpose(beta), C_inv)
-    D = kalg._conj_transpose(kalg._product(fld, beta, X) + P)
-    B = kalg._product(fld, D, C_inv) * 2.0
+    X = -kalg._product(fld, tau - W[:nk], C_inv)
+    B = kalg._product(fld, _right_factor(fld, rows, X), C_inv) * 2.0
     Y = (B - kalg._conj_transpose(B)) * 0.5
     return TangentCoords._trusted(lift, Mat._trusted(fld, X), Mat._trusted(fld, Y))
 
 
 def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> bool:
-    """Whether the differential at t is injective: invertibility of beta X + P.
+    """Whether the differential at t is injective: whether (beta X + P)*, the
+    factor of gamma and gamma_inverse (_right_factor), is invertible.
 
     This is also where the transform itself is injective, and the criterion
     does not depend on the choice of lift.
     """
-    return kalg.is_invertible(t.lift.beta @ t.X + t.lift.P, tol)
+    D = _right_factor(t.field, t.lift.A.m.data[t.lift.n - t.lift.k:], t.X.data)
+    return kalg.is_invertible(Mat._trusted(t.field, D), tol)
 
 
 def cayley_block(t: TangentCoords) -> StiefelPoint:
     """The group Cayley transform based at the lift A of the tangent A Z:
     the group element c(Z) A*, the value of group.cayley_at(A, t.ambient_group()).
 
-    As c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I] with b = (I + X*X + Y)^{-1}
-    (group.b_matrix), that is the rank-k update A* + [-2X bV*; 2(bV* - x*)]
-    with V = A [X; I]: one k x k inversion and O(n^2 k) work.  On the
-    identity lift of the base frame [0; I] it is c(Z).
+    The Cayley kernel on all rows of A, a rank-k update of A* in O(n^2 k);
+    its last k columns are gamma(t).  On the identity lift of the base frame
+    [0; I] it is c(Z).
     """
-    lift = t.lift
-    fld, n, k = lift.field, lift.n, lift.k
-    A, X = lift.A.m.data, t.X.data
-    b = group.b_matrix(t).data
-    XI = np.zeros((n, k, fld.ncomp))  # [X; I]
-    XI[:n - k] = X
-    kalg._shift_diagonal(XI[n - k:], 1.0)
-    bVh = kalg._product(fld, b, kalg._conj_transpose(kalg._product(fld, A, XI)))
-    update = np.concatenate([kalg._product(fld, X, bVh) * -2.0,
-                             (bVh - kalg._conj_transpose(lift.point.m.data)) * 2.0])
-    return StiefelPoint(Mat._trusted(fld, kalg._conj_transpose(A) + update))
+    return StiefelPoint(Mat._trusted(t.field, _cayley_rows(t, t.lift.A.m.data)))
 
 
 def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
@@ -298,14 +296,15 @@ def contraction(lift: Lift, y: StiefelPoint, t: float,
     return gamma(gamma_inverse(lift, y, tol).scaled(t))
 
 
-def lift_change_equivariance_check(lift: Lift, E: StiefelPoint, t: TangentCoords) -> float:
+def lift_change_equivariance_check(E: StiefelPoint, t: TangentCoords) -> float:
     """Residual of the lift-change identity for the Stiefel Cayley transform.
 
-    Replacing the lift A by A * diag(E, I_k), for a group element E of order
-    n - k (an (n-k) x (n-k) StiefelPoint), multiplies the transform's
-    value by diag(E*, I_k) on the left; this returns the Frobenius norm of
-    the difference between the two sides.
+    Replacing t's lift A by A * diag(E, I_k), for a group element E of order
+    n - k (an (n-k) x (n-k) StiefelPoint), and X by E* X multiplies the
+    transform's value by diag(E*, I_k) on the left; this returns the
+    Frobenius norm of the difference between the two sides.
     """
+    lift = t.lift
     n, nk = lift.n, lift.n - lift.k
     if E.m.shape != (nk, nk):
         raise ValueError(f"E must be {nk} x {nk}: it acts on the first n - k columns")

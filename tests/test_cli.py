@@ -334,12 +334,12 @@ class TestGoldenOutput:
     600 samples uncovered, so its witnesses pin the bits of the sampled frames."""
 
     GOLDEN = {
-        ("demo", "real"): "39f5587c751b2d804d3324761e0e1ee408892dad9ac5efbc758e5c31a336392e",
-        ("demo", "complex"): "72bd6c3b1ea57417430a3297fafdc9747c3824f91ac240a7038eb04901aeb7f3",
-        ("demo", "quaternion"): "d6a905067c0dea7e5438e6cf1b081fc38c0724367d9464366b5db53ecc293acd",
-        ("check", "real"): "4e268a58d56156b8e2a01c0558168fccd76bc8efdc48408d5471cf811c15dbe4",
-        ("check", "complex"): "f2caa09cdfe243c17d5c0405e18de387a9455913c7654244d7ca91aa7357ddc2",
-        ("check", "quaternion"): "661802eb5542bd542ce5e697b44c26dfd32e1bc09641502fe6a5eb0de6a1a111",
+        ("demo", "real"): "a8823e14fb2ae1b67c619f3625868e2333105147651ca22161fb0a4eb8de9f1b",
+        ("demo", "complex"): "dd03a2b57caa6a237a4f75e276210a2bced8932df7f49f3fa404d819114c2f4c",
+        ("demo", "quaternion"): "258aaa14c288546e6fdd16e0e133930ca147cd975a6b62e277732940dbb5aaa0",
+        ("check", "real"): "2f80ca9f54df811800fc2d2e386d23414261af3c110b7bb952a8c1c827656072",
+        ("check", "complex"): "056bba1a62d7e3d0babfd24ba746a9ca31dd60e87b50edd6a574d96c895414c0",
+        ("check", "quaternion"): "825982dfd375ace3bdd668355375cce48bb790bc38a59fc112b20c4c7669e7a2",
         ("optimize", "real"): "cdd8f27eb9327e429b56f509533e9d31df319b5c7493d64443b97a0a0d2bf11e",
         ("optimize", "complex"): "51df63b265a821b6c4b47ad4e711787850d9e742fe849f4aaa4b756187d7b93b",
         ("optimize", "quaternion"): "4c76439182159ff8fd8bf5813b39c0d0190e7975e2e5c21cc436a4ffe3d7a4c9",

@@ -166,6 +166,13 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             verify_cover(4, 2, default_ladder(2), samples, -1)
 
+    # the rule of samples: numpy's generators would raise TypeError for 1.5
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3"])
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_rejects_non_integer_seed(self, samples, seed):
+        with pytest.raises(ValueError, match="seed must be nonnegative and an integer"):
+            verify_cover(4, 2, default_ladder(2), samples, seed)
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
     def test_rejects_unusable_tol(self, field, tol):
         # nan and -1 would put every sample in every member, inf in none

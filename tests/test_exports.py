@@ -63,3 +63,16 @@ def test_every_public_definition_has_a_caller(module):
                                          if not (p == path and part.lineno == item.lineno)):
                 uncalled.append(f"{node.name}.{item.name}")
     assert uncalled == []
+
+
+@pytest.mark.parametrize("module", MODULES + ("cli", "__main__"))
+def test_every_private_function_has_a_caller_in_src(module):
+    # a module-level helper that only tests or the bench reach is dead code in the
+    # library; its own body does not count as its caller
+    units = [u for u in _program_units() if u[0].parent == PACKAGE]
+    path = PACKAGE / f"{module}.py"
+    uncalled = [node.name for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and not any(node.name in names for p, stmt, _, names in units
+                            if not (p == path and stmt.lineno == node.lineno))]
+    assert uncalled == []

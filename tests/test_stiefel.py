@@ -58,36 +58,38 @@ def mat_b_matrix(t):
     return kalg.mat_inverse(kalg.identity(X.cols, X.field) + X.H @ X + t.Y)
 
 
-def mat_gamma(t):
-    """stiefel.gamma on Mat values: the reference for its arithmetic on component arrays."""
+def mat_cayley_block(t, rows=None):
+    """stiefel.cayley_block on Mat values, and on a block of the lift's rows
+    c(Z) rows* (stiefel._cayley_rows)."""
     lift, X = t.lift, t.X
+    rows = lift.A.m if rows is None else rows
     b = mat_b_matrix(t)
-    right = (lift.beta @ X + lift.P).H
-    top = -2.0 * ((X @ b) @ right) + lift.beta.H
-    bot = 2.0 * (b @ right) - lift.P.H
-    return StiefelPoint(kalg.vstack(top, bot))
+    bVh = b @ (rows @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
+    W = rows.H
+    update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - W.block(X.rows, W.rows, 0, W.cols)))
+    return StiefelPoint(W + update)
+
+
+def mat_gamma(t):
+    """stiefel.gamma on Mat values: the block formula on the lift's last k rows."""
+    lift = t.lift
+    return mat_cayley_block(t, lift.A.m.block(lift.n - lift.k, lift.n, 0, lift.n))
 
 
 def mat_gamma_inverse(lift, y, tol=kalg.DEFAULT_TOL):
     """stiefel.gamma_inverse on Mat values."""
-    tau, pi = y.m.block(0, y.n - y.k, 0, y.k), y.P
+    n, k, nk = lift.n, lift.k, lift.n - lift.k
+    rows = lift.A.m.block(nk, n, 0, n)
+    W = rows.H  # [beta*; P*]
+    tau, pi = y.m.block(0, nk, 0, k), y.P
     try:
-        C_inv = kalg.mat_inverse(pi + lift.P.H, tol)
+        C_inv = kalg.mat_inverse(pi + W.block(nk, n, 0, k), tol)
     except Singular as exc:
         raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
-    X = -((tau - lift.beta.H) @ C_inv)
-    D = (lift.beta @ X + lift.P).H
+    X = -((tau - W.block(0, nk, 0, k)) @ C_inv)
+    D = (rows @ kalg.vstack(X, kalg.identity(k, lift.field))).H
     Y = kalg.skew_hermitian_part(2.0 * (D @ C_inv))
     return TangentCoords._trusted(lift, X, Y)
-
-
-def mat_cayley_block(t):
-    """stiefel.cayley_block on Mat values."""
-    lift, X = t.lift, t.X
-    b = mat_b_matrix(t)
-    bVh = b @ (lift.A.m @ kalg.vstack(X, kalg.identity(lift.k, lift.field))).H
-    update = kalg.vstack(-2.0 * (X @ bVh), 2.0 * (bVh - lift.point.m.H))
-    return StiefelPoint(lift.A.m.H + update)
 
 
 def mat_local_section(lift, y):
@@ -518,6 +520,14 @@ class TestCayleyBlock:
             dense = group.cayley_at(lift.A, t.ambient_group())
             assert fro(stiefel.cayley_block(t).m - dense) <= 1e-12
 
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (5, 2), (16, 4), (4, 0)])
+    def test_last_columns_are_gamma(self, field, n, k):
+        # gamma is rho of the group transform, as in the paper
+        for s in range(4):
+            _, t = random_lift_tangent(n, k, field, 640 + s)
+            last = stiefel.rho(stiefel.cayley_block(t), k)
+            assert fro(stiefel.gamma(t).m - last.m) <= 1e-14
+
 
 class TestCoreCounts:
     """Each k x k core is inverted once and the section is checked once."""
@@ -832,29 +842,28 @@ class TestContraction:
 
 class TestEquivariance:
     def test_rejects_e_that_is_not_n_minus_k_square(self, field):
-        lift, t = random_lift_tangent(5, 2, field, 37)
+        _, t = random_lift_tangent(5, 2, field, 37)
         for E in (stiefel.rho(StiefelPoint(kalg.identity(3, field)), 2),
                   StiefelPoint(kalg.identity(4, field))):
             with pytest.raises(ValueError, match="E must be 3 x 3"):
-                stiefel.lift_change_equivariance_check(lift, E, t)
+                stiefel.lift_change_equivariance_check(E, t)
 
     def test_identity_change(self, field):
-        lift, t = random_lift_tangent(5, 2, field, 37)
+        _, t = random_lift_tangent(5, 2, field, 37)
         E = StiefelPoint(kalg.identity(3, field))
-        assert stiefel.lift_change_equivariance_check(lift, E, t) <= 1e-14
+        assert stiefel.lift_change_equivariance_check(E, t) <= 1e-14
 
     def test_zero_tangent(self, field):
         lift, _ = random_lift_tangent(5, 2, field, 38)
         E = StiefelPoint(group.cayley_at_identity(0.5 * random_skew(3, field, 39)))
-        assert stiefel.lift_change_equivariance_check(
-            lift, E, zero_tangent(lift)) <= 1e-12
+        assert stiefel.lift_change_equivariance_check(E, zero_tangent(lift)) <= 1e-12
 
     def test_random(self, field):
         for s in range(5):
-            lift, t = random_lift_tangent(6, 2, field, 800 + s)
+            _, t = random_lift_tangent(6, 2, field, 800 + s)
             E = StiefelPoint(group.cayley_at_identity(
                 0.5 * random_skew(4, field, 900 + s)))
-            assert stiefel.lift_change_equivariance_check(lift, E, t) <= 1e-10
+            assert stiefel.lift_change_equivariance_check(E, t) <= 1e-10
 
 
 class TestPointValidation:

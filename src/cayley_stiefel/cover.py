@@ -9,10 +9,12 @@ module tests it on pi + (cos theta_i) I_k without forming the frames, and
 stress-tests the cover claim on random samples.
 
 The verifier works on stacks of samples: one Gram-Schmidt over the
-(S, n, k) Gaussian draws, then one stacked singular-value test per angle
-on the (S, k, k) bottom blocks.  All samples of one run come from a single
-stream, np.random.default_rng(seed), and stacking never changes what it
-draws: sample 0 is random_stiefel_point(seed), and the report equals
+(S, n, k) Gaussian draws, then one stacked singularity decision for the
+shifted (S, k, k) bottom blocks of every angle at once, which runs an SVD
+only on blocks that the residual of their LAPACK inverse cannot decide.
+All samples of one run come from a single stream,
+np.random.default_rng(seed), and stacking never changes what it draws:
+sample 0 is random_stiefel_point(seed), and the report equals
 cover_membership applied to each frame of one unstacked draw.
 """
 
@@ -65,15 +67,20 @@ def _memberships(field: Field, pi: np.ndarray, ladder: ThetaLadder,
                  tol: float) -> np.ndarray:
     """(S, len(ladder)) booleans: whether pi_s + (cos theta_i) I_k is invertible.
 
-    pi holds the components (S, k, k, ncomp) of S bottom blocks; each angle
-    costs one stacked singular-value test.
+    pi holds the components (S, k, k, ncomp) of S bottom blocks.  The shifted
+    blocks of every sample and angle, sample by sample, form one stack, which
+    kalg._invertible_stack decides in calls of at most _CHUNK members: one
+    LAPACK inversion each, and an SVD only for blocks whose residual cannot
+    decide.
     """
-    out = np.empty((pi.shape[0], len(ladder)), dtype=bool)
-    for i, theta in enumerate(ladder.angles):
-        shifted = pi.copy()
-        kalg._shift_diagonal(shifted, math.cos(theta))
-        out[:, i] = kalg._invertible_operand(field, shifted, tol)[1]
-    return out
+    cos = np.array([math.cos(theta) for theta in ladder.angles])
+    out = np.empty(len(pi) * len(cos), dtype=bool)
+    for start in range(0, len(out), _CHUNK):
+        member = np.arange(start, min(start + _CHUNK, len(out)))
+        shifted = pi[member // len(cos)]
+        kalg._shift_diagonal(shifted, cos[member % len(cos), None])
+        out[start:start + _CHUNK] = kalg._invertible_stack(field, shifted, tol)
+    return out.reshape(len(pi), len(cos))
 
 
 def cover_membership(y: StiefelPoint, ladder: ThetaLadder,

@@ -17,13 +17,18 @@ silently commute.
 The product, the conjugate transpose and the singularity test are written
 once, on stacks of component arrays of shape (S, rows, cols, ncomp), so S
 matrices cost one numpy or LAPACK call and not S of them.  The random
-frames of stiefel and the cover test use these private stacked forms;
-Mat products and conjugate transposes and is_invertible are their case
-with no stack axis.  Every inversion is _invert, on component arrays:
-LAPACK inverts first, and the SVD test runs only where the residual of
-that inverse cannot prove the test passes.  mat_inverse is _invert on Mat
-values; the library's transforms and its search curve call _invert on
-their k x k and 2k x 2k cores directly.
+frames of stiefel use these private stacked forms; Mat products and
+conjugate transposes and is_invertible are their case with no stack axis.
+One rule decides singularity wherever an inverse is formed: LAPACK
+inverts first, and the SVD test runs only where the residual of that
+inverse cannot prove the test passes (_residual_proves).  _invert applies
+it to one matrix: mat_inverse is _invert on Mat values, and the library's
+transforms and its search curve call _invert on their k x k and 2k x 2k
+cores directly.  _invertible_stack applies it to every member of a stack
+with one LAPACK inversion, and the SVD runs on the members left; the
+cover test decides its shifted blocks with it.  is_invertible stays on
+the SVD: for one small matrix one SVD costs less than that decision on a
+stack of one.
 
 Validation happens at the boundaries.  The public constructor Mat(field,
 data) copies its input and rejects non-finite and complex entries (a
@@ -117,8 +122,9 @@ def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _components(_view(field, a) @ _view(field, b))
 
 
-def _shift_diagonal(data: np.ndarray, c: float) -> None:
-    """Add c I to every matrix of a C-contiguous (..., n, n, ncomp) stack, in place."""
+def _shift_diagonal(data: np.ndarray, c: float | np.ndarray) -> None:
+    """Add c I to every matrix of a C-contiguous (..., n, n, ncomp) stack, in
+    place; c is a float, or an array of shape (..., 1) with one per matrix."""
     n, nc = data.shape[-2], data.shape[-1]
     # a strided view of the diagonal: fancy indexing costs several times more
     data.reshape(*data.shape[:-3], n * n, nc)[..., ::n + 1, 0] += c
@@ -131,10 +137,16 @@ def _conj_transpose(data: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_squares(a: np.ndarray) -> np.ndarray:
+    """|member|_F^2 for each member of a real or complex stack, summed as
+    np.linalg.norm sums one."""
+    flat = a.reshape(len(a), 1, -1).view(np.float64)
+    return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
+
+
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member of a stack, summed as np.linalg.norm sums one."""
-    flat = a.reshape(len(a), 1, -1)
-    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
+    """Frobenius norm of each member of a stack."""
+    return np.sqrt(_sum_squares(a))
 
 
 def _frame_residuals(field: Field, data: np.ndarray) -> np.ndarray:
@@ -340,13 +352,12 @@ def _invertible_operand(field: Field, data: np.ndarray,
     return a, invertible, s
 
 
-def _invert(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
-    """Components of the inverse of a square (n, n, ncomp) matrix M, by LAPACK
-    on its operand A (_operand), under the singularity test of mat_inverse.
+def _residual_proves(r_sq, a_sq, b_sq, p: int, tol: float):
+    """Whether a computed inverse B of A proves that A passes the singularity
+    test at tol, from the squared Frobenius norms of R = I - A B, A and B.
 
-    LAPACK inverts first, giving B, and B alone decides the test when the
-    computed R = I - A B has |R|_F <= 1/4 and 4 |A|_F |B|_F e <= 1, with
-    e = max(tol, p 2^-50) and p the order of A (n, or 2n over H):
+    B proves it when |R|_F <= 1/4 and 4 |A|_F |B|_F e <= 1, with
+    e = max(tol, p 2^-50) and p the order of A:
 
     - Forming A B rounds by at most 5 p u |A|_F |B|_F <= 5/32, u = 2^-53
       (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -359,11 +370,24 @@ def _invert(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
       largest and tol times the computed largest does not: the test passes.
       The margins absorb the rounding of the norms.
 
-    Otherwise the SVD test of _invertible_operand decides, and B is returned
-    if it passes.  Either way the result is the same np.linalg.inv of the
-    same operand.  Over H the inverse of the adjoint is the adjoint of
-    M^{-1}, whose (i, 0) rows hold (Z1', Z2') interleaved.  Raises
-    Singular and ValueError as mat_inverse does.
+    Floats for one matrix, arrays over a stack; a NaN norm, as inf * 0 gives,
+    proves nothing.
+    """
+    e = max(tol, p * 2.0 ** -50)
+    return (r_sq <= 0.0625) & (16.0 * a_sq * b_sq * e * e <= 1.0)
+
+
+def _invert(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
+    """Components of the inverse of a square (n, n, ncomp) matrix M, by LAPACK
+    on its operand A (_operand), under the singularity test of mat_inverse.
+
+    LAPACK inverts first, giving B, and B alone decides the test when its
+    residual proves that the test passes (_residual_proves, p = n, or 2n over
+    H).  Otherwise the SVD test of _invertible_operand decides, and B is
+    returned if it passes.  Either way the result is the same np.linalg.inv
+    of the same operand.  Over H the inverse of the adjoint is the adjoint of
+    M^{-1}, whose (i, 0) rows hold (Z1', Z2') interleaved.  Raises Singular
+    and ValueError as mat_inverse does.
     """
     _validate_tol(tol)
     if data.shape[-3] != data.shape[-2]:
@@ -381,11 +405,10 @@ def _invert(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
     else:
         r = a.dot(inv)
         r.reshape(-1)[::p + 1] -= 1.0  # A B - I
-        # Python floats: inf * 0 gives NaN, which fails the test, with no warning
-        e = max(float(tol), p * 2.0 ** -50)
         a_sq = 2.0 * sq if field is Field.QUATERNION else sq  # |A|_F^2: chi doubles it
-        if (np.vdot(r, r).real <= 0.0625
-                and 16.0 * a_sq * float(np.vdot(inv, inv).real) * e * e <= 1.0):
+        # Python floats: inf * 0 gives NaN, which proves nothing, with no warning
+        if _residual_proves(float(np.vdot(r, r).real), a_sq,
+                            float(np.vdot(inv, inv).real), p, float(tol)):
             return _from_operand(field, inv)
     _, invertible, s = _invertible_operand(field, data, tol)
     if not invertible:
@@ -394,6 +417,47 @@ def _invert(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
     if inv is None:  # LAPACK found an exactly zero pivot
         raise Singular(str(failure)) from failure
     return _from_operand(field, inv)
+
+
+def _invertible_stack(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each member of an (S, n, n, ncomp) stack passes the singularity
+    test of mat_inverse: one boolean per member, decided as _invert decides.
+
+    One np.linalg.inv inverts the stack of operands, and a member whose
+    residual proves the test (_residual_proves) needs nothing more.  The SVD
+    test of _invertible_operand decides the members left, and the whole stack
+    when LAPACK meets an exactly zero pivot, which fails the stacked call, or
+    when tol is so large that no residual can prove the test.  A member
+    with an entry that is not finite fails, and LAPACK sees the identity in
+    its place.  Raises ValueError for a tol outside [0, inf)
+    and, through _invertible_operand, for matrices that are not square.
+    """
+    _validate_tol(tol)
+    screened, finite = data, True
+    if not math.isfinite(np.vdot(data, data)):  # the screen of _invertible_operand
+        finite = np.isfinite(data).all(axis=(1, 2, 3))
+        screened = np.where(finite[:, None, None, None], data,
+                            identity(data.shape[1], field).data)
+    a = _operand(field, screened)
+    p = a.shape[-1]
+    # every inverse has |A|_F |B|_F >= p: if R = 0 at that bound proves nothing, none can
+    if not _residual_proves(0.0, p, p, p, float(tol)):
+        return _invertible_operand(field, data, tol)[1]
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # a zero pivot, or a stack that is not square
+        return _invertible_operand(field, data, tol)[1]
+    r = a @ inv
+    r.reshape(len(r), -1)[:, ::p + 1] -= 1.0  # A B - I
+    # an overflowing sum of squares is inf, and inf * 0 NaN: either proves nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        proved = _residual_proves(_sum_squares(r), _sum_squares(a), _sum_squares(inv), p,
+                                  float(tol))
+    invertible = proved & finite
+    undecided = np.flatnonzero(~proved)  # all finite: the identity's inverse proves it
+    if len(undecided):
+        invertible[undecided] = _invertible_operand(field, data[undecided], tol)[1]
+    return invertible
 
 
 def _from_operand(field: Field, a: np.ndarray) -> np.ndarray:

@@ -62,6 +62,17 @@ def svd_test_runs(fld, data, tol):
     return False if cond <= 1.0 / (8.0 * p * e) else None
 
 
+def conditioned(field, n, cond, seed, scale=1.0):
+    """Components of scale U diag(s) V* with U, V random unitary over the field
+    and s falling geometrically from 1 to 1/cond (to 0 for cond = inf)."""
+    u, v = (stiefel.random_stiefel_point(n, n, field, seed + i).m for i in (0, 1))
+    s = np.zeros((n, n, field.ncomp))
+    s[range(n), range(n), 0] = np.geomspace(1.0, 1.0 / cond, n) if cond < np.inf else 1.0
+    if cond == np.inf:
+        s[n - 1, n - 1, 0] = 0.0
+    return scale * (u @ Mat(field, s) @ v.H).data
+
+
 def scalar(value, fld):
     """1 x 1 matrix from raw scalar components."""
     return kalg.Mat(fld, np.asarray(value, dtype=np.float64).reshape(1, 1, fld.ncomp))

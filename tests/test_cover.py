@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import in_cayley_open, theta_frame
+from conftest import conditioned, in_cayley_open, svd_test_runs, theta_frame
 
 from cayley_stiefel import cover, kalg, stiefel
 from cayley_stiefel.cover import (DimensionError, ThetaLadder, cover_membership,
@@ -185,16 +185,34 @@ class TestVerifyCover:
                                "uncovered", "multiplicity_histogram", "witnesses"}
 
 
+def singular_values(fld, block):
+    """numpy's singular values of a k x k block: of its complex adjoint
+    [[Z1, Z2], [-conj Z2, conj Z1]] over H, for M = Z1 + Z2 j."""
+    if fld is Field.REAL:
+        return np.linalg.svd(block[..., 0], compute_uv=False)
+    z1 = block[..., 0] + 1j * block[..., 1]
+    if fld is Field.COMPLEX:
+        return np.linalg.svd(z1, compute_uv=False)
+    z2 = block[..., 2] + 1j * block[..., 3]
+    return np.linalg.svd(np.block([[z1, z2], [-z2.conj(), z1.conj()]]), compute_uv=False)
+
+
 def reference_report(n, k, ladder, samples, seed, fld, tol=kalg.DEFAULT_TOL):
-    """verify_cover's report: cover_membership on each frame of one unstacked draw."""
+    """verify_cover's report from one unstacked draw, with membership decided
+    here: sample y is in member i unless sigma_min <= tol sigma_max for
+    pi + (cos theta_i) I, pi its bottom block."""
     frames = stiefel._random_frames(n, k, fld, np.random.default_rng(seed), samples)
     histogram, witnesses = {}, []
     for s in range(samples):
-        y = StiefelPoint(Mat(fld, frames[s]))
-        members = cover_membership(y, ladder, tol)
-        histogram[len(members)] = histogram.get(len(members), 0) + 1
+        members = 0
+        for theta in ladder.angles:
+            block = frames[s, n - k:].copy()
+            block[range(k), range(k), 0] += math.cos(theta)
+            sv = singular_values(fld, block)
+            members += not sv[-1] <= tol * sv[0]
+        histogram[members] = histogram.get(members, 0) + 1
         if not members:
-            witnesses.append(stiefel.point_to_json(y))
+            witnesses.append(stiefel.point_to_json(StiefelPoint(Mat(fld, frames[s]))))
     return {"n": n, "k": k, "field": fld.value, "angles": list(ladder.angles),
             "samples": samples, "uncovered": len(witnesses),
             "multiplicity_histogram": {str(m): c for m, c in sorted(histogram.items())},
@@ -273,32 +291,99 @@ class TestStackedVerifier:
 
 
 class TestSvdCounts:
-    """One stacked SVD per ladder angle: per stack of samples in verify_cover."""
+    """The cover decides every shifted block by the residual of its LAPACK
+    inverse; an SVD runs only on blocks the residual cannot decide."""
 
     @staticmethod
     def count(monkeypatch):
-        calls = [0]
+        """The operand stacks that reach np.linalg.svd, recorded."""
+        calls = []
         svd = np.linalg.svd
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return svd(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(kalg.np.linalg, "svd", counted)
         return calls
 
     def test_verify_cover(self, field, monkeypatch):
-        ladder = default_ladder(2)
         calls = self.count(monkeypatch)
-        verify_cover(4, 2, ladder, 2 * cover._CHUNK + 1, 5, field)
-        assert calls[0] == 3 * len(ladder)
+        verify_cover(4, 2, default_ladder(2), 2 * cover._CHUNK + 1, 5, field)
+        assert calls == []
 
     def test_cover_membership(self, field, monkeypatch):
-        ladder = default_ladder(3)
         y = stiefel.random_stiefel_point(6, 3, field, 5)
         calls = self.count(monkeypatch)
-        cover_membership(y, ladder)
-        assert calls[0] == len(ladder)
+        cover_membership(y, default_ladder(3))
+        assert calls == []
+
+    def test_planted_blocks_alone_reach_the_svd(self, field, monkeypatch):
+        # samples 2 and 5 have pi + (cos theta_1) I of condition about 1e14, so
+        # no inverse can prove it invertible at tol 1e-12; the other blocks are generic
+        k, ladder, tol = 2, default_ladder(2), kalg.DEFAULT_TOL
+        frames = stiefel._random_frames(4, k, field, np.random.default_rng(3), 8)
+        pi = frames[:, 4 - k:].copy()
+        for s in (2, 5):
+            pi[s] = conditioned(field, k, 1e14, s)
+            pi[s, range(k), range(k), 0] -= math.cos(ladder.angles[1])
+        shifted = np.repeat(pi, len(ladder), axis=0)
+        for i, theta in enumerate(ladder.angles):
+            shifted[i::len(ladder), range(k), range(k), 0] += math.cos(theta)
+        must_run = [svd_test_runs(field, block, tol) for block in shifted]
+        planted = [3 * s + 1 for s in (2, 5)]
+        assert must_run == [m in planted for m in range(len(shifted))]
+        calls = self.count(monkeypatch)
+        members = cover._memberships(field, pi, ladder, tol)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], kalg._operand(field, shifted[planted]))
+        assert members.ravel().tolist() == [m not in planted for m in range(len(shifted))]
+
+
+class TestEdgeCases:
+    """Sizes at the edges of the stacked decision."""
+
+    def test_k_zero(self, field):
+        # 0 x 0 blocks are invertible: every sample is in the one member
+        report = verify_cover(2, 0, default_ladder(0), 7, 1, field)
+        assert report["multiplicity_histogram"] == {"1": 7}
+        assert report["uncovered"] == 0
+
+    def test_empty_ladder_covers_nothing(self, field):
+        report = verify_cover(4, 2, ThetaLadder(()), 3, 1, field)
+        assert report["multiplicity_histogram"] == {"0": 3}
+        frames = stiefel._random_frames(4, 2, field, np.random.default_rng(1), 3)
+        assert report["witnesses"] == [stiefel.point_to_json(StiefelPoint(Mat(field, f)))
+                                       for f in frames]
+
+    def test_no_samples(self, field):
+        report = verify_cover(4, 2, default_ladder(2), 0, 1, field)
+        assert (report["uncovered"], report["multiplicity_histogram"]) == (0, {})
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_unusable_tol_is_rejected_before_any_draw(self, field, tol, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew frames")
+
+        monkeypatch.setattr(stiefel, "_random_frames", no_draw)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            verify_cover(8, 4, default_ladder(4), 20, 1, field, tol)
+
+    def test_no_decision_call_exceeds_a_chunk(self, field, monkeypatch):
+        # (k + 1) samples' worth of blocks per chunk of samples: memory stays bounded
+        sizes = []
+        invertible_stack = kalg._invertible_stack
+
+        def recorded(fld, data, tol):
+            sizes.append(len(data))
+            return invertible_stack(fld, data, tol)
+
+        monkeypatch.setattr(kalg, "_invertible_stack", recorded)
+        samples = 2 * cover._CHUNK + 1
+        report = verify_cover(8, 4, default_ladder(4), samples, 2, field)
+        assert max(sizes) <= cover._CHUNK
+        assert sum(sizes) == 5 * samples
+        assert report["multiplicity_histogram"] == {"5": samples}
 
 
 class TestGeneratorCounts:

@@ -76,3 +76,16 @@ def test_every_private_function_has_a_caller_in_src(module):
                 and not any(node.name in names for p, stmt, _, names in units
                             if not (p == path and stmt.lineno == node.lineno))]
     assert uncalled == []
+
+
+def test_inversions_and_svds_stay_in_kalg():
+    # every singularity decision is kalg's: no other module inverts or runs an SVD
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("inv", "svd")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                found.append((path.name, node.module))
+    assert found and {name for name, _ in found} == {"kalg.py"}

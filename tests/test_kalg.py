@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (assert_same_bits, mat_payload, random_lift_tangent, random_skew,
-                      scalar, svd_test_runs)
+from conftest import (assert_same_bits, conditioned, mat_payload, random_lift_tangent,
+                      random_skew, scalar, svd_test_runs)
 
 from cayley_stiefel import cover, group, kalg, stiefel
 from cayley_stiefel.kalg import Field, Mat, Singular
@@ -262,17 +263,6 @@ class TestIsInvertible:
             assert alone and np.array_equal(s[i], s_alone)
 
 
-def conditioned(field, n, cond, seed, scale=1.0):
-    """Components of scale U diag(s) V* with U, V random unitary over the field
-    and s falling geometrically from 1 to 1/cond (to 0 for cond = inf)."""
-    u, v = (stiefel.random_stiefel_point(n, n, field, seed + i).m for i in (0, 1))
-    s = np.zeros((n, n, field.ncomp))
-    s[range(n), range(n), 0] = np.geomspace(1.0, 1.0 / cond, n) if cond < np.inf else 1.0
-    if cond == np.inf:
-        s[n - 1, n - 1, 0] = 0.0
-    return scale * (u @ Mat(field, s) @ v.H).data
-
-
 def reference_inverse(field, data, tol):
     """mat_inverse with the SVD test on every matrix: Singular, or the components
     of LAPACK's inverse of the operand."""
@@ -289,16 +279,21 @@ def reference_inverse(field, data, tol):
     return inv[..., None].view(np.float64)
 
 
+def swept_conditions(tol):
+    """Condition numbers from 1 to 1e17 and exactly singular, denser near 1/tol."""
+    conds = list(np.geomspace(1.0, 1e17, 18)) + [np.inf]
+    if tol:
+        conds += list(np.geomspace(0.03 / tol, 30.0 / tol, 25))
+    return conds
+
+
 class TestInverseDecision:
     """mat_inverse runs its SVD test only where its own inverse cannot decide it,
     and decides as the test on every matrix would, to the bit."""
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])
     def test_sweep_agrees_with_the_svd_test(self, field, tol, monkeypatch):
-        # condition numbers from 1 to 1e17 and exactly singular, denser near 1/tol
-        conds = list(np.geomspace(1.0, 1e17, 18)) + [np.inf]
-        if tol:
-            conds += list(np.geomspace(0.03 / tol, 30.0 / tol, 25))
+        conds = swept_conditions(tol)
         svd_runs, ran = [], []
         invertible_operand = kalg._invertible_operand
 
@@ -347,6 +342,80 @@ class TestInverseDecision:
         with pytest.raises(Singular, match="at most 5.0e\\+00 times the largest"):
             kalg.mat_inverse(Mat(field, data), 5.0)
         assert not kalg.is_invertible(Mat(field, data), 5.0)
+
+
+class TestStackDecision:
+    """_invertible_stack decides each member of a stack as the SVD test of
+    _invertible_operand does, and runs that test, in one call, on the members
+    that the residual of their inverse cannot decide."""
+
+    @staticmethod
+    def svd_members(monkeypatch):
+        """The stacks that reach the SVD test, recorded."""
+        seen = []
+        invertible_operand = kalg._invertible_operand
+
+        def recorded(fld, data, tol):
+            seen.append(data)
+            return invertible_operand(fld, data, tol)
+
+        monkeypatch.setattr(kalg, "_invertible_operand", recorded)
+        return seen
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])
+    def test_sweep_agrees_with_the_svd_test(self, field, tol, monkeypatch):
+        conds = swept_conditions(tol)
+        seen, ran = self.svd_members(monkeypatch), []
+        for n in (1, 2, 4):
+            for scale in (1.0, 1e-100, 1e100):
+                stack = np.stack([conditioned(field, n, cond, 17 * i + n, scale)
+                                  for i, cond in enumerate(conds if n > 1 else [1.0])])
+                want = kalg._invertible_operand(field, stack, tol)[1]
+                seen.clear()
+                got = kalg._invertible_stack(field, stack, tol)
+                assert got.tolist() == want.tolist(), (n, scale)
+                assert len(seen) <= 1
+                reached = [any(np.array_equal(m, r) for r in seen[0]) if seen else False
+                           for m in stack]
+                for m, cond, svd_ran in zip(stack, conds, reached):
+                    must_run = svd_test_runs(field, m, tol)
+                    if must_run is not None:
+                        assert svd_ran == must_run, (n, cond, scale)
+                ran += reached
+        assert any(ran) and not all(ran)
+
+    @pytest.mark.parametrize("zero_pivot", [False, True], ids=["inverted", "zero_pivot"])
+    def test_mixed_stack(self, field, zero_pivot, capfd):
+        # NaN and inf members, a finite member whose sum of squares overflows
+        # (|A|_F^2 = inf and |B|_F^2 = 0 in the residual test) and, with
+        # zero_pivot, a rank-two member that fails np.linalg.inv for the stack
+        stack = np.stack([kalg.random_gaussian(3, 3, field, 70 + i).data for i in range(5)])
+        stack[1, 2, 0, -1] = np.nan
+        stack[2] = np.inf
+        stack[3] *= 1e200
+        stack[4] = 0.0
+        stack[4, :, :, 0] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+        if not zero_pivot:
+            stack = stack[:4]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kalg._invertible_stack(field, stack, kalg.DEFAULT_TOL)
+        assert got.tolist() == [True, False, False, True, False][:len(stack)]
+        for i, member in enumerate(stack):
+            assert got[i] == kalg._invertible_operand(field, member, kalg.DEFAULT_TOL)[1]
+        assert capfd.readouterr() == ("", "")
+
+    def test_no_inverse_when_no_residual_can_prove(self, field, monkeypatch):
+        # |A|_F |B|_F >= p = 2 or 4 here, so 4 |A|_F |B|_F tol > 1 for tol = 0.2
+        stack = np.stack([conditioned(field, 2, cond, i)
+                          for i, cond in enumerate([1.0, 3.0, 1e3])])
+        want = kalg._invertible_operand(field, stack, 0.2)[1].tolist()
+        monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("inverted"))
+        assert kalg._invertible_stack(field, stack, 0.2).tolist() == want == [True, True, False]
+
+    def test_rejects_a_non_square_stack(self, field):
+        with pytest.raises(ValueError, match="square"):
+            kalg._invertible_stack(field, np.zeros((2, 3, 2, field.ncomp)), kalg.DEFAULT_TOL)
 
 
 def tol_taking_calls():

@@ -88,8 +88,10 @@ def cover_membership(y: StiefelPoint, ladder: ThetaLadder,
     """Indices i with y inside the Cayley open subset of the i-th angle frame.
 
     Membership only depends on the bottom block pi of y: the condition is
-    invertibility of pi + (cos theta_i) I_k.
+    invertibility of pi + (cos theta_i) I_k.  tol is checked up front, so
+    that an empty ladder, which makes no decision, rejects it too.
     """
+    kalg._validate_tol(tol)
     return np.flatnonzero(_memberships(y.field, y.P.data[None], ladder, tol)[0]).tolist()
 
 
@@ -104,10 +106,11 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
     With k + 1 angles the expected uncovered count is zero in every field.
     Uncovered witnesses are serialized in full.
     """
-    for name, value in (("samples", samples), ("seed", seed)):
+    for name, value in (("n", n), ("k", k), ("samples", samples), ("seed", seed)):
         if not (isinstance(value, numbers.Integral) and value >= 0):
             raise ValueError(f"{name} must be nonnegative and an integer, got {value!r}")
     kalg._validate_tol(tol)  # up front, so that samples=0 rejects it too
+    n, k, samples = int(n), int(k), int(samples)  # the report holds Python ints
     if n < 2 * k:
         raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
     histogram: Counter[int] = Counter()

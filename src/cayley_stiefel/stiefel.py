@@ -20,6 +20,10 @@ I + X*X + Y (group.b_matrix).  Inputs are checked where they enter: a
 TangentCoords's shapes, base ring and skew-Hermitian Y when it is built, y's
 in gamma_inverse, and every result by the x*x = I check of StiefelPoint,
 which for a group element (a lift, a section's value; k = n) is A*A = I.
+
+A lift keeps the coordinates (X, Y) of the last point gamma_inverse
+inverted on it, keyed on that point object and the tol, so local_section
+and contraction on a point already inverted invert only the core b.
 """
 
 from __future__ import annotations
@@ -76,7 +80,11 @@ class StiefelPoint:
 @dataclass(frozen=True)
 class Lift:
     """A group element A, an n x n StiefelPoint, whose last k columns are
-    exactly the frame x."""
+    exactly the frame x.
+
+    A lift keeps the chart coordinates of the last point gamma_inverse
+    inverted on it, outside its fields: (y, tol, X, Y), or None.
+    """
 
     point: StiefelPoint
     A: StiefelPoint
@@ -87,6 +95,7 @@ class Lift:
             raise ValueError(f"A must be {n} x {n}, got {self.A.m.rows} x {self.A.m.cols}")
         if not np.array_equal(self.A.m.data[:, n - k:], self.point.m.data):
             raise ValueError("last k columns of A must equal x exactly")
+        object.__setattr__(self, "_chart", None)
 
     @property
     def n(self) -> int:
@@ -238,7 +247,16 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     Cayley open subset of the lift's base point: C must pass mat_inverse's
     test at tol (kalg._invert).  Taking the skew-Hermitian part makes Y exactly
     skew-Hermitian, so Y is not checked again, here or by local_section.
+
+    The lift keeps (y, tol, X, Y) of its last success: a call on the same y
+    object at an equal tol returns those X and Y with no inversion.  y and
+    its data are immutable, and that y and tol passed the checks; a failure
+    is never kept.  The lift keeps the Mats, not the TangentCoords, which
+    would point back to it.
     """
+    chart = lift._chart
+    if chart is not None and chart[0] is y and chart[1] == tol:
+        return TangentCoords._trusted(lift, chart[2], chart[3])
     if (y.n, y.k) != (lift.n, lift.k) or y.field is not lift.field:
         raise ValueError("y must share the lift's shape and base ring")
     fld, nk = lift.field, lift.n - lift.k
@@ -252,7 +270,9 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     X = -kalg._product(fld, tau - W[:nk], C_inv)
     B = kalg._product(fld, _right_factor(fld, rows, X), C_inv) * 2.0
     Y = (B - kalg._conj_transpose(B)) * 0.5
-    return TangentCoords._trusted(lift, Mat._trusted(fld, X), Mat._trusted(fld, Y))
+    X, Y = Mat._trusted(fld, X), Mat._trusted(fld, Y)
+    object.__setattr__(lift, "_chart", (y, tol, X, Y))  # one tuple: readers see one entry
+    return TangentCoords._trusted(lift, X, Y)
 
 
 def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -> bool:
@@ -279,7 +299,10 @@ def cayley_block(t: TangentCoords) -> StiefelPoint:
 
 def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) -> StiefelPoint:
     """Local section of the projection over the Cayley open subset at x:
-    cayley_block(gamma_inverse(lift, y, tol)), whose last k columns agree with y."""
+    cayley_block(gamma_inverse(lift, y, tol)), whose last k columns agree with y.
+
+    On a y the lift has just inverted at tol, the lift's kept coordinates
+    serve, and the only inversion is the core b of cayley_block."""
     return cayley_block(gamma_inverse(lift, y, tol))
 
 
@@ -290,6 +313,8 @@ def contraction(lift: Lift, y: StiefelPoint, t: float,
     H(y, t) = gamma(t gamma_inverse(y)), with k x k inversions only.  tol is the
     test of gamma_inverse on pi + P*; the core I + t^2 X*X + t Y of gamma has every
     singular value at least 1.  H(y, 0) is gamma of the zero tangent, H(y, 1) = y.
+    The lift keeps the coordinates of the last y it inverted, so evaluating H
+    at several t on one y inverts pi + P* once, and then only the core b.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("homotopy parameter must lie in [0, 1]")

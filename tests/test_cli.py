@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from cayley_stiefel import cover, stiefel
+from cayley_stiefel import cover, group, kalg, stiefel
 from cayley_stiefel.cli import main
 
 
@@ -255,6 +255,27 @@ class TestDemo:
         assert res["round_trip"] <= 1e-9
         assert res["section"] <= 1e-9
         assert "Stiefel" in err
+
+    def test_inverts_pi_plus_p_once(self, capsys, monkeypatch):
+        # gamma_inverse inverts pi + P*; the section and both homotopy ends reuse
+        # the lift's kept coordinates, so every other inversion is a core b
+        calls = {"invert": 0, "b_matrix": 0}
+        invert, b_matrix = kalg._invert, group.b_matrix
+
+        def counted_invert(*args):
+            calls["invert"] += 1
+            return invert(*args)
+
+        def counted_b_matrix(t):
+            calls["b_matrix"] += 1
+            return b_matrix(t)
+
+        monkeypatch.setattr(kalg, "_invert", counted_invert)
+        monkeypatch.setattr(group, "b_matrix", counted_b_matrix)
+        code, _, _ = run(capsys, ["demo", "--field", "quaternion", "--n", "6", "--k", "2",
+                                  "--seed", "4", "--reproducible"])
+        assert code == 0
+        assert calls == {"invert": 7, "b_matrix": 6}
 
     def test_reproducible_bytes(self, capsys):
         argv = ["demo", "--field", "quaternion", "--n", "4", "--k", "2",

@@ -179,6 +179,19 @@ class TestVerifyCover:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             verify_cover(4, 2, default_ladder(2), 20, 1, field, tol)
 
+    # the rule of samples: a float k would meet the n >= 2k guard, a float n numpy
+    @pytest.mark.parametrize("n,k,name", [(4, 2.5, "k"), (5, 2.5, "k"), (4.0, 2, "n"),
+                                          (-4, 2, "n"), (4, -1, "k"), (4, "2", "k")])
+    def test_rejects_non_integer_dimensions(self, n, k, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and an integer"):
+            verify_cover(n, k, default_ladder(2), 3, 0)
+
+    def test_numpy_integers_report_python_ints(self):
+        report = verify_cover(np.int64(4), np.int64(2), default_ladder(2), np.int64(5),
+                              np.int64(0))
+        assert [type(report[key]) for key in ("n", "k", "samples")] == [int, int, int]
+        assert json.loads(json.dumps(report)) == verify_cover(4, 2, default_ladder(2), 5, 0)
+
     def test_report_schema(self):
         report = verify_cover(4, 2, default_ladder(2), 5, 0)
         assert set(report) == {"n", "k", "field", "angles", "samples",
@@ -355,6 +368,13 @@ class TestEdgeCases:
         frames = stiefel._random_frames(4, 2, field, np.random.default_rng(1), 3)
         assert report["witnesses"] == [stiefel.point_to_json(StiefelPoint(Mat(field, f)))
                                        for f in frames]
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_empty_ladder_rejects_unusable_tol(self, field, tol):
+        # no angle means no decision call: the tol is checked up front
+        y = stiefel.random_stiefel_point(4, 2, field, 1)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            cover_membership(y, ThetaLadder(()), tol)
 
     def test_no_samples(self, field):
         report = verify_cover(4, 2, default_ladder(2), 0, 1, field)

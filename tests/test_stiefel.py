@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -572,6 +574,79 @@ class TestCoreCounts:
         assert counts["element"] == 1
         # the one n x n product is the A*A residual of that n x n StiefelPoint check
         assert counts["square_products"] == 1
+
+
+class TestChartMemo:
+    """A lift keeps the coordinates of the last point gamma_inverse inverted:
+    the section and the homotopy on that point invert only the core b."""
+
+    @staticmethod
+    def inverted(field, seed):
+        lift, t = random_lift_tangent(7, 3, field, seed)
+        y = stiefel.gamma(t)
+        stiefel.gamma_inverse(lift, y, 1e-9)
+        return lift, y
+
+    @pytest.mark.parametrize("call", [
+        lambda lift, y: stiefel.local_section(lift, y, 1e-9),
+        lambda lift, y: stiefel.contraction(lift, y, 0.3, 1e-9),
+    ], ids=["section", "contraction"])
+    def test_kept_coordinates_leave_the_core_alone(self, field, call, monkeypatch):
+        lift, y = self.inverted(field, 73)
+        counts = TestCoreCounts.count(monkeypatch)
+        out = call(lift, y)
+        assert counts["inverse"] == 1  # b only
+        fresh = stiefel.complete_lift(lift.point)
+        assert_same_bits(out.m.data, call(fresh, y).m.data)
+        assert counts["inverse"] == 3  # pi + P* and b on the fresh lift
+
+    def test_hit_returns_the_same_arrays(self, field, monkeypatch):
+        lift, y = self.inverted(field, 74)
+        first = stiefel.gamma_inverse(lift, y, 1e-9)
+        counts = TestCoreCounts.count(monkeypatch)
+        again = stiefel.gamma_inverse(lift, y, 1e-9)
+        assert counts["inverse"] == 0
+        assert again.lift is lift and again.X is first.X and again.Y is first.Y
+
+    def test_equal_copy_or_other_tol_recomputes(self, field, monkeypatch):
+        lift, y = self.inverted(field, 75)
+        kept = stiefel.gamma_inverse(lift, y, 1e-9)
+        copy = StiefelPoint(Mat(field, y.m.data))
+        counts = TestCoreCounts.count(monkeypatch)
+        other = stiefel.gamma_inverse(lift, y, 1e-8)
+        assert counts["inverse"] == 1
+        recomputed = stiefel.gamma_inverse(lift, copy, 1e-8)  # kept: (y, 1e-8)
+        assert counts["inverse"] == 2
+        for coords in (other, recomputed):
+            assert_same_bits(coords.X.data, kept.X.data)
+            assert_same_bits(coords.Y.data, kept.Y.data)
+
+    def test_failures_are_not_kept(self, field):
+        n, k = 6, 2
+        lift = stiefel.complete_lift(base_point(n, k, field))
+        # pi = -I: pi + P* is zero
+        outside = StiefelPoint(Mat(field, -base_point(n, k, field).m.data))
+        for _ in range(2):
+            with pytest.raises(OutsideCayleyOpen):
+                stiefel.gamma_inverse(lift, outside)
+        lift, y = self.inverted(field, 76)
+        for call in (lambda: stiefel.gamma_inverse(lift, y, math.nan),
+                     lambda: stiefel.local_section(lift, y, math.nan),
+                     lambda: stiefel.contraction(lift, y, 0.5, math.nan)):
+            with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+                call()
+
+    def test_dropped_lift_is_freed_without_gc(self, field):
+        lift, y = self.inverted(field, 77)
+        stiefel.local_section(lift, y, 1e-9)
+        stiefel.contraction(lift, y, 0.5, 1e-9)
+        ref = weakref.ref(lift)
+        gc.disable()
+        try:
+            del lift
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def near_base_point(n, k, fld, gaps):

@@ -14,11 +14,18 @@ whose inverse is the adjoint of M^{-1}.  The interleaving permutes chi's rows
 and columns alike, so the singular values are chi's.  Products never
 silently commute.
 
-The product, the conjugate transpose and the singularity test are written
-once, on stacks of component arrays of shape (S, rows, cols, ncomp), so S
-matrices cost one numpy or LAPACK call and not S of them.  The random
-frames of stiefel use these private stacked forms; Mat products and
-conjugate transposes and is_invertible are their case with no stack axis.
+The product, the conjugate transpose, the frame residual and the
+singularity test are written once, on stacks of component arrays of shape
+(S, rows, cols, ncomp), so S matrices cost one numpy or LAPACK call and not
+S of them.  The random frames of stiefel use these private stacked forms;
+Mat products and conjugate transposes, the x*x = I check of one frame and
+is_invertible are their case with no stack axis.  The search and the
+transforms call these kernels many times on a few rows each, where a numpy
+call costs more than its arithmetic, so each makes as few numpy calls as
+it can: a product is one @ on the real or complex view (over H, one np.dot
+more forms the adjoint), a conjugate transpose one copy and, over C and H,
+one negation, and a Frobenius norm one ddot (_norm).  Each gives the bits
+of the general numpy form it replaces.
 One rule decides singularity wherever an inverse is formed: LAPACK
 inverts first, and the SVD test runs only where the residual of that
 inverse cannot prove the test passes (_residual_proves).  _invert applies
@@ -101,25 +108,37 @@ def _adjoint(data: np.ndarray) -> np.ndarray:
     The (..., 2 rows, 2 cols) complex array chi(M) = [[Z1, Z2], [-conj Z2,
     conj Z1]] with rows and columns both reordered (i, 0), (i, 1), ...: row
     (i, 0) holds (Z1, Z2) of row i interleaved, row (i, 1) holds
-    (-conj Z2, conj Z1).
+    (-conj Z2, conj Z1).  The (i, 1) rows of every matrix in the stack come
+    from one np.dot of all entries with _ADJOINT_ROW, so a stack of column
+    vectors costs one BLAS call and not one per row.
     """
     *lead, rows, cols, _ = data.shape
     out = np.empty((*lead, rows, 2, cols, 4))
     out[..., 0, :, :] = data
-    np.matmul(data, _ADJOINT_ROW, out=out[..., 1, :, :])
+    # each output component is one exact +-input component plus exact zeros,
+    # so the bits, signed zeros too, do not depend on how BLAS sums them
+    out[..., 1, :, :] = np.dot(data.reshape(-1, 4), _ADJOINT_ROW).reshape(data.shape)
     return out.view(np.complex128).reshape(*lead, 2 * rows, 2 * cols)
 
 
 def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (..., rows, cols, ncomp) component stacks, broadcast over the
-    leading axes; Mat.__matmul__ is its case with no stack axis."""
-    if field is Field.QUATERNION:
-        # row i of a as complex, (Z1, Z2) interleaved, times the adjoint of b
-        # gives row i of (Z1 W1 - Z2 conj W2, Z1 W2 + Z2 conj W1) interleaved
-        z = a.view(np.complex128).reshape(*a.shape[:-2], 2 * a.shape[-2])
-        p = z @ _adjoint(b)
-        return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(np.float64)
-    return _components(_view(field, a) @ _view(field, b))
+    leading axes; Mat.__matmul__ is its case with no stack axis.
+
+    Over R and C it is _components(_view(a) @ _view(b)) with the views
+    written out: one @ and no further calls, as every step of the search
+    makes several products of a few rows each.
+    """
+    if field is Field.REAL:
+        return (a[..., 0] @ b[..., 0])[..., None]
+    if field is Field.COMPLEX:
+        p = a.view(np.complex128)[..., 0] @ b.view(np.complex128)[..., 0]
+        return p[..., None].view(np.float64)
+    # row i of a as complex, (Z1, Z2) interleaved, times the adjoint of b
+    # gives row i of (Z1 W1 - Z2 conj W2, Z1 W2 + Z2 conj W1) interleaved
+    z = a.view(np.complex128).reshape(*a.shape[:-2], 2 * a.shape[-2])
+    p = z @ _adjoint(b)
+    return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(np.float64)
 
 
 def _shift_diagonal(data: np.ndarray, c: float | np.ndarray) -> None:
@@ -132,9 +151,16 @@ def _shift_diagonal(data: np.ndarray, c: float | np.ndarray) -> None:
 
 def _conj_transpose(data: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a (..., rows, cols, ncomp) stack."""
-    out = np.swapaxes(data, -3, -2).copy()
-    out[..., 1:] *= -1.0
+    out = data.swapaxes(-3, -2).copy()
+    if out.shape[-1] > 1:  # over R there are no imaginary parts to negate
+        out[..., 1:] *= -1.0
     return out
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a C-contiguous float64 array: the one ddot that
+    np.linalg.norm makes on it, without the wrapper, so the same bits."""
+    return math.sqrt(np.vdot(a, a))
 
 
 def _sum_squares(a: np.ndarray) -> np.ndarray:
@@ -149,12 +175,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_sum_squares(a))
 
 
-def _frame_residuals(field: Field, data: np.ndarray) -> np.ndarray:
-    """|x*x - I|_F for each x of a (S, n, k, ncomp) component stack: the residual
-    of orthonormal frames and, with k = n, of group elements."""
+def _frame_residuals(field: Field, data: np.ndarray) -> float | np.ndarray:
+    """|x*x - I|_F of an (n, k, ncomp) frame x, a float, or of each x of an
+    (S, n, k, ncomp) stack, an array: the residual of orthonormal frames and,
+    with k = n, of group elements.  The sums of squares are the same ddot
+    either way, so a member's residual is the same to the bit on its own."""
     gram = _product(field, _conj_transpose(data), data)
     _shift_diagonal(gram, -1.0)
-    return _norms(gram)
+    return _norm(gram) if gram.ndim == 3 else _norms(gram)
 
 
 class Mat:

@@ -14,12 +14,14 @@ test, so every accepted step decreases f (Barzilai and Borwein,
 "Two-point step size gradient methods", IMA J. Numer. Anal. 1988).  Its
 Armijo constant, backtrack factor and backtrack budget are constants.
 
-The generator and the curve points are the inner loop, so their
-arithmetic runs on the component arrays through kalg's private product,
-conjugate transpose and inverse, with inputs checked once where they
-enter: the gradient's shape and base ring, the curve parameter, and the
-x*x = I check of every point.  Every value is the same to the bit as the
-same formulas on Mat values.
+The generator, the curve points, the gradient A x and the Barzilai-Borwein
+differences are the inner loop, so their arithmetic runs on the component
+arrays through kalg's private product, conjugate transpose, norm and
+inverse, with inputs checked once where they enter: the gradient's shape
+and base ring, the curve parameter, and the x*x = I check of every point.
+Every value is the same to the bit as the same formulas on Mat values.
+The objectives form their image of a point (M x, x B - C) once for f and
+egrad at that point.
 """
 
 from __future__ import annotations
@@ -109,13 +111,14 @@ class OptimTrace:
         return "\n".join(lines) + "\n"
 
 
-def _inner(a: Mat, b: Mat) -> float:
-    """Real inner product Re tr(a* b) of two matrices of one shape.
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product Re tr(a* b) of two matrices of one shape, from their
+    component arrays.
 
     It is the dot product of the real component arrays in R, C and H, so
     no matrix product is formed.
     """
-    return float(np.vdot(a.data, b.data))
+    return float(np.vdot(a, b))
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,8 @@ class SearchGenerator:
     gnorm = |W + xK/2|_F, equal to |F - x herm(x*F)|_F for any x.
 
     from_gradient checks that F matches x in base ring and shape, then
-    computes on the component arrays through kalg's private product and
-    conjugate transpose, with no Mat per intermediate value.  The
+    computes on the component arrays through kalg's private product,
+    conjugate transpose and norm, with no Mat per intermediate value.  The
     operations and their order are those of the same formulas on Mat
     values, so every field is the same to the bit.
     """
@@ -157,17 +160,16 @@ class SearchGenerator:
         xF = kalg._product(fld, kalg._conj_transpose(xm), Fd)
         W = Fd - kalg._product(fld, xm, xF)
         K = xF - kalg._conj_transpose(xF)
-        s = float(np.linalg.norm(W)) or 1.0
+        s = kalg._norm(W) or 1.0
         U = np.concatenate([W * (1.0 / s), xm], axis=1)
         # with G = U*U split into k-row blocks, N G = [s G_bot; K G_bot - s G_top];
         # U*x is the last k columns of G, so N U*x is the last k columns of N G
         G = kalg._product(fld, kalg._conj_transpose(U), U)
         NG = np.concatenate([G[k:] * s, kalg._product(fld, K, G[k:]) - G[:k] * s])
-        gnorm = float(np.linalg.norm(W + kalg._product(fld, xm, K * 0.5)))
-        rate = -float(np.vdot(kalg._conj_transpose(NG), NG))  # -Re tr(NG NG), as in _inner
+        gnorm = kalg._norm(W + kalg._product(fld, xm, K * 0.5))
+        rate = -_inner(kalg._conj_transpose(NG), NG)  # -Re tr(NG NG)
         return cls(x, Mat._trusted(fld, U), Mat._trusted(fld, NG),
-                   Mat._trusted(fld, NG[:, k:].copy()), rate, gnorm,
-                   float(np.linalg.norm(NG)))
+                   Mat._trusted(fld, NG[:, k:].copy()), rate, gnorm, kalg._norm(NG))
 
 
 def curve(g: SearchGenerator, t: float) -> StiefelPoint:
@@ -195,11 +197,11 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     return StiefelPoint(Mat._trusted(fld, g.x.m.data - step * (2.0 * t)))
 
 
-def _bb_step(S: Mat, D: Mat, odd: bool, fallback: float) -> float:
+def _bb_step(S: np.ndarray, D: np.ndarray, odd: bool, fallback: float) -> float:
     """Barzilai-Borwein start of a line search along the Cayley curve.
 
-    S = x_k - x_{k-1} and D = A_k x_k - A_{k-1} x_{k-1} are the differences
-    of the iterates and of the gradients A x.  The step is
+    S = x_k - x_{k-1} and D = A_k x_k - A_{k-1} x_{k-1} are the components
+    of the differences of the iterates and of the gradients A x.  The step is
     |S|^2 / |<S, D>| on odd iterations and |<S, D>| / |D|^2 on even ones,
     halved because the curve's derivative at t = 0 is -2 A x, and clamped
     to [1e-20, 1e20].  Returns fallback when <S, D> = Re tr(S* D) is 0 or
@@ -256,13 +258,13 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
         if it == p.max_iters:
             break
         rate = gen.rate
-        Ax = gen.U @ gen.NUx
+        Ax = kalg._product(x.field, gen.U.data, gen.NUx.data)
         tau = p.initial_step
         if prev is not None:
-            tau = _bb_step(x.m - prev[0], Ax - prev[1], it % 2 == 1, tau)
+            tau = _bb_step(x.m.data - prev[0], Ax - prev[1], it % 2 == 1, tau)
         if tau * gen.ng_norm > _SATURATION:  # min(tau, S / ng_norm) with no 1/0
             tau = _SATURATION / gen.ng_norm
-        prev = (x.m, Ax)
+        prev = (x.m.data, Ax)
         backtracks = 0
         while backtracks <= _MAX_BACKTRACKS:
             try:
@@ -290,26 +292,30 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     return OptimTrace(tuple(records), reason)
 
 
+def _once_per_point(image: Callable[[StiefelPoint], Mat]) -> Callable[[StiefelPoint], Mat]:
+    """image(x), formed again only for a point object other than the last one
+    seen: the search evaluates f at the point it accepts and egrad right
+    after, so the objectives' image of a point is formed once."""
+    last = (None, None)
+
+    def at(x: StiefelPoint) -> Mat:
+        nonlocal last
+        if last[0] is not x:
+            last = (x, image(x))
+        return last[1]
+
+    return at
+
+
 def rayleigh_objective(M: Mat) -> Objective:
     """Trace objective f(x) = Re tr(x* M x); M is checked Hermitian within kalg.CHECK_TOL."""
     resid = kalg.frobenius_norm(M - M.H)
     if not resid <= kalg.CHECK_TOL * max(1.0, kalg.frobenius_norm(M)):
         raise NotHermitian(f"M - M* residual {resid:.3e}")
-
-    # the last point seen and its M x: the search evaluates f at the point
-    # it accepts and egrad right after, so M x is formed once per point
-    last = (None, None)
-
-    def image(x: StiefelPoint) -> Mat:
-        nonlocal last
-        seen, Mx = last
-        if seen is not x:
-            Mx = M @ x.m
-            last = (x, Mx)
-        return Mx
+    image = _once_per_point(lambda x: M @ x.m)
 
     def f(x: StiefelPoint) -> float:
-        return _inner(x.m, image(x))
+        return _inner(x.m.data, image(x).data)
 
     def egrad(x: StiefelPoint) -> Mat:
         return 2.0 * image(x)
@@ -321,11 +327,13 @@ def procrustes_objective(B: Mat, C: Mat) -> Objective:
     """Least-squares fit f(x) = |x B - C|_F^2."""
     if B.field is not C.field or B.cols != C.cols:
         raise ValueError("B and C must share base ring and column count")
+    BH = B.H
+    residual = _once_per_point(lambda x: x.m @ B - C)
 
     def f(x: StiefelPoint) -> float:
-        return kalg.frobenius_norm(x.m @ B - C) ** 2
+        return kalg.frobenius_norm(residual(x)) ** 2
 
     def egrad(x: StiefelPoint) -> Mat:
-        return 2.0 * ((x.m @ B - C) @ B.H)
+        return 2.0 * (residual(x) @ BH)
 
     return Objective(f, egrad)

@@ -55,7 +55,7 @@ class StiefelPoint:
         n, k = self.m.shape
         if k > n:
             raise ValueError(f"need k <= n, got n={n}, k={k}")
-        resid = kalg._frame_residuals(self.m.field, self.m.data[None])[0]
+        resid = kalg._frame_residuals(self.m.field, self.m.data)
         if not resid <= kalg.CHECK_TOL:
             raise NotOrthonormal(f"x*x - I residual {resid:.3e} exceeds {kalg.CHECK_TOL:.1e}")
 

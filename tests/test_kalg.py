@@ -134,10 +134,16 @@ class TestProductKernel:
             assert np.allclose(s_got, s_chi, rtol=0, atol=1e-13 * s_chi[0])
 
     def test_stacked_adjoint_matches_members(self):
-        data = np.random.default_rng(3).standard_normal((4, 3, 2, 4))
-        got = kalg._adjoint(data)
-        for s in range(4):
-            assert np.array_equal(got[s], kalg._adjoint(data[s]))
+        # with signed zeros, and on stacks of column vectors as the Gram-Schmidt
+        # step of the random frames makes them
+        for shape in [(4, 3, 2, 4), (256, 4, 1, 4), (150, 2, 2, 4), (3, 0, 2, 4),
+                      (2, 3, 5, 1, 4)]:
+            data = signed_zeros(shape, 3)
+            got = kalg._adjoint(data)
+            assert_same_bits(got.view(np.float64), matmul_adjoint(data).view(np.float64))
+            for s in range(shape[0]):
+                assert_same_bits(got[s].view(np.float64),
+                                 kalg._adjoint(data[s]).view(np.float64))
 
     def test_no_stack_or_concatenate(self, monkeypatch):
         a = kalg.random_gaussian(4, 4, Q, 1)
@@ -151,6 +157,88 @@ class TestProductKernel:
         a @ b
         kalg.mat_inverse(a)
         kalg.is_invertible(a)
+
+
+def signed_zeros(shape, seed):
+    """Gaussian components with about a fifth of them +0.0 and a fifth -0.0."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape)
+    draw = rng.random(shape)
+    data[draw < 0.2] = 0.0
+    data[draw > 0.8] = -0.0
+    return data
+
+
+def matmul_adjoint(data):
+    """kalg._adjoint with its second block row formed by a stacked matmul, one
+    cols x 4 by 4 x 4 product per row: the reference for its single np.dot."""
+    *lead, rows, cols, _ = data.shape
+    out = np.empty((*lead, rows, 2, cols, 4))
+    out[..., 0, :, :] = data
+    np.matmul(data, kalg._ADJOINT_ROW, out=out[..., 1, :, :])
+    return out.view(np.complex128).reshape(*lead, 2 * rows, 2 * cols)
+
+
+def view_product(field, a, b):
+    """The product through _view and _components over R and C, and through
+    matmul_adjoint over H: the reference for the thin kalg._product."""
+    if field is Q:
+        z = a.view(np.complex128).reshape(*a.shape[:-2], 2 * a.shape[-2])
+        p = z @ matmul_adjoint(b)
+        return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(np.float64)
+    return kalg._components(kalg._view(field, a) @ kalg._view(field, b))
+
+
+# (stack axes, rows, inner, cols): stacked, broadcast, 2-D and zero-size operands
+KERNEL_SHAPES = [((), 5, 3, 4), ((), 1, 6, 1), ((), 60, 4, 8), ((4,), 3, 2, 5),
+                 ((2, 3), 2, 4, 1), ((256,), 4, 1, 4), ((), 0, 3, 2), ((), 3, 0, 2),
+                 ((3,), 2, 2, 0), ((0,), 2, 3, 2)]
+
+
+class TestThinKernels:
+    """The product, conjugate transpose and norm kernels against the numpy
+    forms they replace, bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("lead, r, c, m", KERNEL_SHAPES)
+    def test_product_matches_view_product(self, field, lead, r, c, m):
+        nc = field.ncomp
+        a = signed_zeros((*lead, r, c, nc), r + 10 * c + 100 * m)
+        b = signed_zeros((*lead, c, m, nc), r + 10 * c + 100 * m + 1)
+        assert_same_bits(kalg._product(field, a, b), view_product(field, a, b))
+        if lead and 0 not in lead:  # broadcast one right operand over the stack
+            assert_same_bits(kalg._product(field, a, b[(0,) * len(lead)]),
+                             view_product(field, a, b[(0,) * len(lead)]))
+
+    @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
+    def test_conj_transpose_negates_swapped_imaginary_parts(self, field, lead, r, c, _):
+        data = signed_zeros((*lead, r, c, field.ncomp), 7 * r + c)
+        want = np.swapaxes(data, -3, -2).copy()
+        want[..., 1:] = -want[..., 1:]
+        got = kalg._conj_transpose(data)
+        assert_same_bits(got, want)
+        assert got.flags.c_contiguous and not np.shares_memory(got, data)
+
+    @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
+    def test_norm_matches_linalg_norm(self, field, lead, r, c, _):
+        data = signed_zeros((*lead, r, c, field.ncomp), 11 * r + c)
+        got = kalg._norm(data)
+        assert type(got) is float
+        assert_same_bits(got, float(np.linalg.norm(data)))
+        if lead and data.size:  # the stacked norms, member by member
+            flat = data.reshape(-1, r, c, field.ncomp)
+            want = [float(np.linalg.norm(member)) for member in flat]
+            assert_same_bits(kalg._norms(flat), want)
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (5, 5), (60, 4), (3, 0)])
+    def test_frame_residual_of_a_member_is_its_stacked_residual(self, field, n, k):
+        frames = np.stack([stiefel.random_stiefel_point(n, k, field, 50 + s).m.data
+                           for s in range(3)])
+        frames[1] *= 1.0 + 1e-9
+        stacked = kalg._frame_residuals(field, frames)
+        for s in range(3):
+            single = kalg._frame_residuals(field, frames[s])
+            assert type(single) is float
+            assert_same_bits(single, stacked[s])
 
 
 class TestConjTranspose:

@@ -211,7 +211,7 @@ class TestSearchGenerator:
         curve(g, t)
         # inv N U*x and U (inv N U*x) for the step; x*x of the point's frame check
         assert products == [((2 * k, 2 * k, nc), (2 * k, k, nc)), ((n, 2 * k, nc), (2 * k, k, nc)),
-                            ((1, k, n, nc), (1, n, k, nc))]
+                            ((k, n, nc), (n, k, nc))]
         # the core I + t N U*U is well conditioned, so its inverse decides the test
         assert svd_tests == []
 
@@ -273,8 +273,8 @@ def mat_from_gradient(x, F):
     bot = Mat._trusted(fld, G[k:])
     NG = Mat._trusted(fld, np.concatenate([s * G[k:], (K @ bot).data - s * G[:k]]))
     gnorm = kalg.frobenius_norm(W + x.m @ (0.5 * K))
-    return SearchGenerator(x, U, NG, NG.block(0, 2 * k, k, 2 * k), -optim._inner(NG.H, NG),
-                           gnorm, fro(NG))
+    return SearchGenerator(x, U, NG, NG.block(0, 2 * k, k, 2 * k),
+                           -optim._inner(NG.H.data, NG.data), gnorm, fro(NG))
 
 
 def mat_curve(g, t):
@@ -435,6 +435,25 @@ class TestProcrustesObjective:
         inner = real_trace(obj.egrad(x).H @ v)
         assert abs(df - inner) <= 1e-5 * (1 + abs(inner))
 
+    def test_egrad_after_f_at_another_point(self, field, monkeypatch):
+        # x B - C is formed once per point: f and then egrad at one point make
+        # two products, x B and (x B - C) B*; egrad at a point other than the
+        # last one seen makes both
+        B = kalg.random_gaussian(2, 3, field, 31)
+        C = kalg.random_gaussian(5, 3, field, 32)
+        x = stiefel.random_stiefel_point(5, 2, field, 33)
+        y = stiefel.random_stiefel_point(5, 2, field, 34)
+        want = {id(p): (fro(p.m @ B - C) ** 2, 2.0 * ((p.m @ B - C) @ B.H)) for p in (x, y)}
+        obj = procrustes_objective(B, C)
+        products = recorded_calls(monkeypatch, "_product")
+        assert obj.f(x) == want[id(x)][0]
+        assert_same_bits(obj.egrad(x).data, want[id(x)][1].data)
+        assert len(products) == 2
+        assert obj.f(y) == want[id(y)][0]
+        assert_same_bits(obj.egrad(x).data, want[id(x)][1].data)
+        assert_same_bits(obj.egrad(y).data, want[id(y)][1].data)
+        assert len(products) == 2 + 1 + 2 + 2
+
     def test_descent_toward_exact_fit(self):
         fld = Field.REAL
         B = kalg.random_gaussian(2, 3, fld, 28)
@@ -587,16 +606,17 @@ class TestStepRule:
             prev, rec = trace.records[it - 1], trace.records[it]
             S = rec.x.m - prev.x.m
             D = gens[it].U @ gens[it].NUx - gens[it - 1].U @ gens[it - 1].NUx
-            assert firsts[id(rec.x)] == _bb_step(S, D, it % 2 == 1, 0.37)
+            assert firsts[id(rec.x)] == _bb_step(S.data, D.data, it % 2 == 1, 0.37)
 
     def test_bb_step_values(self, field):
         S = kalg.random_gaussian(6, 2, field, 79)
         D = kalg.random_gaussian(6, 2, field, 80)
         sd = abs(real_trace(S.H @ D))
-        assert _bb_step(S, D, True, 1.0) == pytest.approx(0.5 * fro(S) ** 2 / sd, rel=1e-12)
-        assert _bb_step(S, D, False, 1.0) == pytest.approx(0.5 * sd / fro(D) ** 2, rel=1e-12)
-        assert _bb_step(1e-30 * S, D, False, 1.0) == 1e-20
-        assert _bb_step(S, 1e-30 * D, True, 1.0) == 1e20
+        s, d = S.data, D.data
+        assert _bb_step(s, d, True, 1.0) == pytest.approx(0.5 * fro(S) ** 2 / sd, rel=1e-12)
+        assert _bb_step(s, d, False, 1.0) == pytest.approx(0.5 * sd / fro(D) ** 2, rel=1e-12)
+        assert _bb_step(1e-30 * s, d, False, 1.0) == 1e-20
+        assert _bb_step(s, 1e-30 * d, True, 1.0) == 1e20
 
     @pytest.mark.parametrize("odd", [True, False])
     def test_falls_back_when_inner_product_vanishes(self, field, odd):
@@ -605,10 +625,9 @@ class TestStepRule:
         D = np.zeros((6, 2, field.ncomp))
         S[0, 0, :] = 1.0
         D[1, 1, :] = 2.0
-        assert _bb_step(Mat(field, S), Mat(field, D), odd, 0.37) == 0.37
+        assert _bb_step(S, D, odd, 0.37) == 0.37
         # and when the difference is not finite
-        inf = Mat._trusted(field, np.full((6, 2, field.ncomp), np.inf))
-        assert _bb_step(inf, Mat(field, D + 1.0), odd, 0.37) == 0.37
+        assert _bb_step(np.full((6, 2, field.ncomp), np.inf), D + 1.0, odd, 0.37) == 0.37
 
     def test_nan_objective_value_is_a_rejected_trial(self, field, monkeypatch):
         M = kalg.hermitian_part(kalg.random_gaussian(8, 8, field, 83))

@@ -950,6 +950,31 @@ class TestPointValidation:
         with pytest.raises(NotOrthonormal):
             StiefelPoint(overflow_nan(4, 2, field))
 
+    # frames, then group elements (k = n)
+    @pytest.mark.parametrize("n, k", [(6, 2), (7, 3), (4, 4), (5, 5)])
+    @pytest.mark.parametrize("ratio", [0.999, 1.001])
+    def test_check_boundary(self, field, n, k, ratio):
+        # (1 + e) x has x*x - I = (2e + e^2) I, whose residual is (2e + e^2) sqrt(k)
+        x = stiefel.random_stiefel_point(n, k, field, 47).m.data
+        e = math.sqrt(1.0 + ratio * kalg.CHECK_TOL / math.sqrt(k)) - 1.0
+        data = (1.0 + e) * x
+        assert residual(field, data) == pytest.approx(ratio * kalg.CHECK_TOL, rel=1e-5)
+        if ratio < 1.0:
+            assert np.array_equal(StiefelPoint(Mat(field, data)).m.data, data)
+        else:
+            with pytest.raises(NotOrthonormal, match="exceeds 1.0e-08"):
+                StiefelPoint(Mat(field, data))
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (4, 4)])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_rejects_infinite_entry(self, field, n, k, entry):
+        # Mat rejects an inf it is given; kalg arithmetic can still overflow to one.
+        # inf * 0 in the products makes the residual NaN, with numpy's warning
+        data = base_point(n, k, field).m.data.copy()
+        data[n - 1, k - 1, field.ncomp - 1] = entry
+        with np.errstate(invalid="ignore"), pytest.raises(NotOrthonormal):
+            StiefelPoint(Mat._trusted(field, data))
+
     def test_tangent_coords_reject_nan(self, field):
         lift, _ = random_lift_tangent(5, 2, field, 45)
         with pytest.raises(InvalidTangent):

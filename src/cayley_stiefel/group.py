@@ -62,7 +62,7 @@ def b_matrix(t: TangentCoords) -> Mat:
     X, Y = t.X.data, t.Y.data
     fld, k = t.X.field, t.X.cols
     core = np.zeros((k, k, fld.ncomp))
-    kalg._shift_diagonal(core, 1.0)
+    core.reshape(k * k, fld.ncomp)[::k + 1, 0] = 1.0  # the diagonal of I
     core += kalg._product(fld, kalg._conj_transpose(X), X)
     core += Y
     return Mat._trusted(fld, kalg._invert(fld, core, kalg.DEFAULT_TOL))

@@ -23,9 +23,11 @@ is_invertible are their case with no stack axis.  The search and the
 transforms call these kernels many times on a few rows each, where a numpy
 call costs more than its arithmetic, so each makes as few numpy calls as
 it can: a product is one @ on the real or complex view (over H, one np.dot
-more forms the adjoint), a conjugate transpose one copy and, over C and H,
-one negation, and a Frobenius norm one ddot (_norm).  Each gives the bits
-of the general numpy form it replaces.
+more forms the adjoint), a conjugate transpose one call on the swapped view
+(a copy over R, np.conjugate of the complex view over C, a product with the
+signs (1, -1, -1, -1) over H), a shift of the diagonal one in-place add on
+its strided view, and a Frobenius norm one ddot (_norm).  Each gives the
+bits of the general numpy form it replaces, signed zeros included.
 One rule decides singularity wherever an inverse is formed: LAPACK
 inverts first, and the SVD test runs only where the residual of that
 inverse cannot prove the test passes (_residual_proves).  _invert applies
@@ -45,7 +47,9 @@ transposes, stacks, inverses, zeros and identities) wrap their fresh
 array read-only, with no copy and no finiteness scan; overflow can then
 give inf or NaN entries, which the residual checks of the manifold and
 group types reject, and which the singularity test reports as Singular
-before any LAPACK call sees them.
+before any LAPACK call sees them.  The frame residual and the singularity
+test both screen such entries with one ddot, |M|_F^2, so neither meets
+inf * 0 and numpy does not warn.
 """
 
 from __future__ import annotations
@@ -145,16 +149,29 @@ def _shift_diagonal(data: np.ndarray, c: float | np.ndarray) -> None:
     """Add c I to every matrix of a C-contiguous (..., n, n, ncomp) stack, in
     place; c is a float, or an array of shape (..., 1) with one per matrix."""
     n, nc = data.shape[-2], data.shape[-1]
-    # a strided view of the diagonal: fancy indexing costs several times more
-    data.reshape(*data.shape[:-3], n * n, nc)[..., ::n + 1, 0] += c
+    # a strided view of the diagonal, added to in place: fancy indexing costs
+    # several times more, and an indexed += stores the view back onto itself
+    if data.ndim == 3:
+        diagonal = data.reshape(n * n, nc)[::n + 1, 0]
+    else:
+        diagonal = data.reshape(*data.shape[:-3], n * n, nc)[..., ::n + 1, 0]
+    diagonal += c
+
+
+# (1, -1, -1, -1): the quaternion conjugate, component by component
+_QUATERNION_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _conj_transpose(data: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a (..., rows, cols, ncomp) stack."""
-    out = data.swapaxes(-3, -2).copy()
-    if out.shape[-1] > 1:  # over R there are no imaginary parts to negate
-        out[..., 1:] *= -1.0
-    return out
+    """Conjugate transpose of every matrix in a (..., rows, cols, ncomp) stack,
+    a fresh C-contiguous array: one numpy call on the swapped view."""
+    swapped = data.swapaxes(-3, -2)
+    nc = data.shape[-1]
+    if nc == 1:  # over R there are no imaginary parts to negate
+        return swapped.copy()
+    if nc == 2:
+        return np.conjugate(swapped.view(np.complex128), order="C").view(np.float64)
+    return np.multiply(swapped, _QUATERNION_CONJ, order="C")
 
 
 def _norm(a: np.ndarray) -> float:
@@ -179,7 +196,16 @@ def _frame_residuals(field: Field, data: np.ndarray) -> float | np.ndarray:
     """|x*x - I|_F of an (n, k, ncomp) frame x, a float, or of each x of an
     (S, n, k, ncomp) stack, an array: the residual of orthonormal frames and,
     with k = n, of group elements.  The sums of squares are the same ddot
-    either way, so a member's residual is the same to the bit on its own."""
+    either way, so a member's residual is the same to the bit on its own.
+
+    A frame with an entry that is not finite, or whose |x|_F^2 overflows,
+    has residual NaN, which fails every check.  One ddot screens for it, as
+    in _invert, before x*x meets inf * 0, of which numpy would warn.  A
+    stack that fails the screen is taken member by member."""
+    if not math.isfinite(np.vdot(data, data)):
+        if data.ndim == 3:
+            return math.nan
+        return np.array([_frame_residuals(field, member) for member in data])
     gram = _product(field, _conj_transpose(data), data)
     _shift_diagonal(gram, -1.0)
     return _norm(gram) if gram.ndim == 3 else _norms(gram)
@@ -296,7 +322,7 @@ def zeros(rows: int, cols: int, field: Field) -> Mat:
 
 def identity(n: int, field: Field) -> Mat:
     data = np.zeros((n, n, field.ncomp))
-    data[range(n), range(n), 0] = 1.0
+    data.reshape(n * n, field.ncomp)[::n + 1, 0] = 1.0  # the strided diagonal of _shift_diagonal
     return Mat._trusted(field, data)
 
 

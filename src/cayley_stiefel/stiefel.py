@@ -28,6 +28,7 @@ and contraction on a point already inverted invert only the core b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,16 +188,27 @@ def complete_lift(x: StiefelPoint) -> Lift:
     0..r of column n + j of B and q the unit phase of a_r (q = 1 when
     a_r = 0).  Then A = [(B[:n-k, :n])*, x], whose A*A - I residual is x's
     to rounding; at the base frame [0; I_k] every v is 2 e_r and A = I_n.
+
+    Each reflector is a few numpy calls, as a lift is mostly their fixed
+    cost: |a_r| and |a| are math.sqrt of ddots, and w = v* rows and the
+    update v w are kalg products.  B is built by one strided store of its
+    diagonal.
     """
     field, n, k = x.field, x.n, x.k
-    B = np.concatenate([kalg.identity(n, field).data, x.m.data], axis=1)
+    B = np.zeros((n, n + k, field.ncomp))
+    B.reshape(n * (n + k), field.ncomp)[::n + k + 1, 0] = 1.0  # the diagonal of I_n
+    B[:, n:] = x.m.data
     for j in reversed(range(k)):
         r = n - k + j
         a = B[:r + 1, n + j:n + j + 1]
-        abs_r = np.sqrt(a[r, 0] @ a[r, 0])
-        q = a[r, 0] / abs_r if abs_r else np.eye(field.ncomp)[0]
+        a_r = a[r, 0]
+        abs_r = math.sqrt(a_r @ a_r)
+        q = a_r / abs_r if abs_r else np.eye(field.ncomp)[0]
         v = a.copy()
-        v[r, 0] += q * np.sqrt(np.vdot(a, a))
+        v_r = v[r, 0]
+        # the ddot of the strided column a itself: that of a contiguous copy sums
+        # in another order and moves the last bits of the lift
+        v_r += q * math.sqrt(np.vdot(a, a))
         rows = B[:r + 1, :n + j]
         w = kalg._product(field, kalg._conj_transpose(v), rows)
         rows -= kalg._product(field, v, w) * (2.0 / np.vdot(v, v))
@@ -209,8 +221,10 @@ def complete_lift(x: StiefelPoint) -> Lift:
 def _right_factor(fld: Field, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(rows [X; I])* for a block of rows of a lift and an (n-k) x k X: on the
     last k rows [beta P], (beta X + P)*."""
-    XI = np.concatenate([X, np.zeros((X.shape[1], X.shape[1], fld.ncomp))])  # [X; I]
-    kalg._shift_diagonal(XI[len(X):], 1.0)
+    nk, k, nc = X.shape
+    XI = np.zeros((nk + k, k, nc))  # [X; I]
+    XI[:nk] = X
+    XI.reshape((nk + k) * k, nc)[nk * k::k + 1, 0] = 1.0  # the diagonal of I
     return kalg._conj_transpose(kalg._product(fld, rows, XI))
 
 
@@ -222,8 +236,10 @@ def _cayley_rows(t: TangentCoords, rows: np.ndarray) -> np.ndarray:
     fld, X = t.field, t.X.data
     W = kalg._conj_transpose(rows)
     bR = kalg._product(fld, group.b_matrix(t).data, _right_factor(fld, rows, X))
-    return W + np.concatenate([kalg._product(fld, X, bR) * -2.0,
-                               (bR - W[len(X):]) * 2.0])
+    W_top, W_bot = W[:len(X)], W[len(X):]  # views of the fresh W: the sum is formed in place
+    W_top += kalg._product(fld, X, bR) * -2.0
+    W_bot += (bR - W_bot) * 2.0
+    return W
 
 
 def gamma(t: TangentCoords) -> StiefelPoint:

@@ -43,6 +43,35 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def reference_lift(x):
+    """Components of complete_lift(x).A by the Householder QL loop in its
+    plainest numpy form, the reference for the library's bits: a conjugate
+    transpose is a copy with its imaginary parts negated, the identity is set
+    by fancy indexing, B = [I, x] is one concatenate and the reflector scalars
+    come from np.sqrt."""
+
+    def conj_transpose(data):
+        out = np.swapaxes(data, -3, -2).copy()
+        out[..., 1:] *= -1.0
+        return out
+
+    field, n, k = x.field, x.n, x.k
+    eye = np.zeros((n, n, field.ncomp))
+    eye[range(n), range(n), 0] = 1.0
+    B = np.concatenate([eye, x.m.data], axis=1)
+    for j in reversed(range(k)):
+        r = n - k + j
+        a = B[:r + 1, n + j:n + j + 1]
+        abs_r = np.sqrt(a[r, 0] @ a[r, 0])
+        q = a[r, 0] / abs_r if abs_r else np.eye(field.ncomp)[0]
+        v = a.copy()
+        v[r, 0] += q * np.sqrt(np.vdot(a, a))
+        rows = B[:r + 1, :n + j]
+        w = kalg._product(field, conj_transpose(v), rows)
+        rows -= kalg._product(field, v, w) * (2.0 / np.vdot(v, v))
+    return np.concatenate([conj_transpose(B[:n - k, :n]) + 0.0, x.m.data], axis=1)
+
+
 def svd_test_runs(fld, data, tol):
     """Whether mat_inverse must run its SVD test on the square matrix with
     components data: True where sigma_max / sigma_min >= 1 / (2e), False

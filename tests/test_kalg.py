@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -218,6 +219,22 @@ class TestThinKernels:
         assert_same_bits(got, want)
         assert got.flags.c_contiguous and not np.shares_memory(got, data)
 
+    def test_conj_transpose_of_views_is_c_contiguous(self, field):
+        # the H product reshapes views of its left operand, so a conjugate
+        # transpose must come back C-contiguous from any input layout: a block of
+        # columns, a block of a stack, a transposed stack and a strided slice
+        nc = field.ncomp
+        wide = signed_zeros((3, 7, 9, nc), 5)
+        for data in (wide[0, :4, 2:8], wide[:, 1:5, :3], wide.swapaxes(1, 2),
+                     wide[:, ::2, ::3]):
+            got = kalg._conj_transpose(data)
+            want = kalg._conj_transpose(np.ascontiguousarray(data))
+            assert got.flags.c_contiguous
+            assert_same_bits(got, want)
+            right = signed_zeros((*data.shape[:-3], data.shape[-3], 2, nc), 6)
+            assert_same_bits(kalg._product(field, got, right),
+                             kalg._product(field, want, right))
+
     @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
     def test_norm_matches_linalg_norm(self, field, lead, r, c, _):
         data = signed_zeros((*lead, r, c, field.ncomp), 11 * r + c)
@@ -239,6 +256,30 @@ class TestThinKernels:
             single = kalg._frame_residuals(field, frames[s])
             assert type(single) is float
             assert_same_bits(single, stacked[s])
+
+
+class TestFrameScreen:
+    """A frame that is not finite has residual NaN, with no numpy warning
+    (warnings are errors in this suite)."""
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_frame(self, field, entry):
+        data = stiefel.random_stiefel_point(6, 2, field, 61).m.data.copy()
+        data[3, 1, field.ncomp - 1] = entry
+        assert math.isnan(kalg._frame_residuals(field, data))
+
+    def test_overflowing_frame(self, field):
+        data = np.full((4, 2, field.ncomp), 1e160)  # finite, |x|_F^2 overflows
+        assert math.isnan(kalg._frame_residuals(field, data))
+
+    def test_stack_member_by_member(self, field):
+        frames = np.stack([stiefel.random_stiefel_point(6, 2, field, 62 + s).m.data
+                           for s in range(3)])
+        frames[1, 0, 0, 0] = np.inf
+        got = kalg._frame_residuals(field, frames)
+        assert math.isnan(got[1])
+        for s in (0, 2):
+            assert_same_bits(got[s], kalg._frame_residuals(field, frames[s]))
 
 
 class TestConjTranspose:

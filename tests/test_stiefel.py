@@ -8,7 +8,8 @@ import pytest
 
 from conftest import (assert_same_bits, differential_min_gain, gamma_differential,
                       identity_tangent, in_cayley_open, kernel_witness, mat_payload,
-                      overflow_nan, random_lift_tangent, random_skew, svd_test_runs)
+                      overflow_nan, random_lift_tangent, random_skew, reference_lift,
+                      svd_test_runs)
 
 from cayley_stiefel import group, kalg, stiefel
 from cayley_stiefel.group import InvalidTangent
@@ -181,6 +182,14 @@ class TestCompleteLift:
                 want = kalg.identity(n, field).data
                 assert np.array_equal(got, want), (n, k)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (n, k)
+
+    @pytest.mark.parametrize("n, k", [(6, 0), (6, 2), (16, 4), (5, 5), (30, 5)])
+    def test_bits_match_reference_loop(self, field, n, k):
+        # tight and loose random frames, and the base frame, where the lift's
+        # signed zeros are decided
+        x = stiefel.random_stiefel_point(n, k, field, 31 * n + k)
+        for frame in (x, StiefelPoint((1.0 + 1e-9) * x.m), base_point(n, k, field)):
+            assert_same_bits(stiefel.complete_lift(frame).A.m.data, reference_lift(frame))
 
     def test_square_frame_is_its_own_lift(self, field):
         x = stiefel.random_stiefel_point(3, 3, field, 3)
@@ -576,6 +585,47 @@ class TestCoreCounts:
         assert counts["square_products"] == 1
 
 
+class TestKernelCounts:
+    """The kalg kernel calls of one lift and one transform, pinned so that a
+    rewrite cannot add one unnoticed."""
+
+    @staticmethod
+    def count(monkeypatch):
+        counts = {"product": 0, "conj_transpose": 0}
+        product, conj_transpose = kalg._product, kalg._conj_transpose
+
+        def counted_product(fld, a, b):
+            counts["product"] += 1
+            return product(fld, a, b)
+
+        def counted_conj_transpose(data):
+            counts["conj_transpose"] += 1
+            return conj_transpose(data)
+
+        monkeypatch.setattr(kalg, "_product", counted_product)
+        monkeypatch.setattr(kalg, "_conj_transpose", counted_conj_transpose)
+        return counts
+
+    @pytest.mark.parametrize("n, k", [(6, 0), (7, 3), (16, 4)])
+    def test_complete_lift(self, field, n, k, monkeypatch):
+        x = stiefel.random_stiefel_point(n, k, field, 81)
+        counts = self.count(monkeypatch)
+        stiefel.complete_lift(x)
+        # per reflector one conjugate transpose and two products, then
+        # (B[:n-k, :n])* and the check of A, a conjugate transpose and a product
+        assert counts == {"product": 2 * k + 1, "conj_transpose": k + 2}
+
+    @pytest.mark.parametrize("n, k", [(7, 3), (16, 4)])
+    def test_gamma(self, field, n, k, monkeypatch):
+        _, t = random_lift_tangent(n, k, field, 82)
+        counts = self.count(monkeypatch)
+        stiefel.gamma(t)
+        # the core X*X (b_matrix), rows [X; I] and its conjugate transpose
+        # (_right_factor), b R, X b R, the rows' conjugate transpose, and the
+        # check of the frame
+        assert counts == {"product": 5, "conj_transpose": 4}
+
+
 class TestChartMemo:
     """A lift keeps the coordinates of the last point gamma_inverse inverted:
     the section and the homotopy on that point invert only the core b."""
@@ -969,10 +1019,11 @@ class TestPointValidation:
     @pytest.mark.parametrize("entry", [np.inf, -np.inf])
     def test_rejects_infinite_entry(self, field, n, k, entry):
         # Mat rejects an inf it is given; kalg arithmetic can still overflow to one.
-        # inf * 0 in the products makes the residual NaN, with numpy's warning
+        # The frame check screens it out before x*x meets inf * 0, so numpy
+        # does not warn (warnings are errors in this suite)
         data = base_point(n, k, field).m.data.copy()
         data[n - 1, k - 1, field.ncomp - 1] = entry
-        with np.errstate(invalid="ignore"), pytest.raises(NotOrthonormal):
+        with pytest.raises(NotOrthonormal, match="residual nan exceeds"):
             StiefelPoint(Mat._trusted(field, data))
 
     def test_tangent_coords_reject_nan(self, field):

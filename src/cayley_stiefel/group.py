@@ -65,4 +65,5 @@ def b_matrix(t: TangentCoords) -> Mat:
     core.reshape(k * k, fld.ncomp)[::k + 1, 0] = 1.0  # the diagonal of I
     core += kalg._product(fld, kalg._conj_transpose(X), X)
     core += Y
-    return Mat._trusted(fld, kalg._invert(fld, core, kalg.DEFAULT_TOL))
+    ks = kalg._KERNELS[fld]
+    return Mat._trusted(fld, ks.components(kalg._invert(fld, ks.native(core), kalg.DEFAULT_TOL)))

@@ -19,7 +19,7 @@ singularity test are written once, on stacks of component arrays of shape
 (S, rows, cols, ncomp), so S matrices cost one numpy or LAPACK call and not
 S of them.  The random frames of stiefel use these private stacked forms;
 Mat products and conjugate transposes, the x*x = I check of one frame and
-is_invertible are their case with no stack axis.  The search and the
+is_invertible are their case with no stack axis.  The lift and the
 transforms call these kernels many times on a few rows each, where a numpy
 call costs more than its arithmetic, so each makes as few numpy calls as
 it can: a product is one @ on the real or complex view (over H, one np.dot
@@ -28,16 +28,27 @@ more forms the adjoint), a conjugate transpose one call on the swapped view
 signs (1, -1, -1, -1) over H), a shift of the diagonal one in-place add on
 its strided view, and a Frobenius norm one ddot (_norm).  Each gives the
 bits of the general numpy form it replaces, signed zeros included.
+
+A component kernel views its operands and wraps its result on every call.
+Code that makes many products in a row takes one kernel set per field
+instead (_Kernels, _KERNELS[field]), on native arrays: the real view over
+R, the complex view over C, and the components over H, whose kernels are
+the component kernels above.  It converts to the view once on entry and
+back once on exit, and every kernel in between is one numpy call on the
+view, with the bits of the component kernel it stands for.  The search
+(optim), the frame check (_frame_residuals) and _invert run on it.
+
 One rule decides singularity wherever an inverse is formed: LAPACK
 inverts first, and the SVD test runs only where the residual of that
 inverse cannot prove the test passes (_residual_proves).  _invert applies
-it to one matrix: mat_inverse is _invert on Mat values, and the library's
-transforms and its search curve call _invert on their k x k and 2k x 2k
-cores directly.  _invertible_stack applies it to every member of a stack
-with one LAPACK inversion, and the SVD runs on the members left; the
-cover test decides its shifted blocks with it.  is_invertible stays on
-the SVD: for one small matrix one SVD costs less than that decision on a
-stack of one.
+it to one matrix, given and returned as a native array: mat_inverse is
+_invert on Mat values, and the library's transforms and its search curve
+call _invert on their k x k and 2k x 2k cores directly; over R and C the
+native array is the operand LAPACK inverts.  _invertible_stack applies it
+to every member of a stack with one LAPACK inversion, and the SVD runs on
+the members left; the cover test decides its shifted blocks with it.
+is_invertible stays on the SVD: for one small matrix one SVD costs less
+than that decision on a stack of one.
 
 Validation happens at the boundaries.  The public constructor Mat(field,
 data) copies its input and rejects non-finite and complex entries (a
@@ -55,7 +66,9 @@ inf * 0 and numpy does not warn.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -88,15 +101,19 @@ class Field(enum.Enum):
 
 _NCOMP = {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}
 
+# the dtypes of the views: given np.float64 or np.complex128, a view looks the
+# dtype up on every call, which costs about a third of the view
+_F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
+
 
 def _view(field: Field, data: np.ndarray) -> np.ndarray:
     """Zero-copy real (R) or complex (C) view of (..., rows, cols, ncomp) components."""
-    return data[..., 0] if field is Field.REAL else data.view(np.complex128)[..., 0]
+    return data[..., 0] if field is Field.REAL else data.view(_C128)[..., 0]
 
 
 def _components(a: np.ndarray) -> np.ndarray:
-    """Inverse of _view for a fresh C-contiguous real or complex result."""
-    return a[..., None].view(np.float64)
+    """Inverse of _view for a real or complex array whose last axis is contiguous."""
+    return a[..., None].view(_F64)
 
 
 # (w, x, y, z) -> (-y, z, w, -x): the components of (-conj Z2, conj Z1)
@@ -122,7 +139,7 @@ def _adjoint(data: np.ndarray) -> np.ndarray:
     # each output component is one exact +-input component plus exact zeros,
     # so the bits, signed zeros too, do not depend on how BLAS sums them
     out[..., 1, :, :] = np.dot(data.reshape(-1, 4), _ADJOINT_ROW).reshape(data.shape)
-    return out.view(np.complex128).reshape(*lead, 2 * rows, 2 * cols)
+    return out.view(_C128).reshape(*lead, 2 * rows, 2 * cols)
 
 
 def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,19 +147,19 @@ def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     leading axes; Mat.__matmul__ is its case with no stack axis.
 
     Over R and C it is _components(_view(a) @ _view(b)) with the views
-    written out: one @ and no further calls, as every step of the search
-    makes several products of a few rows each.
+    written out: one @ and no further calls, as the lift and the transforms
+    make several products of a few rows each.
     """
     if field is Field.REAL:
         return (a[..., 0] @ b[..., 0])[..., None]
     if field is Field.COMPLEX:
-        p = a.view(np.complex128)[..., 0] @ b.view(np.complex128)[..., 0]
-        return p[..., None].view(np.float64)
+        p = a.view(_C128)[..., 0] @ b.view(_C128)[..., 0]
+        return p[..., None].view(_F64)
     # row i of a as complex, (Z1, Z2) interleaved, times the adjoint of b
     # gives row i of (Z1 W1 - Z2 conj W2, Z1 W2 + Z2 conj W1) interleaved
-    z = a.view(np.complex128).reshape(*a.shape[:-2], 2 * a.shape[-2])
+    z = a.view(_C128).reshape(*a.shape[:-2], 2 * a.shape[-2])
     p = z @ _adjoint(b)
-    return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(np.float64)
+    return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(_F64)
 
 
 def _shift_diagonal(data: np.ndarray, c: float | np.ndarray) -> None:
@@ -170,7 +187,7 @@ def _conj_transpose(data: np.ndarray) -> np.ndarray:
     if nc == 1:  # over R there are no imaginary parts to negate
         return swapped.copy()
     if nc == 2:
-        return np.conjugate(swapped.view(np.complex128), order="C").view(np.float64)
+        return np.conjugate(swapped.view(_C128), order="C").view(_F64)
     return np.multiply(swapped, _QUATERNION_CONJ, order="C")
 
 
@@ -183,7 +200,7 @@ def _norm(a: np.ndarray) -> float:
 def _sum_squares(a: np.ndarray) -> np.ndarray:
     """|member|_F^2 for each member of a real or complex stack, summed as
     np.linalg.norm sums one."""
-    flat = a.reshape(len(a), 1, -1).view(np.float64)
+    flat = a.reshape(len(a), 1, -1).view(_F64)
     return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
@@ -192,11 +209,75 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_sum_squares(a))
 
 
+class _Kernels:
+    """The kernels of one base ring on its native arrays, for code that makes
+    many small products in a row: the search, the frame check and _invert.
+
+    The native array of a (..., rows, cols, ncomp) component stack is its
+    real view (..., rows, cols) over R, its complex view over C, and the
+    components themselves over H.  native and components convert between the
+    two without a copy; floats is the float64 view of a native array, the
+    components in their stored order.  Over R and C a product is one @ on
+    the views, a conjugate transpose one numpy call on the swapped view, and
+    a scaling one multiply of the floats, as numpy's complex-by-real product
+    would turn -0.0 parts into +0.0 and inf ones into NaN.  A diagonal shift
+    adds to the real parts in place (_shift_diagonal), and a norm is the
+    ddot of the floats (_norm): never a complex dot, which sums in another
+    order.  H keeps the component kernels and the adjoint product.  Every
+    kernel gives the bits of the component kernel it stands for, signed
+    zeros included, so code written once on a _Kernels runs in all three
+    rings.  _KERNELS holds one per field; a caller looks it up once.
+    """
+
+    __slots__ = ("native", "components", "floats", "product", "conj_transpose", "scale",
+                 "shift_diagonal", "norm")
+
+    def __init__(self, **kernels):
+        for name, kernel in kernels.items():
+            setattr(self, name, kernel)
+
+
+def _identity(a: np.ndarray) -> np.ndarray:
+    return a
+
+
+_KERNELS = {
+    Field.REAL: _Kernels(
+        native=functools.partial(_view, Field.REAL),
+        components=lambda a: a[..., None],
+        floats=_identity,
+        product=np.matmul,
+        conj_transpose=lambda a: a.swapaxes(-2, -1).copy(),
+        scale=np.multiply,
+        shift_diagonal=lambda a, c: _shift_diagonal(a[..., None], c),
+        norm=_norm),
+    Field.COMPLEX: _Kernels(
+        native=functools.partial(_view, Field.COMPLEX),
+        components=_components,
+        floats=operator.methodcaller("view", _F64),
+        product=np.matmul,
+        conj_transpose=lambda a: np.conjugate(a.swapaxes(-2, -1), order="C"),
+        scale=lambda a, c: (a.view(_F64) * c).view(_C128),
+        shift_diagonal=lambda a, c: _shift_diagonal(a[..., None].view(_F64), c),
+        norm=lambda a: _norm(a.view(_F64))),
+    Field.QUATERNION: _Kernels(
+        native=_identity,
+        components=_identity,
+        floats=_identity,
+        product=functools.partial(_product, Field.QUATERNION),
+        conj_transpose=_conj_transpose,
+        scale=np.multiply,
+        shift_diagonal=_shift_diagonal,
+        norm=_norm),
+}
+
+
 def _frame_residuals(field: Field, data: np.ndarray) -> float | np.ndarray:
     """|x*x - I|_F of an (n, k, ncomp) frame x, a float, or of each x of an
     (S, n, k, ncomp) stack, an array: the residual of orthonormal frames and,
-    with k = n, of group elements.  The sums of squares are the same ddot
-    either way, so a member's residual is the same to the bit on its own.
+    with k = n, of group elements.  It runs on the native arrays (_KERNELS).
+    The sums of squares are the same ddot either way, so a member's residual
+    is the same to the bit on its own.
 
     A frame with an entry that is not finite, or whose |x|_F^2 overflows,
     has residual NaN, which fails every check.  One ddot screens for it, as
@@ -206,9 +287,11 @@ def _frame_residuals(field: Field, data: np.ndarray) -> float | np.ndarray:
         if data.ndim == 3:
             return math.nan
         return np.array([_frame_residuals(field, member) for member in data])
-    gram = _product(field, _conj_transpose(data), data)
-    _shift_diagonal(gram, -1.0)
-    return _norm(gram) if gram.ndim == 3 else _norms(gram)
+    ks = _KERNELS[field]
+    x = ks.native(data)
+    gram = ks.product(ks.conj_transpose(x), x)
+    ks.shift_diagonal(gram, -1.0)
+    return ks.norm(gram) if data.ndim == 3 else _norms(gram)
 
 
 class Mat:
@@ -242,7 +325,7 @@ class Mat:
         For fresh results only, which no caller holds: the array is neither
         copied nor checked for finiteness, and is made read-only in place.
         """
-        data.flags.writeable = False
+        data.setflags(write=False)
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "data", data)
@@ -431,40 +514,45 @@ def _residual_proves(r_sq, a_sq, b_sq, p: int, tol: float):
     return (r_sq <= 0.0625) & (16.0 * a_sq * b_sq * e * e <= 1.0)
 
 
-def _invert(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
-    """Components of the inverse of a square (n, n, ncomp) matrix M, by LAPACK
-    on its operand A (_operand), under the singularity test of mat_inverse.
+def _invert(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
+    """Inverse of a square matrix M, as a native array (_KERNELS) in and out,
+    by LAPACK on its operand (_operand), under the singularity test of
+    mat_inverse.
 
     LAPACK inverts first, giving B, and B alone decides the test when its
     residual proves that the test passes (_residual_proves, p = n, or 2n over
     H).  Otherwise the SVD test of _invertible_operand decides, and B is
     returned if it passes.  Either way the result is the same np.linalg.inv
-    of the same operand.  Over H the inverse of the adjoint is the adjoint of
-    M^{-1}, whose (i, 0) rows hold (Z1', Z2') interleaved.  Raises Singular
-    and ValueError as mat_inverse does.
+    of the same operand.  Over R and C the operand is the native array
+    itself, so the search's curve hands its core over with no conversion.
+    Over H the inverse of the adjoint is the adjoint of M^{-1}, whose (i, 0)
+    rows hold (Z1', Z2') interleaved.  Raises Singular and ValueError as
+    mat_inverse does.
     """
     _validate_tol(tol)
-    if data.shape[-3] != data.shape[-2]:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("inversion needs a square matrix")
-    # |M|_F^2, finite unless an entry is not finite or the sum overflows
-    sq = float(np.vdot(data, data))
-    if not math.isfinite(sq) and not np.isfinite(data).all():
+    floats = a.view(_F64)
+    # |M|_F^2, the ddot of the components: finite unless an entry is not
+    # finite or the sum overflows
+    sq = float(np.vdot(floats, floats))
+    if not math.isfinite(sq) and not np.isfinite(floats).all():
         raise Singular("matrix entries are not finite")
-    a = _operand(field, data)
-    p = a.shape[-1]
+    op = _adjoint(a) if field is Field.QUATERNION else a
+    p = op.shape[-1]
     try:
-        inv = np.linalg.inv(a)
+        inv = np.linalg.inv(op)
     except np.linalg.LinAlgError as exc:
         inv, failure = None, exc
     else:
-        r = a.dot(inv)
+        r = op.dot(inv)
         r.reshape(-1)[::p + 1] -= 1.0  # A B - I
         a_sq = 2.0 * sq if field is Field.QUATERNION else sq  # |A|_F^2: chi doubles it
         # Python floats: inf * 0 gives NaN, which proves nothing, with no warning
         if _residual_proves(float(np.vdot(r, r).real), a_sq,
                             float(np.vdot(inv, inv).real), p, float(tol)):
             return _from_operand(field, inv)
-    _, invertible, s = _invertible_operand(field, data, tol)
+    _, invertible, s = _invertible_operand(field, _KERNELS[field].components(a), tol)
     if not invertible:
         raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
                        f"{tol:.1e} times the largest {s[0]:.3e}")
@@ -515,11 +603,11 @@ def _invertible_stack(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _from_operand(field: Field, a: np.ndarray) -> np.ndarray:
-    """Components of the matrix whose operand is a: inverse of _operand."""
+    """Native array (_KERNELS) of the matrix whose operand is a."""
     if field is Field.QUATERNION:
         n = a.shape[-1] // 2
-        return np.ascontiguousarray(a.reshape(n, 2, n, 2)[:, 0]).view(np.float64)
-    return _components(a)
+        return np.ascontiguousarray(a.reshape(n, 2, n, 2)[:, 0]).view(_F64)
+    return a
 
 
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
@@ -529,7 +617,8 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     finite, and ValueError for a tol outside [0, inf).  The SVD that decides
     the first runs only where the inverse cannot decide it itself (_invert).
     """
-    return Mat._trusted(m.field, _invert(m.field, m.data, tol))
+    ks = _KERNELS[m.field]
+    return Mat._trusted(m.field, ks.components(_invert(m.field, ks.native(m.data), tol)))
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:

@@ -15,17 +15,23 @@ test, so every accepted step decreases f (Barzilai and Borwein,
 Armijo constant, backtrack factor and backtrack budget are constants.
 
 The generator, the curve points, the gradient A x and the Barzilai-Borwein
-differences are the inner loop, so their arithmetic runs on the component
-arrays through kalg's private product, conjugate transpose, norm and
-inverse, with inputs checked once where they enter: the gradient's shape
-and base ring, the curve parameter, and the x*x = I check of every point.
+differences are the inner loop, so their arithmetic runs on native arrays
+through kalg's kernel set for the field (kalg._KERNELS): the real view over
+R, the complex view over C, and the components with the adjoint product
+over H.  Over R and C each product, conjugate transpose, diagonal shift
+and norm is then one numpy call on the view.  Arrays convert to the view
+once per generator (x and F) and back once per curve point and for the
+generator's three public Mats; the 2k x 2k core goes to kalg._invert as it
+is.  Inputs are checked once where they enter: the gradient's shape and
+base ring, the curve parameter, and the x*x = I check of every point.
 Every value is the same to the bit as the same formulas on Mat values.
-The objectives form their image of a point (M x, x B - C) once for f and
-egrad at that point.
+The objectives form their image of a point (M x on the views, x B - C on
+Mat values) once for f and egrad at that point.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -136,8 +142,10 @@ class SearchGenerator:
     gnorm = |W + xK/2|_F, equal to |F - x herm(x*F)|_F for any x.
 
     from_gradient checks that F matches x in base ring and shape, then
-    computes on the component arrays through kalg's private product,
-    conjugate transpose and norm, with no Mat per intermediate value.  The
+    computes on the native arrays of kalg._KERNELS: the real view over R,
+    the complex view over C and the components over H.  It converts x and
+    F to them once, and converts back once, for U, NG and NUx; it keeps the
+    native x, U, NG and NUx (_views) for curve and gradient_descent.  The
     operations and their order are those of the same formulas on Mat
     values, so every field is the same to the bit.
     """
@@ -150,26 +158,40 @@ class SearchGenerator:
     gnorm: float
     ng_norm: float
 
+    @functools.cached_property
+    def _views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """x, U, NG and NUx as native arrays (kalg._KERNELS).  from_gradient
+        fills this cache with the arrays it computed; a generator built from
+        its fields converts them here, once."""
+        ks = kalg._KERNELS[self.x.field]
+        return tuple(ks.native(m.data) for m in (self.x.m, self.U, self.NG, self.NUx))
+
     @classmethod
     def from_gradient(cls, x: StiefelPoint, F: Mat) -> "SearchGenerator":
         if F.shape != x.m.shape:
             raise ValueError("gradient shape must match the frame")
         if F.field is not x.field:
             raise ValueError(f"mixed base rings: {x.field.value} vs {F.field.value}")
-        k, fld, xm, Fd = x.k, x.field, x.m.data, F.data
-        xF = kalg._product(fld, kalg._conj_transpose(xm), Fd)
-        W = Fd - kalg._product(fld, xm, xF)
-        K = xF - kalg._conj_transpose(xF)
-        s = kalg._norm(W) or 1.0
-        U = np.concatenate([W * (1.0 / s), xm], axis=1)
+        k, fld = x.k, x.field
+        ks = kalg._KERNELS[fld]
+        xv, Fv = ks.native(x.m.data), ks.native(F.data)
+        xF = ks.product(ks.conj_transpose(xv), Fv)
+        W = Fv - ks.product(xv, xF)
+        K = xF - ks.conj_transpose(xF)
+        s = ks.norm(W) or 1.0
+        U = np.concatenate([ks.scale(W, 1.0 / s), xv], axis=1)
         # with G = U*U split into k-row blocks, N G = [s G_bot; K G_bot - s G_top];
         # U*x is the last k columns of G, so N U*x is the last k columns of N G
-        G = kalg._product(fld, kalg._conj_transpose(U), U)
-        NG = np.concatenate([G[k:] * s, kalg._product(fld, K, G[k:]) - G[:k] * s])
-        gnorm = kalg._norm(W + kalg._product(fld, xm, K * 0.5))
-        rate = -_inner(kalg._conj_transpose(NG), NG)  # -Re tr(NG NG)
-        return cls(x, Mat._trusted(fld, U), Mat._trusted(fld, NG),
-                   Mat._trusted(fld, NG[:, k:].copy()), rate, gnorm, kalg._norm(NG))
+        G = ks.product(ks.conj_transpose(U), U)
+        sG = ks.scale(G, s)
+        NG = np.concatenate([sG[k:], ks.product(K, G[k:]) - sG[:k]])
+        gnorm = ks.norm(W + ks.product(xv, ks.scale(K, 0.5)))
+        rate = -_inner(ks.floats(ks.conj_transpose(NG)), ks.floats(NG))  # -Re tr(NG NG)
+        NUx = NG[:, k:].copy()
+        g = cls(x, Mat._trusted(fld, ks.components(U)), Mat._trusted(fld, ks.components(NG)),
+                Mat._trusted(fld, ks.components(NUx)), rate, gnorm, ks.norm(NG))
+        g.__dict__["_views"] = (xv, U, NG, NUx)
+        return g
 
 
 def curve(g: SearchGenerator, t: float) -> StiefelPoint:
@@ -184,28 +206,31 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     enough for rounding to swamp the step.  Raises ValueError when t or 2t
     is not finite.  The core is inverted by kalg._invert, which runs the
     test's SVD only where its inverse cannot decide it.  The arithmetic runs
-    on the component arrays, in the order of the same formula on Mat
-    values, so the point is the same to the bit.
+    on the generator's native arrays (kalg._KERNELS), in the order of the
+    same formula on Mat values, so the point is the same to the bit; the
+    point alone is converted back to components.
     """
     if not math.isfinite(2.0 * t):  # t is NaN, infinite, or 2t overflows
         raise ValueError(f"curve parameter must be finite, and so must 2t; got {t}")
-    fld = g.NG.field
-    core = g.NG.data * t
-    kalg._shift_diagonal(core, 1.0)
+    fld = g.x.field
+    ks = kalg._KERNELS[fld]
+    x, U, NG, NUx = g._views
+    core = ks.scale(NG, t)
+    ks.shift_diagonal(core, 1.0)
     inv = kalg._invert(fld, core, kalg.DEFAULT_TOL)
-    step = kalg._product(fld, g.U.data, kalg._product(fld, inv, g.NUx.data))
-    return StiefelPoint(Mat._trusted(fld, g.x.m.data - step * (2.0 * t)))
+    step = ks.product(U, ks.product(inv, NUx))
+    return StiefelPoint(Mat._trusted(fld, ks.components(x - ks.scale(step, 2.0 * t))))
 
 
 def _bb_step(S: np.ndarray, D: np.ndarray, odd: bool, fallback: float) -> float:
     """Barzilai-Borwein start of a line search along the Cayley curve.
 
-    S = x_k - x_{k-1} and D = A_k x_k - A_{k-1} x_{k-1} are the components
-    of the differences of the iterates and of the gradients A x.  The step is
-    |S|^2 / |<S, D>| on odd iterations and |<S, D>| / |D|^2 on even ones,
-    halved because the curve's derivative at t = 0 is -2 A x, and clamped
-    to [1e-20, 1e20].  Returns fallback when <S, D> = Re tr(S* D) is 0 or
-    not finite.
+    S = x_k - x_{k-1} and D = A_k x_k - A_{k-1} x_{k-1} are the components,
+    as float arrays of any shape, of the differences of the iterates and of
+    the gradients A x.  The step is |S|^2 / |<S, D>| on odd iterations and
+    |<S, D>| / |D|^2 on even ones, halved because the curve's derivative at
+    t = 0 is -2 A x, and clamped to [1e-20, 1e20].  Returns fallback when
+    <S, D> = Re tr(S* D) is 0 or not finite.
     """
     sd = abs(_inner(S, D))
     num, den = (_inner(S, S), sd) if odd else (sd, _inner(D, D))
@@ -242,13 +267,14 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     (gnorm), drops below grad_tol, the iteration budget is exhausted, or
     the line search fails.
     """
+    ks = kalg._KERNELS[x0.field]
     x = x0
     fval = obj.f(x)
     step_taken = 0.0
     backtracks = 0
     records = []
     reason = "max_iters"
-    prev = None  # the previous iterate's frame and its gradient A x
+    prev = None  # the floats of the previous iterate's frame and of its gradient A x
     for it in range(p.max_iters + 1):
         gen = SearchGenerator.from_gradient(x, obj.egrad(x))
         records.append(IterationRecord(it, x, fval, gen.gnorm, step_taken, backtracks))
@@ -258,13 +284,14 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
         if it == p.max_iters:
             break
         rate = gen.rate
-        Ax = kalg._product(x.field, gen.U.data, gen.NUx.data)
+        xv, U, _, NUx = gen._views
+        xf, Ax = ks.floats(xv), ks.floats(ks.product(U, NUx))
         tau = p.initial_step
         if prev is not None:
-            tau = _bb_step(x.m.data - prev[0], Ax - prev[1], it % 2 == 1, tau)
+            tau = _bb_step(xf - prev[0], Ax - prev[1], it % 2 == 1, tau)
         if tau * gen.ng_norm > _SATURATION:  # min(tau, S / ng_norm) with no 1/0
             tau = _SATURATION / gen.ng_norm
-        prev = (x.m.data, Ax)
+        prev = (xf, Ax)
         backtracks = 0
         while backtracks <= _MAX_BACKTRACKS:
             try:
@@ -292,13 +319,13 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     return OptimTrace(tuple(records), reason)
 
 
-def _once_per_point(image: Callable[[StiefelPoint], Mat]) -> Callable[[StiefelPoint], Mat]:
+def _once_per_point(image: Callable[[StiefelPoint], object]) -> Callable[[StiefelPoint], object]:
     """image(x), formed again only for a point object other than the last one
     seen: the search evaluates f at the point it accepts and egrad right
     after, so the objectives' image of a point is formed once."""
     last = (None, None)
 
-    def at(x: StiefelPoint) -> Mat:
+    def at(x: StiefelPoint):
         nonlocal last
         if last[0] is not x:
             last = (x, image(x))
@@ -308,17 +335,25 @@ def _once_per_point(image: Callable[[StiefelPoint], Mat]) -> Callable[[StiefelPo
 
 
 def rayleigh_objective(M: Mat) -> Objective:
-    """Trace objective f(x) = Re tr(x* M x); M is checked Hermitian within kalg.CHECK_TOL."""
+    """Trace objective f(x) = Re tr(x* M x); M is checked Hermitian within kalg.CHECK_TOL.
+
+    M x is formed once per point, on the native arrays of kalg._KERNELS, and
+    converted back to components only for egrad; f and egrad are the same
+    to the bit as Re tr(x* (M @ x)) and 2 (M @ x) on Mat values.
+    """
     resid = kalg.frobenius_norm(M - M.H)
     if not resid <= kalg.CHECK_TOL * max(1.0, kalg.frobenius_norm(M)):
         raise NotHermitian(f"M - M* residual {resid:.3e}")
-    image = _once_per_point(lambda x: M @ x.m)
+    fld = M.field
+    ks = kalg._KERNELS[fld]
+    Mv = ks.native(M.data)
+    image = _once_per_point(lambda x: ks.product(Mv, ks.native(x.m.data)))
 
     def f(x: StiefelPoint) -> float:
-        return _inner(x.m.data, image(x).data)
+        return _inner(x.m.data, ks.floats(image(x)))
 
     def egrad(x: StiefelPoint) -> Mat:
-        return 2.0 * image(x)
+        return Mat._trusted(fld, ks.components(image(x)) * 2.0)
 
     return Objective(f, egrad)
 

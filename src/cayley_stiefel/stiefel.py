@@ -279,8 +279,9 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     rows = lift.A.m.data[nk:]
     W = kalg._conj_transpose(rows)
     tau, pi = y.m.data[:nk], y.m.data[nk:]
+    ks = kalg._KERNELS[fld]
     try:
-        C_inv = kalg._invert(fld, pi + W[nk:], tol)
+        C_inv = ks.components(kalg._invert(fld, ks.native(pi + W[nk:]), tol))
     except Singular as exc:
         raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
     X = -kalg._product(fld, tau - W[:nk], C_inv)

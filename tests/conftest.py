@@ -43,6 +43,21 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def recorded_kernel(monkeypatch, field, name):
+    """Patch the kernel `name` of field's native kernel set (kalg._KERNELS) to
+    record the component shapes (rows, cols, ncomp) of its array arguments;
+    returns the record."""
+    ks = kalg._KERNELS[field]
+    calls, kernel, components = [], getattr(ks, name), ks.components
+
+    def recorded(*args):
+        calls.append(tuple(components(a).shape for a in args if isinstance(a, np.ndarray)))
+        return kernel(*args)
+
+    monkeypatch.setattr(ks, name, recorded)
+    return calls
+
+
 def reference_lift(x):
     """Components of complete_lift(x).A by the Householder QL loop in its
     plainest numpy form, the reference for the library's bits: a conjugate

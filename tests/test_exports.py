@@ -89,3 +89,12 @@ def test_inversions_and_svds_stay_in_kalg():
             elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
                 found.append((path.name, node.module))
     assert found and {name for name, _ in found} == {"kalg.py"}
+
+
+def test_search_stays_on_native_kernels():
+    # the search computes on kalg's native kernel sets: a component product,
+    # conjugate transpose or norm in optim would convert on every call
+    found = sorted({node.attr for node in ast.walk(ast.parse((PACKAGE / "optim.py").read_text()))
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("_product", "_conj_transpose", "_norm")})
+    assert found == []

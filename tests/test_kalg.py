@@ -258,6 +258,87 @@ class TestThinKernels:
             assert_same_bits(single, stacked[s])
 
 
+# (stack axes, n): square stacks for the diagonal shift, 2-D, stacked and zero-size
+SQUARE_SHAPES = [((), 4), ((), 1), ((), 9), ((3,), 5), ((2, 3), 2), ((), 0), ((0,), 3)]
+
+
+class TestNativeKernels:
+    """Each kernel of a field's native kernel set (kalg._KERNELS) against the
+    component kernel or numpy form it stands for, bit for bit, signed zeros
+    included: the native array in, its components out."""
+
+    @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
+    def test_conversions_are_views(self, field, lead, r, c, _):
+        ks = kalg._KERNELS[field]
+        data = signed_zeros((*lead, r, c, field.ncomp), 3 * r + c)
+        a = ks.native(data)
+        assert a.shape == (data.shape if field is Q else data.shape[:-1])
+        back = ks.components(a)
+        assert_same_bits(back, data)
+        assert_same_bits(ks.floats(a).reshape(-1), data.reshape(-1))
+        if data.size:
+            for view in (a, back, ks.floats(a)):
+                assert np.shares_memory(view, data)
+
+    @pytest.mark.parametrize("lead, r, c, m", KERNEL_SHAPES)
+    def test_product(self, field, lead, r, c, m):
+        ks = kalg._KERNELS[field]
+        a = signed_zeros((*lead, r, c, field.ncomp), r + 10 * c + 100 * m + 2)
+        b = signed_zeros((*lead, c, m, field.ncomp), r + 10 * c + 100 * m + 3)
+        got = ks.product(ks.native(a), ks.native(b))
+        assert_same_bits(ks.components(got), kalg._product(field, a, b))
+        if lead and 0 not in lead:  # broadcast one right operand over the stack
+            b0 = b[(0,) * len(lead)]
+            assert_same_bits(ks.components(ks.product(ks.native(a), ks.native(b0))),
+                             kalg._product(field, a, b0))
+
+    @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
+    def test_conj_transpose(self, field, lead, r, c, _):
+        ks = kalg._KERNELS[field]
+        data = signed_zeros((*lead, r, c, field.ncomp), 13 * r + c)
+        got = ks.conj_transpose(ks.native(data))
+        assert got.flags.c_contiguous and not np.shares_memory(got, data)
+        assert_same_bits(ks.components(got), kalg._conj_transpose(data))
+
+    @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
+    @pytest.mark.parametrize("factor", [0.5, -3.0, 0.0])
+    def test_scale(self, field, lead, r, c, _, factor):
+        # numpy's complex-by-real product would give +0.0 where the components give -0.0
+        ks = kalg._KERNELS[field]
+        data = signed_zeros((*lead, r, c, field.ncomp), 17 * r + c)
+        got = ks.scale(ks.native(data), factor)
+        assert not np.shares_memory(got, data)
+        assert_same_bits(ks.components(got), data * factor)
+
+    @pytest.mark.parametrize("lead, n", SQUARE_SHAPES)
+    def test_shift_diagonal(self, field, lead, n):
+        ks = kalg._KERNELS[field]
+        data = signed_zeros((*lead, n, n, field.ncomp), 19 * n + len(lead))
+        want = data.copy()
+        kalg._shift_diagonal(want, -1.0)
+        a = ks.native(data)
+        ks.shift_diagonal(a, -1.0)  # in place, on the components' memory
+        assert_same_bits(data, want)
+
+    # larger arrays too: a complex dot sums in another order, which shows in
+    # the last bits only on some of them
+    @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES + [((), 40, 30, 0), ((8,), 20, 20, 0)])
+    def test_norm(self, field, lead, r, c, _):
+        ks = kalg._KERNELS[field]
+        data = signed_zeros((*lead, r, c, field.ncomp), 23 * r + c)
+        got = ks.norm(ks.native(data))
+        assert type(got) is float
+        assert_same_bits(got, kalg._norm(data))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_invert_takes_and_returns_native_arrays(self, field, n):
+        ks = kalg._KERNELS[field]
+        data = conditioned(field, n, 10.0, 29 + n)
+        got = kalg._invert(field, ks.native(data), kalg.DEFAULT_TOL)
+        assert got.shape == ks.native(data).shape
+        assert_same_bits(ks.components(got), reference_inverse(field, data, kalg.DEFAULT_TOL))
+
+
 class TestFrameScreen:
     """A frame that is not finite has residual NaN, with no numpy warning
     (warnings are errors in this suite)."""

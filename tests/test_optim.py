@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, random_skew, svd_test_runs
+from conftest import assert_same_bits, random_skew, recorded_kernel, svd_test_runs
 
 from cayley_stiefel import group, kalg, optim, stiefel
 from cayley_stiefel.kalg import Field, Mat, Singular
@@ -192,12 +193,15 @@ class TestSearchGenerator:
         assert abs(g.rate + real_trace(g.NG @ g.NG)) <= bound
 
     def test_product_count(self, field, monkeypatch):
-        # x*F, x (x*F), U*U, K G_bot and x K/2; N is never formed
+        # x*F, x (x*F), U*U, K G_bot and x K/2, each one product of the field's
+        # native kernel set; N is never formed, and kalg._product is not called
         x = stiefel.random_stiefel_point(7, 3, field, 68)
         F = kalg.random_gaussian(7, 3, field, 69)
-        products = recorded_calls(monkeypatch, "_product")
+        products = recorded_kernel(monkeypatch, field, "product")
+        component_products = recorded_calls(monkeypatch, "_product")
         SearchGenerator.from_gradient(x, F)
         assert len(products) == 5
+        assert component_products == []
 
     # t |NG|_F = c / 2, from 0 to 1.5 either way
     @pytest.mark.parametrize("c", [0.0, 0.5, -0.99, 0.99, 1.01, -1.01, 3.0])
@@ -206,10 +210,11 @@ class TestSearchGenerator:
         x = stiefel.random_stiefel_point(n, k, field, 68)
         g = SearchGenerator.from_gradient(x, kalg.random_gaussian(n, k, field, 69))
         t = c * 0.5 / g.ng_norm
-        products = recorded_calls(monkeypatch, "_product")
+        products = recorded_kernel(monkeypatch, field, "product")
         svd_tests = recorded_calls(monkeypatch, "_invertible_operand")
         curve(g, t)
-        # inv N U*x and U (inv N U*x) for the step; x*x of the point's frame check
+        # inv N U*x and U (inv N U*x) for the step; x*x of the point's frame
+        # check: each one product of the native kernel set, shapes as components
         assert products == [((2 * k, 2 * k, nc), (2 * k, k, nc)), ((n, 2 * k, nc), (2 * k, k, nc)),
                             ((k, n, nc), (n, k, nc))]
         # the core I + t N U*U is well conditioned, so its inverse decides the test
@@ -233,6 +238,43 @@ class TestSearchGenerator:
             pass
         assert len(svd_tests) == must_run
 
+    def test_conversion_count(self, field, monkeypatch):
+        # into the native arrays: x and F, once per generator; back to
+        # components: U, NG and NUx once per generator, and the point once per
+        # curve point.  The point's frame check views its components once.
+        n, k = 7, 3
+        x = stiefel.random_stiefel_point(n, k, field, 68)
+        F = kalg.random_gaussian(n, k, field, 69)
+        conversions = recorded_conversions(monkeypatch, field)
+        g = SearchGenerator.from_gradient(x, F)
+        assert sorted(conversions) == [("components", "from_gradient")] * 3 + [
+            ("native", "from_gradient")] * 2
+        conversions.clear()
+        curve(g, 0.25 / g.ng_norm)
+        assert conversions == [("components", "curve"), ("native", "_frame_residuals")]
+
+    def test_conversions_per_iteration(self, field, monkeypatch):
+        # a Rayleigh solve: per generator 2 in and 3 out and egrad's 1 out; per
+        # curve point 1 out, the frame check's 1 in and M x's 1 in, which the
+        # start x0 makes once more
+        M = kalg.hermitian_part(kalg.random_gaussian(9, 9, field, 7))
+        x0 = stiefel.random_stiefel_point(9, 3, field, 8)
+        obj = rayleigh_objective(M)  # which views M once
+        conversions = recorded_conversions(monkeypatch, field)
+        trace = gradient_descent(obj, x0, SearchParams(max_iters=6))
+        generators = len(trace.records)
+        points = sum(r.backtracks + 1 for r in trace.records[1:])
+        assert trace.reason == "max_iters" and points > generators - 1
+        counts = {}
+        for key in conversions:
+            counts[key] = counts.get(key, 0) + 1
+        assert counts == {("native", "from_gradient"): 2 * generators,
+                          ("components", "from_gradient"): 3 * generators,
+                          ("components", "egrad"): generators,
+                          ("components", "curve"): points,
+                          ("native", "_frame_residuals"): points,
+                          ("native", "<lambda>"): points + 1}
+
     def test_rejects_gradient_over_another_ring(self, field):
         x = stiefel.random_stiefel_point(7, 3, field, 68)
         other = Field.COMPLEX if field is Field.REAL else Field.REAL
@@ -255,6 +297,21 @@ def recorded_calls(monkeypatch, name):
         return fn(fld, *arrays, **kwargs)
 
     monkeypatch.setattr(kalg, name, recorded)
+    return calls
+
+
+def recorded_conversions(monkeypatch, field):
+    """Patch the conversions of field's native kernel set (kalg._KERNELS) to
+    record (native or components, the calling function's name); returns the
+    record."""
+    ks = kalg._KERNELS[field]
+    calls = []
+    for name in ("native", "components"):
+        def recorded(a, name=name, kernel=getattr(ks, name)):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return kernel(a)
+
+        monkeypatch.setattr(ks, name, recorded)
     return calls
 
 
@@ -336,6 +393,21 @@ class TestMatReference:
     @pytest.mark.parametrize("n,k,scale", [(20, 4, 1.0), (5, 3, 1e8)])
     def test_solve_bit_identical(self, field, n, k, scale, monkeypatch):
         M = scale * kalg.hermitian_part(kalg.random_gaussian(n, n, field, 7))
+        self.check_solve(field, lambda: rayleigh_objective(M), n, k, scale, monkeypatch)
+
+    # the same for the Procrustes fit: x B - C with B of 2 columns puts W of
+    # rank at most 2, and B and C of scale sqrt(scale) give gradients of scale
+    @pytest.mark.parametrize("n,k,scale", [(20, 4, 1.0), (5, 3, 1e8)])
+    def test_procrustes_solve_bit_identical(self, field, n, k, scale, monkeypatch):
+        B = math.sqrt(scale) * kalg.random_gaussian(k, 2, field, 9)
+        C = math.sqrt(scale) * kalg.random_gaussian(n, 2, field, 10)
+        self.check_solve(field, lambda: procrustes_objective(B, C), n, k, scale, monkeypatch)
+
+    @staticmethod
+    def check_solve(field, objective, n, k, scale, monkeypatch):
+        """gradient_descent on objective() from a random frame against the same
+        search on the Mat formulas, record for record, bit for bit; above scale 1
+        the search must reject trials both as Singular and as NotOrthonormal."""
         x0 = stiefel.random_stiefel_point(n, k, field, 8)
         p = SearchParams(grad_tol=1e-6 * scale)
         rejected = set()
@@ -348,10 +420,10 @@ class TestMatReference:
                 raise
 
         monkeypatch.setattr(optim, "curve", recorded)
-        got = gradient_descent(rayleigh_objective(M), x0, p)
+        got = gradient_descent(objective(), x0, p)
         monkeypatch.setattr(SearchGenerator, "from_gradient", staticmethod(mat_from_gradient))
         monkeypatch.setattr(optim, "curve", mat_curve)
-        want = gradient_descent(rayleigh_objective(M), x0, p)
+        want = gradient_descent(objective(), x0, p)
         assert got.reason == want.reason == "converged"
         assert rejected == ({Singular, NotOrthonormal} if scale > 1.0 else set())
         assert len(got.records) == len(want.records)
@@ -368,6 +440,15 @@ class TestRayleighObjective:
         x = stiefel.random_stiefel_point(9, 3, field, 71)
         expected = real_trace(x.m.H @ (M @ x.m))
         assert abs(rayleigh_objective(M).f(x) - expected) <= 1e-13 * fro(M)
+
+    def test_values_match_mat_formulas(self, field):
+        # M x on the native arrays: f and egrad have the bits of the Mat formulas
+        M = kalg.hermitian_part(kalg.random_gaussian(9, 9, field, 70))
+        obj = rayleigh_objective(M)
+        for seed in (71, 72):
+            x = stiefel.random_stiefel_point(9, 3, field, seed)
+            assert_same_bits(obj.f(x), optim._inner(x.m.data, (M @ x.m).data))
+            assert_same_bits(obj.egrad(x).data, (2.0 * (M @ x.m)).data)
 
     def test_egrad_after_f_at_another_point(self, field):
         # egrad reuses the M x of the last point f saw only when it is the same point

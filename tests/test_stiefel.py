@@ -544,11 +544,14 @@ class TestCoreCounts:
     """Each k x k core is inverted once and the section is checked once."""
 
     @staticmethod
-    def count(monkeypatch, n=None):
+    def count(monkeypatch, field, n=None):
         # every inversion is one LAPACK call, whether or not the SVD test runs,
-        # and every product, Mat or component array, is one kalg._product
+        # and every product, Mat or component array, is one kalg._product; the
+        # frame check's is one product of the field's native kernel set
         counts = {"inverse": 0, "element": 0, "square_products": 0}
         inverse, post_init, product = np.linalg.inv, StiefelPoint.__post_init__, kalg._product
+        ks = kalg._KERNELS[field]
+        native_product, components = ks.product, ks.components
 
         def counted_inverse(a):
             counts["inverse"] += 1
@@ -562,22 +565,27 @@ class TestCoreCounts:
             counts["square_products"] += a.shape[-3:-1] == b.shape[-3:-1] == (n, n)
             return product(fld, a, b)
 
+        def counted_native_product(a, b):
+            counted_product(field, components(a), components(b))
+            return native_product(a, b)
+
         monkeypatch.setattr(np.linalg, "inv", counted_inverse)
         monkeypatch.setattr(StiefelPoint, "__post_init__", counted_post_init)
         monkeypatch.setattr(kalg, "_product", counted_product)
+        monkeypatch.setattr(ks, "product", counted_native_product)
         return counts
 
     def test_gamma_inverse_inverts_once(self, field, monkeypatch):
         lift, t = random_lift_tangent(7, 3, field, 71)
         y = stiefel.gamma(t)
-        counts = self.count(monkeypatch)
+        counts = self.count(monkeypatch, field)
         stiefel.gamma_inverse(lift, y)
         assert counts["inverse"] == 1
 
     def test_local_section_inverts_twice_and_checks_once(self, field, monkeypatch):
         lift, t = random_lift_tangent(7, 3, field, 72)
         y = stiefel.gamma(t)
-        counts = self.count(monkeypatch, n=7)
+        counts = self.count(monkeypatch, field, n=7)
         stiefel.local_section(lift, y)
         assert counts["inverse"] == 2
         assert counts["element"] == 1
@@ -590,26 +598,25 @@ class TestKernelCounts:
     rewrite cannot add one unnoticed."""
 
     @staticmethod
-    def count(monkeypatch):
+    def count(monkeypatch, field):
+        # the component kernels and, for the frame check, those of the field's
+        # native kernel set: each call of either is one product or transpose
         counts = {"product": 0, "conj_transpose": 0}
-        product, conj_transpose = kalg._product, kalg._conj_transpose
+        ks = kalg._KERNELS[field]
+        for module, name, key in ((kalg, "_product", "product"), (ks, "product", "product"),
+                                  (kalg, "_conj_transpose", "conj_transpose"),
+                                  (ks, "conj_transpose", "conj_transpose")):
+            def counted(*args, kernel=getattr(module, name), key=key):
+                counts[key] += 1
+                return kernel(*args)
 
-        def counted_product(fld, a, b):
-            counts["product"] += 1
-            return product(fld, a, b)
-
-        def counted_conj_transpose(data):
-            counts["conj_transpose"] += 1
-            return conj_transpose(data)
-
-        monkeypatch.setattr(kalg, "_product", counted_product)
-        monkeypatch.setattr(kalg, "_conj_transpose", counted_conj_transpose)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     @pytest.mark.parametrize("n, k", [(6, 0), (7, 3), (16, 4)])
     def test_complete_lift(self, field, n, k, monkeypatch):
         x = stiefel.random_stiefel_point(n, k, field, 81)
-        counts = self.count(monkeypatch)
+        counts = self.count(monkeypatch, field)
         stiefel.complete_lift(x)
         # per reflector one conjugate transpose and two products, then
         # (B[:n-k, :n])* and the check of A, a conjugate transpose and a product
@@ -618,7 +625,7 @@ class TestKernelCounts:
     @pytest.mark.parametrize("n, k", [(7, 3), (16, 4)])
     def test_gamma(self, field, n, k, monkeypatch):
         _, t = random_lift_tangent(n, k, field, 82)
-        counts = self.count(monkeypatch)
+        counts = self.count(monkeypatch, field)
         stiefel.gamma(t)
         # the core X*X (b_matrix), rows [X; I] and its conjugate transpose
         # (_right_factor), b R, X b R, the rows' conjugate transpose, and the
@@ -643,7 +650,7 @@ class TestChartMemo:
     ], ids=["section", "contraction"])
     def test_kept_coordinates_leave_the_core_alone(self, field, call, monkeypatch):
         lift, y = self.inverted(field, 73)
-        counts = TestCoreCounts.count(monkeypatch)
+        counts = TestCoreCounts.count(monkeypatch, field)
         out = call(lift, y)
         assert counts["inverse"] == 1  # b only
         fresh = stiefel.complete_lift(lift.point)
@@ -653,7 +660,7 @@ class TestChartMemo:
     def test_hit_returns_the_same_arrays(self, field, monkeypatch):
         lift, y = self.inverted(field, 74)
         first = stiefel.gamma_inverse(lift, y, 1e-9)
-        counts = TestCoreCounts.count(monkeypatch)
+        counts = TestCoreCounts.count(monkeypatch, field)
         again = stiefel.gamma_inverse(lift, y, 1e-9)
         assert counts["inverse"] == 0
         assert again.lift is lift and again.X is first.X and again.Y is first.Y
@@ -662,7 +669,7 @@ class TestChartMemo:
         lift, y = self.inverted(field, 75)
         kept = stiefel.gamma_inverse(lift, y, 1e-9)
         copy = StiefelPoint(Mat(field, y.m.data))
-        counts = TestCoreCounts.count(monkeypatch)
+        counts = TestCoreCounts.count(monkeypatch, field)
         other = stiefel.gamma_inverse(lift, y, 1e-8)
         assert counts["inverse"] == 1
         recomputed = stiefel.gamma_inverse(lift, copy, 1e-8)  # kept: (y, 1e-8)

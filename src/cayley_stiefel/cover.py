@@ -67,18 +67,21 @@ def _memberships(field: Field, pi: np.ndarray, ladder: ThetaLadder,
                  tol: float) -> np.ndarray:
     """(S, len(ladder)) booleans: whether pi_s + (cos theta_i) I_k is invertible.
 
-    pi holds the components (S, k, k, ncomp) of S bottom blocks.  The shifted
-    blocks of every sample and angle, sample by sample, form one stack, which
+    pi holds the components (S, k, k, ncomp) of S bottom blocks, which are
+    viewed as native arrays (kalg._KERNELS) once.  The shifted blocks of
+    every sample and angle, sample by sample, form one stack, which
     kalg._invertible_stack decides in calls of at most _CHUNK members: one
     LAPACK inversion each, and an SVD only for blocks whose residual cannot
     decide.
     """
+    ks = kalg._KERNELS[field]
+    pi = ks.native(pi)
     cos = np.array([math.cos(theta) for theta in ladder.angles])
     out = np.empty(len(pi) * len(cos), dtype=bool)
     for start in range(0, len(out), _CHUNK):
         member = np.arange(start, min(start + _CHUNK, len(out)))
         shifted = pi[member // len(cos)]
-        kalg._shift_diagonal(shifted, cos[member % len(cos), None])
+        ks.shift_diagonal(shifted, cos[member % len(cos), None])
         out[start:start + _CHUNK] = kalg._invertible_stack(field, shifted, tol)
     return out.reshape(len(pi), len(cos))
 

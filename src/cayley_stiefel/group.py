@@ -56,14 +56,14 @@ def b_matrix(t: TangentCoords) -> Mat:
     For skew-Hermitian Y, Re v*(I + X*X + Y)v = 1 + |Xv|^2 for a unit vector
     v, so every singular value of the core is at least 1 and b_matrix takes
     no tol: the core is inverted at kalg.DEFAULT_TOL (kalg._invert), formed
-    on the component arrays in the order of the Mat formula
+    on the native arrays (kalg._KERNELS) in the order of the Mat formula
     mat_inverse(I + X*X + Y), so the inverse is the same to the bit.
     """
-    X, Y = t.X.data, t.Y.data
-    fld, k = t.X.field, t.X.cols
-    core = np.zeros((k, k, fld.ncomp))
-    core.reshape(k * k, fld.ncomp)[::k + 1, 0] = 1.0  # the diagonal of I
-    core += kalg._product(fld, kalg._conj_transpose(X), X)
-    core += Y
+    fld = t.X.field
     ks = kalg._KERNELS[fld]
-    return Mat._trusted(fld, ks.components(kalg._invert(fld, ks.native(core), kalg.DEFAULT_TOL)))
+    X, Y = ks.native(t.X.data), ks.native(t.Y.data)
+    core = np.zeros(Y.shape, Y.dtype)
+    ks.shift_diagonal(core, 1.0)  # I
+    core += ks.product(ks.conj_transpose(X), X)
+    core += Y
+    return Mat._trusted(fld, ks.components(kalg._invert(fld, core, kalg.DEFAULT_TOL)))

@@ -14,39 +14,32 @@ whose inverse is the adjoint of M^{-1}.  The interleaving permutes chi's rows
 and columns alike, so the singular values are chi's.  Products never
 silently commute.
 
-The product, the conjugate transpose, the frame residual and the
-singularity test are written once, on stacks of component arrays of shape
-(S, rows, cols, ncomp), so S matrices cost one numpy or LAPACK call and not
-S of them.  The random frames of stiefel use these private stacked forms;
-Mat products and conjugate transposes, the x*x = I check of one frame and
-is_invertible are their case with no stack axis.  The lift and the
-transforms call these kernels many times on a few rows each, where a numpy
-call costs more than its arithmetic, so each makes as few numpy calls as
-it can: a product is one @ on the real or complex view (over H, one np.dot
-more forms the adjoint), a conjugate transpose one call on the swapped view
-(a copy over R, np.conjugate of the complex view over C, a product with the
-signs (1, -1, -1, -1) over H), a shift of the diagonal one in-place add on
-its strided view, and a Frobenius norm one ddot (_norm).  Each gives the
-bits of the general numpy form it replaces, signed zeros included.
-
-A component kernel views its operands and wraps its result on every call.
-Code that makes many products in a row takes one kernel set per field
-instead (_Kernels, _KERNELS[field]), on native arrays: the real view over
-R, the complex view over C, and the components over H, whose kernels are
-the component kernels above.  It converts to the view once on entry and
-back once on exit, and every kernel in between is one numpy call on the
-view, with the bits of the component kernel it stands for.  The search
-(optim), the frame check (_frame_residuals) and _invert run on it.
+Every kernel runs on native arrays, through one kernel set per field
+(_Kernels, _KERNELS[field]): the real view of the components over R, the
+complex view over C and the components themselves over H.  The two forms
+convert without a copy, so code converts once where a Mat enters and once
+where one leaves, and every kernel in between is as few numpy calls as
+it can be, as the lift and the transforms call them many times on a few
+rows each, where a numpy call costs more than its arithmetic: a product
+is one @ (over H, one np.dot more forms the adjoint), a conjugate
+transpose one call on the swapped view (a copy over R, np.conjugate over
+C, a product with the signs (1, -1, -1, -1) over H), a scaling one
+multiply of the floats, a shift of the diagonal one in-place add on its
+strided view (_shift_diagonal), and a Frobenius norm one ddot of the
+floats (_norm).  Each gives the bits of the general numpy form it
+replaces, signed zeros included.  The kernels broadcast over leading
+stack axes, so S matrices cost one numpy or LAPACK call and not S of
+them, as the random frames of stiefel and the cover test use them.
 
 One rule decides singularity wherever an inverse is formed: LAPACK
 inverts first, and the SVD test runs only where the residual of that
 inverse cannot prove the test passes (_residual_proves).  _invert applies
-it to one matrix, given and returned as a native array: mat_inverse is
-_invert on Mat values, and the library's transforms and its search curve
-call _invert on their k x k and 2k x 2k cores directly; over R and C the
-native array is the operand LAPACK inverts.  _invertible_stack applies it
-to every member of a stack with one LAPACK inversion, and the SVD runs on
-the members left; the cover test decides its shifted blocks with it.
+it to one native matrix: mat_inverse is _invert on Mat values, and the
+library's transforms and its search curve call _invert on their k x k
+and 2k x 2k cores directly; over R and C the native array is the operand
+LAPACK inverts.  _invertible_stack applies it to every member of a native
+stack with one LAPACK inversion, and the SVD runs on the members left;
+the cover test decides its shifted blocks with it.
 is_invertible stays on the SVD: for one small matrix one SVD costs less
 than that decision on a stack of one.
 
@@ -66,7 +59,6 @@ inf * 0 and numpy does not warn.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 
@@ -106,16 +98,6 @@ _NCOMP = {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}
 _F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
 
 
-def _view(field: Field, data: np.ndarray) -> np.ndarray:
-    """Zero-copy real (R) or complex (C) view of (..., rows, cols, ncomp) components."""
-    return data[..., 0] if field is Field.REAL else data.view(_C128)[..., 0]
-
-
-def _components(a: np.ndarray) -> np.ndarray:
-    """Inverse of _view for a real or complex array whose last axis is contiguous."""
-    return a[..., None].view(_F64)
-
-
 # (w, x, y, z) -> (-y, z, w, -x): the components of (-conj Z2, conj Z1)
 _ADJOINT_ROW = np.array([[0.0, 0.0, 1.0, 0.0],
                          [0.0, 0.0, 0.0, -1.0],
@@ -142,21 +124,11 @@ def _adjoint(data: np.ndarray) -> np.ndarray:
     return out.view(_C128).reshape(*lead, 2 * rows, 2 * cols)
 
 
-def _product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of (..., rows, cols, ncomp) component stacks, broadcast over the
-    leading axes; Mat.__matmul__ is its case with no stack axis.
-
-    Over R and C it is _components(_view(a) @ _view(b)) with the views
-    written out: one @ and no further calls, as the lift and the transforms
-    make several products of a few rows each.
-    """
-    if field is Field.REAL:
-        return (a[..., 0] @ b[..., 0])[..., None]
-    if field is Field.COMPLEX:
-        p = a.view(_C128)[..., 0] @ b.view(_C128)[..., 0]
-        return p[..., None].view(_F64)
-    # row i of a as complex, (Z1, Z2) interleaved, times the adjoint of b
-    # gives row i of (Z1 W1 - Z2 conj W2, Z1 W2 + Z2 conj W1) interleaved
+def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of (..., rows, cols, 4) quaternion stacks, broadcast over the
+    leading axes: row i of a as complex, (Z1, Z2) interleaved, times the
+    adjoint of b gives row i of (Z1 W1 - Z2 conj W2, Z1 W2 + Z2 conj W1)
+    interleaved."""
     z = a.view(_C128).reshape(*a.shape[:-2], 2 * a.shape[-2])
     p = z @ _adjoint(b)
     return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(_F64)
@@ -179,18 +151,6 @@ def _shift_diagonal(data: np.ndarray, c: float | np.ndarray) -> None:
 _QUATERNION_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _conj_transpose(data: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a (..., rows, cols, ncomp) stack,
-    a fresh C-contiguous array: one numpy call on the swapped view."""
-    swapped = data.swapaxes(-3, -2)
-    nc = data.shape[-1]
-    if nc == 1:  # over R there are no imaginary parts to negate
-        return swapped.copy()
-    if nc == 2:
-        return np.conjugate(swapped.view(_C128), order="C").view(_F64)
-    return np.multiply(swapped, _QUATERNION_CONJ, order="C")
-
-
 def _norm(a: np.ndarray) -> float:
     """Frobenius norm of a C-contiguous float64 array: the one ddot that
     np.linalg.norm makes on it, without the wrapper, so the same bits."""
@@ -205,13 +165,14 @@ def _sum_squares(a: np.ndarray) -> np.ndarray:
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each member of a stack."""
+    """Frobenius norm of each member of a stack, real or complex, so of a
+    native stack (_KERNELS) of any field."""
     return np.sqrt(_sum_squares(a))
 
 
 class _Kernels:
-    """The kernels of one base ring on its native arrays, for code that makes
-    many small products in a row: the search, the frame check and _invert.
+    """The kernels of one base ring on its native arrays: the library's only
+    products, conjugate transposes, scalings, diagonal shifts and norms.
 
     The native array of a (..., rows, cols, ncomp) component stack is its
     real view (..., rows, cols) over R, its complex view over C, and the
@@ -220,13 +181,15 @@ class _Kernels:
     components in their stored order.  Over R and C a product is one @ on
     the views, a conjugate transpose one numpy call on the swapped view, and
     a scaling one multiply of the floats, as numpy's complex-by-real product
-    would turn -0.0 parts into +0.0 and inf ones into NaN.  A diagonal shift
+    would turn -0.0 parts into +0.0 and inf ones into NaN.  Over H a product
+    goes through the adjoint (_adjoint_product), and a conjugate transpose
+    multiplies the swapped components by (1, -1, -1, -1).  A diagonal shift
     adds to the real parts in place (_shift_diagonal), and a norm is the
     ddot of the floats (_norm): never a complex dot, which sums in another
-    order.  H keeps the component kernels and the adjoint product.  Every
-    kernel gives the bits of the component kernel it stands for, signed
-    zeros included, so code written once on a _Kernels runs in all three
-    rings.  _KERNELS holds one per field; a caller looks it up once.
+    order.  Every kernel gives the bits of the general numpy form it stands
+    for, signed zeros included, so code written once on a _Kernels runs in
+    all three rings.  _KERNELS holds one per field; a caller looks it up
+    once.
     """
 
     __slots__ = ("native", "components", "floats", "product", "conj_transpose", "scale",
@@ -243,7 +206,7 @@ def _identity(a: np.ndarray) -> np.ndarray:
 
 _KERNELS = {
     Field.REAL: _Kernels(
-        native=functools.partial(_view, Field.REAL),
+        native=operator.itemgetter((Ellipsis, 0)),
         components=lambda a: a[..., None],
         floats=_identity,
         product=np.matmul,
@@ -252,8 +215,8 @@ _KERNELS = {
         shift_diagonal=lambda a, c: _shift_diagonal(a[..., None], c),
         norm=_norm),
     Field.COMPLEX: _Kernels(
-        native=functools.partial(_view, Field.COMPLEX),
-        components=_components,
+        native=lambda a: a.view(_C128)[..., 0],
+        components=lambda a: a[..., None].view(_F64),
         floats=operator.methodcaller("view", _F64),
         product=np.matmul,
         conj_transpose=lambda a: np.conjugate(a.swapaxes(-2, -1), order="C"),
@@ -264,8 +227,8 @@ _KERNELS = {
         native=_identity,
         components=_identity,
         floats=_identity,
-        product=functools.partial(_product, Field.QUATERNION),
-        conj_transpose=_conj_transpose,
+        product=_adjoint_product,
+        conj_transpose=lambda a: np.multiply(a.swapaxes(-3, -2), _QUATERNION_CONJ, order="C"),
         scale=np.multiply,
         shift_diagonal=_shift_diagonal,
         norm=_norm),
@@ -389,11 +352,16 @@ class Mat:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "Mat") -> "Mat":
+    def _check_product(self, other: "Mat"):
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return Mat._trusted(self.field, _product(self.field, self.data, other.data))
+
+    def __matmul__(self, other: "Mat") -> "Mat":
+        self._check_product(other)
+        ks = _KERNELS[self.field]
+        return Mat._trusted(self.field,
+                            ks.components(ks.product(ks.native(self.data), ks.native(other.data))))
 
     def __repr__(self) -> str:
         return f"Mat({self.field.value}, {self.rows}x{self.cols})"
@@ -410,7 +378,8 @@ def identity(n: int, field: Field) -> Mat:
 
 
 def conj_transpose(m: Mat) -> Mat:
-    return Mat._trusted(m.field, _conj_transpose(m.data))
+    ks = _KERNELS[m.field]
+    return Mat._trusted(m.field, ks.components(ks.conj_transpose(ks.native(m.data))))
 
 
 def frobenius_norm(m: Mat) -> float:
@@ -440,10 +409,10 @@ def vstack(*mats: Mat) -> Mat:
     return Mat._trusted(field, np.concatenate([m.data for m in mats], axis=0))
 
 
-def _operand(field: Field, data: np.ndarray) -> np.ndarray:
-    """The real or complex array LAPACK works on: the view of the components
-    over R and C, the interleaved adjoint over H."""
-    return _adjoint(data) if field is Field.QUATERNION else _view(field, data)
+def _operand(field: Field, a: np.ndarray) -> np.ndarray:
+    """The real or complex array LAPACK works on: the native array itself over
+    R and C, its interleaved adjoint over H."""
+    return _adjoint(a) if field is Field.QUATERNION else a
 
 
 def _validate_tol(tol: float) -> None:
@@ -451,42 +420,54 @@ def _validate_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def _invertible_operand(field: Field, data: np.ndarray,
+def _screened_operand(field: Field, a: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
+    """(operand, finite) of a native square matrix or stack: the operand with
+    every matrix that is not finite set to 0, and True when every matrix is
+    finite, otherwise whether each one is, a boolean over the stack.
+
+    LAPACK prints to stdout, fails to converge or returns NaN on a matrix
+    that is not finite, and the adjoint would meet inf * 0.  The sum of
+    squares is finite only if every entry is: one cheap screen of the stack.
+    """
+    floats = _KERNELS[field].floats(a)
+    if math.isfinite(np.vdot(floats, floats)):
+        return _operand(field, a), True
+    op = _operand(field, np.where(np.isfinite(a), a, 0.0))
+    finite = np.isfinite(floats).reshape(*op.shape[:-2], -1).all(axis=-1)
+    op[~finite] = 0.0
+    return op, finite
+
+
+def _invertible_operand(field: Field, a: np.ndarray,
                         tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Operands and the relative singularity test for a stack of square matrices.
 
-    data holds (S, n, n, ncomp) or (n, n, ncomp) components.  Returns
-    (a, invertible, s): each matrix as a real or complex array, its
-    interleaved adjoint over H; a boolean array over the stack, False where
-    sigma_min <= tol * sigma_max or where an entry is not finite; and the
-    singular values, from one stacked SVD, NaN for a matrix that is not
-    finite.  The adjoint has the singular values of M, each twice, so the
-    test means the same in all three rings.  Raises ValueError for a tol
-    outside [0, inf).
+    a is a native (_KERNELS) matrix or stack of them.  Returns (op,
+    invertible, s): each matrix as a real or complex array, its interleaved
+    adjoint over H (_screened_operand); a boolean array over the stack,
+    False where sigma_min <= tol * sigma_max or where an entry is not
+    finite; and the singular values, from one stacked SVD, NaN for a matrix
+    that is not finite.  The adjoint has the singular values of M, each
+    twice, so the test means the same in all three rings.  Raises
+    ValueError for a tol outside [0, inf) and for matrices that are not
+    square.
     """
     _validate_tol(tol)
-    if data.shape[-3] != data.shape[-2]:
+    op, finite = _screened_operand(field, a)
+    if op.shape[-1] != op.shape[-2]:
         raise ValueError("inversion needs a square matrix")
-    # LAPACK prints to stdout, fails to converge or returns NaN on a matrix that
-    # is not finite, so such a member reaches the SVD as zeros.  The sum of
-    # squares is finite only if every entry is: one cheap screen of the stack.
-    all_finite = math.isfinite(np.vdot(data, data))
-    if not all_finite:
-        finite = np.isfinite(data).all(axis=(-3, -2, -1))
-        data = np.where(finite[..., None, None, None], data, 0.0)
-    a = _operand(field, data)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(op, compute_uv=False)
     if s.shape[-1] == 0:
-        return a, np.ones(s.shape[:-1], dtype=bool), s
+        return op, np.ones(s.shape[:-1], dtype=bool), s
     # numpy scalars for one matrix (0-d arrays cost microseconds), arrays over a stack
     smin, smax = s.T[-1], s.T[0]
     # as smin <= smax, a tol of 1 or more calls every matrix singular; capping it
     # at 1 keeps tol * smax from overflowing
     invertible = ~(smin <= min(tol, 1.0) * smax)
-    if not all_finite:
+    if finite is not True:
         s[~finite] = np.nan
         invertible &= finite
-    return a, invertible, s
+    return op, invertible, s
 
 
 def _residual_proves(r_sq, a_sq, b_sq, p: int, tol: float):
@@ -538,7 +519,7 @@ def _invert(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
     sq = float(np.vdot(floats, floats))
     if not math.isfinite(sq) and not np.isfinite(floats).all():
         raise Singular("matrix entries are not finite")
-    op = _adjoint(a) if field is Field.QUATERNION else a
+    op = _operand(field, a)
     p = op.shape[-1]
     try:
         inv = np.linalg.inv(op)
@@ -552,7 +533,7 @@ def _invert(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
         if _residual_proves(float(np.vdot(r, r).real), a_sq,
                             float(np.vdot(inv, inv).real), p, float(tol)):
             return _from_operand(field, inv)
-    _, invertible, s = _invertible_operand(field, _KERNELS[field].components(a), tol)
+    _, invertible, s = _invertible_operand(field, a, tol)
     if not invertible:
         raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
                        f"{tol:.1e} times the largest {s[0]:.3e}")
@@ -561,9 +542,10 @@ def _invert(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
     return _from_operand(field, inv)
 
 
-def _invertible_stack(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each member of an (S, n, n, ncomp) stack passes the singularity
-    test of mat_inverse: one boolean per member, decided as _invert decides.
+def _invertible_stack(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each member of a native (_KERNELS) stack of S square matrices
+    passes the singularity test of mat_inverse: one boolean per member,
+    decided as _invert decides.
 
     One np.linalg.inv inverts the stack of operands, and a member whose
     residual proves the test (_residual_proves) needs nothing more.  The SVD
@@ -575,30 +557,27 @@ def _invertible_stack(field: Field, data: np.ndarray, tol: float) -> np.ndarray:
     and, through _invertible_operand, for matrices that are not square.
     """
     _validate_tol(tol)
-    screened, finite = data, True
-    if not math.isfinite(np.vdot(data, data)):  # the screen of _invertible_operand
-        finite = np.isfinite(data).all(axis=(1, 2, 3))
-        screened = np.where(finite[:, None, None, None], data,
-                            identity(data.shape[1], field).data)
-    a = _operand(field, screened)
-    p = a.shape[-1]
+    op, finite = _screened_operand(field, a)
+    p = op.shape[-1]
+    if finite is not True:
+        op[~finite] = np.eye(p)  # the operand of the identity, over H too
     # every inverse has |A|_F |B|_F >= p: if R = 0 at that bound proves nothing, none can
     if not _residual_proves(0.0, p, p, p, float(tol)):
-        return _invertible_operand(field, data, tol)[1]
+        return _invertible_operand(field, a, tol)[1]
     try:
-        inv = np.linalg.inv(a)
+        inv = np.linalg.inv(op)
     except np.linalg.LinAlgError:  # a zero pivot, or a stack that is not square
-        return _invertible_operand(field, data, tol)[1]
-    r = a @ inv
+        return _invertible_operand(field, a, tol)[1]
+    r = op @ inv
     r.reshape(len(r), -1)[:, ::p + 1] -= 1.0  # A B - I
     # an overflowing sum of squares is inf, and inf * 0 NaN: either proves nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        proved = _residual_proves(_sum_squares(r), _sum_squares(a), _sum_squares(inv), p,
+        proved = _residual_proves(_sum_squares(r), _sum_squares(op), _sum_squares(inv), p,
                                   float(tol))
     invertible = proved & finite
     undecided = np.flatnonzero(~proved)  # all finite: the identity's inverse proves it
     if len(undecided):
-        invertible[undecided] = _invertible_operand(field, data[undecided], tol)[1]
+        invertible[undecided] = _invertible_operand(field, a[undecided], tol)[1]
     return invertible
 
 
@@ -623,7 +602,7 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:
     """Whether mat_inverse(m, tol) passes its Singular test; no inverse is formed."""
-    return bool(_invertible_operand(m.field, m.data, tol)[1])
+    return bool(_invertible_operand(m.field, _KERNELS[m.field].native(m.data), tol)[1])
 
 
 def random_gaussian(rows: int, cols: int, field: Field, seed: int) -> Mat:

@@ -15,23 +15,20 @@ test, so every accepted step decreases f (Barzilai and Borwein,
 Armijo constant, backtrack factor and backtrack budget are constants.
 
 The generator, the curve points, the gradient A x and the Barzilai-Borwein
-differences are the inner loop, so their arithmetic runs on native arrays
-through kalg's kernel set for the field (kalg._KERNELS): the real view over
-R, the complex view over C, and the components with the adjoint product
-over H.  Over R and C each product, conjugate transpose, diagonal shift
-and norm is then one numpy call on the view.  Arrays convert to the view
-once per generator (x and F) and back once per curve point and for the
-generator's three public Mats; the 2k x 2k core goes to kalg._invert as it
-is.  Inputs are checked once where they enter: the gradient's shape and
-base ring, the curve parameter, and the x*x = I check of every point.
-Every value is the same to the bit as the same formulas on Mat values.
-The objectives form their image of a point (M x on the views, x B - C on
-Mat values) once for f and egrad at that point.
+differences run on native arrays through kalg's kernel set for the field
+(kalg._KERNELS), as the rest of the library does: x and F convert once
+per generator, which holds only native arrays, and each curve point
+converts back once; the 2k x 2k core goes to kalg._invert as it is.
+Inputs are checked once where they enter: the gradient's shape and base
+ring, the curve parameter, and the x*x = I check of every point.  Every
+value is the same to the bit as the same formulas on Mat values.  The
+objectives form their image of a point (M x on native arrays, x B - C on
+Mat values) once for f and egrad at that point, and check the point's
+base ring and rows as M @ x would.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
@@ -119,10 +116,10 @@ class OptimTrace:
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real inner product Re tr(a* b) of two matrices of one shape, from their
-    component arrays.
+    components or the floats of their native arrays (kalg._KERNELS).
 
-    It is the dot product of the real component arrays in R, C and H, so
-    no matrix product is formed.
+    It is the dot product of the real components in R, C and H, so no
+    matrix product is formed.
     """
     return float(np.vdot(a, b))
 
@@ -142,29 +139,20 @@ class SearchGenerator:
     gnorm = |W + xK/2|_F, equal to |F - x herm(x*F)|_F for any x.
 
     from_gradient checks that F matches x in base ring and shape, then
-    computes on the native arrays of kalg._KERNELS: the real view over R,
-    the complex view over C and the components over H.  It converts x and
-    F to them once, and converts back once, for U, NG and NUx; it keeps the
-    native x, U, NG and NUx (_views) for curve and gradient_descent.  The
-    operations and their order are those of the same formulas on Mat
-    values, so every field is the same to the bit.
+    computes on the native arrays of kalg._KERNELS, converting x and F to
+    them once.  U, NG = N U*U and NUx = N U*x are native arrays; the last k
+    columns of U are the native x.  The operations and their order are
+    those of the same formulas on Mat values, so every field is the same to
+    the bit.
     """
 
     x: StiefelPoint
-    U: Mat
-    NG: Mat
-    NUx: Mat
+    U: np.ndarray
+    NG: np.ndarray
+    NUx: np.ndarray
     rate: float
     gnorm: float
     ng_norm: float
-
-    @functools.cached_property
-    def _views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """x, U, NG and NUx as native arrays (kalg._KERNELS).  from_gradient
-        fills this cache with the arrays it computed; a generator built from
-        its fields converts them here, once."""
-        ks = kalg._KERNELS[self.x.field]
-        return tuple(ks.native(m.data) for m in (self.x.m, self.U, self.NG, self.NUx))
 
     @classmethod
     def from_gradient(cls, x: StiefelPoint, F: Mat) -> "SearchGenerator":
@@ -187,11 +175,7 @@ class SearchGenerator:
         NG = np.concatenate([sG[k:], ks.product(K, G[k:]) - sG[:k]])
         gnorm = ks.norm(W + ks.product(xv, ks.scale(K, 0.5)))
         rate = -_inner(ks.floats(ks.conj_transpose(NG)), ks.floats(NG))  # -Re tr(NG NG)
-        NUx = NG[:, k:].copy()
-        g = cls(x, Mat._trusted(fld, ks.components(U)), Mat._trusted(fld, ks.components(NG)),
-                Mat._trusted(fld, ks.components(NUx)), rate, gnorm, ks.norm(NG))
-        g.__dict__["_views"] = (xv, U, NG, NUx)
-        return g
+        return cls(x, U, NG, NG[:, k:].copy(), rate, gnorm, ks.norm(NG))
 
 
 def curve(g: SearchGenerator, t: float) -> StiefelPoint:
@@ -214,11 +198,11 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
         raise ValueError(f"curve parameter must be finite, and so must 2t; got {t}")
     fld = g.x.field
     ks = kalg._KERNELS[fld]
-    x, U, NG, NUx = g._views
-    core = ks.scale(NG, t)
+    core = ks.scale(g.NG, t)
     ks.shift_diagonal(core, 1.0)
     inv = kalg._invert(fld, core, kalg.DEFAULT_TOL)
-    step = ks.product(U, ks.product(inv, NUx))
+    step = ks.product(g.U, ks.product(inv, g.NUx))
+    x = g.U[:, g.x.k:]
     return StiefelPoint(Mat._trusted(fld, ks.components(x - ks.scale(step, 2.0 * t))))
 
 
@@ -284,8 +268,8 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
         if it == p.max_iters:
             break
         rate = gen.rate
-        xv, U, _, NUx = gen._views
-        xf, Ax = ks.floats(xv), ks.floats(ks.product(U, NUx))
+        xf = ks.floats(gen.U[:, x.k:])
+        Ax = ks.floats(ks.product(gen.U, gen.NUx))
         tau = p.initial_step
         if prev is not None:
             tau = _bb_step(xf - prev[0], Ax - prev[1], it % 2 == 1, tau)
@@ -339,7 +323,9 @@ def rayleigh_objective(M: Mat) -> Objective:
 
     M x is formed once per point, on the native arrays of kalg._KERNELS, and
     converted back to components only for egrad; f and egrad are the same
-    to the bit as Re tr(x* (M @ x)) and 2 (M @ x) on Mat values.
+    to the bit as Re tr(x* (M @ x)) and 2 (M @ x) on Mat values, and reject
+    a point over another base ring or with another number of rows as
+    M @ x does.
     """
     resid = kalg.frobenius_norm(M - M.H)
     if not resid <= kalg.CHECK_TOL * max(1.0, kalg.frobenius_norm(M)):
@@ -347,7 +333,11 @@ def rayleigh_objective(M: Mat) -> Objective:
     fld = M.field
     ks = kalg._KERNELS[fld]
     Mv = ks.native(M.data)
-    image = _once_per_point(lambda x: ks.product(Mv, ks.native(x.m.data)))
+
+    @_once_per_point
+    def image(x: StiefelPoint) -> np.ndarray:
+        M._check_product(x.m)
+        return ks.product(Mv, ks.native(x.m.data))
 
     def f(x: StiefelPoint) -> float:
         return _inner(x.m.data, ks.floats(image(x)))

@@ -12,14 +12,16 @@ lift of the base frame [0; I].
 cayley_block and gamma are one kernel, c(Z) W for W = rows* (_cayley_rows),
 on all rows of the lift A and on its last k rows [beta P]: gamma is rho of
 cayley_block, as in the paper.  gamma_inverse and the injectivity test share
-its factor (beta X + P)*.  All compute on the component arrays through kalg's
-private kernels, in the operations and order of the same formulas on Mat
-values, so every result is the same to the bit.  Their only inversions are
-k x k, by kalg._invert: pi + P* at the caller's tol and the core
-I + X*X + Y (group.b_matrix).  Inputs are checked where they enter: a
-TangentCoords's shapes, base ring and skew-Hermitian Y when it is built, y's
-in gamma_inverse, and every result by the x*x = I check of StiefelPoint,
-which for a group element (a lift, a section's value; k = n) is A*A = I.
+its factor (beta X + P)*.  All compute on native arrays through kalg's
+kernel set for the field (kalg._KERNELS), converting once where a Mat
+enters and once where one leaves, in the operations and order of the same
+formulas on Mat values, so every result is the same to the bit.  Their
+only inversions are k x k, by kalg._invert: pi + P* at the caller's tol
+and the core I + X*X + Y (group.b_matrix).  Inputs are checked where they
+enter: a TangentCoords's shapes, base ring and skew-Hermitian Y when it is
+built, y's in gamma_inverse, and every result by the x*x = I check of
+StiefelPoint, which for a group element (a lift, a section's value;
+k = n) is A*A = I.
 
 A lift keeps the coordinates (X, Y) of the last point gamma_inverse
 inverted on it, keyed on that point object and the tol, so local_section
@@ -189,57 +191,64 @@ def complete_lift(x: StiefelPoint) -> Lift:
     a_r = 0).  Then A = [(B[:n-k, :n])*, x], whose A*A - I residual is x's
     to rounding; at the base frame [0; I_k] every v is 2 e_r and A = I_n.
 
-    Each reflector is a few numpy calls, as a lift is mostly their fixed
-    cost: |a_r| and |a| are math.sqrt of ddots, and w = v* rows and the
-    update v w are kalg products.  B is built by one strided store of its
-    diagonal.
+    Each reflector is a few numpy calls on the native arrays, as a lift is
+    mostly their fixed cost: |a_r| and |a| are math.sqrt of ddots of the
+    floats, q scales the floats of the one entry a_r, and w = v* rows and
+    the update v w are kernel products.  B is built by one strided store of
+    its diagonal.
     """
     field, n, k = x.field, x.n, x.k
+    ks = kalg._KERNELS[field]
     B = np.zeros((n, n + k, field.ncomp))
     B.reshape(n * (n + k), field.ncomp)[::n + k + 1, 0] = 1.0  # the diagonal of I_n
     B[:, n:] = x.m.data
+    B = ks.native(B)
     for j in reversed(range(k)):
         r = n - k + j
         a = B[:r + 1, n + j:n + j + 1]
-        a_r = a[r, 0]
-        abs_r = math.sqrt(a_r @ a_r)
+        a_r = ks.floats(a[r])
+        abs_r = math.sqrt(np.vdot(a_r, a_r))
         q = a_r / abs_r if abs_r else np.eye(field.ncomp)[0]
         v = a.copy()
-        v_r = v[r, 0]
+        v_r = ks.floats(v[r])
         # the ddot of the strided column a itself: that of a contiguous copy sums
         # in another order and moves the last bits of the lift
-        v_r += q * math.sqrt(np.vdot(a, a))
+        v_r += q * ks.norm(a)
         rows = B[:r + 1, :n + j]
-        w = kalg._product(field, kalg._conj_transpose(v), rows)
-        rows -= kalg._product(field, v, w) * (2.0 / np.vdot(v, v))
+        w = ks.product(ks.conj_transpose(v), rows)
+        v_floats = ks.floats(v)
+        rows -= ks.scale(ks.product(v, w), 2.0 / np.vdot(v_floats, v_floats))
     # + 0.0 turns the -0.0 that conjugation leaves in zero parts into +0.0,
     # so the base frame completes to I_n bit for bit
-    A = np.concatenate([kalg._conj_transpose(B[:n - k, :n]) + 0.0, x.m.data], axis=1)
+    A = np.concatenate([ks.components(ks.conj_transpose(B[:n - k, :n]) + 0.0), x.m.data],
+                       axis=1)
     return Lift(x, StiefelPoint(Mat._trusted(field, A)))
 
 
-def _right_factor(fld: Field, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(rows [X; I])* for a block of rows of a lift and an (n-k) x k X: on the
-    last k rows [beta P], (beta X + P)*."""
-    nk, k, nc = X.shape
-    XI = np.zeros((nk + k, k, nc))  # [X; I]
+def _right_factor(ks: kalg._Kernels, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(rows [X; I])* for native arrays of a block of rows of a lift and of an
+    (n-k) x k X: on the last k rows [beta P], (beta X + P)*."""
+    nk, k = X.shape[:2]
+    XI = np.zeros((nk + k, *X.shape[1:]), X.dtype)  # [X; I]
     XI[:nk] = X
-    XI.reshape((nk + k) * k, nc)[nk * k::k + 1, 0] = 1.0  # the diagonal of I
-    return kalg._conj_transpose(kalg._product(fld, rows, XI))
+    ks.shift_diagonal(XI[nk:], 1.0)  # the diagonal of I
+    return ks.conj_transpose(ks.product(rows, XI))
 
 
 def _cayley_rows(t: TangentCoords, rows: np.ndarray) -> np.ndarray:
-    """c(Z) W for a block of rows of the lift A and W = rows*: the one Cayley
-    kernel.  As c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I], b = group.b_matrix(t),
-    it is W + [-2 X b R; 2 (b R - W_bot)], R = (rows [X; I])* (_right_factor)
-    and W_bot the last k rows of W: one k x k inversion, linear in the rows."""
-    fld, X = t.field, t.X.data
-    W = kalg._conj_transpose(rows)
-    bR = kalg._product(fld, group.b_matrix(t).data, _right_factor(fld, rows, X))
+    """c(Z) W for the components of a block of rows of the lift A and
+    W = rows*: the one Cayley kernel.  As c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I],
+    b = group.b_matrix(t), it is W + [-2 X b R; 2 (b R - W_bot)],
+    R = (rows [X; I])* (_right_factor) and W_bot the last k rows of W: one
+    k x k inversion, linear in the rows."""
+    ks = kalg._KERNELS[t.field]
+    rows, X = ks.native(rows), ks.native(t.X.data)
+    W = ks.conj_transpose(rows)
+    bR = ks.product(ks.native(group.b_matrix(t).data), _right_factor(ks, rows, X))
     W_top, W_bot = W[:len(X)], W[len(X):]  # views of the fresh W: the sum is formed in place
-    W_top += kalg._product(fld, X, bR) * -2.0
-    W_bot += (bR - W_bot) * 2.0
-    return W
+    W_top += ks.scale(ks.product(X, bR), -2.0)
+    W_bot += ks.scale(bR - W_bot, 2.0)
+    return ks.components(W)
 
 
 def gamma(t: TangentCoords) -> StiefelPoint:
@@ -276,18 +285,18 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     if (y.n, y.k) != (lift.n, lift.k) or y.field is not lift.field:
         raise ValueError("y must share the lift's shape and base ring")
     fld, nk = lift.field, lift.n - lift.k
-    rows = lift.A.m.data[nk:]
-    W = kalg._conj_transpose(rows)
-    tau, pi = y.m.data[:nk], y.m.data[nk:]
     ks = kalg._KERNELS[fld]
+    rows, y_rows = ks.native(lift.A.m.data[nk:]), ks.native(y.m.data)
+    W = ks.conj_transpose(rows)
+    tau, pi = y_rows[:nk], y_rows[nk:]
     try:
-        C_inv = ks.components(kalg._invert(fld, ks.native(pi + W[nk:]), tol))
+        C_inv = kalg._invert(fld, pi + W[nk:], tol)
     except Singular as exc:
         raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
-    X = -kalg._product(fld, tau - W[:nk], C_inv)
-    B = kalg._product(fld, _right_factor(fld, rows, X), C_inv) * 2.0
-    Y = (B - kalg._conj_transpose(B)) * 0.5
-    X, Y = Mat._trusted(fld, X), Mat._trusted(fld, Y)
+    X = -ks.product(tau - W[:nk], C_inv)
+    B = ks.scale(ks.product(_right_factor(ks, rows, X), C_inv), 2.0)
+    Y = ks.scale(B - ks.conj_transpose(B), 0.5)
+    X, Y = Mat._trusted(fld, ks.components(X)), Mat._trusted(fld, ks.components(Y))
     object.__setattr__(lift, "_chart", (y, tol, X, Y))  # one tuple: readers see one entry
     return TangentCoords._trusted(lift, X, Y)
 
@@ -299,8 +308,9 @@ def differential_is_injective(t: TangentCoords, tol: float = kalg.DEFAULT_TOL) -
     This is also where the transform itself is injective, and the criterion
     does not depend on the choice of lift.
     """
-    D = _right_factor(t.field, t.lift.A.m.data[t.lift.n - t.lift.k:], t.X.data)
-    return kalg.is_invertible(Mat._trusted(t.field, D), tol)
+    ks = kalg._KERNELS[t.field]
+    D = _right_factor(ks, ks.native(t.lift.A.m.data[t.lift.n - t.lift.k:]), ks.native(t.X.data))
+    return kalg.is_invertible(Mat._trusted(t.field, ks.components(D)), tol)
 
 
 def cayley_block(t: TangentCoords) -> StiefelPoint:
@@ -359,18 +369,22 @@ def lift_change_equivariance_check(E: StiefelPoint, t: TangentCoords) -> float:
 
 
 def _gram_schmidt(field: Field, raw: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on a (S, n, k, ncomp) stack.  A projected column
-    that is exactly zero stays zero, and fails the frame's x*x = I check."""
+    """Modified Gram-Schmidt on a (S, n, k, ncomp) component stack, on its
+    native array.  A projected column that is exactly zero stays zero, and
+    fails the frame's x*x = I check."""
+    ks = kalg._KERNELS[field]
+    raw = ks.native(raw)
     cols: list[np.ndarray] = []
     for j in range(raw.shape[2]):
         # a contiguous copy: BLAS sums a strided column in another order,
         # which would move the last bits of the frames
         v = np.ascontiguousarray(raw[:, :, j:j + 1])
         for u in cols:
-            v = v - kalg._product(field, u, kalg._product(field, kalg._conj_transpose(u), v))
+            v = v - ks.product(u, ks.product(ks.conj_transpose(u), v))
         norm = kalg._norms(v)
-        cols.append((1.0 / np.where(norm > 0.0, norm, 1.0))[:, None, None, None] * v)
-    return np.concatenate(cols, axis=2) if cols else raw
+        scale = 1.0 / np.where(norm > 0.0, norm, 1.0)
+        cols.append(ks.scale(v, scale.reshape(-1, *[1] * (v.ndim - 1))))
+    return ks.components(np.concatenate(cols, axis=2) if cols else raw)
 
 
 def _random_frames(n: int, k: int, field: Field, rng: np.random.Generator,

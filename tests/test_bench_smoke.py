@@ -32,5 +32,5 @@ def test_harness_runs_correctly(workload, trace):
         # the k x k core of every Stiefel transform is a traced span
         assert result["metrics"]["group.b_matrix.calls"]["value"] > 0
     else:
-        # the lift works on component arrays but is still a traced span
+        # the lift works on native arrays but is still a traced span
         assert result["metrics"]["stiefel.complete_lift.self_s"]["value"] > 0

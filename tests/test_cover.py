@@ -349,7 +349,8 @@ class TestSvdCounts:
         calls = self.count(monkeypatch)
         members = cover._memberships(field, pi, ladder, tol)
         assert len(calls) == 1
-        assert np.array_equal(calls[0], kalg._operand(field, shifted[planted]))
+        assert np.array_equal(calls[0],
+                              kalg._operand(field, kalg._KERNELS[field].native(shifted[planted])))
         assert members.ravel().tolist() == [m not in planted for m in range(len(shifted))]
 
 

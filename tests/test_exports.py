@@ -92,9 +92,20 @@ def test_inversions_and_svds_stay_in_kalg():
 
 
 def test_search_stays_on_native_kernels():
-    # the search computes on kalg's native kernel sets: a component product,
-    # conjugate transpose or norm in optim would convert on every call
-    found = sorted({node.attr for node in ast.walk(ast.parse((PACKAGE / "optim.py").read_text()))
-                    if isinstance(node, ast.Attribute)
-                    and node.attr in ("_product", "_conj_transpose", "_norm")})
+    # every module computes on kalg's native kernel sets: a component product or
+    # conjugate transpose, defined or referenced anywhere in the package, would
+    # implement a kernel twice; nor does the search make a component norm
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set(_identifiers(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)  # getattr(kalg, "_product")
+        forbidden = {"_product", "_conj_transpose"}
+        if path.name == "optim.py":
+            forbidden.add("_norm")
+        found += [(path.name, name) for name in sorted(names & forbidden)]
     assert found == []

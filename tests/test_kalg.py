@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (assert_same_bits, conditioned, mat_payload, random_lift_tangent,
-                      random_skew, scalar, svd_test_runs)
+from conftest import (assert_same_bits, conditioned, conj_transpose, mat_payload,
+                      matmul_adjoint, random_lift_tangent, random_skew, scalar, svd_test_runs,
+                      view_product)
 
 from cayley_stiefel import cover, group, kalg, stiefel
 from cayley_stiefel.kalg import Field, Mat, Singular
@@ -112,8 +113,9 @@ class TestProductKernel:
         a = rng.standard_normal((S, r, c, nc))
         b = rng.standard_normal((S, c, m, nc))
         b0 = b[0]
-        stacked = kalg._product(field, a, b)
-        broadcast = kalg._product(field, a, b0)
+        ks = kalg._KERNELS[field]
+        stacked = ks.components(ks.product(ks.native(a), ks.native(b)))
+        broadcast = ks.components(ks.product(ks.native(a), ks.native(b0)))
         assert stacked.shape == broadcast.shape == (S, r, m, nc)
         for s in range(S):
             A, B = Mat(field, a[s]), Mat(field, b[s])
@@ -170,30 +172,17 @@ def signed_zeros(shape, seed):
     return data
 
 
-def matmul_adjoint(data):
-    """kalg._adjoint with its second block row formed by a stacked matmul, one
-    cols x 4 by 4 x 4 product per row: the reference for its single np.dot."""
-    *lead, rows, cols, _ = data.shape
-    out = np.empty((*lead, rows, 2, cols, 4))
-    out[..., 0, :, :] = data
-    np.matmul(data, kalg._ADJOINT_ROW, out=out[..., 1, :, :])
-    return out.view(np.complex128).reshape(*lead, 2 * rows, 2 * cols)
-
-
-def view_product(field, a, b):
-    """The product through _view and _components over R and C, and through
-    matmul_adjoint over H: the reference for the thin kalg._product."""
-    if field is Q:
-        z = a.view(np.complex128).reshape(*a.shape[:-2], 2 * a.shape[-2])
-        p = z @ matmul_adjoint(b)
-        return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(np.float64)
-    return kalg._components(kalg._view(field, a) @ kalg._view(field, b))
-
-
 # (stack axes, rows, inner, cols): stacked, broadcast, 2-D and zero-size operands
 KERNEL_SHAPES = [((), 5, 3, 4), ((), 1, 6, 1), ((), 60, 4, 8), ((4,), 3, 2, 5),
                  ((2, 3), 2, 4, 1), ((256,), 4, 1, 4), ((), 0, 3, 2), ((), 3, 0, 2),
                  ((3,), 2, 2, 0), ((0,), 2, 3, 2)]
+
+
+def product(field, a, b):
+    """The product of the field's kernel set, on the native arrays of two
+    component stacks; its components."""
+    ks = kalg._KERNELS[field]
+    return ks.components(ks.product(ks.native(a), ks.native(b)))
 
 
 class TestThinKernels:
@@ -205,18 +194,19 @@ class TestThinKernels:
         nc = field.ncomp
         a = signed_zeros((*lead, r, c, nc), r + 10 * c + 100 * m)
         b = signed_zeros((*lead, c, m, nc), r + 10 * c + 100 * m + 1)
-        assert_same_bits(kalg._product(field, a, b), view_product(field, a, b))
+        assert_same_bits(product(field, a, b), view_product(field, a, b))
         if lead and 0 not in lead:  # broadcast one right operand over the stack
-            assert_same_bits(kalg._product(field, a, b[(0,) * len(lead)]),
+            assert_same_bits(product(field, a, b[(0,) * len(lead)]),
                              view_product(field, a, b[(0,) * len(lead)]))
 
     @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
     def test_conj_transpose_negates_swapped_imaginary_parts(self, field, lead, r, c, _):
+        ks = kalg._KERNELS[field]
         data = signed_zeros((*lead, r, c, field.ncomp), 7 * r + c)
         want = np.swapaxes(data, -3, -2).copy()
         want[..., 1:] = -want[..., 1:]
-        got = kalg._conj_transpose(data)
-        assert_same_bits(got, want)
+        got = ks.conj_transpose(ks.native(data))
+        assert_same_bits(ks.components(got), want)
         assert got.flags.c_contiguous and not np.shares_memory(got, data)
 
     def test_conj_transpose_of_views_is_c_contiguous(self, field):
@@ -224,16 +214,17 @@ class TestThinKernels:
         # transpose must come back C-contiguous from any input layout: a block of
         # columns, a block of a stack, a transposed stack and a strided slice
         nc = field.ncomp
+        ks = kalg._KERNELS[field]
         wide = signed_zeros((3, 7, 9, nc), 5)
         for data in (wide[0, :4, 2:8], wide[:, 1:5, :3], wide.swapaxes(1, 2),
                      wide[:, ::2, ::3]):
-            got = kalg._conj_transpose(data)
-            want = kalg._conj_transpose(np.ascontiguousarray(data))
+            got = ks.conj_transpose(ks.native(data))
+            want = ks.conj_transpose(ks.native(np.ascontiguousarray(data)))
             assert got.flags.c_contiguous
-            assert_same_bits(got, want)
-            right = signed_zeros((*data.shape[:-3], data.shape[-3], 2, nc), 6)
-            assert_same_bits(kalg._product(field, got, right),
-                             kalg._product(field, want, right))
+            assert_same_bits(ks.components(got), ks.components(want))
+            right = ks.native(signed_zeros((*data.shape[:-3], data.shape[-3], 2, nc), 6))
+            assert_same_bits(ks.components(ks.product(got, right)),
+                             ks.components(ks.product(want, right)))
 
     @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
     def test_norm_matches_linalg_norm(self, field, lead, r, c, _):
@@ -264,8 +255,8 @@ SQUARE_SHAPES = [((), 4), ((), 1), ((), 9), ((3,), 5), ((2, 3), 2), ((), 0), ((0
 
 class TestNativeKernels:
     """Each kernel of a field's native kernel set (kalg._KERNELS) against the
-    component kernel or numpy form it stands for, bit for bit, signed zeros
-    included: the native array in, its components out."""
+    numpy form it stands for, bit for bit, signed zeros included: the native
+    array in, its components out."""
 
     @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
     def test_conversions_are_views(self, field, lead, r, c, _):
@@ -286,11 +277,11 @@ class TestNativeKernels:
         a = signed_zeros((*lead, r, c, field.ncomp), r + 10 * c + 100 * m + 2)
         b = signed_zeros((*lead, c, m, field.ncomp), r + 10 * c + 100 * m + 3)
         got = ks.product(ks.native(a), ks.native(b))
-        assert_same_bits(ks.components(got), kalg._product(field, a, b))
+        assert_same_bits(ks.components(got), view_product(field, a, b))
         if lead and 0 not in lead:  # broadcast one right operand over the stack
             b0 = b[(0,) * len(lead)]
             assert_same_bits(ks.components(ks.product(ks.native(a), ks.native(b0))),
-                             kalg._product(field, a, b0))
+                             view_product(field, a, b0))
 
     @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
     def test_conj_transpose(self, field, lead, r, c, _):
@@ -298,7 +289,7 @@ class TestNativeKernels:
         data = signed_zeros((*lead, r, c, field.ncomp), 13 * r + c)
         got = ks.conj_transpose(ks.native(data))
         assert got.flags.c_contiguous and not np.shares_memory(got, data)
-        assert_same_bits(ks.components(got), kalg._conj_transpose(data))
+        assert_same_bits(ks.components(got), conj_transpose(data))
 
     @pytest.mark.parametrize("lead, r, c, _", KERNEL_SHAPES)
     @pytest.mark.parametrize("factor", [0.5, -3.0, 0.0])
@@ -328,7 +319,7 @@ class TestNativeKernels:
         data = signed_zeros((*lead, r, c, field.ncomp), 23 * r + c)
         got = ks.norm(ks.native(data))
         assert type(got) is float
-        assert_same_bits(got, kalg._norm(data))
+        assert_same_bits(got, float(np.linalg.norm(data)))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_invert_takes_and_returns_native_arrays(self, field, n):
@@ -465,18 +456,26 @@ class TestIsInvertible:
         stack[1, 0, 0, 0] = value
         stack[2] *= 1e200  # finite, though its sum of squares overflows
         stack[3] = value
-        _, invertible, s = kalg._invertible_operand(field, stack, kalg.DEFAULT_TOL)
+        _, invertible, s = kalg._invertible_operand(field, native(field, stack),
+                                                    kalg.DEFAULT_TOL)
         assert invertible.tolist() == [True, False, True, False]
         assert np.isnan(s[[1, 3]]).all()
         for i in (0, 2):
-            _, alone, s_alone = kalg._invertible_operand(field, stack[i], kalg.DEFAULT_TOL)
+            _, alone, s_alone = kalg._invertible_operand(field, native(field, stack[i]),
+                                                         kalg.DEFAULT_TOL)
             assert alone and np.array_equal(s[i], s_alone)
+
+
+def native(field, data):
+    """The native array (kalg._KERNELS) of a component array: the form the
+    singularity decisions take."""
+    return kalg._KERNELS[field].native(data)
 
 
 def reference_inverse(field, data, tol):
     """mat_inverse with the SVD test on every matrix: Singular, or the components
     of LAPACK's inverse of the operand."""
-    a, invertible, _ = kalg._invertible_operand(field, data, tol)
+    a, invertible, _ = kalg._invertible_operand(field, native(field, data), tol)
     if not invertible:
         return Singular
     try:
@@ -566,7 +565,7 @@ class TestStackDecision:
         invertible_operand = kalg._invertible_operand
 
         def recorded(fld, data, tol):
-            seen.append(data)
+            seen.append(kalg._KERNELS[fld].components(data))
             return invertible_operand(fld, data, tol)
 
         monkeypatch.setattr(kalg, "_invertible_operand", recorded)
@@ -580,9 +579,9 @@ class TestStackDecision:
             for scale in (1.0, 1e-100, 1e100):
                 stack = np.stack([conditioned(field, n, cond, 17 * i + n, scale)
                                   for i, cond in enumerate(conds if n > 1 else [1.0])])
-                want = kalg._invertible_operand(field, stack, tol)[1]
+                want = kalg._invertible_operand(field, native(field, stack), tol)[1]
                 seen.clear()
-                got = kalg._invertible_stack(field, stack, tol)
+                got = kalg._invertible_stack(field, native(field, stack), tol)
                 assert got.tolist() == want.tolist(), (n, scale)
                 assert len(seen) <= 1
                 reached = [any(np.array_equal(m, r) for r in seen[0]) if seen else False
@@ -609,23 +608,26 @@ class TestStackDecision:
             stack = stack[:4]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kalg._invertible_stack(field, stack, kalg.DEFAULT_TOL)
+            got = kalg._invertible_stack(field, native(field, stack), kalg.DEFAULT_TOL)
         assert got.tolist() == [True, False, False, True, False][:len(stack)]
         for i, member in enumerate(stack):
-            assert got[i] == kalg._invertible_operand(field, member, kalg.DEFAULT_TOL)[1]
+            assert got[i] == kalg._invertible_operand(field, native(field, member),
+                                                      kalg.DEFAULT_TOL)[1]
         assert capfd.readouterr() == ("", "")
 
     def test_no_inverse_when_no_residual_can_prove(self, field, monkeypatch):
         # |A|_F |B|_F >= p = 2 or 4 here, so 4 |A|_F |B|_F tol > 1 for tol = 0.2
         stack = np.stack([conditioned(field, 2, cond, i)
                           for i, cond in enumerate([1.0, 3.0, 1e3])])
-        want = kalg._invertible_operand(field, stack, 0.2)[1].tolist()
+        want = kalg._invertible_operand(field, native(field, stack), 0.2)[1].tolist()
         monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("inverted"))
-        assert kalg._invertible_stack(field, stack, 0.2).tolist() == want == [True, True, False]
+        got = kalg._invertible_stack(field, native(field, stack), 0.2).tolist()
+        assert got == want == [True, True, False]
 
     def test_rejects_a_non_square_stack(self, field):
         with pytest.raises(ValueError, match="square"):
-            kalg._invertible_stack(field, np.zeros((2, 3, 2, field.ncomp)), kalg.DEFAULT_TOL)
+            kalg._invertible_stack(field, native(field, np.zeros((2, 3, 2, field.ncomp))),
+                                   kalg.DEFAULT_TOL)
 
 
 def tol_taking_calls():
@@ -784,7 +786,7 @@ class TestTrustedResults:
             assert not np.shares_memory(m.data, a.data)
             assert not np.shares_memory(m.data, b.data)
         stack = np.random.default_rng(7).standard_normal((3, 4, 4, field.ncomp))
-        out = kalg._product(field, stack, stack)
+        out = product(field, stack, stack)
         assert out.flags.c_contiguous and not np.shares_memory(out, stack)
 
     @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])

@@ -166,6 +166,12 @@ class TestCurve:
             assert fro(curve(g, t).m - dense_curve(x, F, t)) <= 1e-13
 
 
+def generator_mats(g):
+    """The generator's native U, NG and NUx as Mat values."""
+    ks = kalg._KERNELS[g.x.field]
+    return tuple(Mat(g.x.field, ks.components(a)) for a in (g.U, g.NG, g.NUx))
+
+
 def dense_generator(x, F):
     """U, and the dense N = [[0, sI], [-sI, K]] of the SearchGenerator docstring."""
     k, fld = x.k, x.field
@@ -187,21 +193,20 @@ class TestSearchGenerator:
         F = kalg.random_gaussian(7, 3, field, 67)
         g = SearchGenerator.from_gradient(x, F)
         U, N = dense_generator(x, F)
+        _, NG, NUx = generator_mats(g)
         bound = 1e-13 * (1 + fro(F) ** 2)
-        assert fro(g.NG - N @ (U.H @ U)) <= bound
-        assert fro(g.NUx - N @ (U.H @ x.m)) <= bound
-        assert abs(g.rate + real_trace(g.NG @ g.NG)) <= bound
+        assert fro(NG - N @ (U.H @ U)) <= bound
+        assert fro(NUx - N @ (U.H @ x.m)) <= bound
+        assert abs(g.rate + real_trace(NG @ NG)) <= bound
 
     def test_product_count(self, field, monkeypatch):
         # x*F, x (x*F), U*U, K G_bot and x K/2, each one product of the field's
-        # native kernel set; N is never formed, and kalg._product is not called
+        # native kernel set; N is never formed
         x = stiefel.random_stiefel_point(7, 3, field, 68)
         F = kalg.random_gaussian(7, 3, field, 69)
         products = recorded_kernel(monkeypatch, field, "product")
-        component_products = recorded_calls(monkeypatch, "_product")
         SearchGenerator.from_gradient(x, F)
         assert len(products) == 5
-        assert component_products == []
 
     # t |NG|_F = c / 2, from 0 to 1.5 either way
     @pytest.mark.parametrize("c", [0.0, 0.5, -0.99, 0.99, 1.01, -1.01, 3.0])
@@ -227,7 +232,7 @@ class TestSearchGenerator:
         x = StiefelPoint(Mat(field, np.eye(7, 3, -4)[:, :, None] * np.eye(1, field.ncomp)))
         g = SearchGenerator.from_gradient(x, x.m @ kalg.random_gaussian(3, 3, field, 5))
         t = c / g.ng_norm
-        core = g.NG.data * t
+        core = kalg._KERNELS[field].components(g.NG) * t
         kalg._shift_diagonal(core, 1.0)
         must_run = svd_test_runs(field, core, kalg.DEFAULT_TOL)
         assert must_run is (c > 1e6)
@@ -239,24 +244,23 @@ class TestSearchGenerator:
         assert len(svd_tests) == must_run
 
     def test_conversion_count(self, field, monkeypatch):
-        # into the native arrays: x and F, once per generator; back to
-        # components: U, NG and NUx once per generator, and the point once per
-        # curve point.  The point's frame check views its components once.
+        # into the native arrays: x and F, once per generator, which holds only
+        # native arrays; back to components: the point once per curve point.
+        # The point's frame check views its components once.
         n, k = 7, 3
         x = stiefel.random_stiefel_point(n, k, field, 68)
         F = kalg.random_gaussian(n, k, field, 69)
         conversions = recorded_conversions(monkeypatch, field)
         g = SearchGenerator.from_gradient(x, F)
-        assert sorted(conversions) == [("components", "from_gradient")] * 3 + [
-            ("native", "from_gradient")] * 2
+        assert conversions == [("native", "from_gradient")] * 2
         conversions.clear()
         curve(g, 0.25 / g.ng_norm)
         assert conversions == [("components", "curve"), ("native", "_frame_residuals")]
 
     def test_conversions_per_iteration(self, field, monkeypatch):
-        # a Rayleigh solve: per generator 2 in and 3 out and egrad's 1 out; per
-        # curve point 1 out, the frame check's 1 in and M x's 1 in, which the
-        # start x0 makes once more
+        # a Rayleigh solve: per generator 2 in and egrad's 1 out; per curve
+        # point 1 out, the frame check's 1 in and M x's 1 in, which the start
+        # x0 makes once more
         M = kalg.hermitian_part(kalg.random_gaussian(9, 9, field, 7))
         x0 = stiefel.random_stiefel_point(9, 3, field, 8)
         obj = rayleigh_objective(M)  # which views M once
@@ -269,11 +273,10 @@ class TestSearchGenerator:
         for key in conversions:
             counts[key] = counts.get(key, 0) + 1
         assert counts == {("native", "from_gradient"): 2 * generators,
-                          ("components", "from_gradient"): 3 * generators,
                           ("components", "egrad"): generators,
                           ("components", "curve"): points,
                           ("native", "_frame_residuals"): points,
-                          ("native", "<lambda>"): points + 1}
+                          ("native", "image"): points + 1}
 
     def test_rejects_gradient_over_another_ring(self, field):
         x = stiefel.random_stiefel_point(7, 3, field, 68)
@@ -317,7 +320,7 @@ def recorded_conversions(monkeypatch, field):
 
 def mat_from_gradient(x, F):
     """SearchGenerator.from_gradient on Mat values, one Mat per intermediate: the
-    reference for its arithmetic on component arrays."""
+    reference for its arithmetic on native arrays, which it holds as they are."""
     if F.shape != x.m.shape:
         raise ValueError("gradient shape must match the frame")
     k, fld = x.k, x.field
@@ -330,18 +333,21 @@ def mat_from_gradient(x, F):
     bot = Mat._trusted(fld, G[k:])
     NG = Mat._trusted(fld, np.concatenate([s * G[k:], (K @ bot).data - s * G[:k]]))
     gnorm = kalg.frobenius_norm(W + x.m @ (0.5 * K))
-    return SearchGenerator(x, U, NG, NG.block(0, 2 * k, k, 2 * k),
+    ks = kalg._KERNELS[fld]
+    return SearchGenerator(x, ks.native(U.data), ks.native(NG.data),
+                           ks.native(NG.block(0, 2 * k, k, 2 * k).data),
                            -optim._inner(NG.H.data, NG.data), gnorm, fro(NG))
 
 
 def mat_curve(g, t):
     """curve on Mat values, with mat_inverse's SVD test on every core: the reference
-    for its arithmetic on component arrays and its norm bound."""
+    for its arithmetic on native arrays and its norm bound."""
     if not math.isfinite(t):
         raise ValueError(f"curve parameter must be finite, got {t}")
-    core = g.NG.data * t
+    U, NG, NUx = generator_mats(g)
+    core = NG.data * t
     kalg._shift_diagonal(core, 1.0)
-    step = g.U @ (kalg.mat_inverse(Mat._trusted(g.NG.field, core)) @ g.NUx)
+    step = U @ (kalg.mat_inverse(Mat._trusted(NG.field, core)) @ NUx)
     return StiefelPoint(g.x.m - (2.0 * t) * step)
 
 
@@ -373,8 +379,8 @@ class TestMatReference:
         bounded = set()
         for x, F in self.frames(n, k, field):
             g, ref = SearchGenerator.from_gradient(x, F), mat_from_gradient(x, F)
-            for name in ("U", "NG", "NUx"):
-                assert_same_bits(getattr(g, name).data, getattr(ref, name).data)
+            for got, want in zip(generator_mats(g), generator_mats(ref)):
+                assert_same_bits(got.data, want.data)
             for name in ("rate", "gnorm", "ng_norm"):
                 assert_same_bits(getattr(g, name), getattr(ref, name))
             for t in self.STEPS:
@@ -449,6 +455,24 @@ class TestRayleighObjective:
             x = stiefel.random_stiefel_point(9, 3, field, seed)
             assert_same_bits(obj.f(x), optim._inner(x.m.data, (M @ x.m).data))
             assert_same_bits(obj.egrad(x).data, (2.0 * (M @ x.m)).data)
+
+    def test_rejects_a_point_of_another_ring_or_order(self, field):
+        # f and egrad check the point as M @ x does, and a rejected point is not
+        # kept as the last one seen
+        M = kalg.hermitian_part(kalg.random_gaussian(5, 5, field, 81))
+        obj = rayleigh_objective(M)
+        for other in Field:
+            if other is not field:
+                y = stiefel.random_stiefel_point(5, 2, other, 82)
+                for fn in (obj.f, obj.egrad, obj.f):
+                    with pytest.raises(ValueError, match="mixed base rings"):
+                        fn(y)
+        smaller = rayleigh_objective(kalg.hermitian_part(kalg.random_gaussian(4, 4, field, 83)))
+        x = stiefel.random_stiefel_point(5, 2, field, 84)
+        for fn in (smaller.f, smaller.egrad, smaller.f):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                fn(x)
+        assert_same_bits(obj.egrad(x).data, (2.0 * (M @ x.m)).data)
 
     def test_egrad_after_f_at_another_point(self, field):
         # egrad reuses the M x of the last point f saw only when it is the same point
@@ -526,7 +550,7 @@ class TestProcrustesObjective:
         y = stiefel.random_stiefel_point(5, 2, field, 34)
         want = {id(p): (fro(p.m @ B - C) ** 2, 2.0 * ((p.m @ B - C) @ B.H)) for p in (x, y)}
         obj = procrustes_objective(B, C)
-        products = recorded_calls(monkeypatch, "_product")
+        products = recorded_kernel(monkeypatch, field, "product")
         assert obj.f(x) == want[id(x)][0]
         assert_same_bits(obj.egrad(x).data, want[id(x)][1].data)
         assert len(products) == 2
@@ -686,7 +710,9 @@ class TestStepRule:
         for it in range(1, 4):
             prev, rec = trace.records[it - 1], trace.records[it]
             S = rec.x.m - prev.x.m
-            D = gens[it].U @ gens[it].NUx - gens[it - 1].U @ gens[it - 1].NUx
+            U, _, NUx = generator_mats(gens[it])
+            U_prev, _, NUx_prev = generator_mats(gens[it - 1])
+            D = U @ NUx - U_prev @ NUx_prev
             assert firsts[id(rec.x)] == _bb_step(S.data, D.data, it % 2 == 1, 0.37)
 
     def test_bb_step_values(self, field):

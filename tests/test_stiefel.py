@@ -546,12 +546,12 @@ class TestCoreCounts:
     @staticmethod
     def count(monkeypatch, field, n=None):
         # every inversion is one LAPACK call, whether or not the SVD test runs,
-        # and every product, Mat or component array, is one kalg._product; the
-        # frame check's is one product of the field's native kernel set
+        # and every product, of Mat values or of native arrays, is one product
+        # of the field's native kernel set
         counts = {"inverse": 0, "element": 0, "square_products": 0}
-        inverse, post_init, product = np.linalg.inv, StiefelPoint.__post_init__, kalg._product
+        inverse, post_init = np.linalg.inv, StiefelPoint.__post_init__
         ks = kalg._KERNELS[field]
-        native_product, components = ks.product, ks.components
+        product, components = ks.product, ks.components
 
         def counted_inverse(a):
             counts["inverse"] += 1
@@ -561,18 +561,14 @@ class TestCoreCounts:
             counts["element"] += 1
             post_init(self)
 
-        def counted_product(fld, a, b):
-            counts["square_products"] += a.shape[-3:-1] == b.shape[-3:-1] == (n, n)
-            return product(fld, a, b)
-
-        def counted_native_product(a, b):
-            counted_product(field, components(a), components(b))
-            return native_product(a, b)
+        def counted_product(a, b):
+            counts["square_products"] += (components(a).shape[-3:-1]
+                                          == components(b).shape[-3:-1] == (n, n))
+            return product(a, b)
 
         monkeypatch.setattr(np.linalg, "inv", counted_inverse)
         monkeypatch.setattr(StiefelPoint, "__post_init__", counted_post_init)
-        monkeypatch.setattr(kalg, "_product", counted_product)
-        monkeypatch.setattr(ks, "product", counted_native_product)
+        monkeypatch.setattr(ks, "product", counted_product)
         return counts
 
     def test_gamma_inverse_inverts_once(self, field, monkeypatch):
@@ -599,18 +595,16 @@ class TestKernelCounts:
 
     @staticmethod
     def count(monkeypatch, field):
-        # the component kernels and, for the frame check, those of the field's
-        # native kernel set: each call of either is one product or transpose
+        # the products and conjugate transposes of the field's native kernel
+        # set, the only ones in the library
         counts = {"product": 0, "conj_transpose": 0}
         ks = kalg._KERNELS[field]
-        for module, name, key in ((kalg, "_product", "product"), (ks, "product", "product"),
-                                  (kalg, "_conj_transpose", "conj_transpose"),
-                                  (ks, "conj_transpose", "conj_transpose")):
-            def counted(*args, kernel=getattr(module, name), key=key):
-                counts[key] += 1
+        for name in counts:
+            def counted(*args, kernel=getattr(ks, name), name=name):
+                counts[name] += 1
                 return kernel(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(ks, name, counted)
         return counts
 
     @pytest.mark.parametrize("n, k", [(6, 0), (7, 3), (16, 4)])
@@ -788,7 +782,7 @@ def assert_same_outcome(got, want):
 
 
 class TestTransformReference:
-    """The transforms on component arrays against the Mat formulas, bit for bit."""
+    """The transforms on native arrays against the Mat formulas, bit for bit."""
 
     @staticmethod
     def tangents(n, k, field):

@@ -59,7 +59,10 @@ class ThetaLadder:
 
 
 def default_ladder(k: int) -> ThetaLadder:
-    """k + 1 evenly spaced angles strictly inside (0, pi/2)."""
+    """k + 1 evenly spaced angles strictly inside (0, pi/2); k must be a
+    nonnegative integer, as verify_cover's counts must."""
+    if not (isinstance(k, numbers.Integral) and k >= 0):
+        raise ValueError(f"k must be nonnegative and an integer, got {k!r}")
     return ThetaLadder(tuple((i + 1) * math.pi / (2 * (k + 2)) for i in range(k + 1)))
 
 

@@ -31,15 +31,32 @@ replaces, signed zeros included.  The kernels broadcast over leading
 stack axes, so S matrices cost one numpy or LAPACK call and not S of
 them, as the random frames of stiefel and the cover test use them.
 
+The search (optim) looks its set up in _SEARCH_KERNELS: the same sets
+over R and C, and over H one more, _ADJOINT_KERNELS, whose native array
+is the interleaved adjoint chi(M) itself, built once where a matrix
+enters (_adjoint) and read back as its (i, 0) rows where one leaves
+(_from_operand).  A product there is one matmul of two adjoints, with no
+adjoint built per product; the conjugate transpose, scaling and diagonal
+shift are C's kernels, as chi(M*) = chi(M)^H entry for entry; the norm
+and the inner product are the quaternion ones, half the adjoint's sums of
+products, as |chi(M)|_F^2 = 2 |M|_F^2; and the adjoint of a square matrix
+is already the operand LAPACK inverts.  A product of two adjoints is an
+adjoint only up to rounding, so that set's values differ from the
+component set's at rounding level (optim.curve states the bound).  The
+lift, the transforms and the cover index quaternion entries and stay on
+the component set, whose adjoint product (_adjoint_product) builds the
+adjoint of its right operand.
+
 One rule decides singularity wherever an inverse is formed: LAPACK
 inverts first, and the SVD test runs only where the residual of that
 inverse cannot prove the test passes (_residual_proves).  _invert applies
 it to one native matrix: mat_inverse is _invert on Mat values, and the
 library's transforms and its search curve call _invert on their k x k
-and 2k x 2k cores directly; over R and C the native array is the operand
-LAPACK inverts.  _invertible_stack applies it to every member of a native
-stack with one LAPACK inversion, and the SVD runs on the members left;
-the cover test decides its shifted blocks with it.
+and 2k x 2k cores directly; over R and C, and for the search's adjoints
+over H, the native array is the operand LAPACK inverts.  _invertible_stack
+applies it to every member of a native stack with one LAPACK inversion,
+and the SVD runs on the members left; the cover test decides its shifted
+blocks with it.
 is_invertible stays on the SVD: for one small matrix one SVD costs less
 than that decision on a stack of one.
 
@@ -111,16 +128,20 @@ def _adjoint(data: np.ndarray) -> np.ndarray:
     The (..., 2 rows, 2 cols) complex array chi(M) = [[Z1, Z2], [-conj Z2,
     conj Z1]] with rows and columns both reordered (i, 0), (i, 1), ...: row
     (i, 0) holds (Z1, Z2) of row i interleaved, row (i, 1) holds
-    (-conj Z2, conj Z1).  The (i, 1) rows of every matrix in the stack come
-    from one np.dot of all entries with _ADJOINT_ROW, so a stack of column
-    vectors costs one BLAS call and not one per row.
+    (-conj Z2, conj Z1).  The (i, 1) rows of a stack come from one np.dot
+    of all entries with _ADJOINT_ROW, so a stack of column vectors costs one
+    BLAS call and not one per row; those of one matrix come from one
+    np.matmul into the output, which copies no strided block.
     """
     *lead, rows, cols, _ = data.shape
     out = np.empty((*lead, rows, 2, cols, 4))
     out[..., 0, :, :] = data
     # each output component is one exact +-input component plus exact zeros,
     # so the bits, signed zeros too, do not depend on how BLAS sums them
-    out[..., 1, :, :] = np.dot(data.reshape(-1, 4), _ADJOINT_ROW).reshape(data.shape)
+    if lead:
+        out[..., 1, :, :] = np.dot(data.reshape(-1, 4), _ADJOINT_ROW).reshape(data.shape)
+    else:  # no reshape copy of a strided block, such as the lift's rows
+        np.matmul(data, _ADJOINT_ROW, out=out[:, 1])
     return out.view(_C128).reshape(*lead, 2 * rows, 2 * cols)
 
 
@@ -186,14 +207,17 @@ class _Kernels:
     multiplies the swapped components by (1, -1, -1, -1).  A diagonal shift
     adds to the real parts in place (_shift_diagonal), and a norm is the
     ddot of the floats (_norm): never a complex dot, which sums in another
-    order.  Every kernel gives the bits of the general numpy form it stands
-    for, signed zeros included, so code written once on a _Kernels runs in
-    all three rings.  _KERNELS holds one per field; a caller looks it up
-    once.
+    order; inner is Re tr(a* b), the ddot of two arrays' floats.  Every
+    kernel gives the bits of the general numpy form it stands for, signed
+    zeros included, so code written once on a _Kernels runs in all three
+    rings.  invert_field is the field to pass _invert a native array as:
+    the set's own, but C for the adjoints of _ADJOINT_KERNELS, which are
+    complex matrices.  _KERNELS holds one per field, and _SEARCH_KERNELS
+    the search's; a caller looks its set up once.
     """
 
     __slots__ = ("native", "components", "floats", "product", "conj_transpose", "scale",
-                 "shift_diagonal", "norm")
+                 "shift_diagonal", "norm", "inner", "invert_field")
 
     def __init__(self, **kernels):
         for name, kernel in kernels.items():
@@ -202,6 +226,12 @@ class _Kernels:
 
 def _identity(a: np.ndarray) -> np.ndarray:
     return a
+
+
+def _adjoint_norm(a: np.ndarray) -> float:
+    """|M|_F from the interleaved adjoint chi(M), whose squares sum to 2 |M|_F^2."""
+    floats = a.view(_F64)
+    return math.sqrt(0.5 * np.vdot(floats, floats))
 
 
 _KERNELS = {
@@ -213,7 +243,9 @@ _KERNELS = {
         conj_transpose=lambda a: a.swapaxes(-2, -1).copy(),
         scale=np.multiply,
         shift_diagonal=lambda a, c: _shift_diagonal(a[..., None], c),
-        norm=_norm),
+        norm=_norm,
+        inner=lambda a, b: float(np.vdot(a, b)),
+        invert_field=Field.REAL),
     Field.COMPLEX: _Kernels(
         native=lambda a: a.view(_C128)[..., 0],
         components=lambda a: a[..., None].view(_F64),
@@ -222,7 +254,9 @@ _KERNELS = {
         conj_transpose=lambda a: np.conjugate(a.swapaxes(-2, -1), order="C"),
         scale=lambda a, c: (a.view(_F64) * c).view(_C128),
         shift_diagonal=lambda a, c: _shift_diagonal(a[..., None].view(_F64), c),
-        norm=lambda a: _norm(a.view(_F64))),
+        norm=lambda a: _norm(a.view(_F64)),
+        inner=lambda a, b: float(np.vdot(a.view(_F64), b.view(_F64))),
+        invert_field=Field.COMPLEX),
     Field.QUATERNION: _Kernels(
         native=_identity,
         components=_identity,
@@ -231,8 +265,27 @@ _KERNELS = {
         conj_transpose=lambda a: np.multiply(a.swapaxes(-3, -2), _QUATERNION_CONJ, order="C"),
         scale=np.multiply,
         shift_diagonal=_shift_diagonal,
-        norm=_norm),
+        norm=_norm,
+        inner=lambda a, b: float(np.vdot(a, b)),
+        invert_field=Field.QUATERNION),
 }
+
+# the search's set over H: native arrays are the interleaved adjoints, on which
+# C's kernels act as they act on any complex matrix, as chi(M*) = chi(M)^H
+_ADJOINT_KERNELS = _Kernels(
+    native=_adjoint,
+    components=lambda a: _from_operand(Field.QUATERNION, a),
+    floats=_KERNELS[Field.COMPLEX].floats,
+    product=np.matmul,
+    conj_transpose=_KERNELS[Field.COMPLEX].conj_transpose,
+    scale=_KERNELS[Field.COMPLEX].scale,
+    shift_diagonal=_KERNELS[Field.COMPLEX].shift_diagonal,
+    norm=_adjoint_norm,
+    inner=lambda a, b: 0.5 * float(np.vdot(a.view(_F64), b.view(_F64))),
+    invert_field=Field.COMPLEX)
+
+_SEARCH_KERNELS = {Field.REAL: _KERNELS[Field.REAL], Field.COMPLEX: _KERNELS[Field.COMPLEX],
+                   Field.QUATERNION: _ADJOINT_KERNELS}
 
 
 def _frame_residuals(field: Field, data: np.ndarray) -> float | np.ndarray:
@@ -505,10 +558,11 @@ def _invert(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
     H).  Otherwise the SVD test of _invertible_operand decides, and B is
     returned if it passes.  Either way the result is the same np.linalg.inv
     of the same operand.  Over R and C the operand is the native array
-    itself, so the search's curve hands its core over with no conversion.
-    Over H the inverse of the adjoint is the adjoint of M^{-1}, whose (i, 0)
-    rows hold (Z1', Z2') interleaved.  Raises Singular and ValueError as
-    mat_inverse does.
+    itself, and so is the search's adjoint over H, which it passes as C
+    (_Kernels.invert_field): its curve hands its core over with no
+    conversion.  Over H the inverse of the adjoint is the adjoint of M^{-1},
+    whose (i, 0) rows hold (Z1', Z2') interleaved.  Raises Singular and
+    ValueError as mat_inverse does.
     """
     _validate_tol(tol)
     if a.shape[0] != a.shape[1]:
@@ -582,10 +636,11 @@ def _invertible_stack(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _from_operand(field: Field, a: np.ndarray) -> np.ndarray:
-    """Native array (_KERNELS) of the matrix whose operand is a."""
+    """Native array (_KERNELS) of the matrix whose operand is a; over H the
+    components of a 2-D adjoint, square or not: its (i, 0) rows."""
     if field is Field.QUATERNION:
-        n = a.shape[-1] // 2
-        return np.ascontiguousarray(a.reshape(n, 2, n, 2)[:, 0]).view(_F64)
+        rows, cols = a.shape[0] // 2, a.shape[1] // 2
+        return np.ascontiguousarray(a.reshape(rows, 2, cols, 2)[:, 0]).view(_F64)
     return a
 
 

@@ -14,16 +14,23 @@ test, so every accepted step decreases f (Barzilai and Borwein,
 "Two-point step size gradient methods", IMA J. Numer. Anal. 1988).  Its
 Armijo constant, backtrack factor and backtrack budget are constants.
 
-The generator, the curve points, the gradient A x and the Barzilai-Borwein
-differences run on native arrays through kalg's kernel set for the field
-(kalg._KERNELS), as the rest of the library does: x and F convert once
-per generator, which holds only native arrays, and each curve point
-converts back once; the 2k x 2k core goes to kalg._invert as it is.
-Inputs are checked once where they enter: the gradient's shape and base
-ring, the curve parameter, and the x*x = I check of every point.  Every
-value is the same to the bit as the same formulas on Mat values.  The
-objectives form their image of a point (M x on native arrays, x B - C on
-Mat values) once for f and egrad at that point, and check the point's
+The generator, the curve points, the gradient A x, the Barzilai-Borwein
+differences and the Rayleigh objective's M x run on native arrays through
+the search's kernel set for the field (kalg._SEARCH_KERNELS): the real or
+complex view over R and C, and over H the interleaved complex adjoint, on
+which a product is one matmul.  x and F convert once per generator, which
+holds only native arrays, M once per objective, and each curve point
+converts back once, over H as its (i, 0) rows; the 2k x 2k core goes to
+kalg._invert as its LAPACK operand.  Every slice takes the native column
+count, so R, C and H run the same lines.  Inputs are checked once where
+they enter: the gradient's shape and base ring, the curve parameter, and
+the x*x = I check of every point.  Every value is the same to the bit as
+the same formulas on Mat values over the ring of the native arrays: R, C,
+and C on the adjoints over H, with the inner products and norms halved.
+Over H that differs from the formulas on quaternion Mat values at
+rounding level, within the bounds that SearchGenerator and curve state.
+The objectives form their image of a point (M x on native arrays, x B - C
+on Mat values) once for f and egrad at that point, and check the point's
 base ring and rows as M @ x would.
 """
 
@@ -116,7 +123,9 @@ class OptimTrace:
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real inner product Re tr(a* b) of two matrices of one shape, from their
-    components or the floats of their native arrays (kalg._KERNELS).
+    components or the floats of their native arrays (kalg._KERNELS); over H
+    the floats of two adjoints give twice the quaternion one, which the
+    search's kernel set halves (kalg._SEARCH_KERNELS).
 
     It is the dot product of the real components in R, C and H, so no
     matrix product is formed.
@@ -139,11 +148,21 @@ class SearchGenerator:
     gnorm = |W + xK/2|_F, equal to |F - x herm(x*F)|_F for any x.
 
     from_gradient checks that F matches x in base ring and shape, then
-    computes on the native arrays of kalg._KERNELS, converting x and F to
-    them once.  U, NG = N U*U and NUx = N U*x are native arrays; the last k
-    columns of U are the native x.  The operations and their order are
-    those of the same formulas on Mat values, so every field is the same to
-    the bit.
+    computes on the native arrays of kalg._SEARCH_KERNELS, converting x and
+    F to them once.  U, NG = N U*U and NUx = N U*x are native arrays, over H
+    the interleaved complex adjoints (a (2n, 4k) U) and not component
+    arrays; the last half of U's columns is the native x.  The operations
+    and their order are those of the same formulas on Mat values over the
+    ring of the native arrays, so every field is the same to the bit.
+    Over H those formulas run on adjoints, whose products are adjoints only
+    up to rounding, so each field differs from that of the component form
+    (the formulas on quaternion Mat values, from the same x and F) by at
+    most 2^-48 times: phi for U; phi (s + |F|_F) for NG, NUx and
+    |N U*U|_F; phi (s + |F|_F)^2 for the rate; and |F|_F for gnorm, with
+    phi = 1 + |F|_F / s, the cancellation in W that both forms divide by s.
+    The constant is a first-order bound with a margin, as curve's is.
+    Where W is zero in exact arithmetic (n = k, or F = x S) rounding sets s,
+    and U and N are not determined, but gnorm, A and the curve are.
     """
 
     x: StiefelPoint
@@ -160,9 +179,9 @@ class SearchGenerator:
             raise ValueError("gradient shape must match the frame")
         if F.field is not x.field:
             raise ValueError(f"mixed base rings: {x.field.value} vs {F.field.value}")
-        k, fld = x.k, x.field
-        ks = kalg._KERNELS[fld]
+        ks = kalg._SEARCH_KERNELS[x.field]
         xv, Fv = ks.native(x.m.data), ks.native(F.data)
+        k = xv.shape[1]  # the native column count: 2k over H
         xF = ks.product(ks.conj_transpose(xv), Fv)
         W = Fv - ks.product(xv, xF)
         K = xF - ks.conj_transpose(xF)
@@ -174,7 +193,7 @@ class SearchGenerator:
         sG = ks.scale(G, s)
         NG = np.concatenate([sG[k:], ks.product(K, G[k:]) - sG[:k]])
         gnorm = ks.norm(W + ks.product(xv, ks.scale(K, 0.5)))
-        rate = -_inner(ks.floats(ks.conj_transpose(NG)), ks.floats(NG))  # -Re tr(NG NG)
+        rate = -ks.inner(ks.conj_transpose(NG), NG)  # -Re tr(NG NG)
         return cls(x, U, NG, NG[:, k:].copy(), rate, gnorm, ks.norm(NG))
 
 
@@ -190,31 +209,56 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     enough for rounding to swamp the step.  Raises ValueError when t or 2t
     is not finite.  The core is inverted by kalg._invert, which runs the
     test's SVD only where its inverse cannot decide it.  The arithmetic runs
-    on the generator's native arrays (kalg._KERNELS), in the order of the
-    same formula on Mat values, so the point is the same to the bit; the
-    point alone is converted back to components.
+    on the generator's native arrays (kalg._SEARCH_KERNELS), in the order of
+    the same formula on Mat values over their ring, so the point is the same
+    to the bit; the point alone is converted back to components.
+
+    Over H the arrays are interleaved adjoints and the point is the (i, 0)
+    rows of the adjoint result.  The component form, the same formula on
+    quaternion Mat values, evaluates the same exact point from the same x
+    and F, and the two computed points lie within
+
+        |alpha(t) - alpha_c(t)|_F <= 2^-48 (1 + |t| |N U*U|_F) (1 + |B|_F),
+
+    B = (I + t N U*U)^{-1}.  Each product in either form is the exact
+    product up to gamma_m |P||Q| entrywise, m its inner dimension (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5),
+    and LAPACK's inverse is backward stable, so the rounding of the core,
+    of order u |t| |N U*U|_F with u = 2^-53, reaches the point through B,
+    and that of every other factor stays of order u.  The constant 32 u is
+    that first-order sum with a margin, not Higham's worst case, which
+    grows with m: rounding errors of long sums grow far slower, and random
+    frames up to n = 128 and every trial of the tests' whole solves stayed
+    below 11 u.
+    The point goes back to components and the next generator rebuilds the
+    adjoints from components, so no structure error carries over; the
+    x*x = I check and the singularity test are those of the component form.
     """
     if not math.isfinite(2.0 * t):  # t is NaN, infinite, or 2t overflows
         raise ValueError(f"curve parameter must be finite, and so must 2t; got {t}")
     fld = g.x.field
-    ks = kalg._KERNELS[fld]
+    ks = kalg._SEARCH_KERNELS[fld]
     core = ks.scale(g.NG, t)
     ks.shift_diagonal(core, 1.0)
-    inv = kalg._invert(fld, core, kalg.DEFAULT_TOL)
+    inv = kalg._invert(ks.invert_field, core, kalg.DEFAULT_TOL)
     step = ks.product(g.U, ks.product(inv, g.NUx))
-    x = g.U[:, g.x.k:]
+    x = g.U[:, g.NUx.shape[1]:]
     return StiefelPoint(Mat._trusted(fld, ks.components(x - ks.scale(step, 2.0 * t))))
 
 
 def _bb_step(S: np.ndarray, D: np.ndarray, odd: bool, fallback: float) -> float:
     """Barzilai-Borwein start of a line search along the Cayley curve.
 
-    S = x_k - x_{k-1} and D = A_k x_k - A_{k-1} x_{k-1} are the components,
-    as float arrays of any shape, of the differences of the iterates and of
-    the gradients A x.  The step is |S|^2 / |<S, D>| on odd iterations and
-    |<S, D>| / |D|^2 on even ones, halved because the curve's derivative at
-    t = 0 is -2 A x, and clamped to [1e-20, 1e20].  Returns fallback when
-    <S, D> = Re tr(S* D) is 0 or not finite.
+    S = x_k - x_{k-1} and D = A_k x_k - A_{k-1} x_{k-1} are the floats of
+    native arrays (kalg._SEARCH_KERNELS), or components, as float arrays of
+    any shape, of the differences of the iterates and of the gradients A x.
+    Over H the search's are the adjoints', whose inner products are twice
+    the quaternion ones; halving each would leave the step the same to the
+    bit, short of an overflow, so none is halved.  The step is
+    |S|^2 / |<S, D>| on odd iterations and |<S, D>| / |D|^2 on even ones,
+    halved because the curve's derivative at t = 0 is -2 A x, and clamped
+    to [1e-20, 1e20].  Returns fallback when <S, D> = Re tr(S* D) is 0 or
+    not finite.
     """
     sd = abs(_inner(S, D))
     num, den = (_inner(S, S), sd) if odd else (sd, _inner(D, D))
@@ -251,7 +295,7 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
     (gnorm), drops below grad_tol, the iteration budget is exhausted, or
     the line search fails.
     """
-    ks = kalg._KERNELS[x0.field]
+    ks = kalg._SEARCH_KERNELS[x0.field]
     x = x0
     fval = obj.f(x)
     step_taken = 0.0
@@ -268,7 +312,7 @@ def gradient_descent(obj: Objective, x0: StiefelPoint,
         if it == p.max_iters:
             break
         rate = gen.rate
-        xf = ks.floats(gen.U[:, x.k:])
+        xf = ks.floats(gen.U[:, gen.NUx.shape[1]:])
         Ax = ks.floats(ks.product(gen.U, gen.NUx))
         tau = p.initial_step
         if prev is not None:
@@ -321,29 +365,32 @@ def _once_per_point(image: Callable[[StiefelPoint], object]) -> Callable[[Stiefe
 def rayleigh_objective(M: Mat) -> Objective:
     """Trace objective f(x) = Re tr(x* M x); M is checked Hermitian within kalg.CHECK_TOL.
 
-    M x is formed once per point, on the native arrays of kalg._KERNELS, and
-    converted back to components only for egrad; f and egrad are the same
-    to the bit as Re tr(x* (M @ x)) and 2 (M @ x) on Mat values, and reject
-    a point over another base ring or with another number of rows as
-    M @ x does.
+    M x is formed once per point, on the native arrays of
+    kalg._SEARCH_KERNELS (over H one matmul of adjoints), and converted
+    back to components only for egrad; f and egrad are the same to the bit
+    as Re tr(x* (M @ x)) and 2 (M @ x) on Mat values over the ring of the
+    native arrays (over H, C on the adjoints, with f halved), and reject a
+    point over another base ring or with another number of rows as M @ x
+    does.
     """
     resid = kalg.frobenius_norm(M - M.H)
     if not resid <= kalg.CHECK_TOL * max(1.0, kalg.frobenius_norm(M)):
         raise NotHermitian(f"M - M* residual {resid:.3e}")
     fld = M.field
-    ks = kalg._KERNELS[fld]
+    ks = kalg._SEARCH_KERNELS[fld]
     Mv = ks.native(M.data)
 
     @_once_per_point
-    def image(x: StiefelPoint) -> np.ndarray:
+    def image(x: StiefelPoint) -> tuple[np.ndarray, np.ndarray]:
         M._check_product(x.m)
-        return ks.product(Mv, ks.native(x.m.data))
+        xv = ks.native(x.m.data)
+        return xv, ks.product(Mv, xv)
 
     def f(x: StiefelPoint) -> float:
-        return _inner(x.m.data, ks.floats(image(x)))
+        return ks.inner(*image(x))
 
     def egrad(x: StiefelPoint) -> Mat:
-        return Mat._trusted(fld, ks.components(image(x)) * 2.0)
+        return Mat._trusted(fld, ks.components(image(x)[1]) * 2.0)
 
     return Objective(f, egrad)
 

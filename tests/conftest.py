@@ -79,11 +79,12 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def recorded_kernel(monkeypatch, field, name):
-    """Patch the kernel `name` of field's native kernel set (kalg._KERNELS) to
-    record the component shapes (rows, cols, ncomp) of its array arguments;
-    returns the record."""
-    ks = kalg._KERNELS[field]
+def recorded_kernel(monkeypatch, field, name, kernels=kalg._KERNELS):
+    """Patch the kernel `name` of field's native kernel set in kernels
+    (kalg._KERNELS, or the search's kalg._SEARCH_KERNELS) to record the
+    component shapes (rows, cols, ncomp) of its array arguments; returns the
+    record."""
+    ks = kernels[field]
     calls, kernel, components = [], getattr(ks, name), ks.components
 
     def recorded(*args):

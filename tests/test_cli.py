@@ -363,7 +363,9 @@ class TestGoldenOutput:
         ("check", "quaternion"): "825982dfd375ace3bdd668355375cce48bb790bc38a59fc112b20c4c7669e7a2",
         ("optimize", "real"): "cdd8f27eb9327e429b56f509533e9d31df319b5c7493d64443b97a0a0d2bf11e",
         ("optimize", "complex"): "51df63b265a821b6c4b47ad4e711787850d9e742fe849f4aaa4b756187d7b93b",
-        ("optimize", "quaternion"): "4c76439182159ff8fd8bf5813b39c0d0190e7975e2e5c21cc436a4ffe3d7a4c9",
+        # the H search runs on adjoints, whose values move at rounding level within
+        # optim.curve's bound; same iterations, backtracks and reason as before
+        ("optimize", "quaternion"): "c0777d9d9d5794b51e45020dc40f5c66daf1315c9c27ad35318a3073e871d49f",
         ("cover", "real"): "30cd006415a7ee9f66f4e30dfbd8a6f768acd61e25a1ab0bd13c6aff2cdaaf2b",
         ("cover", "complex"): "602c64eb04782e8baf92d4c222788c8943add3ab6cdb33b87269d72dfcc7fbb3",
         ("cover", "quaternion"): "17f6c0f202131ca54fd87bd757b35c69c167976dbd74afc594d475f8677bbfaa",

@@ -49,6 +49,16 @@ class TestThetaLadder:
         assert len(ladder) == 4
         assert all(0 < a < math.pi / 2 for a in ladder.angles)
 
+    @pytest.mark.parametrize("k", [-1, -3, 2.5, 2.0, "2", None])
+    def test_default_ladder_rejects_k(self, k):
+        # a negative k gave an empty ladder, on which every sample is uncovered
+        with pytest.raises(ValueError, match="k must be nonnegative and an integer"):
+            default_ladder(k)
+
+    def test_default_ladder_accepts_integer_types(self):
+        assert default_ladder(np.int64(2)) == default_ladder(2)
+        assert len(default_ladder(0)) == 1
+
 
 class TestThetaFrame:
     @pytest.mark.parametrize("theta", [0.1, math.pi / 4, 1.4])

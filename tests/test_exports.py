@@ -94,7 +94,9 @@ def test_inversions_and_svds_stay_in_kalg():
 def test_search_stays_on_native_kernels():
     # every module computes on kalg's native kernel sets: a component product or
     # conjugate transpose, defined or referenced anywhere in the package, would
-    # implement a kernel twice; nor does the search make a component norm
+    # implement a kernel twice; nor does the search make a component norm, nor,
+    # over H, build an adjoint per product or an operand for LAPACK: its native
+    # arrays there are the adjoints (kalg._SEARCH_KERNELS)
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -106,6 +108,6 @@ def test_search_stays_on_native_kernels():
                 names.add(node.value)  # getattr(kalg, "_product")
         forbidden = {"_product", "_conj_transpose"}
         if path.name == "optim.py":
-            forbidden.add("_norm")
+            forbidden |= {"_norm", "_adjoint_product", "_operand"}
         found += [(path.name, name) for name in sorted(names & forbidden)]
     assert found == []

@@ -148,6 +148,16 @@ class TestProductKernel:
                 assert_same_bits(got[s].view(np.float64),
                                  kalg._adjoint(data[s]).view(np.float64))
 
+    @pytest.mark.parametrize("rows, cols", [(17, 20), (9, 13), (2, 5), (6, 1), (0, 3)])
+    def test_strided_block_matches_its_copy(self, rows, cols):
+        # a 2-D operand such as the lift's rows B[:r + 1, :n + j], a strided
+        # block of a wider array, with signed zeros
+        block = signed_zeros((rows + 3, cols + 4, 4), rows + 11 * cols)[1:rows + 1, 2:cols + 2]
+        assert not block.flags.c_contiguous or not block.size
+        got = kalg._adjoint(block)
+        assert_same_bits(got.view(np.float64), kalg._adjoint(block.copy()).view(np.float64))
+        assert_same_bits(got.view(np.float64), matmul_adjoint(block).view(np.float64))
+
     def test_no_stack_or_concatenate(self, monkeypatch):
         a = kalg.random_gaussian(4, 4, Q, 1)
         b = kalg.random_gaussian(4, 3, Q, 2)

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import assert_same_bits, random_skew, recorded_kernel, svd_test_runs
+from conftest import (assert_same_bits, matmul_adjoint, random_skew, recorded_kernel,
+                      svd_test_runs)
 
 from cayley_stiefel import group, kalg, optim, stiefel
 from cayley_stiefel.kalg import Field, Mat, Singular
@@ -166,10 +167,44 @@ class TestCurve:
             assert fro(curve(g, t).m - dense_curve(x, F, t)) <= 1e-13
 
 
+def search_ring(field):
+    """The ring the search computes in (kalg._SEARCH_KERNELS): the field itself
+    over R and C, and C over H, where its native arrays are interleaved adjoints."""
+    return Field.COMPLEX if field is Field.QUATERNION else field
+
+
+def to_ring(m, ring):
+    """m as a Mat over ring: m itself, or over H its interleaved adjoint
+    (conftest.matmul_adjoint) as a complex Mat."""
+    if ring is m.field:
+        return m
+    return Mat(ring, kalg._KERNELS[ring].components(matmul_adjoint(m.data)))
+
+
+def from_ring(m, field):
+    """The components over field of a Mat from to_ring: over H its (i, 0) rows."""
+    if m.field is field:
+        return m.data
+    return np.ascontiguousarray(m.data[::2]).reshape(m.rows // 2, m.cols // 2, 4)
+
+
+def ring_inner(a, b, field):
+    """Re tr(A* B) over field from Mat values over any ring of to_ring: an
+    adjoint's inner products are twice the quaternion ones, so they are halved."""
+    return (1.0 if a.field is field else 0.5) * optim._inner(a.data, b.data)
+
+
+def ring_norm(m, field):
+    """|M|_F over field from a Mat over any ring of to_ring (ring_inner)."""
+    return math.sqrt(ring_inner(m, m, field))
+
+
 def generator_mats(g):
-    """The generator's native U, NG and NUx as Mat values."""
-    ks = kalg._KERNELS[g.x.field]
-    return tuple(Mat(g.x.field, ks.components(a)) for a in (g.U, g.NG, g.NUx))
+    """The generator's native U, NG and NUx as Mat values over the ring they are
+    in: complex adjoints over H, or components in the component form."""
+    ring = Field.COMPLEX if np.iscomplexobj(g.U) else g.x.field
+    ks = kalg._KERNELS[ring]
+    return tuple(Mat(ring, ks.components(a)) for a in (g.U, g.NG, g.NUx))
 
 
 def dense_generator(x, F):
@@ -193,20 +228,23 @@ class TestSearchGenerator:
         F = kalg.random_gaussian(7, 3, field, 67)
         g = SearchGenerator.from_gradient(x, F)
         U, N = dense_generator(x, F)
-        _, NG, NUx = generator_mats(g)
+        _, NG, NUx = generator_mats(g)  # over H, the adjoints as complex Mats
         bound = 1e-13 * (1 + fro(F) ** 2)
-        assert fro(NG - N @ (U.H @ U)) <= bound
-        assert fro(NUx - N @ (U.H @ x.m)) <= bound
-        assert abs(g.rate + real_trace(NG @ NG)) <= bound
+        assert ring_norm(NG - to_ring(N @ (U.H @ U), NG.field), field) <= bound
+        assert ring_norm(NUx - to_ring(N @ (U.H @ x.m), NG.field), field) <= bound
+        assert abs(g.rate + real_trace(NG @ NG) * (0.5 if NG.field is not field else 1.0)) <= bound
 
     def test_product_count(self, field, monkeypatch):
-        # x*F, x (x*F), U*U, K G_bot and x K/2, each one product of the field's
-        # native kernel set; N is never formed
+        # x*F, x (x*F), U*U, K G_bot and x K/2, each one product of the search's
+        # native kernel set; N is never formed, and over H no product builds an
+        # adjoint (kalg._adjoint_product)
         x = stiefel.random_stiefel_point(7, 3, field, 68)
         F = kalg.random_gaussian(7, 3, field, 69)
-        products = recorded_kernel(monkeypatch, field, "product")
+        adjoint_products = recorded_adjoint_products(monkeypatch)
+        products = recorded_kernel(monkeypatch, field, "product", kalg._SEARCH_KERNELS)
         SearchGenerator.from_gradient(x, F)
         assert len(products) == 5
+        assert adjoint_products == []
 
     # t |NG|_F = c / 2, from 0 to 1.5 either way
     @pytest.mark.parametrize("c", [0.0, 0.5, -0.99, 0.99, 1.01, -1.01, 3.0])
@@ -215,13 +253,20 @@ class TestSearchGenerator:
         x = stiefel.random_stiefel_point(n, k, field, 68)
         g = SearchGenerator.from_gradient(x, kalg.random_gaussian(n, k, field, 69))
         t = c * 0.5 / g.ng_norm
-        products = recorded_kernel(monkeypatch, field, "product")
+        adjoint_products = recorded_adjoint_products(monkeypatch)
+        products = recorded_kernel(monkeypatch, field, "product", kalg._SEARCH_KERNELS)
         svd_tests = recorded_calls(monkeypatch, "_invertible_operand")
         curve(g, t)
-        # inv N U*x and U (inv N U*x) for the step; x*x of the point's frame
-        # check: each one product of the native kernel set, shapes as components
-        assert products == [((2 * k, 2 * k, nc), (2 * k, k, nc)), ((n, 2 * k, nc), (2 * k, k, nc)),
-                            ((k, n, nc), (n, k, nc))]
+        # inv N U*x and U (inv N U*x) for the step, on the search's native kernel
+        # set; x*x of the point's frame check, on the field's; shapes as components
+        step = [((2 * k, 2 * k, nc), (2 * k, k, nc)), ((n, 2 * k, nc), (2 * k, k, nc))]
+        frame_check = [((k, n, nc), (n, k, nc))]
+        if field is Field.QUATERNION:
+            # the frame check stays on the component set, and the step builds no adjoint
+            assert products == step
+            assert adjoint_products == [("_frame_residuals", *frame_check)]
+        else:
+            assert products == step + frame_check
         # the core I + t N U*U is well conditioned, so its inverse decides the test
         assert svd_tests == []
 
@@ -232,9 +277,10 @@ class TestSearchGenerator:
         x = StiefelPoint(Mat(field, np.eye(7, 3, -4)[:, :, None] * np.eye(1, field.ncomp)))
         g = SearchGenerator.from_gradient(x, x.m @ kalg.random_gaussian(3, 3, field, 5))
         t = c / g.ng_norm
-        core = kalg._KERNELS[field].components(g.NG) * t
+        ring = search_ring(field)  # over H the core is an adjoint, a complex matrix
+        core = kalg._KERNELS[ring].components(g.NG) * t
         kalg._shift_diagonal(core, 1.0)
-        must_run = svd_test_runs(field, core, kalg.DEFAULT_TOL)
+        must_run = svd_test_runs(ring, core, kalg.DEFAULT_TOL)
         assert must_run is (c > 1e6)
         svd_tests = recorded_calls(monkeypatch, "_invertible_operand")
         try:
@@ -304,51 +350,77 @@ def recorded_calls(monkeypatch, name):
 
 
 def recorded_conversions(monkeypatch, field):
-    """Patch the conversions of field's native kernel set (kalg._KERNELS) to
-    record (native or components, the calling function's name); returns the
-    record."""
-    ks = kalg._KERNELS[field]
+    """Patch the conversions of field's native kernel sets, the search's and
+    the rest of the library's (kalg._SEARCH_KERNELS and kalg._KERNELS, one set
+    but over H), to record (native or components, the calling function's
+    name); returns the record."""
     calls = []
-    for name in ("native", "components"):
-        def recorded(a, name=name, kernel=getattr(ks, name)):
-            calls.append((name, sys._getframe(1).f_code.co_name))
-            return kernel(a)
+    for ks in {id(s): s for s in (kalg._KERNELS[field], kalg._SEARCH_KERNELS[field])}.values():
+        for name in ("native", "components"):
+            def recorded(a, name=name, kernel=getattr(ks, name)):
+                calls.append((name, sys._getframe(1).f_code.co_name))
+                return kernel(a)
 
-        monkeypatch.setattr(ks, name, recorded)
+            monkeypatch.setattr(ks, name, recorded)
     return calls
 
 
-def mat_from_gradient(x, F):
-    """SearchGenerator.from_gradient on Mat values, one Mat per intermediate: the
-    reference for its arithmetic on native arrays, which it holds as they are."""
+def recorded_adjoint_products(monkeypatch):
+    """Patch the product of kalg._KERNELS over H, kalg._adjoint_product, which
+    builds the adjoint of its right operand, to record (the calling function's
+    name, the component shapes of its arguments); returns the record."""
+    ks = kalg._KERNELS[Field.QUATERNION]
+    calls = []
+
+    def recorded(a, b, kernel=ks.product):
+        calls.append((sys._getframe(1).f_code.co_name, (a.shape, b.shape)))
+        return kernel(a, b)
+
+    monkeypatch.setattr(ks, "product", recorded)
+    return calls
+
+
+def mat_from_gradient(x, F, ring=None):
+    """SearchGenerator.from_gradient on Mat values over ring, one Mat per
+    intermediate: the reference for its arithmetic on native arrays, which it
+    holds as they are.  ring defaults to the search's (search_ring): over H the
+    formulas run over C on the interleaved adjoints, with the inner products
+    and norms halved, as the search makes them.  ring=H gives the component
+    form, on quaternion Mat values."""
     if F.shape != x.m.shape:
         raise ValueError("gradient shape must match the frame")
-    k, fld = x.k, x.field
-    xF = x.m.H @ F
-    W = F - x.m @ xF
+    fld = x.field
+    ring = ring or search_ring(fld)
+    xm, Fm = to_ring(x.m, ring), to_ring(F, ring)
+    k = xm.cols
+    xF = xm.H @ Fm
+    W = Fm - xm @ xF
     K = xF - xF.H
-    s = kalg.frobenius_norm(W) or 1.0
-    U = kalg.hstack((1.0 / s) * W, x.m)
+    s = ring_norm(W, fld) or 1.0
+    U = kalg.hstack((1.0 / s) * W, xm)
     G = (U.H @ U).data
-    bot = Mat._trusted(fld, G[k:])
-    NG = Mat._trusted(fld, np.concatenate([s * G[k:], (K @ bot).data - s * G[:k]]))
-    gnorm = kalg.frobenius_norm(W + x.m @ (0.5 * K))
-    ks = kalg._KERNELS[fld]
+    bot = Mat._trusted(ring, G[k:])
+    NG = Mat._trusted(ring, np.concatenate([s * G[k:], (K @ bot).data - s * G[:k]]))
+    gnorm = ring_norm(W + xm @ (0.5 * K), fld)
+    ks = kalg._KERNELS[ring]
     return SearchGenerator(x, ks.native(U.data), ks.native(NG.data),
                            ks.native(NG.block(0, 2 * k, k, 2 * k).data),
-                           -optim._inner(NG.H.data, NG.data), gnorm, fro(NG))
+                           -ring_inner(NG.H, NG, fld), gnorm, ring_norm(NG, fld))
 
 
 def mat_curve(g, t):
-    """curve on Mat values, with mat_inverse's SVD test on every core: the reference
-    for its arithmetic on native arrays and its norm bound."""
+    """curve on Mat values over the ring of g's arrays (generator_mats), with
+    mat_inverse's SVD test on every core: the reference for its arithmetic on
+    native arrays and its norm bound.  The point goes back to components as
+    the search's does."""
     if not math.isfinite(t):
         raise ValueError(f"curve parameter must be finite, got {t}")
     U, NG, NUx = generator_mats(g)
     core = NG.data * t
     kalg._shift_diagonal(core, 1.0)
     step = U @ (kalg.mat_inverse(Mat._trusted(NG.field, core)) @ NUx)
-    return StiefelPoint(g.x.m - (2.0 * t) * step)
+    point = U.block(0, U.rows, NUx.cols, U.cols) - (2.0 * t) * step
+    return StiefelPoint(Mat._trusted(g.x.field, from_ring(point, g.x.field)))
 
 
 def curve_outcome(curve_fn, g, t):
@@ -440,6 +512,115 @@ class TestMatReference:
                 assert_same_bits(va, vb)
 
 
+# the constant of the bounds of SearchGenerator's and curve's docstrings on
+# the H search's distance from the component form: 32 u, u = 2^-53
+COMPONENT_FORM_BOUND = 2.0 ** -48
+
+
+def assert_within_component_form_bound(g, ref, F):
+    """The H generator g against the component-form ref from the same x and F,
+    as SearchGenerator's docstring bounds it: gnorm, and where W = F - x x*F is
+    not zero in exact arithmetic (n > k) the rest, with phi = 1 + |F|_F / s.
+    Adjoint arrays are measured in the search's norm, |M|_F of the quaternion
+    matrix."""
+    ks, eps, x = kalg._SEARCH_KERNELS[Field.QUATERNION], COMPONENT_FORM_BOUND, g.x
+    assert abs(g.gnorm - ref.gnorm) <= eps * fro(F)
+    if x.n > x.k:
+        s = fro(F - x.m @ (x.m.H @ F)) or 1.0
+        phi = 1.0 + fro(F) / s
+        assert ks.norm(g.U - ks.native(ref.U)) <= eps * phi
+        for got, want in ((g.NG, ref.NG), (g.NUx, ref.NUx)):
+            assert ks.norm(got - ks.native(want)) <= eps * phi * (s + fro(F))
+        assert abs(g.ng_norm - ref.ng_norm) <= eps * phi * (s + fro(F))
+        assert abs(g.rate - ref.rate) <= eps * phi * (s + fro(F)) ** 2
+
+
+def assert_point_within_component_form_bound(g, ref, t):
+    """curve(g, t) against the component-form point mat_curve(ref, t), as curve's
+    docstring bounds it, with B = (I + t N U*U)^{-1}; a rejected trial must be
+    rejected by both, alike."""
+    got, want = curve_outcome(curve, g, t), curve_outcome(mat_curve, ref, t)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    ks = kalg._SEARCH_KERNELS[Field.QUATERNION]
+    core = ks.scale(g.NG, t)
+    ks.shift_diagonal(core, 1.0)
+    B = np.linalg.inv(core) if core.size else core
+    bound = COMPONENT_FORM_BOUND * (1.0 + abs(t) * g.ng_norm) * (1.0 + ks.norm(B))
+    assert np.linalg.norm(got - want) <= bound
+
+
+class TestComponentFormBound:
+    """The H search on interleaved adjoints against its component form, the
+    Mat formulas on quaternion values (mat_from_gradient with ring H, and
+    mat_curve): within the stated bounds, field by field and point by point."""
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (5, 2), (9, 4), (20, 4), (4, 0)])
+    def test_generators_and_points(self, n, k):
+        fld = Field.QUATERNION
+        for x, F in TestMatReference.frames(n, k, fld):
+            g, ref = SearchGenerator.from_gradient(x, F), mat_from_gradient(x, F, fld)
+            assert_within_component_form_bound(g, ref, F)
+            for t in TestMatReference.STEPS:
+                assert_point_within_component_form_bound(g, ref, t)
+
+    # every generator and every trial point of a whole solve, each against the
+    # component form from the same x and F
+    @pytest.mark.parametrize("problem", ["rayleigh", "procrustes"])
+    def test_solve_steps(self, problem, monkeypatch):
+        fld, n, k = Field.QUATERNION, 20, 4
+        obj = solve_objective(problem, fld, n, k, 1.0)
+        generators, trials = [], []
+        from_gradient, traced = SearchGenerator.from_gradient, optim.curve
+
+        def recorded_generator(x, F):
+            generators.append((from_gradient(x, F), F))
+            return generators[-1][0]
+
+        def recorded_curve(g, t):
+            trials.append((g, t))
+            return traced(g, t)
+
+        monkeypatch.setattr(SearchGenerator, "from_gradient", staticmethod(recorded_generator))
+        monkeypatch.setattr(optim, "curve", recorded_curve)
+        trace = gradient_descent(obj, stiefel.random_stiefel_point(n, k, fld, 8))
+        monkeypatch.undo()
+        assert trace.reason == "converged" and len(trials) >= len(generators) - 1 > 10
+        refs = {}
+        for g, F in generators:
+            refs[id(g)] = mat_from_gradient(g.x, F, fld)
+            assert_within_component_form_bound(g, refs[id(g)], F)
+        for g, t in trials:
+            assert_point_within_component_form_bound(g, refs[id(g)], t)
+
+    # at scale 1e8 trials are rejected as Singular and as NotOrthonormal
+    # (TestMatReference.check_solve); the component form ends the same way
+    @pytest.mark.parametrize("problem", ["rayleigh", "procrustes"])
+    def test_solve_end_reason_at_large_scale(self, problem, monkeypatch):
+        fld, n, k, scale = Field.QUATERNION, 5, 3, 1e8
+        x0 = stiefel.random_stiefel_point(n, k, fld, 8)
+        p = SearchParams(grad_tol=1e-6 * scale)
+        got = gradient_descent(solve_objective(problem, fld, n, k, scale), x0, p)
+        monkeypatch.setitem(kalg._SEARCH_KERNELS, fld, kalg._KERNELS[fld])
+        monkeypatch.setattr(SearchGenerator, "from_gradient",
+                            staticmethod(lambda x, F: mat_from_gradient(x, F, fld)))
+        monkeypatch.setattr(optim, "curve", mat_curve)
+        want = gradient_descent(solve_objective(problem, fld, n, k, scale), x0, p)
+        assert got.reason == want.reason == "converged"
+
+
+def solve_objective(problem, field, n, k, scale):
+    """The objectives of TestMatReference's solves: a Rayleigh trace of a
+    Hermitian M of the given scale, or a Procrustes fit whose B has 2 columns."""
+    if problem == "rayleigh":
+        M = scale * kalg.hermitian_part(kalg.random_gaussian(n, n, field, 7))
+        return rayleigh_objective(M)
+    B = math.sqrt(scale) * kalg.random_gaussian(k, 2, field, 9)
+    C = math.sqrt(scale) * kalg.random_gaussian(n, 2, field, 10)
+    return procrustes_objective(B, C)
+
+
 class TestRayleighObjective:
     def test_f_is_trace_of_x_star_M_x(self, field):
         M = kalg.hermitian_part(kalg.random_gaussian(9, 9, field, 70))
@@ -448,13 +629,17 @@ class TestRayleighObjective:
         assert abs(rayleigh_objective(M).f(x) - expected) <= 1e-13 * fro(M)
 
     def test_values_match_mat_formulas(self, field):
-        # M x on the native arrays: f and egrad have the bits of the Mat formulas
+        # M x on the search's native arrays: f and egrad have the bits of the Mat
+        # formulas, over H run over C on the adjoints (search_ring)
         M = kalg.hermitian_part(kalg.random_gaussian(9, 9, field, 70))
         obj = rayleigh_objective(M)
+        ring = search_ring(field)
         for seed in (71, 72):
             x = stiefel.random_stiefel_point(9, 3, field, seed)
-            assert_same_bits(obj.f(x), optim._inner(x.m.data, (M @ x.m).data))
-            assert_same_bits(obj.egrad(x).data, (2.0 * (M @ x.m)).data)
+            xm = to_ring(x.m, ring)
+            Mx = to_ring(M, ring) @ xm
+            assert_same_bits(obj.f(x), ring_inner(xm, Mx, field))
+            assert_same_bits(obj.egrad(x).data, 2.0 * from_ring(Mx, field))
 
     def test_rejects_a_point_of_another_ring_or_order(self, field):
         # f and egrad check the point as M @ x does, and a rejected point is not
@@ -709,7 +894,8 @@ class TestStepRule:
             firsts.setdefault(id(g.x), t)
         for it in range(1, 4):
             prev, rec = trace.records[it - 1], trace.records[it]
-            S = rec.x.m - prev.x.m
+            # over H the floats of the adjoints, as the search takes them
+            S = to_ring(rec.x.m, search_ring(field)) - to_ring(prev.x.m, search_ring(field))
             U, _, NUx = generator_mats(gens[it])
             U_prev, _, NUx_prev = generator_mats(gens[it - 1])
             D = U @ NUx - U_prev @ NUx_prev

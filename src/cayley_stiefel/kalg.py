@@ -96,6 +96,10 @@ class Field(enum.Enum):
     COMPLEX = "complex"
     QUATERNION = "quaternion"
 
+    # members are singletons compared by identity, so they hash by identity:
+    # Enum.__hash__ is a Python-level call on every kernel-set lookup
+    __hash__ = object.__hash__
+
     @property
     def ncomp(self) -> int:
         return _NCOMP[self]

@@ -24,8 +24,11 @@ StiefelPoint, which for a group element (a lift, a section's value;
 k = n) is A*A = I.
 
 A lift keeps the coordinates (X, Y) of the last point gamma_inverse
-inverted on it, keyed on that point object and the tol, so local_section
-and contraction on a point already inverted invert only the core b.
+inverted on it, keyed on that point object and the tol, and the core b of
+those coordinates once a transform has formed it.  So on a point already
+inverted, local_section, contraction at t = 1 and gamma of the kept
+coordinates share one inversion of b, and contraction at another t inverts
+only its own core.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class Lift:
     exactly the frame x.
 
     A lift keeps the chart coordinates of the last point gamma_inverse
-    inverted on it, outside its fields: (y, tol, X, Y), or None.
+    inverted on it, outside its fields: (y, tol, X, Y, b), or None, where b
+    is the native core of X and Y (_core), or None until a transform forms it.
     """
 
     point: StiefelPoint
@@ -160,7 +164,10 @@ class TangentCoords:
 
     def scaled(self, t: float) -> "TangentCoords":
         """The coordinates of t v.  t Y is skew-Hermitian when Y is, so it is not
-        checked again."""
+        checked again.  At t == 1 they are these coordinates themselves, as
+        1 X is X to the bit, so a lift's kept core still serves them (_core)."""
+        if t == 1:
+            return self
         return TangentCoords._trusted(self.lift, t * self.X, t * self.Y)
 
     def embed(self) -> Mat:
@@ -235,16 +242,31 @@ def _right_factor(ks: kalg._Kernels, rows: np.ndarray, X: np.ndarray) -> np.ndar
     return ks.conj_transpose(ks.product(rows, XI))
 
 
+def _core(ks: kalg._Kernels, t: TangentCoords) -> np.ndarray:
+    """The native array of group.b_matrix(t).  When t holds the very X and Y
+    of its lift's chart, the chart keeps it: the first call forms it and
+    stores the chart with it in one store, and later calls read it.  It is
+    the array b_matrix returns for those X and Y, read-only, and refers to
+    neither the lift nor t."""
+    chart = t.lift._chart
+    if chart is None or chart[2] is not t.X or chart[3] is not t.Y:
+        return ks.native(group.b_matrix(t).data)
+    if chart[4] is None:
+        chart = (*chart[:4], ks.native(group.b_matrix(t).data))
+        object.__setattr__(t.lift, "_chart", chart)  # one tuple: readers see one entry
+    return chart[4]
+
+
 def _cayley_rows(t: TangentCoords, rows: np.ndarray) -> np.ndarray:
     """c(Z) W for the components of a block of rows of the lift A and
     W = rows*: the one Cayley kernel.  As c(Z) = diag(I, -I) + 2 [-X; I] b [X*, I],
-    b = group.b_matrix(t), it is W + [-2 X b R; 2 (b R - W_bot)],
+    b = group.b_matrix(t) (_core), it is W + [-2 X b R; 2 (b R - W_bot)],
     R = (rows [X; I])* (_right_factor) and W_bot the last k rows of W: one
-    k x k inversion, linear in the rows."""
+    k x k inversion, or none on a lift's kept core, linear in the rows."""
     ks = kalg._KERNELS[t.field]
     rows, X = ks.native(rows), ks.native(t.X.data)
     W = ks.conj_transpose(rows)
-    bR = ks.product(ks.native(group.b_matrix(t).data), _right_factor(ks, rows, X))
+    bR = ks.product(_core(ks, t), _right_factor(ks, rows, X))
     W_top, W_bot = W[:len(X)], W[len(X):]  # views of the fresh W: the sum is formed in place
     W_top += ks.scale(ks.product(X, bR), -2.0)
     W_bot += ks.scale(bR - W_bot, 2.0)
@@ -273,11 +295,14 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     test at tol (kalg._invert).  Taking the skew-Hermitian part makes Y exactly
     skew-Hermitian, so Y is not checked again, here or by local_section.
 
-    The lift keeps (y, tol, X, Y) of its last success: a call on the same y
-    object at an equal tol returns those X and Y with no inversion.  y and
+    The lift keeps (y, tol, X, Y, b) of its last success: a call on the same
+    y object at an equal tol returns those X and Y with no inversion.  y and
     its data are immutable, and that y and tol passed the checks; a failure
-    is never kept.  The lift keeps the Mats, not the TangentCoords, which
-    would point back to it.
+    is never kept.  b, None here, is the core of X and Y, which the first
+    transform of these very coordinates forms and keeps (_core), so the
+    round trip gamma(gamma_inverse(lift, y)), the section and the homotopy
+    at t = 1 on y invert it once between them.  The lift keeps the Mats, not
+    the TangentCoords, which would point back to it.
     """
     chart = lift._chart
     if chart is not None and chart[0] is y and chart[1] == tol:
@@ -297,7 +322,7 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     B = ks.scale(ks.product(_right_factor(ks, rows, X), C_inv), 2.0)
     Y = ks.scale(B - ks.conj_transpose(B), 0.5)
     X, Y = Mat._trusted(fld, ks.components(X)), Mat._trusted(fld, ks.components(Y))
-    object.__setattr__(lift, "_chart", (y, tol, X, Y))  # one tuple: readers see one entry
+    object.__setattr__(lift, "_chart", (y, tol, X, Y, None))  # one tuple: readers see one entry
     return TangentCoords._trusted(lift, X, Y)
 
 
@@ -329,7 +354,9 @@ def local_section(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     cayley_block(gamma_inverse(lift, y, tol)), whose last k columns agree with y.
 
     On a y the lift has just inverted at tol, the lift's kept coordinates
-    serve, and the only inversion is the core b of cayley_block."""
+    serve, and the only inversion is the core b of cayley_block, which the
+    lift keeps with them, so a call that follows on those coordinates makes
+    none."""
     return cayley_block(gamma_inverse(lift, y, tol))
 
 
@@ -341,7 +368,10 @@ def contraction(lift: Lift, y: StiefelPoint, t: float,
     test of gamma_inverse on pi + P*; the core I + t^2 X*X + t Y of gamma has every
     singular value at least 1.  H(y, 0) is gamma of the zero tangent, H(y, 1) = y.
     The lift keeps the coordinates of the last y it inverted, so evaluating H
-    at several t on one y inverts pi + P* once, and then only the core b.
+    at several t on one y inverts pi + P* once, and then only the core of each
+    t.  At t = 1 the coordinates are the kept ones themselves (scaled), whose
+    core the lift keeps too: after local_section or gamma of them, H(y, 1)
+    makes no inversion.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("homotopy parameter must lie in [0, 1]")

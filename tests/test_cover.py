@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import conditioned, in_cayley_open, svd_test_runs, theta_frame
+from conftest import assert_same_bits, conditioned, in_cayley_open, svd_test_runs, theta_frame
 
 from cayley_stiefel import cover, kalg, stiefel
 from cayley_stiefel.cover import (DimensionError, ThetaLadder, cover_membership,
@@ -220,11 +220,16 @@ def singular_values(fld, block):
     return np.linalg.svd(np.block([[z1, z2], [-z2.conj(), z1.conj()]]), compute_uv=False)
 
 
+def reference_draw(n, k, samples, seed, fld):
+    """The frames of verify_cover's samples, from one unstacked draw."""
+    return stiefel._random_frames(n, k, fld, np.random.default_rng(seed), samples)
+
+
 def reference_report(n, k, ladder, samples, seed, fld, tol=kalg.DEFAULT_TOL):
     """verify_cover's report from one unstacked draw, with membership decided
     here: sample y is in member i unless sigma_min <= tol sigma_max for
     pi + (cos theta_i) I, pi its bottom block."""
-    frames = stiefel._random_frames(n, k, fld, np.random.default_rng(seed), samples)
+    frames = reference_draw(n, k, samples, seed, fld)
     histogram, witnesses = {}, []
     for s in range(samples):
         members = 0
@@ -274,11 +279,22 @@ class TestStackedVerifier:
 
     @pytest.mark.parametrize("tol", [kalg.DEFAULT_TOL, 0.5], ids=["default_tol", "witnesses"])
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 2), (6, 3), (9, 4)])
-    def test_matches_per_sample_loop(self, field, n, k, tol):
+    def test_matches_per_sample_loop(self, field, n, k, tol, monkeypatch):
         # more samples than one stack; tol = 0.5 leaves samples uncovered for k >= 2
         samples, ladder = cover._CHUNK + 3, default_ladder(k)
+        # the bottom blocks the verifier decides: at the default tol the report
+        # holds no value of a frame, so these tell one sample stream from another
+        blocks = []
+        memberships = cover._memberships
+
+        def recorded(fld, pi, *args):
+            blocks.append(pi.copy())
+            return memberships(fld, pi, *args)
+
+        monkeypatch.setattr(cover, "_memberships", recorded)
         report = verify_cover(n, k, ladder, samples, 31, field, tol)
         assert_same_report(report, reference_report(n, k, ladder, samples, 31, field, tol))
+        assert_same_bits(np.concatenate(blocks), reference_draw(n, k, samples, 31, field)[:, n - k:])
         if tol == 0.5 and k >= 2:
             assert report["uncovered"] > 0
         first = stiefel._random_frames(n, k, field, np.random.default_rng(31), 1)[0]

@@ -28,6 +28,23 @@ def close(a, b, tol=1e-12):
     return kalg.frobenius_norm(a - b) <= tol
 
 
+class TestField:
+    def test_members_hash_by_identity(self):
+        # every kernel-set lookup hashes its field: object's C-level hash, not
+        # Enum's Python-level one
+        assert Field.__hash__ is object.__hash__
+        assert len(set(Field)) == 3
+        for fld in Field:
+            assert hash(fld) == object.__hash__(fld)
+            parsed = Field.parse(fld.value.upper())
+            assert parsed is fld
+            assert {fld: fld.value}[parsed] == fld.value
+            assert kalg._KERNELS[parsed] is kalg._KERNELS[fld]
+            assert parsed.ncomp == {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}[fld]
+        with pytest.raises(ValueError, match="unknown field 'octonion'"):
+            Field.parse("octonion")
+
+
 class TestQuaternionRing:
     def test_multiplication_table(self):
         assert close(I_ @ I_, -1.0 * ONE, 0)

@@ -2,7 +2,8 @@
 
 tracemalloc counts the Python and numpy allocations still alive after each
 window of rounds.  A round lifts a frame, maps a tangent there and back,
-takes a section and a homotopy, runs a short solve and a small cover check,
+takes a section and the homotopy at t = 1/2 and at t = 1, which reads
+the core the lift keeps, runs a short solve and a small cover check,
 in each field.  Caches that fill once (numpy's, the interpreter's) show in
 the first windows only, so the warm-up window is not judged, and the least
 growth of the later windows must stay under a few bytes per round: whatever
@@ -18,7 +19,7 @@ from cayley_stiefel import cover, kalg, optim, stiefel
 from cayley_stiefel.stiefel import TangentCoords
 
 ROUNDS = 20
-BYTES_PER_ROUND = 64  # a round makes 18 calls; a kept float and its list slot take 32
+BYTES_PER_ROUND = 64  # a round makes 21 calls; a kept float and its list slot take 32
 
 
 def cases():
@@ -37,6 +38,7 @@ def one_round(inputs):
         stiefel.gamma_inverse(lift, y)
         stiefel.local_section(lift, y)
         stiefel.contraction(lift, y, 0.5)
+        stiefel.contraction(lift, y, 1.0)
         optim.gradient_descent(optim.rayleigh_objective(M), x, optim.SearchParams(max_iters=3))
         cover.verify_cover(4, 2, cover.default_ladder(2), 3, 3, x.field)
 

@@ -628,8 +628,10 @@ class TestKernelCounts:
 
 
 class TestChartMemo:
-    """A lift keeps the coordinates of the last point gamma_inverse inverted:
-    the section and the homotopy on that point invert only the core b."""
+    """A lift keeps the coordinates of the last point gamma_inverse inverted,
+    and their core b once a transform forms it: the section, the homotopy at
+    t = 1 and gamma of those coordinates on that point invert b once between
+    them, and the homotopy at another t only its own core."""
 
     @staticmethod
     def inverted(field, seed):
@@ -686,6 +688,58 @@ class TestChartMemo:
                      lambda: stiefel.contraction(lift, y, 0.5, math.nan)):
             with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
                 call()
+
+    def test_section_and_end_share_one_core(self, field, monkeypatch):
+        lift, y = self.inverted(field, 78)
+        counts = TestCoreCounts.count(monkeypatch, field)
+        section = stiefel.local_section(lift, y, 1e-9)
+        end = stiefel.contraction(lift, y, 1.0, 1e-9)
+        assert counts["inverse"] == 1  # the core b, formed once and kept
+        # each reference on its own fresh lift: pi + P* and b for each
+        fresh = stiefel.local_section(stiefel.complete_lift(lift.point), y, 1e-9)
+        assert_same_bits(section.m.data, fresh.m.data)
+        fresh = stiefel.contraction(stiefel.complete_lift(lift.point), y, 1.0, 1e-9)
+        assert_same_bits(end.m.data, fresh.m.data)
+        assert counts["inverse"] == 5
+
+    def test_round_trip_reuses_the_kept_core(self, field, monkeypatch):
+        lift, y = self.inverted(field, 79)
+        back = stiefel.gamma_inverse(lift, y, 1e-9)
+        assert back.scaled(1.0) is back
+        counts = TestCoreCounts.count(monkeypatch, field)
+        stiefel.local_section(lift, y, 1e-9)
+        assert counts["inverse"] == 1
+        trip = stiefel.gamma(back)
+        assert counts["inverse"] == 1
+        fresh = stiefel.complete_lift(lift.point)
+        assert_same_bits(trip.m.data, stiefel.gamma(stiefel.gamma_inverse(fresh, y, 1e-9)).m.data)
+
+    def test_other_t_inverts_its_own_core(self, field, monkeypatch):
+        lift, y = self.inverted(field, 80)
+        counts = TestCoreCounts.count(monkeypatch, field)
+        stiefel.local_section(lift, y, 1e-9)
+        inner = stiefel.contraction(lift, y, 0.3, 1e-9)
+        assert counts["inverse"] == 2
+        fresh = stiefel.contraction(stiefel.complete_lift(lift.point), y, 0.3, 1e-9)
+        assert_same_bits(inner.m.data, fresh.m.data)
+
+    def test_new_point_or_tol_forms_a_new_core(self, field, monkeypatch):
+        lift, y = self.inverted(field, 81)
+        _, t = random_lift_tangent(7, 3, field, 82, scale=0.5)
+        other = stiefel.gamma(TangentCoords(lift, t.X, t.Y))
+        copy = StiefelPoint(Mat(field, y.m.data))
+        stiefel.local_section(lift, y, 1e-9)
+        counts = TestCoreCounts.count(monkeypatch, field)
+        for point, tol in [(y, 1e-8), (other, 1e-9), (copy, 1e-9)]:
+            counts["inverse"] = 0
+            section = stiefel.local_section(lift, point, tol)
+            end = stiefel.contraction(lift, point, 1.0, tol)
+            # pi + P* of the new chart entry, then its core, once for both calls
+            assert counts["inverse"] == 2
+            fresh = stiefel.complete_lift(lift.point)
+            assert_same_bits(section.m.data, stiefel.local_section(fresh, point, tol).m.data)
+            fresh = stiefel.complete_lift(lift.point)
+            assert_same_bits(end.m.data, stiefel.contraction(fresh, point, 1.0, tol).m.data)
 
     def test_dropped_lift_is_freed_without_gc(self, field):
         lift, y = self.inverted(field, 77)

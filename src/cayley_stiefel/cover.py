@@ -66,6 +66,11 @@ def default_ladder(k: int) -> ThetaLadder:
     return ThetaLadder(tuple((i + 1) * math.pi / (2 * (k + 2)) for i in range(k + 1)))
 
 
+def _check_dims(n: int, k: int) -> None:
+    if n < 2 * k:
+        raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
+
+
 def _memberships(field: Field, pi: np.ndarray, ladder: ThetaLadder,
                  tol: float) -> np.ndarray:
     """(S, len(ladder)) booleans: whether pi_s + (cos theta_i) I_k is invertible.
@@ -85,7 +90,7 @@ def _memberships(field: Field, pi: np.ndarray, ladder: ThetaLadder,
         member = np.arange(start, min(start + _CHUNK, len(out)))
         shifted = pi[member // len(cos)]
         ks.shift_diagonal(shifted, cos[member % len(cos), None])
-        out[start:start + _CHUNK] = kalg._invertible_stack(field, shifted, tol)
+        out[start:start + _CHUNK] = kalg._invertible_stack(ks, shifted, tol)
     return out.reshape(len(pi), len(cos))
 
 
@@ -95,9 +100,12 @@ def cover_membership(y: StiefelPoint, ladder: ThetaLadder,
 
     Membership only depends on the bottom block pi of y: the condition is
     invertibility of pi + (cos theta_i) I_k.  tol is checked up front, so
-    that an empty ladder, which makes no decision, rejects it too.
+    that an empty ladder, which makes no decision, rejects it too.  Raises
+    DimensionError for n < 2k, where the angle frames, and so the cover,
+    do not exist, as verify_cover does.
     """
     kalg._validate_tol(tol)
+    _check_dims(y.n, y.k)
     return np.flatnonzero(_memberships(y.field, y.P.data[None], ladder, tol)[0]).tolist()
 
 
@@ -117,8 +125,7 @@ def verify_cover(n: int, k: int, ladder: ThetaLadder, samples: int, seed: int,
             raise ValueError(f"{name} must be nonnegative and an integer, got {value!r}")
     kalg._validate_tol(tol)  # up front, so that samples=0 rejects it too
     n, k, samples = int(n), int(k), int(samples)  # the report holds Python ints
-    if n < 2 * k:
-        raise DimensionError(f"need n >= 2k, got n={n}, k={k}")
+    _check_dims(n, k)
     histogram: Counter[int] = Counter()
     witnesses = []
     rng = np.random.default_rng(seed)

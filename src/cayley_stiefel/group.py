@@ -66,4 +66,4 @@ def b_matrix(t: TangentCoords) -> Mat:
     ks.shift_diagonal(core, 1.0)  # I
     core += ks.product(ks.conj_transpose(X), X)
     core += Y
-    return Mat._trusted(fld, ks.components(kalg._invert(fld, core, kalg.DEFAULT_TOL)))
+    return Mat._trusted(fld, ks.components(kalg._invert(ks, core, kalg.DEFAULT_TOL)))

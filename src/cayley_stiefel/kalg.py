@@ -35,7 +35,7 @@ The search (optim) looks its set up in _SEARCH_KERNELS: the same sets
 over R and C, and over H one more, _ADJOINT_KERNELS, whose native array
 is the interleaved adjoint chi(M) itself, built once where a matrix
 enters (_adjoint) and read back as its (i, 0) rows where one leaves
-(_from_operand).  A product there is one matmul of two adjoints, with no
+(_adjoint_rows).  A product there is one matmul of two adjoints, with no
 adjoint built per product; the conjugate transpose, scaling and diagonal
 shift are C's kernels, as chi(M*) = chi(M)^H entry for entry; the norm
 and the inner product are the quaternion ones, half the adjoint's sums of
@@ -52,11 +52,12 @@ inverts first, and the SVD test runs only where the residual of that
 inverse cannot prove the test passes (_residual_proves).  _invert applies
 it to one native matrix: mat_inverse is _invert on Mat values, and the
 library's transforms and its search curve call _invert on their k x k
-and 2k x 2k cores directly; over R and C, and for the search's adjoints
-over H, the native array is the operand LAPACK inverts.  _invertible_stack
-applies it to every member of a native stack with one LAPACK inversion,
-and the SVD runs on the members left; the cover test decides its shifted
-blocks with it.
+and 2k x 2k cores directly, with the kernel set they hold.  The set's
+operand is the array LAPACK inverts: the native array itself over R and
+C and for the search's adjoints, the adjoint for H's component set; no
+decision names a field.  _invertible_stack applies the rule to every
+member of a native stack with one LAPACK inversion, and the SVD runs on
+the members left; the cover test decides its shifted blocks with it.
 is_invertible stays on the SVD: for one small matrix one SVD costs less
 than that decision on a stack of one.
 
@@ -149,6 +150,13 @@ def _adjoint(data: np.ndarray) -> np.ndarray:
     return out.view(_C128).reshape(*lead, 2 * rows, 2 * cols)
 
 
+def _adjoint_rows(a: np.ndarray) -> np.ndarray:
+    """Components (rows, cols, 4) of the quaternion matrix whose 2-D
+    interleaved adjoint is a, square or not: its (i, 0) rows."""
+    rows, cols = a.shape[0] // 2, a.shape[1] // 2
+    return np.ascontiguousarray(a.reshape(rows, 2, cols, 2)[:, 0]).view(_F64)
+
+
 def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of (..., rows, cols, 4) quaternion stacks, broadcast over the
     leading axes: row i of a as complex, (Z1, Z2) interleaved, times the
@@ -214,14 +222,15 @@ class _Kernels:
     order; inner is Re tr(a* b), the ddot of two arrays' floats.  Every
     kernel gives the bits of the general numpy form it stands for, signed
     zeros included, so code written once on a _Kernels runs in all three
-    rings.  invert_field is the field to pass _invert a native array as:
-    the set's own, but C for the adjoints of _ADJOINT_KERNELS, which are
-    complex matrices.  _KERNELS holds one per field, and _SEARCH_KERNELS
-    the search's; a caller looks its set up once.
+    rings.  operand is the array LAPACK inverts, and from_operand reads a
+    2-D one back: the identity over R and C and on the complex adjoints of
+    _ADJOINT_KERNELS, _adjoint and _adjoint_rows over H.  _KERNELS holds one
+    set per field, and _SEARCH_KERNELS the search's; a caller looks its set
+    up once and hands it to the singularity decisions.
     """
 
     __slots__ = ("native", "components", "floats", "product", "conj_transpose", "scale",
-                 "shift_diagonal", "norm", "inner", "invert_field")
+                 "shift_diagonal", "norm", "inner", "operand", "from_operand")
 
     def __init__(self, **kernels):
         for name, kernel in kernels.items():
@@ -249,7 +258,8 @@ _KERNELS = {
         shift_diagonal=lambda a, c: _shift_diagonal(a[..., None], c),
         norm=_norm,
         inner=lambda a, b: float(np.vdot(a, b)),
-        invert_field=Field.REAL),
+        operand=_identity,
+        from_operand=_identity),
     Field.COMPLEX: _Kernels(
         native=lambda a: a.view(_C128)[..., 0],
         components=lambda a: a[..., None].view(_F64),
@@ -260,7 +270,8 @@ _KERNELS = {
         shift_diagonal=lambda a, c: _shift_diagonal(a[..., None].view(_F64), c),
         norm=lambda a: _norm(a.view(_F64)),
         inner=lambda a, b: float(np.vdot(a.view(_F64), b.view(_F64))),
-        invert_field=Field.COMPLEX),
+        operand=_identity,
+        from_operand=_identity),
     Field.QUATERNION: _Kernels(
         native=_identity,
         components=_identity,
@@ -271,14 +282,15 @@ _KERNELS = {
         shift_diagonal=_shift_diagonal,
         norm=_norm,
         inner=lambda a, b: float(np.vdot(a, b)),
-        invert_field=Field.QUATERNION),
+        operand=_adjoint,
+        from_operand=_adjoint_rows),
 }
 
 # the search's set over H: native arrays are the interleaved adjoints, on which
 # C's kernels act as they act on any complex matrix, as chi(M*) = chi(M)^H
 _ADJOINT_KERNELS = _Kernels(
     native=_adjoint,
-    components=lambda a: _from_operand(Field.QUATERNION, a),
+    components=_adjoint_rows,
     floats=_KERNELS[Field.COMPLEX].floats,
     product=np.matmul,
     conj_transpose=_KERNELS[Field.COMPLEX].conj_transpose,
@@ -286,7 +298,8 @@ _ADJOINT_KERNELS = _Kernels(
     shift_diagonal=_KERNELS[Field.COMPLEX].shift_diagonal,
     norm=_adjoint_norm,
     inner=lambda a, b: 0.5 * float(np.vdot(a.view(_F64), b.view(_F64))),
-    invert_field=Field.COMPLEX)
+    operand=_identity,
+    from_operand=_identity)
 
 _SEARCH_KERNELS = {Field.REAL: _KERNELS[Field.REAL], Field.COMPLEX: _KERNELS[Field.COMPLEX],
                    Field.QUATERNION: _ADJOINT_KERNELS}
@@ -440,7 +453,7 @@ def conj_transpose(m: Mat) -> Mat:
 
 
 def frobenius_norm(m: Mat) -> float:
-    return float(np.linalg.norm(m.data))
+    return _norm(m.data)  # a Mat's data is C-contiguous
 
 
 def skew_hermitian_part(m: Mat) -> Mat:
@@ -466,51 +479,47 @@ def vstack(*mats: Mat) -> Mat:
     return Mat._trusted(field, np.concatenate([m.data for m in mats], axis=0))
 
 
-def _operand(field: Field, a: np.ndarray) -> np.ndarray:
-    """The real or complex array LAPACK works on: the native array itself over
-    R and C, its interleaved adjoint over H."""
-    return _adjoint(a) if field is Field.QUATERNION else a
-
-
 def _validate_tol(tol: float) -> None:
     if not 0.0 <= tol < math.inf:  # NaN or -1 would pass every singularity test, inf none
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def _screened_operand(field: Field, a: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray]:
-    """(operand, finite) of a native square matrix or stack: the operand with
-    every matrix that is not finite set to 0, and True when every matrix is
-    finite, otherwise whether each one is, a boolean over the stack.
+def _screened_operand(ks: _Kernels,
+                      a: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray, float]:
+    """(operand, finite, sq) of a native square matrix or stack of the set ks:
+    the operand (ks.operand) with every matrix that is not finite set to 0;
+    True when every matrix is finite, otherwise whether each one is, a
+    boolean over the stack; and the screen, the ddot |a|_F^2 of the floats.
 
     LAPACK prints to stdout, fails to converge or returns NaN on a matrix
     that is not finite, and the adjoint would meet inf * 0.  The sum of
     squares is finite only if every entry is: one cheap screen of the stack.
     """
-    floats = _KERNELS[field].floats(a)
-    if math.isfinite(np.vdot(floats, floats)):
-        return _operand(field, a), True
-    op = _operand(field, np.where(np.isfinite(a), a, 0.0))
+    floats = ks.floats(a)
+    sq = np.vdot(floats, floats)
+    if math.isfinite(sq):
+        return ks.operand(a), True, sq
+    op = ks.operand(np.where(np.isfinite(a), a, 0.0))
     finite = np.isfinite(floats).reshape(*op.shape[:-2], -1).all(axis=-1)
     op[~finite] = 0.0
-    return op, finite
+    return op, finite, sq
 
 
-def _invertible_operand(field: Field, a: np.ndarray,
+def _invertible_operand(ks: _Kernels, a: np.ndarray,
                         tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Operands and the relative singularity test for a stack of square matrices.
 
-    a is a native (_KERNELS) matrix or stack of them.  Returns (op,
-    invertible, s): each matrix as a real or complex array, its interleaved
-    adjoint over H (_screened_operand); a boolean array over the stack,
-    False where sigma_min <= tol * sigma_max or where an entry is not
-    finite; and the singular values, from one stacked SVD, NaN for a matrix
-    that is not finite.  The adjoint has the singular values of M, each
-    twice, so the test means the same in all three rings.  Raises
-    ValueError for a tol outside [0, inf) and for matrices that are not
-    square.
+    a is a native matrix or stack of them of the kernel set ks.  Returns (op,
+    invertible, s): each matrix's operand (_screened_operand), a real or
+    complex array; a boolean array over the stack, False where
+    sigma_min <= tol * sigma_max or where an entry is not finite; and the
+    singular values, from one stacked SVD, NaN for a matrix that is not
+    finite.  An interleaved adjoint has the singular values of M, each twice,
+    so the test means the same in all three rings.  Raises ValueError for a
+    tol outside [0, inf) and for matrices that are not square.
     """
     _validate_tol(tol)
-    op, finite = _screened_operand(field, a)
+    op, finite, _ = _screened_operand(ks, a)
     if op.shape[-1] != op.shape[-2]:
         raise ValueError("inversion needs a square matrix")
     s = np.linalg.svd(op, compute_uv=False)
@@ -552,32 +561,31 @@ def _residual_proves(r_sq, a_sq, b_sq, p: int, tol: float):
     return (r_sq <= 0.0625) & (16.0 * a_sq * b_sq * e * e <= 1.0)
 
 
-def _invert(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
-    """Inverse of a square matrix M, as a native array (_KERNELS) in and out,
-    by LAPACK on its operand (_operand), under the singularity test of
-    mat_inverse.
+def _invert(ks: _Kernels, a: np.ndarray, tol: float) -> np.ndarray:
+    """Inverse of a square matrix M, as a native array of the kernel set ks in
+    and out, by LAPACK on its operand (ks.operand), under the singularity
+    test of mat_inverse.
 
-    LAPACK inverts first, giving B, and B alone decides the test when its
-    residual proves that the test passes (_residual_proves, p = n, or 2n over
-    H).  Otherwise the SVD test of _invertible_operand decides, and B is
-    returned if it passes.  Either way the result is the same np.linalg.inv
-    of the same operand.  Over R and C the operand is the native array
-    itself, and so is the search's adjoint over H, which it passes as C
-    (_Kernels.invert_field): its curve hands its core over with no
-    conversion.  Over H the inverse of the adjoint is the adjoint of M^{-1},
-    whose (i, 0) rows hold (Z1', Z2') interleaved.  Raises Singular and
-    ValueError as mat_inverse does.
+    An entry that is not finite, which the screen of _screened_operand
+    finds, raises Singular before LAPACK sees it.  LAPACK then inverts,
+    giving B, and B alone decides the test when its residual proves that the
+    test passes (_residual_proves, p the operand's order).  Otherwise the
+    SVD test of _invertible_operand decides, and B is returned if it passes.
+    Either way the result is the same np.linalg.inv of the same operand,
+    read back by ks.from_operand.  The operand is the native array itself
+    over R and C, and for the search's adjoints over H (_ADJOINT_KERNELS),
+    whose curve hands its core over with no conversion; over the component
+    set of H it is the adjoint, whose inverse is the adjoint of M^{-1}.
+    Raises Singular and ValueError as mat_inverse does.
     """
     _validate_tol(tol)
     if a.shape[0] != a.shape[1]:
         raise ValueError("inversion needs a square matrix")
-    floats = a.view(_F64)
-    # |M|_F^2, the ddot of the components: finite unless an entry is not
-    # finite or the sum overflows
-    sq = float(np.vdot(floats, floats))
-    if not math.isfinite(sq) and not np.isfinite(floats).all():
+    op, finite, a_sq = _screened_operand(ks, a)
+    if not finite:
         raise Singular("matrix entries are not finite")
-    op = _operand(field, a)
+    if op is not a:  # the adjoint's own |A|_F^2, about 2 |M|_F^2
+        a_sq = np.vdot(op.view(_F64), op.view(_F64))
     p = op.shape[-1]
     try:
         inv = np.linalg.inv(op)
@@ -586,24 +594,23 @@ def _invert(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
     else:
         r = op.dot(inv)
         r.reshape(-1)[::p + 1] -= 1.0  # A B - I
-        a_sq = 2.0 * sq if field is Field.QUATERNION else sq  # |A|_F^2: chi doubles it
         # Python floats: inf * 0 gives NaN, which proves nothing, with no warning
-        if _residual_proves(float(np.vdot(r, r).real), a_sq,
+        if _residual_proves(float(np.vdot(r, r).real), float(a_sq),
                             float(np.vdot(inv, inv).real), p, float(tol)):
-            return _from_operand(field, inv)
-    _, invertible, s = _invertible_operand(field, a, tol)
+            return ks.from_operand(inv)
+    _, invertible, s = _invertible_operand(ks, a, tol)
     if not invertible:
         raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
                        f"{tol:.1e} times the largest {s[0]:.3e}")
     if inv is None:  # LAPACK found an exactly zero pivot
         raise Singular(str(failure)) from failure
-    return _from_operand(field, inv)
+    return ks.from_operand(inv)
 
 
-def _invertible_stack(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each member of a native (_KERNELS) stack of S square matrices
-    passes the singularity test of mat_inverse: one boolean per member,
-    decided as _invert decides.
+def _invertible_stack(ks: _Kernels, a: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each member of a native stack of S square matrices of the
+    kernel set ks passes the singularity test of mat_inverse: one boolean per
+    member, decided as _invert decides.
 
     One np.linalg.inv inverts the stack of operands, and a member whose
     residual proves the test (_residual_proves) needs nothing more.  The SVD
@@ -615,17 +622,17 @@ def _invertible_stack(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
     and, through _invertible_operand, for matrices that are not square.
     """
     _validate_tol(tol)
-    op, finite = _screened_operand(field, a)
+    op, finite, _ = _screened_operand(ks, a)
     p = op.shape[-1]
     if finite is not True:
-        op[~finite] = np.eye(p)  # the operand of the identity, over H too
+        op[~finite] = np.eye(p)  # the operand of the identity, an adjoint too
     # every inverse has |A|_F |B|_F >= p: if R = 0 at that bound proves nothing, none can
     if not _residual_proves(0.0, p, p, p, float(tol)):
-        return _invertible_operand(field, a, tol)[1]
+        return _invertible_operand(ks, a, tol)[1]
     try:
         inv = np.linalg.inv(op)
     except np.linalg.LinAlgError:  # a zero pivot, or a stack that is not square
-        return _invertible_operand(field, a, tol)[1]
+        return _invertible_operand(ks, a, tol)[1]
     r = op @ inv
     r.reshape(len(r), -1)[:, ::p + 1] -= 1.0  # A B - I
     # an overflowing sum of squares is inf, and inf * 0 NaN: either proves nothing
@@ -635,17 +642,8 @@ def _invertible_stack(field: Field, a: np.ndarray, tol: float) -> np.ndarray:
     invertible = proved & finite
     undecided = np.flatnonzero(~proved)  # all finite: the identity's inverse proves it
     if len(undecided):
-        invertible[undecided] = _invertible_operand(field, a[undecided], tol)[1]
+        invertible[undecided] = _invertible_operand(ks, a[undecided], tol)[1]
     return invertible
-
-
-def _from_operand(field: Field, a: np.ndarray) -> np.ndarray:
-    """Native array (_KERNELS) of the matrix whose operand is a; over H the
-    components of a 2-D adjoint, square or not: its (i, 0) rows."""
-    if field is Field.QUATERNION:
-        rows, cols = a.shape[0] // 2, a.shape[1] // 2
-        return np.ascontiguousarray(a.reshape(rows, 2, cols, 2)[:, 0]).view(_F64)
-    return a
 
 
 def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
@@ -656,12 +654,13 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     the first runs only where the inverse cannot decide it itself (_invert).
     """
     ks = _KERNELS[m.field]
-    return Mat._trusted(m.field, ks.components(_invert(m.field, ks.native(m.data), tol)))
+    return Mat._trusted(m.field, ks.components(_invert(ks, ks.native(m.data), tol)))
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:
     """Whether mat_inverse(m, tol) passes its Singular test; no inverse is formed."""
-    return bool(_invertible_operand(m.field, _KERNELS[m.field].native(m.data), tol)[1])
+    ks = _KERNELS[m.field]
+    return bool(_invertible_operand(ks, ks.native(m.data), tol)[1])
 
 
 def random_gaussian(rows: int, cols: int, field: Field, seed: int) -> Mat:

@@ -21,7 +21,8 @@ complex view over R and C, and over H the interleaved complex adjoint, on
 which a product is one matmul.  x and F convert once per generator, which
 holds only native arrays, M once per objective, and each curve point
 converts back once, over H as its (i, 0) rows; the 2k x 2k core goes to
-kalg._invert as its LAPACK operand.  Every slice takes the native column
+kalg._invert with the search's kernel set, whose LAPACK operand is the
+native array itself in every field.  Every slice takes the native column
 count, so R, C and H run the same lines.  Inputs are checked once where
 they enter: the gradient's shape and base ring, the curve parameter, and
 the x*x = I check of every point.  Every value is the same to the bit as
@@ -121,18 +122,6 @@ class OptimTrace:
         return "\n".join(lines) + "\n"
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product Re tr(a* b) of two matrices of one shape, from their
-    components or the floats of their native arrays (kalg._KERNELS); over H
-    the floats of two adjoints give twice the quaternion one, which the
-    search's kernel set halves (kalg._SEARCH_KERNELS).
-
-    It is the dot product of the real components in R, C and H, so no
-    matrix product is formed.
-    """
-    return float(np.vdot(a, b))
-
-
 @dataclass(frozen=True)
 class SearchGenerator:
     """The skew-Hermitian search generator A = F x* - x F*, factored as U N U*.
@@ -207,11 +196,12 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     singular-value test at kalg.DEFAULT_TOL, and NotOrthonormal when the
     point fails the x*x = I check; both happen only once t |A| is large
     enough for rounding to swamp the step.  Raises ValueError when t or 2t
-    is not finite.  The core is inverted by kalg._invert, which runs the
-    test's SVD only where its inverse cannot decide it.  The arithmetic runs
-    on the generator's native arrays (kalg._SEARCH_KERNELS), in the order of
-    the same formula on Mat values over their ring, so the point is the same
-    to the bit; the point alone is converted back to components.
+    is not finite.  The core is inverted by kalg._invert on the search's
+    kernel set, with no conversion, and _invert runs the test's SVD only
+    where its inverse cannot decide it.  The arithmetic runs on the
+    generator's native arrays (kalg._SEARCH_KERNELS), in the order of the
+    same formula on Mat values over their ring, so the point is the same to
+    the bit; the point alone is converted back to components.
 
     Over H the arrays are interleaved adjoints and the point is the (i, 0)
     rows of the adjoint result.  The component form, the same formula on
@@ -240,7 +230,7 @@ def curve(g: SearchGenerator, t: float) -> StiefelPoint:
     ks = kalg._SEARCH_KERNELS[fld]
     core = ks.scale(g.NG, t)
     ks.shift_diagonal(core, 1.0)
-    inv = kalg._invert(ks.invert_field, core, kalg.DEFAULT_TOL)
+    inv = kalg._invert(ks, core, kalg.DEFAULT_TOL)
     step = ks.product(g.U, ks.product(inv, g.NUx))
     x = g.U[:, g.NUx.shape[1]:]
     return StiefelPoint(Mat._trusted(fld, ks.components(x - ks.scale(step, 2.0 * t))))
@@ -260,8 +250,8 @@ def _bb_step(S: np.ndarray, D: np.ndarray, odd: bool, fallback: float) -> float:
     to [1e-20, 1e20].  Returns fallback when <S, D> = Re tr(S* D) is 0 or
     not finite.
     """
-    sd = abs(_inner(S, D))
-    num, den = (_inner(S, S), sd) if odd else (sd, _inner(D, D))
+    sd = abs(float(np.vdot(S, D)))
+    num, den = (float(np.vdot(S, S)), sd) if odd else (sd, float(np.vdot(D, D)))
     if not (0.0 < sd < math.inf and den > 0.0):
         return fallback
     return min(max(0.5 * num / den, 1e-20), 1e20)

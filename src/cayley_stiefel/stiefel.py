@@ -315,7 +315,7 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     W = ks.conj_transpose(rows)
     tau, pi = y_rows[:nk], y_rows[nk:]
     try:
-        C_inv = kalg._invert(fld, pi + W[nk:], tol)
+        C_inv = kalg._invert(ks, pi + W[nk:], tol)
     except Singular as exc:
         raise OutsideCayleyOpen(f"pi + P* is singular: {exc}") from exc
     X = -ks.product(tau - W[:nk], C_inv)

@@ -368,6 +368,13 @@ class TestGoldenOutput:
         # the H search runs on adjoints, whose values move at rounding level within
         # optim.curve's bound; same iterations, backtracks and reason as before
         ("optimize", "quaternion"): "c0777d9d9d5794b51e45020dc40f5c66daf1315c9c27ad35318a3073e871d49f",
+        # the one run that makes Mat products and Mat norms inside each solve
+        ("optimize --problem procrustes", "real"):
+            "ed4f7cb456e284abf09661703c572f78f7bc1716ff150bb18f3ee62446eac96a",
+        ("optimize --problem procrustes", "complex"):
+            "0988fefa6728835f65fac90dee63f9108618fb9693593ae3a1e10b76f29432c4",
+        ("optimize --problem procrustes", "quaternion"):
+            "9909205d94391ba948837d8ed022f557069ce57afb5a75409b846b8ef903e0f8",
         ("cover", "real"): "30cd006415a7ee9f66f4e30dfbd8a6f768acd61e25a1ab0bd13c6aff2cdaaf2b",
         ("cover", "complex"): "602c64eb04782e8baf92d4c222788c8943add3ab6cdb33b87269d72dfcc7fbb3",
         ("cover", "quaternion"): "17f6c0f202131ca54fd87bd757b35c69c167976dbd74afc594d475f8677bbfaa",
@@ -376,12 +383,13 @@ class TestGoldenOutput:
     ARGS = {"demo": (["--n", "16", "--k", "4", "--seed", "3"], 0),
             "check": (["--n", "6", "--k", "2", "--seed", "7"], 0),
             "optimize": (["--n", "20", "--k", "4", "--seed", "42"], 0),
+            "optimize --problem procrustes": (["--n", "12", "--k", "3", "--seed", "42"], 0),
             "cover": (["--n", "6", "--k", "3", "--samples", "600", "--tol", "0.5",
                        "--seed", "3"], 1)}
 
     @pytest.mark.parametrize("command, fld", sorted(GOLDEN))
     def test_reproducible_stdout(self, capsys, command, fld):
         args, exit_code = self.ARGS[command]
-        code, out, _ = run(capsys, [command, "--field", fld, *args, "--reproducible"])
+        code, out, _ = run(capsys, [*command.split(), "--field", fld, *args, "--reproducible"])
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[command, fld]

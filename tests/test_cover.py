@@ -375,8 +375,8 @@ class TestSvdCounts:
         calls = self.count(monkeypatch)
         members = cover._memberships(field, pi, ladder, tol)
         assert len(calls) == 1
-        assert np.array_equal(calls[0],
-                              kalg._operand(field, kalg._KERNELS[field].native(shifted[planted])))
+        ks = kalg._KERNELS[field]
+        assert np.array_equal(calls[0], ks.operand(ks.native(shifted[planted])))
         assert members.ravel().tolist() == [m not in planted for m in range(len(shifted))]
 
 
@@ -395,6 +395,21 @@ class TestEdgeCases:
         frames = stiefel._random_frames(4, 2, field, np.random.default_rng(1), 3)
         assert report["witnesses"] == [stiefel.point_to_json(StiefelPoint(Mat(field, f)))
                                        for f in frames]
+
+    @pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (1, 1)])
+    def test_membership_needs_two_k_rows(self, field, n, k):
+        # the angle frames [0; sin I; cos I] have 2k rows: for n < 2k there is no
+        # cover to be a member of, as verify_cover says
+        y = stiefel.random_stiefel_point(n, k, field, 1)
+        with pytest.raises(DimensionError, match=f"need n >= 2k, got n={n}, k={k}"):
+            cover_membership(y, default_ladder(k))
+        with pytest.raises(DimensionError, match=f"need n >= 2k, got n={n}, k={k}"):
+            verify_cover(n, k, default_ladder(k), 1, 1, field)
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (3, 0), (2, 1), (4, 2), (6, 3)])
+    def test_membership_at_n_of_at_least_two_k(self, field, n, k):
+        y = stiefel.random_stiefel_point(n, k, field, 1)
+        assert cover_membership(y, default_ladder(k)) == list(range(k + 1))
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
     def test_empty_ladder_rejects_unusable_tol(self, field, tol):
@@ -421,9 +436,9 @@ class TestEdgeCases:
         sizes = []
         invertible_stack = kalg._invertible_stack
 
-        def recorded(fld, data, tol):
+        def recorded(ks, data, tol):
             sizes.append(len(data))
-            return invertible_stack(fld, data, tol)
+            return invertible_stack(ks, data, tol)
 
         monkeypatch.setattr(kalg, "_invertible_stack", recorded)
         samples = 2 * cover._CHUNK + 1

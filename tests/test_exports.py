@@ -94,9 +94,10 @@ def test_inversions_and_svds_stay_in_kalg():
 def test_search_stays_on_native_kernels():
     # every module computes on kalg's native kernel sets: a component product or
     # conjugate transpose, defined or referenced anywhere in the package, would
-    # implement a kernel twice; nor does the search make a component norm, nor,
-    # over H, build an adjoint per product or an operand for LAPACK: its native
-    # arrays there are the adjoints (kalg._SEARCH_KERNELS)
+    # implement a kernel twice, and so would an operand for LAPACK outside the
+    # sets (_Kernels.operand); nor does the search make a component norm, nor,
+    # over H, build an adjoint per product: its native arrays there are the
+    # adjoints (kalg._SEARCH_KERNELS)
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -106,8 +107,18 @@ def test_search_stays_on_native_kernels():
                 names.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)  # getattr(kalg, "_product")
-        forbidden = {"_product", "_conj_transpose"}
+        forbidden = {"_product", "_conj_transpose", "invert_field", "_operand", "_from_operand"}
         if path.name == "optim.py":
-            forbidden |= {"_norm", "_adjoint_product", "_operand"}
+            forbidden |= {"_norm", "_adjoint_product"}
         found += [(path.name, name) for name in sorted(names & forbidden)]
     assert found == []
+
+
+def test_singularity_decisions_name_no_field():
+    # the kernel set a decision takes carries its LAPACK operand, so no field
+    # test, over H or any other ring, belongs in the decision code
+    decisions = {"_screened_operand", "_invertible_operand", "_invert", "_invertible_stack"}
+    found = {node.name: set(_identifiers(node)) & {"Field", "QUATERNION", "REAL", "COMPLEX"}
+             for node in ast.parse((PACKAGE / "kalg.py").read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name in decisions}
+    assert found == dict.fromkeys(decisions, set())

@@ -119,8 +119,8 @@ class TestBMatrix:
             X = x_scale * kalg.random_gaussian(4, 3, field, 3000 + s)
             Y = random_skew(3, field, 4000 + s, y_scale)
             core = kalg.identity(3, field) + X.H @ X + Y
-            _, _, sv = kalg._invertible_operand(field, kalg._KERNELS[field].native(core.data),
-                                                kalg.DEFAULT_TOL)
+            ks = kalg._KERNELS[field]
+            _, _, sv = kalg._invertible_operand(ks, ks.native(core.data), kalg.DEFAULT_TOL)
             assert sv.min() >= 1.0 - 1e-12
 
 

@@ -352,7 +352,7 @@ class TestNativeKernels:
     def test_invert_takes_and_returns_native_arrays(self, field, n):
         ks = kalg._KERNELS[field]
         data = conditioned(field, n, 10.0, 29 + n)
-        got = kalg._invert(field, ks.native(data), kalg.DEFAULT_TOL)
+        got = kalg._invert(ks, ks.native(data), kalg.DEFAULT_TOL)
         assert got.shape == ks.native(data).shape
         assert_same_bits(ks.components(got), reference_inverse(field, data, kalg.DEFAULT_TOL))
 
@@ -483,12 +483,12 @@ class TestIsInvertible:
         stack[1, 0, 0, 0] = value
         stack[2] *= 1e200  # finite, though its sum of squares overflows
         stack[3] = value
-        _, invertible, s = kalg._invertible_operand(field, native(field, stack),
-                                                    kalg.DEFAULT_TOL)
+        ks = kalg._KERNELS[field]
+        _, invertible, s = kalg._invertible_operand(ks, native(field, stack), kalg.DEFAULT_TOL)
         assert invertible.tolist() == [True, False, True, False]
         assert np.isnan(s[[1, 3]]).all()
         for i in (0, 2):
-            _, alone, s_alone = kalg._invertible_operand(field, native(field, stack[i]),
+            _, alone, s_alone = kalg._invertible_operand(ks, native(field, stack[i]),
                                                          kalg.DEFAULT_TOL)
             assert alone and np.array_equal(s[i], s_alone)
 
@@ -502,7 +502,7 @@ def native(field, data):
 def reference_inverse(field, data, tol):
     """mat_inverse with the SVD test on every matrix: Singular, or the components
     of LAPACK's inverse of the operand."""
-    a, invertible, _ = kalg._invertible_operand(field, native(field, data), tol)
+    a, invertible, _ = kalg._invertible_operand(kalg._KERNELS[field], native(field, data), tol)
     if not invertible:
         return Singular
     try:
@@ -533,9 +533,9 @@ class TestInverseDecision:
         svd_runs, ran = [], []
         invertible_operand = kalg._invertible_operand
 
-        def recorded(fld, data, t):
+        def recorded(ks, data, t):
             svd_runs.append(t)
-            return invertible_operand(fld, data, t)
+            return invertible_operand(ks, data, t)
 
         monkeypatch.setattr(kalg, "_invertible_operand", recorded)
         for n in (1, 2, 4):
@@ -591,9 +591,9 @@ class TestStackDecision:
         seen = []
         invertible_operand = kalg._invertible_operand
 
-        def recorded(fld, data, tol):
-            seen.append(kalg._KERNELS[fld].components(data))
-            return invertible_operand(fld, data, tol)
+        def recorded(ks, data, tol):
+            seen.append(ks.components(data))
+            return invertible_operand(ks, data, tol)
 
         monkeypatch.setattr(kalg, "_invertible_operand", recorded)
         return seen
@@ -606,9 +606,10 @@ class TestStackDecision:
             for scale in (1.0, 1e-100, 1e100):
                 stack = np.stack([conditioned(field, n, cond, 17 * i + n, scale)
                                   for i, cond in enumerate(conds if n > 1 else [1.0])])
-                want = kalg._invertible_operand(field, native(field, stack), tol)[1]
+                want = kalg._invertible_operand(kalg._KERNELS[field], native(field, stack),
+                                                tol)[1]
                 seen.clear()
-                got = kalg._invertible_stack(field, native(field, stack), tol)
+                got = kalg._invertible_stack(kalg._KERNELS[field], native(field, stack), tol)
                 assert got.tolist() == want.tolist(), (n, scale)
                 assert len(seen) <= 1
                 reached = [any(np.array_equal(m, r) for r in seen[0]) if seen else False
@@ -635,25 +636,28 @@ class TestStackDecision:
             stack = stack[:4]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = kalg._invertible_stack(field, native(field, stack), kalg.DEFAULT_TOL)
+            got = kalg._invertible_stack(kalg._KERNELS[field], native(field, stack),
+                                         kalg.DEFAULT_TOL)
         assert got.tolist() == [True, False, False, True, False][:len(stack)]
         for i, member in enumerate(stack):
-            assert got[i] == kalg._invertible_operand(field, native(field, member),
-                                                      kalg.DEFAULT_TOL)[1]
+            assert got[i] == kalg._invertible_operand(kalg._KERNELS[field],
+                                                      native(field, member), kalg.DEFAULT_TOL)[1]
         assert capfd.readouterr() == ("", "")
 
     def test_no_inverse_when_no_residual_can_prove(self, field, monkeypatch):
         # |A|_F |B|_F >= p = 2 or 4 here, so 4 |A|_F |B|_F tol > 1 for tol = 0.2
         stack = np.stack([conditioned(field, 2, cond, i)
                           for i, cond in enumerate([1.0, 3.0, 1e3])])
-        want = kalg._invertible_operand(field, native(field, stack), 0.2)[1].tolist()
+        want = kalg._invertible_operand(kalg._KERNELS[field], native(field, stack),
+                                        0.2)[1].tolist()
         monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("inverted"))
-        got = kalg._invertible_stack(field, native(field, stack), 0.2).tolist()
+        got = kalg._invertible_stack(kalg._KERNELS[field], native(field, stack), 0.2).tolist()
         assert got == want == [True, True, False]
 
     def test_rejects_a_non_square_stack(self, field):
         with pytest.raises(ValueError, match="square"):
-            kalg._invertible_stack(field, native(field, np.zeros((2, 3, 2, field.ncomp))),
+            kalg._invertible_stack(kalg._KERNELS[field],
+                                   native(field, np.zeros((2, 3, 2, field.ncomp))),
                                    kalg.DEFAULT_TOL)
 
 
@@ -691,6 +695,16 @@ class TestFrobeniusNorm:
 
     def test_unit_quaternion_sum(self):
         assert kalg.frobenius_norm(quat(1, 1, 1, 1)) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (40, 30)])
+    def test_bits_match_linalg_norm(self, field, rows, cols):
+        # the one ddot np.linalg.norm makes on the components, signed zeros and
+        # all, on a Mat and on blocks of it
+        m = Mat(field, signed_zeros((rows, cols, field.ncomp), 7 * rows + cols))
+        for a in (m, m.block(0, rows, cols // 2, cols), m.block(rows // 3, rows, 0, cols)):
+            got = kalg.frobenius_norm(a)
+            assert type(got) is float
+            assert_same_bits(got, float(np.linalg.norm(a.data)))
 
 
 class TestRandomGaussian:

@@ -191,7 +191,7 @@ def from_ring(m, field):
 def ring_inner(a, b, field):
     """Re tr(A* B) over field from Mat values over any ring of to_ring: an
     adjoint's inner products are twice the quaternion ones, so they are halved."""
-    return (1.0 if a.field is field else 0.5) * optim._inner(a.data, b.data)
+    return (1.0 if a.field is field else 0.5) * float(np.vdot(a.data, b.data))
 
 
 def ring_norm(m, field):

@@ -111,9 +111,9 @@ def svd_tests(monkeypatch, fn, *args):
     tols = []
     invertible_operand = kalg._invertible_operand
 
-    def recorded(fld, data, tol):
+    def recorded(ks, data, tol):
         tols.append(tol)
-        return invertible_operand(fld, data, tol)
+        return invertible_operand(ks, data, tol)
 
     with monkeypatch.context() as mp:
         mp.setattr(kalg, "_invertible_operand", recorded)

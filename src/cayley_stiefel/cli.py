@@ -165,7 +165,7 @@ def run_check(args) -> int:
         X = kalg.random_gaussian(n - k, k, field, seed + 700 + s)
         Y = kalg.skew_hermitian_part(kalg.random_gaussian(k, k, field, seed + 800 + s))
         core = kalg.identity(k, field) + X.H @ X + Y
-        sv = kalg._invertible_operand(ks, ks.native(core.data), 0.0)[2]
+        sv = kalg._svd_test(*kalg._screened_operand(ks, ks.native(core.data))[:2], 0.0)[1]
         shortfall = max(shortfall, 1.0 - float(sv.min(initial=1.0)))
     record("b_matrix_core_sigma_min_shortfall", shortfall, 1e-12)
 

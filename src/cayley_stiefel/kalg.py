@@ -48,18 +48,18 @@ the component set, whose adjoint product (_adjoint_product) builds the
 adjoint of its right operand.
 
 One rule decides singularity wherever an inverse is formed: LAPACK
-inverts first, and the SVD test runs only where the residual of that
-inverse cannot prove the test passes (_residual_proves).  _invert applies
-it to one native matrix: mat_inverse is _invert on Mat values, and the
-library's transforms and its search curve call _invert on their k x k
-and 2k x 2k cores directly, with the kernel set they hold.  The set's
-operand is the array LAPACK inverts: the native array itself over R and
+inverts first, and the SVD test (_svd_test) runs only where the residual
+of that inverse cannot prove the test passes (_residual_proves).  A
+decision screens once (_screened_operand), which builds the operand that
+LAPACK inverts and the SVD test reads: the native array itself over R and
 C and for the search's adjoints, the adjoint for H's component set; no
-decision names a field.  _invertible_stack applies the rule to every
-member of a native stack with one LAPACK inversion, and the SVD runs on
-the members left; the cover test decides its shifted blocks with it.
-is_invertible stays on the SVD: for one small matrix one SVD costs less
-than that decision on a stack of one.
+decision names a field.  _invert decides one native matrix: mat_inverse is
+_invert on Mat values, and the transforms and the search curve call it on
+their k x k and 2k x 2k cores with the kernel set they hold.
+_invertible_stack decides a native stack, the cover test's shifted
+blocks, with one LAPACK inversion and one SVD test on the members left.
+is_invertible stays on the SVD, which costs less for one small matrix.
+tol is checked once, where it enters (_validate_tol).
 
 Validation happens at the boundaries.  The public constructor Mat(field,
 data) copies its input and rejects non-finite and complex entries (a
@@ -486,10 +486,11 @@ def _validate_tol(tol: float) -> None:
 
 def _screened_operand(ks: _Kernels,
                       a: np.ndarray) -> tuple[np.ndarray, bool | np.ndarray, float]:
-    """(operand, finite, sq) of a native square matrix or stack of the set ks:
-    the operand (ks.operand) with every matrix that is not finite set to 0;
-    True when every matrix is finite, otherwise whether each one is, a
-    boolean over the stack; and the screen, the ddot |a|_F^2 of the floats.
+    """(operand, finite, sq) of a native matrix or stack of the set ks: the
+    operand (ks.operand), with the identity's in place of every matrix that
+    is not finite; True when every matrix is finite, otherwise whether each
+    one is, a boolean over the stack; and the screen, the ddot |a|_F^2 of
+    the floats.
 
     LAPACK prints to stdout, fails to converge or returns NaN on a matrix
     that is not finite, and the adjoint would meet inf * 0.  The sum of
@@ -501,30 +502,27 @@ def _screened_operand(ks: _Kernels,
         return ks.operand(a), True, sq
     op = ks.operand(np.where(np.isfinite(a), a, 0.0))
     finite = np.isfinite(floats).reshape(*op.shape[:-2], -1).all(axis=-1)
-    op[~finite] = 0.0
+    op[~finite] = np.eye(*op.shape[-2:])  # the operand of the identity, an adjoint too
     return op, finite, sq
 
 
-def _invertible_operand(ks: _Kernels, a: np.ndarray,
-                        tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Operands and the relative singularity test for a stack of square matrices.
+def _svd_test(op: np.ndarray, finite: bool | np.ndarray,
+              tol: float) -> tuple[bool | np.ndarray, np.ndarray]:
+    """The relative singularity test on the operands op of one matrix or a
+    stack, with finite as _screened_operand returned them, at a checked tol.
 
-    a is a native matrix or stack of them of the kernel set ks.  Returns (op,
-    invertible, s): each matrix's operand (_screened_operand), a real or
-    complex array; a boolean array over the stack, False where
-    sigma_min <= tol * sigma_max or where an entry is not finite; and the
-    singular values, from one stacked SVD, NaN for a matrix that is not
-    finite.  An interleaved adjoint has the singular values of M, each twice,
-    so the test means the same in all three rings.  Raises ValueError for a
-    tol outside [0, inf) and for matrices that are not square.
+    Returns (invertible, s): False where sigma_min <= tol * sigma_max or
+    where finite is, a boolean for one matrix and an array over a stack;
+    and the singular values, from one stacked SVD, NaN for a matrix that is
+    not finite.  An interleaved adjoint has the singular values of M, each
+    twice, so the test means the same in all three rings.  Raises
+    ValueError for matrices that are not square.
     """
-    _validate_tol(tol)
-    op, finite, _ = _screened_operand(ks, a)
     if op.shape[-1] != op.shape[-2]:
         raise ValueError("inversion needs a square matrix")
     s = np.linalg.svd(op, compute_uv=False)
     if s.shape[-1] == 0:
-        return op, np.ones(s.shape[:-1], dtype=bool), s
+        return np.ones(s.shape[:-1], dtype=bool), s
     # numpy scalars for one matrix (0-d arrays cost microseconds), arrays over a stack
     smin, smax = s.T[-1], s.T[0]
     # as smin <= smax, a tol of 1 or more calls every matrix singular; capping it
@@ -533,7 +531,7 @@ def _invertible_operand(ks: _Kernels, a: np.ndarray,
     if finite is not True:
         s[~finite] = np.nan
         invertible &= finite
-    return op, invertible, s
+    return invertible, s
 
 
 def _residual_proves(r_sq, a_sq, b_sq, p: int, tol: float):
@@ -564,23 +562,18 @@ def _residual_proves(r_sq, a_sq, b_sq, p: int, tol: float):
 def _invert(ks: _Kernels, a: np.ndarray, tol: float) -> np.ndarray:
     """Inverse of a square matrix M, as a native array of the kernel set ks in
     and out, by LAPACK on its operand (ks.operand), under the singularity
-    test of mat_inverse.
+    test of mat_inverse at a tol its caller has checked.
 
-    An entry that is not finite, which the screen of _screened_operand
-    finds, raises Singular before LAPACK sees it.  LAPACK then inverts,
+    The screen (_screened_operand) builds the operand, and an entry that is
+    not finite raises Singular before LAPACK sees it.  LAPACK then inverts,
     giving B, and B alone decides the test when its residual proves that the
     test passes (_residual_proves, p the operand's order).  Otherwise the
-    SVD test of _invertible_operand decides, and B is returned if it passes.
-    Either way the result is the same np.linalg.inv of the same operand,
-    read back by ks.from_operand.  The operand is the native array itself
-    over R and C, and for the search's adjoints over H (_ADJOINT_KERNELS),
-    whose curve hands its core over with no conversion; over the component
-    set of H it is the adjoint, whose inverse is the adjoint of M^{-1}.
-    Raises Singular and ValueError as mat_inverse does.
+    SVD test (_svd_test) decides on the same operand, and B is returned if
+    it passes.  Either way the result is np.linalg.inv of the operand, read
+    back by ks.from_operand; over the component set of H the operand is the
+    adjoint, whose inverse is the adjoint of M^{-1}.  Raises Singular as
+    mat_inverse does.
     """
-    _validate_tol(tol)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("inversion needs a square matrix")
     op, finite, a_sq = _screened_operand(ks, a)
     if not finite:
         raise Singular("matrix entries are not finite")
@@ -598,7 +591,7 @@ def _invert(ks: _Kernels, a: np.ndarray, tol: float) -> np.ndarray:
         if _residual_proves(float(np.vdot(r, r).real), float(a_sq),
                             float(np.vdot(inv, inv).real), p, float(tol)):
             return ks.from_operand(inv)
-    _, invertible, s = _invertible_operand(ks, a, tol)
+    invertible, s = _svd_test(op, True, tol)
     if not invertible:
         raise Singular(f"smallest singular value {s[-1]:.3e} is at most "
                        f"{tol:.1e} times the largest {s[0]:.3e}")
@@ -609,40 +602,38 @@ def _invert(ks: _Kernels, a: np.ndarray, tol: float) -> np.ndarray:
 
 def _invertible_stack(ks: _Kernels, a: np.ndarray, tol: float) -> np.ndarray:
     """Whether each member of a native stack of S square matrices of the
-    kernel set ks passes the singularity test of mat_inverse: one boolean per
-    member, decided as _invert decides.
+    kernel set ks passes the singularity test of mat_inverse, at a tol its
+    caller has checked: one boolean per member, decided as _invert decides.
 
-    One np.linalg.inv inverts the stack of operands, and a member whose
-    residual proves the test (_residual_proves) needs nothing more.  The SVD
-    test of _invertible_operand decides the members left, and the whole stack
-    when LAPACK meets an exactly zero pivot, which fails the stacked call, or
-    when tol is so large that no residual can prove the test.  A member
-    with an entry that is not finite fails, and LAPACK sees the identity in
-    its place.  Raises ValueError for a tol outside [0, inf)
-    and, through _invertible_operand, for matrices that are not square.
+    One np.linalg.inv inverts the screened stack of operands, and a member
+    whose residual proves the test (_residual_proves) needs nothing more.
+    One SVD test (_svd_test) decides the members left: every member when
+    the stacked call fails, on an exactly zero pivot or a stack that is not
+    square, which the SVD test rejects, or when tol is so large that no
+    residual can prove the test.  A member that is not finite fails, and
+    LAPACK sees the identity in its place.
     """
-    _validate_tol(tol)
     op, finite, _ = _screened_operand(ks, a)
     p = op.shape[-1]
-    if finite is not True:
-        op[~finite] = np.eye(p)  # the operand of the identity, an adjoint too
-    # every inverse has |A|_F |B|_F >= p: if R = 0 at that bound proves nothing, none can
-    if not _residual_proves(0.0, p, p, p, float(tol)):
-        return _invertible_operand(ks, a, tol)[1]
     try:
-        inv = np.linalg.inv(op)
+        # every inverse has |A|_F |B|_F >= p: if R = 0 at that bound proves nothing, none can
+        inv = np.linalg.inv(op) if _residual_proves(0.0, p, p, p, float(tol)) else None
     except np.linalg.LinAlgError:  # a zero pivot, or a stack that is not square
-        return _invertible_operand(ks, a, tol)[1]
-    r = op @ inv
-    r.reshape(len(r), -1)[:, ::p + 1] -= 1.0  # A B - I
-    # an overflowing sum of squares is inf, and inf * 0 NaN: either proves nothing
-    with np.errstate(over="ignore", invalid="ignore"):
-        proved = _residual_proves(_sum_squares(r), _sum_squares(op), _sum_squares(inv), p,
-                                  float(tol))
-    invertible = proved & finite
-    undecided = np.flatnonzero(~proved)  # all finite: the identity's inverse proves it
+        inv = None
+    if inv is None:
+        invertible = np.zeros(len(op), dtype=bool)
+    else:
+        r = op @ inv
+        r.reshape(len(r), -1)[:, ::p + 1] -= 1.0  # A B - I
+        # an overflowing sum of squares is inf, and inf * 0 NaN: either proves nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            invertible = _residual_proves(_sum_squares(r), _sum_squares(op), _sum_squares(inv), p,
+                                          float(tol))
+    undecided = np.flatnonzero(~invertible)
     if len(undecided):
-        invertible[undecided] = _invertible_operand(ks, a[undecided], tol)[1]
+        invertible[undecided] = _svd_test(op[undecided], True, tol)[0]
+    if finite is not True:  # the identity stood in for these, and proved or passed
+        invertible &= finite
     return invertible
 
 
@@ -650,17 +641,23 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
     """Inverse of a square matrix by LAPACK, through the adjoint over H.
 
     Raises Singular when sigma_min <= tol * sigma_max or an entry is not
-    finite, and ValueError for a tol outside [0, inf).  The SVD that decides
-    the first runs only where the inverse cannot decide it itself (_invert).
+    finite, and ValueError for a tol outside [0, inf), then for a matrix
+    that is not square.  The SVD test runs only where the inverse cannot
+    decide it itself (_invert).
     """
+    _validate_tol(tol)
+    if m.rows != m.cols:
+        raise ValueError("inversion needs a square matrix")
     ks = _KERNELS[m.field]
     return Mat._trusted(m.field, ks.components(_invert(ks, ks.native(m.data), tol)))
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:
-    """Whether mat_inverse(m, tol) passes its Singular test; no inverse is formed."""
+    """Whether mat_inverse(m, tol) passes its Singular test, by the SVD test
+    alone; no inverse is formed."""
+    _validate_tol(tol)
     ks = _KERNELS[m.field]
-    return bool(_invertible_operand(ks, ks.native(m.data), tol)[1])
+    return bool(_svd_test(*_screened_operand(ks, ks.native(m.data))[:2], tol)[0])
 
 
 def random_gaussian(rows: int, cols: int, field: Field, seed: int) -> Mat:

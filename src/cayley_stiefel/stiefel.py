@@ -292,8 +292,9 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
     with D = (beta X + P)* (_right_factor), so Y, the skew-Hermitian part of
     b^{-1} = 2 D C^{-1}, needs no inverse but C^{-1}.  Requires y in the
     Cayley open subset of the lift's base point: C must pass mat_inverse's
-    test at tol (kalg._invert).  Taking the skew-Hermitian part makes Y exactly
-    skew-Hermitian, so Y is not checked again, here or by local_section.
+    test at tol, which is checked here, after y (kalg._invert).  Taking the
+    skew-Hermitian part makes Y exactly skew-Hermitian, so Y is not checked
+    again, here or by local_section.
 
     The lift keeps (y, tol, X, Y, b) of its last success: a call on the same
     y object at an equal tol returns those X and Y with no inversion.  y and
@@ -309,6 +310,7 @@ def gamma_inverse(lift: Lift, y: StiefelPoint, tol: float = kalg.DEFAULT_TOL) ->
         return TangentCoords._trusted(lift, chart[2], chart[3])
     if (y.n, y.k) != (lift.n, lift.k) or y.field is not lift.field:
         raise ValueError("y must share the lift's shape and base ring")
+    kalg._validate_tol(tol)  # a kept chart's tol passed it
     fld, nk = lift.field, lift.n - lift.k
     ks = kalg._KERNELS[fld]
     rows, y_rows = ks.native(lift.A.m.data[nk:]), ks.native(y.m.data)

@@ -131,7 +131,8 @@ def svd_test_runs(fld, data, tol):
     p = data.shape[0] * (2 if fld is Field.QUATERNION else 1)
     e = max(tol, p * 2.0 ** -50)
     ks = kalg._KERNELS[fld]
-    s = kalg._invertible_operand(ks, ks.native(data), 0.0)[2]
+    op, finite, _ = kalg._screened_operand(ks, ks.native(data))
+    s = kalg._svd_test(op, finite, 0.0)[1]
     cond = s[0] / s[-1] if s[-1] else math.inf
     if cond >= 1.0 / (2.0 * e):
         return True

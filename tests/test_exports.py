@@ -95,7 +95,8 @@ def test_search_stays_on_native_kernels():
     # every module computes on kalg's native kernel sets: a component product or
     # conjugate transpose, defined or referenced anywhere in the package, would
     # implement a kernel twice, and so would an operand for LAPACK outside the
-    # sets (_Kernels.operand); nor does the search make a component norm, nor,
+    # sets (_Kernels.operand), or a decision that screens and builds it again
+    # (_invertible_operand); nor does the search make a component norm, nor,
     # over H, build an adjoint per product: its native arrays there are the
     # adjoints (kalg._SEARCH_KERNELS)
     found = []
@@ -107,7 +108,8 @@ def test_search_stays_on_native_kernels():
                 names.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)  # getattr(kalg, "_product")
-        forbidden = {"_product", "_conj_transpose", "invert_field", "_operand", "_from_operand"}
+        forbidden = {"_product", "_conj_transpose", "invert_field", "_operand", "_from_operand",
+                     "_invertible_operand"}
         if path.name == "optim.py":
             forbidden |= {"_norm", "_adjoint_product"}
         found += [(path.name, name) for name in sorted(names & forbidden)]
@@ -117,8 +119,21 @@ def test_search_stays_on_native_kernels():
 def test_singularity_decisions_name_no_field():
     # the kernel set a decision takes carries its LAPACK operand, so no field
     # test, over H or any other ring, belongs in the decision code
-    decisions = {"_screened_operand", "_invertible_operand", "_invert", "_invertible_stack"}
+    decisions = {"_screened_operand", "_svd_test", "_invert", "_invertible_stack"}
     found = {node.name: set(_identifiers(node)) & {"Field", "QUATERNION", "REAL", "COMPLEX"}
              for node in ast.parse((PACKAGE / "kalg.py").read_text()).body
              if isinstance(node, ast.FunctionDef) and node.name in decisions}
     assert found == dict.fromkeys(decisions, set())
+
+
+def test_tol_is_checked_once_where_it_enters():
+    # the private decisions take a checked tol: each public entry that takes a
+    # tol from its caller checks it once, and nothing else checks it
+    checks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                checks += [node.name for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                           and "_validate_tol" in set(_identifiers(sub.func))]
+    assert sorted(checks) == ["cover_membership", "gamma_inverse", "is_invertible",
+                              "mat_inverse", "verify_cover"]

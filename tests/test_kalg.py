@@ -484,12 +484,13 @@ class TestIsInvertible:
         stack[2] *= 1e200  # finite, though its sum of squares overflows
         stack[3] = value
         ks = kalg._KERNELS[field]
-        _, invertible, s = kalg._invertible_operand(ks, native(field, stack), kalg.DEFAULT_TOL)
+        invertible, s = kalg._svd_test(*kalg._screened_operand(ks, native(field, stack))[:2],
+                                       kalg.DEFAULT_TOL)
         assert invertible.tolist() == [True, False, True, False]
         assert np.isnan(s[[1, 3]]).all()
         for i in (0, 2):
-            _, alone, s_alone = kalg._invertible_operand(ks, native(field, stack[i]),
-                                                         kalg.DEFAULT_TOL)
+            alone, s_alone = kalg._svd_test(
+                *kalg._screened_operand(ks, native(field, stack[i]))[:2], kalg.DEFAULT_TOL)
             assert alone and np.array_equal(s[i], s_alone)
 
 
@@ -502,8 +503,8 @@ def native(field, data):
 def reference_inverse(field, data, tol):
     """mat_inverse with the SVD test on every matrix: Singular, or the components
     of LAPACK's inverse of the operand."""
-    a, invertible, _ = kalg._invertible_operand(kalg._KERNELS[field], native(field, data), tol)
-    if not invertible:
+    a, finite, _ = kalg._screened_operand(kalg._KERNELS[field], native(field, data))
+    if not kalg._svd_test(a, finite, tol)[0]:
         return Singular
     try:
         inv = np.linalg.inv(a)
@@ -531,13 +532,13 @@ class TestInverseDecision:
     def test_sweep_agrees_with_the_svd_test(self, field, tol, monkeypatch):
         conds = swept_conditions(tol)
         svd_runs, ran = [], []
-        invertible_operand = kalg._invertible_operand
+        svd_test = kalg._svd_test
 
-        def recorded(ks, data, t):
+        def recorded(op, finite, t):
             svd_runs.append(t)
-            return invertible_operand(ks, data, t)
+            return svd_test(op, finite, t)
 
-        monkeypatch.setattr(kalg, "_invertible_operand", recorded)
+        monkeypatch.setattr(kalg, "_svd_test", recorded)
         for n in (1, 2, 4):
             for i, cond in enumerate(conds if n > 1 else [1.0]):
                 for scale in (1.0, 1e-100, 1e100):
@@ -582,21 +583,27 @@ class TestInverseDecision:
 
 class TestStackDecision:
     """_invertible_stack decides each member of a stack as the SVD test of
-    _invertible_operand does, and runs that test, in one call, on the members
-    that the residual of their inverse cannot decide."""
+    _svd_test does, and runs that test, in one call, on the members that the
+    residual of their inverse cannot decide."""
 
     @staticmethod
     def svd_members(monkeypatch):
-        """The stacks that reach the SVD test, recorded."""
+        """The operand stacks that reach the SVD test, recorded."""
         seen = []
-        invertible_operand = kalg._invertible_operand
+        svd_test = kalg._svd_test
 
-        def recorded(ks, data, tol):
-            seen.append(ks.components(data))
-            return invertible_operand(ks, data, tol)
+        def recorded(op, finite, tol):
+            seen.append(op)
+            return svd_test(op, finite, tol)
 
-        monkeypatch.setattr(kalg, "_invertible_operand", recorded)
+        monkeypatch.setattr(kalg, "_svd_test", recorded)
         return seen
+
+    @staticmethod
+    def svd_decision(field, data, tol):
+        """The SVD test on the screened operands of components data."""
+        return kalg._svd_test(*kalg._screened_operand(kalg._KERNELS[field],
+                                                      native(field, data))[:2], tol)[0]
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-6])
     def test_sweep_agrees_with_the_svd_test(self, field, tol, monkeypatch):
@@ -606,14 +613,14 @@ class TestStackDecision:
             for scale in (1.0, 1e-100, 1e100):
                 stack = np.stack([conditioned(field, n, cond, 17 * i + n, scale)
                                   for i, cond in enumerate(conds if n > 1 else [1.0])])
-                want = kalg._invertible_operand(kalg._KERNELS[field], native(field, stack),
-                                                tol)[1]
+                want = self.svd_decision(field, stack, tol)
                 seen.clear()
                 got = kalg._invertible_stack(kalg._KERNELS[field], native(field, stack), tol)
                 assert got.tolist() == want.tolist(), (n, scale)
                 assert len(seen) <= 1
-                reached = [any(np.array_equal(m, r) for r in seen[0]) if seen else False
-                           for m in stack]
+                ks = kalg._KERNELS[field]
+                reached = [any(np.array_equal(ks.operand(native(field, m)), r) for r in seen[0])
+                           if seen else False for m in stack]
                 for m, cond, svd_ran in zip(stack, conds, reached):
                     must_run = svd_test_runs(field, m, tol)
                     if must_run is not None:
@@ -640,16 +647,14 @@ class TestStackDecision:
                                          kalg.DEFAULT_TOL)
         assert got.tolist() == [True, False, False, True, False][:len(stack)]
         for i, member in enumerate(stack):
-            assert got[i] == kalg._invertible_operand(kalg._KERNELS[field],
-                                                      native(field, member), kalg.DEFAULT_TOL)[1]
+            assert got[i] == self.svd_decision(field, member, kalg.DEFAULT_TOL)
         assert capfd.readouterr() == ("", "")
 
     def test_no_inverse_when_no_residual_can_prove(self, field, monkeypatch):
         # |A|_F |B|_F >= p = 2 or 4 here, so 4 |A|_F |B|_F tol > 1 for tol = 0.2
         stack = np.stack([conditioned(field, 2, cond, i)
                           for i, cond in enumerate([1.0, 3.0, 1e3])])
-        want = kalg._invertible_operand(kalg._KERNELS[field], native(field, stack),
-                                        0.2)[1].tolist()
+        want = self.svd_decision(field, stack, 0.2).tolist()
         monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("inverted"))
         got = kalg._invertible_stack(kalg._KERNELS[field], native(field, stack), 0.2).tolist()
         assert got == want == [True, True, False]
@@ -659,6 +664,61 @@ class TestStackDecision:
             kalg._invertible_stack(kalg._KERNELS[field],
                                    native(field, np.zeros((2, 3, 2, field.ncomp))),
                                    kalg.DEFAULT_TOL)
+
+
+class TestOneScreenPerDecision:
+    """Every decision screens its input once and builds its operand once (over
+    H's component set, one adjoint), and its SVD test, when it runs, reads
+    that operand: one screen, one operand and one SVD test per call."""
+
+    @staticmethod
+    def counted(monkeypatch, field):
+        """Counts of _screened_operand, operand and _svd_test calls, recorded."""
+        counts = dict.fromkeys(("screen", "operand", "svd"), 0)
+        ks = kalg._KERNELS[field]
+
+        def counting(key, fn):
+            def counted_fn(*args):
+                counts[key] += 1
+                return fn(*args)
+            return counted_fn
+
+        monkeypatch.setattr(kalg, "_screened_operand", counting("screen", kalg._screened_operand))
+        monkeypatch.setattr(kalg, "_svd_test", counting("svd", kalg._svd_test))
+        monkeypatch.setattr(ks, "operand", counting("operand", ks.operand))
+        return counts
+
+    @pytest.mark.parametrize("cond, outcome", [(1.0, "inverse"), (5e11, "inverse"),
+                                               (5e13, Singular)])
+    def test_mat_inverse(self, field, cond, outcome, monkeypatch):
+        # from about 5e11 no residual proves the test at DEFAULT_TOL
+        # (svd_test_runs), and the test passes; 5e13 fails it
+        data = conditioned(field, 4, cond, 3)
+        assert svd_test_runs(field, data, kalg.DEFAULT_TOL) in (None, cond > 1.0)
+        counts = self.counted(monkeypatch, field)
+        try:
+            kalg.mat_inverse(Mat(field, data))
+            got = "inverse"
+        except Singular:
+            got = Singular
+        assert got is outcome
+        assert counts == {"screen": 1, "operand": 1, "svd": int(cond > 1.0)}
+
+    @pytest.mark.parametrize("cond", [1.0, 5e11, 5e13])
+    def test_is_invertible(self, field, cond, monkeypatch):
+        counts = self.counted(monkeypatch, field)
+        assert kalg.is_invertible(Mat(field, conditioned(field, 4, cond, 3))) is (cond < 1e13)
+        assert counts == {"screen": 1, "operand": 1, "svd": 1}
+
+    # DEFAULT_TOL proves the first member alone, and tol 0.5 none of them
+    @pytest.mark.parametrize("tol", [kalg.DEFAULT_TOL, 0.5])
+    def test_stack(self, field, tol, monkeypatch):
+        stack = np.stack([conditioned(field, 4, cond, 3 + i)
+                          for i, cond in enumerate([1.0, 5e11, 1e14])])
+        counts = self.counted(monkeypatch, field)
+        got = kalg._invertible_stack(kalg._KERNELS[field], native(field, stack), tol)
+        assert got.tolist() == ([True, True, False] if tol < 1e-11 else [True, False, False])
+        assert counts == {"screen": 1, "operand": 1, "svd": 1}
 
 
 def tol_taking_calls():

@@ -255,7 +255,7 @@ class TestSearchGenerator:
         t = c * 0.5 / g.ng_norm
         adjoint_products = recorded_adjoint_products(monkeypatch)
         products = recorded_kernel(monkeypatch, field, "product", kalg._SEARCH_KERNELS)
-        svd_tests = recorded_calls(monkeypatch, "_invertible_operand")
+        svd_tests = recorded_calls(monkeypatch, "_svd_test")
         curve(g, t)
         # inv N U*x and U (inv N U*x) for the step, on the search's native kernel
         # set; x*x of the point's frame check, on the field's; shapes as components
@@ -282,7 +282,7 @@ class TestSearchGenerator:
         kalg._shift_diagonal(core, 1.0)
         must_run = svd_test_runs(ring, core, kalg.DEFAULT_TOL)
         assert must_run is (c > 1e6)
-        svd_tests = recorded_calls(monkeypatch, "_invertible_operand")
+        svd_tests = recorded_calls(monkeypatch, "_svd_test")
         try:
             curve(g, t)
         except (Singular, NotOrthonormal):

@@ -106,17 +106,17 @@ def mat_contraction(lift, y, t):
 
 
 def svd_tests(monkeypatch, fn, *args):
-    """The tol of each SVD test (kalg._invertible_operand) that fn(*args) runs;
+    """The tol of each SVD test (kalg._svd_test) that fn(*args) runs;
     a rejection fn raises is ignored."""
     tols = []
-    invertible_operand = kalg._invertible_operand
+    svd_test = kalg._svd_test
 
-    def recorded(ks, data, tol):
+    def recorded(op, finite, tol):
         tols.append(tol)
-        return invertible_operand(ks, data, tol)
+        return svd_test(op, finite, tol)
 
     with monkeypatch.context() as mp:
-        mp.setattr(kalg, "_invertible_operand", recorded)
+        mp.setattr(kalg, "_svd_test", recorded)
         try:
             fn(*args)
         except (Singular, OutsideCayleyOpen, ValueError):

@@ -28,7 +28,8 @@ def _add_common(p: argparse.ArgumentParser, tol: bool = True):
     p.add_argument("--seed", type=_seed, default=0,
                    help="master RNG seed, nonnegative (default: 0)")
     if tol:
-        # a NaN, negative or infinite tol is rejected by the library's singularity test
+        # a NaN, negative or infinite tol is rejected where it enters the library
+        # (kalg._validate_tol), before any singularity test runs
         p.add_argument("--tol", type=float, default=kalg.DEFAULT_TOL,
                        help="singular when sigma_min <= tol * sigma_max (default: 1e-12)")
     p.add_argument("--out", default=None, help="write machine output to this path")

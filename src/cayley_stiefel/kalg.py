@@ -57,9 +57,9 @@ decision names a field.  _invert decides one native matrix: mat_inverse is
 _invert on Mat values, and the transforms and the search curve call it on
 their k x k and 2k x 2k cores with the kernel set they hold.
 _invertible_stack decides a native stack, the cover test's shifted
-blocks, with one LAPACK inversion and one SVD test on the members left.
-is_invertible stays on the SVD, which costs less for one small matrix.
-tol is checked once, where it enters (_validate_tol).
+blocks, with one LAPACK inversion and one SVD test on the members left,
+and is_invertible is that decision on a stack of one.  tol is checked
+once, where it enters (_validate_tol).
 
 Validation happens at the boundaries.  The public constructor Mat(field,
 data) copies its input and rejects non-finite and complex entries (a
@@ -97,10 +97,6 @@ class Field(enum.Enum):
     COMPLEX = "complex"
     QUATERNION = "quaternion"
 
-    # members are singletons compared by identity, so they hash by identity:
-    # Enum.__hash__ is a Python-level call on every kernel-set lookup
-    __hash__ = object.__hash__
-
     @property
     def ncomp(self) -> int:
         return _NCOMP[self]
@@ -114,11 +110,6 @@ class Field(enum.Enum):
 
 
 _NCOMP = {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}
-
-# the dtypes of the views: given np.float64 or np.complex128, a view looks the
-# dtype up on every call, which costs about a third of the view
-_F64, _C128 = np.dtype(np.float64), np.dtype(np.complex128)
-
 
 # (w, x, y, z) -> (-y, z, w, -x): the components of (-conj Z2, conj Z1)
 _ADJOINT_ROW = np.array([[0.0, 0.0, 1.0, 0.0],
@@ -137,6 +128,12 @@ def _adjoint(data: np.ndarray) -> np.ndarray:
     of all entries with _ADJOINT_ROW, so a stack of column vectors costs one
     BLAS call and not one per row; those of one matrix come from one
     np.matmul into the output, which copies no strided block.
+
+    The shape picks the form, and each form runs in a benchmark workload,
+    so both stay: the matmul form in the lift (lift_s), where it measured
+    x1.5 on the H lift at n = 256; the np.dot form in the cover's H
+    Gram-Schmidt and operands (cover_samples_per_s.quaternion), where it
+    measured 57.6 -> 18.9 us on a (256, 4, 1, 4) stack.
     """
     *lead, rows, cols, _ = data.shape
     out = np.empty((*lead, rows, 2, cols, 4))
@@ -147,14 +144,14 @@ def _adjoint(data: np.ndarray) -> np.ndarray:
         out[..., 1, :, :] = np.dot(data.reshape(-1, 4), _ADJOINT_ROW).reshape(data.shape)
     else:  # no reshape copy of a strided block, such as the lift's rows
         np.matmul(data, _ADJOINT_ROW, out=out[:, 1])
-    return out.view(_C128).reshape(*lead, 2 * rows, 2 * cols)
+    return out.view(np.complex128).reshape(*lead, 2 * rows, 2 * cols)
 
 
 def _adjoint_rows(a: np.ndarray) -> np.ndarray:
     """Components (rows, cols, 4) of the quaternion matrix whose 2-D
     interleaved adjoint is a, square or not: its (i, 0) rows."""
     rows, cols = a.shape[0] // 2, a.shape[1] // 2
-    return np.ascontiguousarray(a.reshape(rows, 2, cols, 2)[:, 0]).view(_F64)
+    return np.ascontiguousarray(a.reshape(rows, 2, cols, 2)[:, 0]).view(np.float64)
 
 
 def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,21 +159,19 @@ def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     leading axes: row i of a as complex, (Z1, Z2) interleaved, times the
     adjoint of b gives row i of (Z1 W1 - Z2 conj W2, Z1 W2 + Z2 conj W1)
     interleaved."""
-    z = a.view(_C128).reshape(*a.shape[:-2], 2 * a.shape[-2])
+    z = a.view(np.complex128).reshape(*a.shape[:-2], 2 * a.shape[-2])
     p = z @ _adjoint(b)
-    return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(_F64)
+    return p.reshape(*p.shape[:-1], p.shape[-1] // 2, 2).view(np.float64)
 
 
 def _shift_diagonal(data: np.ndarray, c: float | np.ndarray) -> None:
-    """Add c I to every matrix of a C-contiguous (..., n, n, ncomp) stack, in
-    place; c is a float, or an array of shape (..., 1) with one per matrix."""
+    """Add c I to every matrix of a C-contiguous (..., n, n, ncomp) stack, one
+    matrix included, in place; c is a float, or an array of shape (..., 1)
+    with one per matrix."""
     n, nc = data.shape[-2], data.shape[-1]
     # a strided view of the diagonal, added to in place: fancy indexing costs
     # several times more, and an indexed += stores the view back onto itself
-    if data.ndim == 3:
-        diagonal = data.reshape(n * n, nc)[::n + 1, 0]
-    else:
-        diagonal = data.reshape(*data.shape[:-3], n * n, nc)[..., ::n + 1, 0]
+    diagonal = data.reshape(*data.shape[:-3], n * n, nc)[..., ::n + 1, 0]
     diagonal += c
 
 
@@ -193,7 +188,7 @@ def _norm(a: np.ndarray) -> float:
 def _sum_squares(a: np.ndarray) -> np.ndarray:
     """|member|_F^2 for each member of a real or complex stack, summed as
     np.linalg.norm sums one."""
-    flat = a.reshape(len(a), 1, -1).view(_F64)
+    flat = a.reshape(len(a), 1, -1).view(np.float64)
     return (flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
@@ -243,7 +238,7 @@ def _identity(a: np.ndarray) -> np.ndarray:
 
 def _adjoint_norm(a: np.ndarray) -> float:
     """|M|_F from the interleaved adjoint chi(M), whose squares sum to 2 |M|_F^2."""
-    floats = a.view(_F64)
+    floats = a.view(np.float64)
     return math.sqrt(0.5 * np.vdot(floats, floats))
 
 
@@ -261,15 +256,15 @@ _KERNELS = {
         operand=_identity,
         from_operand=_identity),
     Field.COMPLEX: _Kernels(
-        native=lambda a: a.view(_C128)[..., 0],
-        components=lambda a: a[..., None].view(_F64),
-        floats=operator.methodcaller("view", _F64),
+        native=lambda a: a.view(np.complex128)[..., 0],
+        components=lambda a: a[..., None].view(np.float64),
+        floats=operator.methodcaller("view", np.float64),
         product=np.matmul,
         conj_transpose=lambda a: np.conjugate(a.swapaxes(-2, -1), order="C"),
-        scale=lambda a, c: (a.view(_F64) * c).view(_C128),
-        shift_diagonal=lambda a, c: _shift_diagonal(a[..., None].view(_F64), c),
-        norm=lambda a: _norm(a.view(_F64)),
-        inner=lambda a, b: float(np.vdot(a.view(_F64), b.view(_F64))),
+        scale=lambda a, c: (a.view(np.float64) * c).view(np.complex128),
+        shift_diagonal=lambda a, c: _shift_diagonal(a[..., None].view(np.float64), c),
+        norm=lambda a: _norm(a.view(np.float64)),
+        inner=lambda a, b: float(np.vdot(a.view(np.float64), b.view(np.float64))),
         operand=_identity,
         from_operand=_identity),
     Field.QUATERNION: _Kernels(
@@ -297,7 +292,7 @@ _ADJOINT_KERNELS = _Kernels(
     scale=_KERNELS[Field.COMPLEX].scale,
     shift_diagonal=_KERNELS[Field.COMPLEX].shift_diagonal,
     norm=_adjoint_norm,
-    inner=lambda a, b: 0.5 * float(np.vdot(a.view(_F64), b.view(_F64))),
+    inner=lambda a, b: 0.5 * float(np.vdot(a.view(np.float64), b.view(np.float64))),
     operand=_identity,
     from_operand=_identity)
 
@@ -578,7 +573,7 @@ def _invert(ks: _Kernels, a: np.ndarray, tol: float) -> np.ndarray:
     if not finite:
         raise Singular("matrix entries are not finite")
     if op is not a:  # the adjoint's own |A|_F^2, about 2 |M|_F^2
-        a_sq = np.vdot(op.view(_F64), op.view(_F64))
+        a_sq = np.vdot(op.view(np.float64), op.view(np.float64))
     p = op.shape[-1]
     try:
         inv = np.linalg.inv(op)
@@ -653,11 +648,16 @@ def mat_inverse(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
 
 
 def is_invertible(m: Mat, tol: float = DEFAULT_TOL) -> bool:
-    """Whether mat_inverse(m, tol) passes its Singular test, by the SVD test
-    alone; no inverse is formed."""
+    """Whether mat_inverse(m, tol) passes its Singular test: the stack decision
+    (_invertible_stack) on a stack of one, so the SVD test runs only where
+    the residual of LAPACK's inverse cannot decide it.
+
+    Raises ValueError for a tol outside [0, inf), then for a matrix that is
+    not square; a matrix with an entry that is not finite is not invertible.
+    """
     _validate_tol(tol)
     ks = _KERNELS[m.field]
-    return bool(_svd_test(*_screened_operand(ks, ks.native(m.data))[:2], tol)[0])
+    return bool(_invertible_stack(ks, ks.native(m.data)[None], tol)[0])
 
 
 def random_gaussian(rows: int, cols: int, field: Field, seed: int) -> Mat:

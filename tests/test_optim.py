@@ -839,6 +839,30 @@ class TestGradientDescent:
         for rec in trace.records:
             assert fro(rec.x.m.H @ rec.x.m - kalg.identity(2, field)) <= 1e-8
 
+    @pytest.mark.parametrize("problem", ["rayleigh", "procrustes"])
+    def test_real_square_iterates_keep_the_sign_of_det(self, problem):
+        # over R, c(tA) of a skew-symmetric A has determinant 1, so at n = k the
+        # search never leaves the component of O(n) that x0 lies in: a Procrustes
+        # fit C = xhat B with det(xhat) != det(x0) converges at f > 0
+        fld, mismatched = Field.REAL, 0
+        for n in (2, 3, 4):
+            for seed in range(10):
+                # the problems as cli.run_optimize builds them
+                x0 = stiefel.random_stiefel_point(n, n, fld, seed)
+                xhat = stiefel.random_stiefel_point(n, n, fld, seed + 2)
+                if problem == "rayleigh":
+                    obj = rayleigh_objective(
+                        kalg.hermitian_part(kalg.random_gaussian(n, n, fld, seed + 1)))
+                else:
+                    B = kalg.random_gaussian(n, n + 1, fld, seed + 1)
+                    obj = procrustes_objective(B, xhat.m @ B)
+                trace = gradient_descent(obj, x0, SearchParams(max_iters=2000))
+                sign = np.sign(np.linalg.det(x0.m.data[:, :, 0]))
+                for rec in trace.records:
+                    assert np.sign(np.linalg.det(rec.x.m.data[:, :, 0])) == sign, (n, seed)
+                mismatched += sign != np.sign(np.linalg.det(xhat.m.data[:, :, 0]))
+        assert mismatched == 14
+
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": -1}, {"max_iters": -3}, {"max_iters": 2.5}, {"max_iters": 1000.0},
         {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": np.inf},
